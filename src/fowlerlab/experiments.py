@@ -17,7 +17,13 @@ import numpy as np
 
 from .classify import BOTH_SINGULAR, SEMI_SINGULAR, classify
 from .dynamics import IntegratorSettings, Trajectory, integrate
-from .errors import BracketFailure, DomainError, NoPositiveSolution, SamplerDegenerate
+from .errors import (
+    BracketFailure,
+    DomainError,
+    FowlerLabError,
+    NoPositiveSolution,
+    SamplerDegenerate,
+)
 from .invariants import monitor, psi
 from .params import SystemParams, cylinder_amplitudes, solve_coupling
 from .state import FowlerState
@@ -186,11 +192,10 @@ def _initial_as_list(data: InitialData) -> list[float]:
     return [data.a1, data.a2, data.b1, data.b2, data.psi0]
 
 
-def _first_event(traj: Trajectory, kind: str):
-    for ev in traj.events:
-        if ev.kind == kind:
-            return ev
-    return None
+def _nearest_event(traj: Trajectory, kind: str):
+    """The event of this kind closest to t = 0 (the earlier one on a tie)."""
+    found = [ev for ev in traj.events if ev.kind == kind]
+    return min(found, key=lambda ev: abs(ev.t)) if found else None
 
 
 def _collect_draws(
@@ -228,7 +233,9 @@ def sign_change_experiment(
     with nonzero determinant (choose via spec.projection).  Runs without a
     sign change inside the horizon are reported as failures, never passed
     silently.  Integration uses the signed continuous extension and searches
-    both time directions, widening the window progressively for speed.
+    both time directions, widening the window progressively for speed.  Each
+    run reports the crossing nearest t = 0 (sign_change_t); the summary's
+    max_abs_event_t is the largest such |t| over the runs.
     """
     if spec is None:
         spec = SamplerSpec(kind="uniform_box", projection="psi_positive")
@@ -249,7 +256,7 @@ def sign_change_experiment(
         for h in stages:
             stage_settings = replace(base, t_span=(-h, h))
             traj = integrate(params, data.state(), stage_settings, mode="signed")
-            event = _first_event(traj, "SignChange")
+            event = _nearest_event(traj, "SignChange")
             if event is not None or traj.terminated:
                 break
         verdict = classify(params, traj).verdict
@@ -302,7 +309,7 @@ def _loses_sign(params: SystemParams, apex_w1: float, ratio: float, t_end: float
     # Symmetric apex data: forward integration alone decides the dichotomy.
     state = FowlerState(t=0.0, w1=apex_w1, w2=ratio * apex_w1, dw1=0.0, dw2=0.0)
     traj = integrate(params, state, replace(settings, t_span=(0.0, t_end)), mode="signed")
-    return _first_event(traj, "SignChange") is not None
+    return _nearest_event(traj, "SignChange") is not None
 
 
 def shoot_entire(
@@ -348,7 +355,7 @@ def shoot_entire(
 
     data = InitialData.from_values(params, apex, ratio * apex, 0.0, 0.0)
     traj = integrate(params, data.state(), settings, mode="signed")
-    if _first_event(traj, "SignChange") is not None:
+    if _nearest_event(traj, "SignChange") is not None:
         raise BracketFailure("converged orbit still changes sign")
     tail = traj.sample(np.array([settings.t_span[0], settings.t_span[1]]))
     if float(np.max(np.abs(tail[:2]))) > SHOOT_DECAY_CUT:
@@ -451,7 +458,7 @@ def _sweep_point(payload):
                 invariant_report=report, classification=verdict_obj,
             )
             record["trajectory"] = name
-    except Exception as exc:  # per-point errors never abort the sweep
+    except FowlerLabError as exc:  # package errors never abort the sweep
         record["verdict"] = "Error"
         record["error"] = f"{type(exc).__name__}: {exc}"
         record["initial"] = [

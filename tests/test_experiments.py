@@ -22,6 +22,7 @@ from fowlerlab import (
     sign_change_experiment,
     sweep,
 )
+from fowlerlab import experiments
 from fowlerlab.errors import BracketFailure, DomainError
 from fowlerlab.experiments import _project_psi_zero, draw_initial
 from fowlerlab.serialize import dumps, experiment_report_to_dict
@@ -121,6 +122,27 @@ class TestSignChange:
         assert all(e.kind != "SignChange" for e in traj.events)
         assert float(np.min(traj.y[:2])) > 0.0
 
+    def test_reports_crossing_nearest_zero(self, p3):
+        spec = SamplerSpec(kind="uniform_box", projection="psi_positive")
+        report = sign_change_experiment(p3, spec, n_runs=10, seed=0, horizon=50.0)
+        several = 0
+        for run in report.runs:
+            # Reproduce the run's staged windows and collect every crossing
+            # of the window in which the first one was found.
+            data = InitialData.from_values(p3, *run["initial"][:4])
+            for h in (12.5, 25.0, 50.0):
+                traj = integrate(p3, data.state(), IntegratorSettings(t_span=(-h, h)),
+                                 mode="signed")
+                crossings = [e.t for e in traj.events if e.kind == "SignChange"]
+                if crossings:
+                    break
+            assert abs(run["sign_change_t"]) == min(abs(t) for t in crossings)
+            several += len(crossings) > 1
+        assert several > 0
+        assert report.summary["max_abs_event_t"] == max(
+            abs(run["sign_change_t"]) for run in report.runs
+        )
+
     def test_determinism(self, p3):
         spec = SamplerSpec(kind="uniform_box", projection="psi_positive")
         a = sign_change_experiment(p3, spec, n_runs=6, seed=9)
@@ -218,6 +240,23 @@ class TestSweep:
         bad = report.runs[0]
         assert bad["verdict"] == "Error"
         assert "DomainError" in bad["error"]
+
+    def test_programming_error_propagates(self, p3, span20, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("broken call")
+
+        monkeypatch.setattr(experiments, "integrate", broken)
+        with pytest.raises(TypeError, match="broken call"):
+            sweep([p3], [(0.5, 0.5, 0.0, 0.0)], span20)
+
+    def test_package_error_inside_point_is_recorded(self, p3, span20, monkeypatch):
+        def refuses(*args, **kwargs):
+            raise DomainError("refused")
+
+        monkeypatch.setattr(experiments, "integrate", refuses)
+        report = sweep([p3], [(0.5, 0.5, 0.0, 0.0)], span20)
+        assert report.counts == {"Error": 1}
+        assert report.runs[0]["error"] == "DomainError: refused"
 
     def test_parallel_equals_serial(self, p3, span20):
         cyl, _ = cylinder_state(p3)
