@@ -358,7 +358,7 @@ def _event_root(crossed, ta, tb):
             ta = tm
 
 
-def solve_ivp(field, t0, y0, t_bound, settings, mode):
+def solve_ivp(field, t0, y0, t_bound, settings, mode, stop=None):
     """The package's own Dormand-Prince 5(4) solver, from t0 toward t_bound.
 
     field is the scalar acceleration map of _make_field and y0 the four
@@ -373,7 +373,10 @@ def solve_ivp(field, t0, y0, t_bound, settings, mode):
     positivity_floor), rising and falling along the direction of
     integration.  They are tested once per accepted step and the
     earliest is bisected to adjacent floats on the step's quintic Hermite;
-    the event point becomes the last node.  Returns a Segment.
+    the event point becomes the last node.  Otherwise the optional predicate
+    stop(w1, w2, w1'_old, w1'_new) is asked at each new node; a label it
+    returns ends the segment at that node, unrefined, with event
+    (label, None).  Returns a Segment.
     """
     rtol, atol, max_step = settings.rel_tol, settings.abs_tol, settings.max_step
     threshold = settings.blowup_threshold
@@ -512,6 +515,9 @@ def solve_ivp(field, t0, y0, t_bound, settings, mode):
             w1_new, w2_new = _quintic_value(c1, s), _quintic_value(c2, s)
             v1_new, v2_new = _quintic_slope(c1, s) / h, _quintic_slope(c2, s) / h
             event = (kind, comp)
+            status = 1
+        elif stop is not None and (label := stop(w1_new, w2_new, v1, v1_new)) is not None:
+            event = (label, None)
             status = 1
         elif direction * (t_new - t_bound) >= 0.0:
             status = 0

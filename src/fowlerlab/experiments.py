@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import dynamics
 from .classify import BOTH_SINGULAR, SEMI_SINGULAR, classify
 from .dynamics import IntegratorSettings, Trajectory, integrate
 from .errors import (
@@ -304,12 +305,23 @@ def shoot_settings(params: SystemParams) -> IntegratorSettings:
     return IntegratorSettings(rel_tol=1e-12, abs_tol=1e-14, t_span=(-t_end, t_end))
 
 
-def _loses_sign(params: SystemParams, apex_w1: float, ratio: float, t_end: float,
+def _first_turn(w1, w2, v1_old, v1_new):
+    # Shooting trials stop at a component below zero or a minimum of w1.
+    if w1 < 0.0 or w2 < 0.0:
+        return "SignChange"
+    return "LocalMin" if v1_old < 0.0 <= v1_new else None
+
+
+def _loses_sign(fun, apex_w1: float, ratio: float, t_end: float,
                 settings: IntegratorSettings) -> bool:
     # Symmetric apex data: forward integration alone decides the dichotomy.
-    state = FowlerState(t=0.0, w1=apex_w1, w2=ratio * apex_w1, dw1=0.0, dw2=0.0)
-    traj = integrate(params, state, replace(settings, t_span=(0.0, t_end)), mode="signed")
-    return _nearest_event(traj, "SignChange") is not None
+    y0 = (apex_w1, ratio * apex_w1, 0.0, 0.0)
+    if max(y0[0], y0[1]) >= settings.blowup_threshold:
+        # integrate stops such data at once with BlowUp: no sign change.
+        return False
+    # Looked up at call time, so a wrapper set on dynamics.solve_ivp sees it.
+    seg = dynamics.solve_ivp(fun, 0.0, y0, t_end, settings, "signed", _first_turn)
+    return seg.event == ("SignChange", None)
 
 
 def shoot_entire(
@@ -319,8 +331,12 @@ def shoot_entire(
 
     Apex states (derivatives zero, component ratio fixed by the coupling
     pair) are bisected on the apex amplitude: above the homoclinic the orbit
-    changes sign, below it stays positive and returns.  The converged orbit
-    must decay below SHOOT_DECAY_CUT at both window ends.
+    changes sign, below it stays positive and returns.  Each trial stops at
+    its first event: a component below zero (above), or a minimum of w1 or
+    the window end (below).  On the proportional ray the orbit solves the
+    scalar Fowler equation, whose energy sign fixes which comes first; after
+    a minimum a negative-energy orbit is periodic and never reaches zero.
+    The converged orbit must decay below SHOOT_DECAY_CUT at both window ends.
     """
     if settings is None:
         settings = shoot_settings(params)
@@ -330,13 +346,14 @@ def shoot_entire(
         raise BracketFailure(f"coupling pair unavailable: {exc}") from exc
     ratio = kl.l / kl.k
     t_end = settings.t_span[1]
+    fun = dynamics._make_field(params)
 
     lo = 0.05 * kl.k * params.lam[0]
     hi = params.lam[0]
-    if _loses_sign(params, lo, ratio, t_end, settings):
+    if _loses_sign(fun, lo, ratio, t_end, settings):
         raise BracketFailure("lower shooting endpoint already changes sign")
     grow = 0
-    while not _loses_sign(params, hi, ratio, t_end, settings):
+    while not _loses_sign(fun, hi, ratio, t_end, settings):
         hi *= 2.0
         grow += 1
         if grow > 10:
@@ -346,7 +363,7 @@ def shoot_entire(
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if _loses_sign(params, mid, ratio, t_end, settings):
+        if _loses_sign(fun, mid, ratio, t_end, settings):
             hi = mid
         else:
             lo = mid

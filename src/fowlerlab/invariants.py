@@ -155,11 +155,9 @@ class InvariantReport:
 
 
 def _monitor_times(traj: "Trajectory") -> np.ndarray:
-    ts = [traj.t]
     nodes = traj.t
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        ts.append(np.linspace(a, b, SAMPLES_PER_STEP + 2)[1:-1])
-    return np.unique(np.concatenate(ts))
+    inner = np.linspace(nodes[:-1], nodes[1:], SAMPLES_PER_STEP + 2, axis=1)[:, 1:-1]
+    return np.unique(np.concatenate([nodes, inner.ravel()]))
 
 
 def monitor(params: SystemParams, traj: "Trajectory") -> InvariantReport:
@@ -184,18 +182,18 @@ def monitor(params: SystemParams, traj: "Trajectory") -> InvariantReport:
     # Coupled monotonicity: sign(f_i') must match sign(w_i') wherever the
     # derivative is resolvable.  f' is taken by central differences on the
     # dense interpolant, which validates the interpolant as well.
-    interior = ts[(ts > traj.t_min + FD_STEP) & (ts < traj.t_max - FD_STEP)]
+    inside = (ts > traj.t_min + FD_STEP) & (ts < traj.t_max - FD_STEP)
+    interior = ts[inside]
     monotone_ok = True
     if interior.size:
         up = traj.sample(interior + FD_STEP)
         dn = traj.sample(interior - FD_STEP)
         f1_up, f2_up = f_arrays(params, *up)
         f1_dn, f2_dn = f_arrays(params, *dn)
-        here = traj.sample(interior)
         p = params.p
         for fd, dw, wi, wj in (
-            ((f1_up - f1_dn) / (2.0 * FD_STEP), here[2], here[0], here[1]),
-            ((f2_up - f2_dn) / (2.0 * FD_STEP), here[3], here[1], here[0]),
+            ((f1_up - f1_dn) / (2.0 * FD_STEP), dw1[inside], w1[inside], w2[inside]),
+            ((f2_up - f2_dn) / (2.0 * FD_STEP), dw2[inside], w2[inside], w1[inside]),
         ):
             scale = params.beta * np.abs(wi) ** (p - 1.0) * np.abs(wj) ** p * np.abs(dw)
             mask = (np.abs(dw) > MONITOR_TOL) & (scale > 100.0 * FD_STEP**2)

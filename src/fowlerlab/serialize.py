@@ -18,7 +18,7 @@ from importlib import resources
 import jsonschema
 import numpy as np
 
-from .classify import Classification, EstimateReport
+from .classify import Classification
 from .dynamics import Event, IntegratorSettings, Trajectory
 from .errors import SchemaMismatch
 from .experiments import ExperimentReport, InitialData
@@ -115,15 +115,6 @@ def classification_to_dict(result: Classification) -> dict:
         "verdict": result.verdict,
         "K_value": result.K_value,
         "evidence": result.evidence,
-    }
-
-
-def estimate_to_dict(report: EstimateReport) -> dict:
-    return {
-        "C1": report.C1,
-        "C2": report.C2,
-        "ratio": report.ratio,
-        "window": list(report.window),
     }
 
 

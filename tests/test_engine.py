@@ -174,3 +174,51 @@ def test_overflowing_trial_steps_are_rejected_until_underflow():
     assert seg.status == -1 and seg.event is None
     assert seg.t[-1] == pytest.approx(np.log(1.5), abs=1e-9)
     assert np.all(seg.y[0] <= 1.5)
+
+
+def _stop_at_call(k, label):
+    """A predicate that fires on its k-th call, i.e. at the k-th new node."""
+    calls = []
+
+    def stop(w1, w2, v1_old, v1_new):
+        calls.append(None)
+        return label if len(calls) == k else None
+
+    return stop
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CASES))
+def test_stopped_segment_is_a_prefix_of_the_full_run(name):
+    params, state, span, mode, _ = DIFFERENTIAL_CASES[name]
+    settings = IntegratorSettings(t_span=(-span, span))
+    args = (_make_field(params), state.t, tuple(state.as_array()), span, settings, mode)
+    full = dynamics.solve_ivp(*args)
+    # A predicate that never fires changes nothing.
+    quiet = dynamics.solve_ivp(*args, stop=lambda *node: None)
+    assert (quiet.t.tolist(), quiet.y.tolist(), quiet.nfev, quiet.status, quiet.event) == (
+        full.t.tolist(), full.y.tolist(), full.nfev, full.status, full.event
+    )
+    k = 7
+    seg = dynamics.solve_ivp(*args, stop=_stop_at_call(k, "Probe"))
+    assert seg.status == 1 and seg.event == ("Probe", None)
+    assert seg.t.tolist() == full.t[: k + 1].tolist()
+    assert seg.y.tolist() == full.y[:, : k + 1].tolist()
+    assert seg.nfev < full.nfev
+
+
+def test_blowup_takes_precedence_over_the_stop_predicate():
+    # On w = e^t the step that crosses blowup_threshold also satisfies the
+    # predicate; BlowUp is located and refined as without a predicate.
+    def field(w1, w2):
+        return w1, w2
+
+    settings = IntegratorSettings(t_span=(0.0, 10.0))
+    threshold = settings.blowup_threshold
+    args = (field, 0.0, (1.0, 1.0, 1.0, 1.0), 10.0, settings, "signed")
+    plain = dynamics.solve_ivp(*args)
+    assert plain.status == 1 and plain.event == ("BlowUp", None)
+    seg = dynamics.solve_ivp(*args, stop=lambda w1, w2, v1_old, v1_new: (
+        "Probe" if w1 >= threshold else None))
+    assert seg.event == ("BlowUp", None) and seg.status == 1
+    assert seg.t.tolist() == plain.t.tolist() and seg.y.tolist() == plain.y.tolist()
+    assert seg.y[0, -1] == pytest.approx(threshold, rel=1e-12)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,11 +21,19 @@ from fowlerlab import (
     semi_singular_search,
     shoot_entire,
     sign_change_experiment,
+    solve_coupling,
     sweep,
 )
-from fowlerlab import experiments
+from fowlerlab import dynamics, experiments
 from fowlerlab.errors import BracketFailure, DomainError
-from fowlerlab.experiments import _project_psi_zero, draw_initial
+from fowlerlab.dynamics import _make_field
+from fowlerlab.experiments import (
+    _first_turn,
+    _loses_sign,
+    _project_psi_zero,
+    draw_initial,
+    shoot_settings,
+)
 from fowlerlab.serialize import dumps, experiment_report_to_dict
 
 
@@ -164,6 +173,60 @@ class TestShootEntire:
         exact = bubble_fowler(p4b2, 1.0, 0.0)
         assert data.a1 == pytest.approx(exact.w1, rel=1e-6)
         assert data.a2 / data.a1 == pytest.approx(exact.w2 / exact.w1, rel=1e-12)
+
+    @staticmethod
+    def full_window_rule(params):
+        """The dichotomy as decided before early exit: integrate the whole
+        forward window and look for any sign change."""
+        def loses_sign(fun, apex_w1, ratio, t_end, integrator):
+            state = FowlerState(0.0, apex_w1, ratio * apex_w1, 0.0, 0.0)
+            traj = integrate(params, state, replace(integrator, t_span=(0.0, t_end)),
+                             mode="signed")
+            return any(e.kind == "SignChange" for e in traj.events)
+
+        return loses_sign
+
+    @pytest.mark.parametrize("case", [(3, 1.0), (4, 2.0), (5, 1.0)])
+    def test_early_exit_agrees_with_full_window_rule(self, case):
+        params = make_params(case[0], 1.0, 1.0, case[1])
+        kl = solve_coupling(params)
+        ratio = kl.l / kl.k
+        integrator = shoot_settings(params)
+        t_end = integrator.t_span[1]
+        fun = _make_field(params)
+        exact = bubble_fowler(params, 1.0, 0.0).w1
+        # The shooting bracket's endpoints, then apexes closing in on the
+        # homoclinic one from both sides.
+        apexes = [0.05 * kl.k * params.lam[0], params.lam[0]] + [
+            exact * (1.0 + sign * 2.0**-k)
+            for k in (2, 8, 16, 24, 32, 40, 48) for sign in (-1.0, 1.0)
+        ]
+        old_rule = self.full_window_rule(params)
+        decisions = [_loses_sign(fun, apex, ratio, t_end, integrator) for apex in apexes]
+        assert decisions == [old_rule(fun, apex, ratio, t_end, integrator) for apex in apexes]
+        assert decisions[:4] == [False, True, False, True]
+        # Each trial ends at the event it reports: a negative component, or
+        # the first minimum of w1 (w1' rising through zero on the last step).
+        for apex in apexes:
+            seg = dynamics.solve_ivp(fun, 0.0, (apex, ratio * apex, 0.0, 0.0), t_end,
+                                     integrator, "signed", _first_turn)
+            if seg.event == ("SignChange", None):
+                assert min(seg.y[0, -1], seg.y[1, -1]) < 0.0
+            elif seg.event == ("LocalMin", None):
+                assert seg.y[2, -2] < 0.0 <= seg.y[2, -1]
+            else:
+                assert seg.status == 0 and seg.t[-1] == t_end
+
+    def test_shoot_with_full_window_rule_finds_the_same_apex(self, p5, monkeypatch):
+        data, _ = shoot_entire(p5)
+        monkeypatch.setattr(experiments, "_loses_sign", self.full_window_rule(p5))
+        assert shoot_entire(p5)[0] == data
+
+    def test_apex_above_blowup_threshold_never_loses_sign(self, p5):
+        # Such apex data end at once in BlowUp, so the bracket cannot close.
+        low_box = replace(shoot_settings(p5), blowup_threshold=1.0)
+        with pytest.raises(BracketFailure, match="no sign-losing apex"):
+            shoot_entire(p5, low_box)
 
     def test_no_positive_solution_becomes_bracket_failure(self):
         p = make_params(4, 1.0, 2.0, 1.5)

@@ -23,7 +23,7 @@ from fowlerlab import (
     to_radial,
 )
 from fowlerlab.errors import DomainError
-from fowlerlab.invariants import MONITOR_TOL
+from fowlerlab.invariants import MONITOR_TOL, SAMPLES_PER_STEP, _monitor_times
 
 mpmath.mp.dps = 60
 
@@ -243,6 +243,16 @@ class TestMonitor:
         pred2 = p3.beta * here[1] ** (p3.p - 1) * here[0] ** p3.p * here[3]
         assert np.max(np.abs(fd1 - pred1)) < 1e-8
         assert np.max(np.abs(fd2 - pred2)) < 1e-8
+
+    def test_monitor_times_match_per_step_linspace(self, bubble_traj, perturbed_traj):
+        # The broadcast grid reproduces the per-step loop bit for bit.
+        for traj in (bubble_traj, perturbed_traj):
+            nodes = traj.t
+            loop = [nodes] + [
+                np.linspace(a, b, SAMPLES_PER_STEP + 2)[1:-1]
+                for a, b in zip(nodes[:-1], nodes[1:])
+            ]
+            assert _monitor_times(traj).tolist() == np.unique(np.concatenate(loop)).tolist()
 
     def test_monotone_coupling_flag(self, p3, perturbed_traj):
         assert monitor(p3, perturbed_traj).f_w_monotone_coupling
