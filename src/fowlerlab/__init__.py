@@ -28,8 +28,6 @@ from .dynamics import (
     detect_extrema,
     integrate,
     rhs,
-    to_fowler,
-    to_radial,
 )
 from .experiments import (
     ExperimentReport,
@@ -48,6 +46,8 @@ from .invariants import (
     pohozaev_scalar,
     pohozaev_system,
     psi,
+    to_fowler,
+    to_radial,
 )
 from .params import (
     CouplingSolution,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import Trajectory
 from .errors import InsufficientWindow, WrongVerdict
-from .invariants import InvariantReport, psi_arrays
+from .invariants import InvariantReport, potential_arrays
 from .params import SystemParams
 
 #: Verdict labels.
@@ -105,6 +105,12 @@ def _decay_fit(traj: Trajectory, component: int, end: str) -> tuple[float, float
     return float(rate), float(amplitude)
 
 
+def _window_sample(traj: Trajectory) -> np.ndarray:
+    """Rows (w1, w2) on _WINDOW_SAMPLES points spanning the whole window."""
+    ts = np.linspace(traj.t_min, traj.t_max, _WINDOW_SAMPLES)
+    return traj.sample(ts)[:2]
+
+
 def decay_rate(traj: Trajectory, component: int, end: str) -> float:
     """Fitted exponential decay rate toward one end of the window.
 
@@ -118,14 +124,9 @@ def _k_tolerance(params: SystemParams, traj: Trajectory) -> float:
     # initial state, so the zero test is meaningful for large orbits too.
     s = traj.sample(traj.t_initial)
     w1, w2, dw1, dw2 = (float(v) for v in s[:, 0])
-    p = params.p
     kin = 0.5 * (dw1 * dw1 + dw2 * dw2)
     lin = 0.5 * params.delta**2 * (w1 * w1 + w2 * w2)
-    pot = (
-        params.mu1 * abs(w1) ** (2 * p)
-        + 2 * params.beta * abs(w1) ** p * abs(w2) ** p
-        + params.mu2 * abs(w2) ** (2 * p)
-    ) / (2 * p)
+    pot = float(potential_arrays(params, w1, w2)) / (2.0 * params.p)
     scale = params.sphere_area * (kin + lin + pot)
     return K_TOL_FACTOR * max(1.0, scale)
 
@@ -166,8 +167,7 @@ def classify(
         evidence["positivity_loss"] = True
         return Classification(SIGN_CHANGING, k_value, evidence)
 
-    ts = np.linspace(traj.t_min, traj.t_max, _WINDOW_SAMPLES)
-    w1, w2 = traj.sample(ts)[:2]
+    w1, w2 = _window_sample(traj)
     inf_w = (float(np.min(w1)), float(np.min(w2)))
     sup_w = (float(np.max(w1)), float(np.max(w2)))
     evidence["inf_w"] = list(inf_w)
@@ -243,8 +243,7 @@ def sharp_constants(
         raise WrongVerdict(
             f"sharp_constants requires {BOTH_SINGULAR}, got {classification.verdict}"
         )
-    ts = np.linspace(traj.t_min, traj.t_max, _WINDOW_SAMPLES)
-    w1, w2 = traj.sample(ts)[:2]
+    w1, w2 = _window_sample(traj)
     c1 = float(min(np.min(w1), np.min(w2)))
     c2 = float(max(np.max(w1), np.max(w2)))
     return EstimateReport(C1=c1, C2=c2, ratio=c2 / c1, window=(traj.t_min, traj.t_max))
@@ -256,8 +255,7 @@ def proportionality_probe(traj: Trajectory) -> float:
     Zero (to roundoff) exactly when the orbit is a constant multiple of a
     shared profile; strictly positive otherwise.
     """
-    ts = np.linspace(traj.t_min, traj.t_max, _WINDOW_SAMPLES)
-    w1, w2 = traj.sample(ts)[:2]
+    w1, w2 = _window_sample(traj)
     ratio = w1 / w2
     m = float(np.median(ratio))
     return float(np.max(np.abs(ratio - m)) / abs(m))

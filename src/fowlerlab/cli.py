@@ -81,16 +81,11 @@ def _params_from(args, config: dict) -> SystemParams:
     if missing:
         raise UsageError(f"missing parameter(s): {', '.join(missing)} "
                          f"(pass flags or a --config file)")
-    return make_params(doc["N"], doc["mu1"], doc["mu2"], doc["beta"])
+    return serialize.params_from_dict(doc)
 
 
 def _settings_from(args, config: dict) -> IntegratorSettings:
-    doc = dict(config.get("settings", {}))
-    if "max_step" in doc and doc["max_step"] is None:
-        doc["max_step"] = math.inf  # artifact convention: null means unbounded
-    if "t_span" in doc:
-        doc["t_span"] = tuple(doc["t_span"])
-    settings = IntegratorSettings(**doc)
+    settings = serialize.settings_from_dict(config.get("settings", {}))
     updates = {}
     if getattr(args, "rel_tol", None) is not None:
         updates["rel_tol"] = args.rel_tol

@@ -1,5 +1,5 @@
-"""Transform to logarithmic radial variables, the vector field, and the
-adaptive integrator with dense output and event detection.
+"""The vector field and the adaptive integrator with dense output and event
+detection, in the logarithmic radial variables of fowlerlab.invariants.
 
 Integration uses the package's own embedded Runge-Kutta 5(4) pair
 (Dormand-Prince, Hairer-Norsett-Wanner II.4-5) in both time directions
@@ -87,7 +87,12 @@ class Event:
 
 
 def _accelerations(params: SystemParams, w1, w2):
-    """Second derivatives (w1'', w2'') of the signed-extension field, on arrays."""
+    """Second derivatives (w1'', w2'') of the signed-extension field, on arrays.
+
+    The field of _make_field, kept in numpy for the interpolant: built from
+    the scalar field, dense samples move in the last bits (numpy's pow does
+    not always round like libm's) and the interpolant is 5x slower.
+    """
     p = params.p
     d2 = params.delta**2
     a1 = np.abs(w1)
@@ -125,36 +130,6 @@ def _make_field(params: SystemParams) -> Callable[[float, float], tuple[float, f
         return dd1, dd2
 
     return field
-
-
-def to_fowler(
-    params: SystemParams, r: float, u: float, v: float, du: float, dv: float
-) -> FowlerState:
-    """Map radial data (r, u, v, u', v') to the logarithmic phase point.
-
-    Inverse of to_radial; the derivative map follows from
-    u'(r) = -r^(-delta-1) (w1'(t) + delta w1(t)).
-    """
-    if r <= 0.0:
-        raise DomainError(f"radius must be positive, got {r!r}")
-    delta = params.delta
-    t = -math.log(r)
-    w1 = r**delta * u
-    w2 = r**delta * v
-    dw1 = -(r ** (delta + 1.0)) * du - delta * w1
-    dw2 = -(r ** (delta + 1.0)) * dv - delta * w2
-    return FowlerState(t=t, w1=w1, w2=w2, dw1=dw1, dw2=dw2)
-
-
-def to_radial(params: SystemParams, state: FowlerState) -> tuple[float, float, float, float, float]:
-    """Map a phase point back to radial data (r, u, v, u', v')."""
-    delta = params.delta
-    r = math.exp(-state.t)
-    u = r ** (-delta) * state.w1
-    v = r ** (-delta) * state.w2
-    du = -(r ** (-delta - 1.0)) * (state.dw1 + delta * state.w1)
-    dv = -(r ** (-delta - 1.0)) * (state.dw2 + delta * state.w2)
-    return r, u, v, du, dv
 
 
 def _quintic(y0, y1, d0, d1, a0, a1, h):
@@ -222,12 +197,6 @@ class Trajectory:
     @property
     def t_max(self) -> float:
         return float(self.t[-1])
-
-    @property
-    def nodes(self) -> tuple[FowlerState, ...]:
-        return tuple(
-            FowlerState.from_array(ti, self.y[:, i]) for i, ti in enumerate(self.t)
-        )
 
     @property
     def certified(self) -> bool:

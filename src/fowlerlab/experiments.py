@@ -25,7 +25,7 @@ from .errors import (
     NoPositiveSolution,
     SamplerDegenerate,
 )
-from .invariants import monitor, psi
+from .invariants import monitor, potential_arrays, psi
 from .params import SystemParams, cylinder_amplitudes, solve_coupling
 from .state import FowlerState
 
@@ -104,13 +104,8 @@ def _project_psi_zero(params: SystemParams, a1, a2, b1, b2):
     bb = b1 * b1 + b2 * b2
     if bb == 0.0:
         return None
-    p = params.p
-    pot = (
-        params.mu1 * abs(a1) ** (2 * p)
-        + 2.0 * params.beta * abs(a1) ** p * abs(a2) ** p
-        + params.mu2 * abs(a2) ** (2 * p)
-    )
-    c2 = (params.delta**2 * (a1 * a1 + a2 * a2) - pot / p) / bb
+    pot = potential_arrays(params, a1, a2)
+    c2 = (params.delta**2 * (a1 * a1 + a2 * a2) - pot / params.p) / bb
     if c2 <= 0.0:
         return None
     c = math.sqrt(c2)
@@ -354,6 +349,10 @@ def shoot_entire(
         raise BracketFailure("lower shooting endpoint already changes sign")
     grow = 0
     while not _loses_sign(fun, hi, ratio, t_end, settings):
+        if max(hi, ratio * hi) >= settings.blowup_threshold:
+            # Larger apexes count as staying positive: the bracket cannot close.
+            raise BracketFailure(f"no sign-losing apex below blowup_threshold="
+                                 f"{settings.blowup_threshold!r}: apex {hi!r} reaches it")
         hi *= 2.0
         grow += 1
         if grow > 10:

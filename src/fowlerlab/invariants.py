@@ -9,6 +9,7 @@ which equals the radial Pohozaev surface functional divided by the unit
 sphere area.  The auxiliary pair f_i = -|wi'|^2/2 + d^2 wi^2/2
 - mu_i wi^(2p)/(2p) satisfies f1 + f2 = (beta/p) w1^p w2^p - Psi identically
 and shares the monotonicity of w_i along solutions.
+The module also owns the radial map t = -ln r, w = r^delta (u, v).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DomainError
-from .params import SystemParams
+from .params import SystemParams, _exponents
 from .state import FowlerState
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -36,20 +37,24 @@ SAMPLES_PER_STEP = 10
 POHOZAEV_GRID = 100
 
 
-def psi_arrays(params: SystemParams, w1, w2, dw1, dw2):
-    """Conserved energy evaluated elementwise on arrays (or scalars)."""
+def potential_arrays(params: SystemParams, w1, w2):
+    """Potential part of 2p Psi: mu1|w1|^2p + 2 beta|w1|^p|w2|^p + mu2|w2|^2p."""
     p = params.p
     a1 = np.abs(w1)
     a2 = np.abs(w2)
-    kinetic = 0.5 * (
-        dw1 * dw1 + dw2 * dw2 - params.delta**2 * (w1 * w1 + w2 * w2)
-    )
-    potential = (
+    return (
         params.mu1 * a1 ** (2.0 * p)
         + 2.0 * params.beta * a1**p * a2**p
         + params.mu2 * a2 ** (2.0 * p)
-    ) / (2.0 * p)
-    return kinetic + potential
+    )
+
+
+def psi_arrays(params: SystemParams, w1, w2, dw1, dw2):
+    """Conserved energy evaluated elementwise on arrays (or scalars)."""
+    kinetic = 0.5 * (
+        dw1 * dw1 + dw2 * dw2 - params.delta**2 * (w1 * w1 + w2 * w2)
+    )
+    return kinetic + potential_arrays(params, w1, w2) / (2.0 * params.p)
 
 
 def psi(params: SystemParams, state: FowlerState) -> float:
@@ -59,6 +64,36 @@ def psi(params: SystemParams, state: FowlerState) -> float:
     signed extension used by the sign-change experiments.
     """
     return float(psi_arrays(params, state.w1, state.w2, state.dw1, state.dw2))
+
+
+def to_fowler(
+    params: SystemParams, r: float, u: float, v: float, du: float, dv: float
+) -> FowlerState:
+    """Map radial data (r, u, v, u', v') to the logarithmic phase point.
+
+    Inverse of to_radial; the derivative map follows from
+    u'(r) = -r^(-delta-1) (w1'(t) + delta w1(t)).
+    """
+    if r <= 0.0:
+        raise DomainError(f"radius must be positive, got {r!r}")
+    delta = params.delta
+    t = -math.log(r)
+    w1 = r**delta * u
+    w2 = r**delta * v
+    dw1 = -(r ** (delta + 1.0)) * du - delta * w1
+    dw2 = -(r ** (delta + 1.0)) * dv - delta * w2
+    return FowlerState(t=t, w1=w1, w2=w2, dw1=dw1, dw2=dw2)
+
+
+def to_radial(params: SystemParams, state: FowlerState) -> tuple[float, float, float, float, float]:
+    """Map a phase point back to radial data (r, u, v, u', v')."""
+    delta = params.delta
+    r = math.exp(-state.t)
+    u = r ** (-delta) * state.w1
+    v = r ** (-delta) * state.w2
+    du = -(r ** (-delta - 1.0)) * (state.dw1 + delta * state.w1)
+    dv = -(r ** (-delta - 1.0)) * (state.dw2 + delta * state.w2)
+    return r, u, v, du, dv
 
 
 def f_arrays(params: SystemParams, w1, w2, dw1, dw2):
@@ -113,9 +148,7 @@ def pohozaev_scalar(N: int, coefficient: float, r: float, u: float, du: float) -
     if r <= 0.0:
         raise DomainError(f"radius must be positive, got {r!r}")
     N = int(N)
-    delta = (N - 2.0) / 2.0
-    two_star = 2.0 * N / (N - 2.0)
-    sphere_area = 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
+    delta, _, two_star, sphere_area = _exponents(N)
     integrand = (
         delta * u * du
         - 0.5 * r * du * du
@@ -206,9 +239,8 @@ def monitor(params: SystemParams, traj: "Trajectory") -> InvariantReport:
     gpsi = psi_arrays(params, gw1, gw2, gdw1, gdw2)
     match = 0.0
     for tcur, a, b, c, d, pval in zip(grid, gw1, gw2, gdw1, gdw2, gpsi):
-        r = math.exp(-tcur)
-        radial = _to_radial_components(params, float(tcur), float(a), float(b), float(c), float(d))
-        k_val = pohozaev_system(params, r, radial)
+        r, u, v, du, dv = to_radial(params, FowlerState.from_array(tcur, (a, b, c, d)))
+        k_val = pohozaev_system(params, r, (u, v, du, dv))
         match = max(match, abs(k_val - params.sphere_area * float(pval)))
 
     tol = MONITOR_TOL
@@ -223,15 +255,3 @@ def monitor(params: SystemParams, traj: "Trajectory") -> InvariantReport:
         f_w_monotone_coupling=monotone_ok,
         pohozaev_match=match,
     )
-
-
-def _to_radial_components(
-    params: SystemParams, t: float, w1: float, w2: float, dw1: float, dw2: float
-):
-    # Inline radial reconstruction (avoids importing dynamics).
-    r = math.exp(-t)
-    u = r ** (-params.delta) * w1
-    v = r ** (-params.delta) * w2
-    du = -(r ** (-params.delta - 1.0)) * (dw1 + params.delta * w1)
-    dv = -(r ** (-params.delta - 1.0)) * (dw2 + params.delta * w2)
-    return u, v, du, dv

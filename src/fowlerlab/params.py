@@ -52,10 +52,6 @@ class SystemParams:
     lam: tuple[float, float]
     lam_star: tuple[float, float]
 
-    @property
-    def mu(self) -> tuple[float, float]:
-        return (self.mu1, self.mu2)
-
 
 @dataclass(frozen=True)
 class CouplingSolution:
@@ -64,6 +60,15 @@ class CouplingSolution:
     k: float
     l: float
     residuals: tuple[float, float]
+
+
+def _exponents(N: int) -> tuple[float, float, float, float]:
+    """(delta, p, two_star, sphere_area) of the dimension N."""
+    delta = (N - 2) / 2.0
+    p = N / (N - 2.0)
+    # Closed Gamma-function formula for the area of the unit sphere in R^N.
+    sphere_area = 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
+    return delta, p, 2.0 * p, sphere_area
 
 
 def make_params(N: int, mu1: float, mu2: float, beta: float) -> SystemParams:
@@ -80,11 +85,7 @@ def make_params(N: int, mu1: float, mu2: float, beta: float) -> SystemParams:
         if not (math.isfinite(value) and value > 0.0):
             raise DomainError(f"coefficient {name} must be positive, got {value!r}")
 
-    delta = (N - 2) / 2.0
-    p = N / (N - 2.0)
-    two_star = 2.0 * p
-    # Closed Gamma-function formula for the area of the unit sphere in R^N.
-    sphere_area = 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
+    delta, p, two_star, sphere_area = _exponents(N)
     q = 1.0 / (2.0 * p - 2.0)
     d2 = delta * delta
     lam = ((p * d2 / mu1) ** q, (p * d2 / mu2) ** q)
@@ -276,7 +277,7 @@ def scalar_bubble_radial(N: int, eps: float, r: float) -> float:
         raise DomainError(f"eps must be positive, got {eps!r}")
     if r < 0.0:
         raise DomainError(f"radius must be nonnegative, got {r!r}")
-    delta = (N - 2.0) / 2.0
+    delta = _exponents(N)[0]
     return bubble_amplitude(N) * (eps / (eps * eps + r * r)) ** delta
 
 

@@ -22,7 +22,7 @@ from .classify import Classification
 from .dynamics import Event, IntegratorSettings, Trajectory
 from .errors import SchemaMismatch
 from .experiments import ExperimentReport, InitialData
-from .invariants import InvariantReport, f_arrays, psi_arrays
+from .invariants import InvariantReport, f_arrays, psi_arrays, to_radial
 from .params import SystemParams, make_params
 from .state import FowlerState
 
@@ -70,9 +70,11 @@ def settings_to_dict(settings: IntegratorSettings) -> dict:
 
 
 def settings_from_dict(doc: dict) -> IntegratorSettings:
+    """Settings from a full or partial document; a null max_step is unbounded."""
     doc = dict(doc)
-    doc["t_span"] = tuple(doc["t_span"])
-    if doc.get("max_step") is None:
+    if "t_span" in doc:
+        doc["t_span"] = tuple(doc["t_span"])
+    if "max_step" in doc and doc["max_step"] is None:
         doc["max_step"] = math.inf
     return IntegratorSettings(**doc)
 
@@ -224,19 +226,6 @@ def load_trajectory(path) -> Trajectory:
     return trajectory_from_dict(doc)
 
 
-def load_artifact(path) -> dict:
-    """Raw artifact document (including embedded reports), validated."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaMismatch(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaMismatch("artifact root must be an object")
-    validate(doc, "trajectory")
-    return doc
-
-
 def export_csv(traj: Trajectory, path) -> None:
     """Node table with columns exactly t,w1,w2,dw1,dw2,psi."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -259,12 +248,9 @@ def export_plot_data(traj: Trajectory, path, samples: int | None = None) -> None
         w1, w2, dw1, dw2 = traj.sample(ts)
     psis = psi_arrays(traj.params, w1, w2, dw1, dw2)
     f1, f2 = f_arrays(traj.params, w1, w2, dw1, dw2)
-    delta = traj.params.delta
-    r = np.exp(-np.asarray(ts, dtype=float))
-    u = r ** (-delta) * w1
-    v = r ** (-delta) * w2
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(("t", "w1", "w2", "psi", "f1", "f2", "r", "u", "v"))
-        for row in zip(ts, w1, w2, psis, f1, f2, r, u, v):
-            writer.writerow([repr(float(x)) for x in row])
+        for t, a1, a2, b1, b2, e, g1, g2 in zip(ts, w1, w2, dw1, dw2, psis, f1, f2):
+            r, u, v, _, _ = to_radial(traj.params, FowlerState.from_array(t, (a1, a2, b1, b2)))
+            writer.writerow([repr(float(x)) for x in (t, a1, a2, e, g1, g2, r, u, v)])

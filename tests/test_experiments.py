@@ -228,6 +228,21 @@ class TestShootEntire:
         with pytest.raises(BracketFailure, match="no sign-losing apex"):
             shoot_entire(p5, low_box)
 
+    def test_blowup_box_below_bracket_fails_at_once(self, p5, monkeypatch):
+        # The first apex tried (lam[0] ~ 2.69) is already in a box of size 1.
+        calls = []
+        inner = experiments._loses_sign
+
+        def counting(*args):
+            calls.append(args[1])
+            return inner(*args)
+
+        monkeypatch.setattr(experiments, "_loses_sign", counting)
+        low_box = replace(shoot_settings(p5), blowup_threshold=1.0)
+        with pytest.raises(BracketFailure, match="blowup_threshold=1.0"):
+            shoot_entire(p5, low_box)
+        assert len(calls) <= 2
+
     def test_no_positive_solution_becomes_bracket_failure(self):
         p = make_params(4, 1.0, 2.0, 1.5)
         with pytest.raises(BracketFailure):

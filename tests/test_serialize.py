@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fowlerlab import (
+    FowlerState,
     IntegratorSettings,
     classify,
     export_csv,
@@ -14,6 +15,7 @@ from fowlerlab import (
     load_trajectory,
     monitor,
     save_trajectory,
+    to_radial,
 )
 from fowlerlab.errors import SchemaMismatch
 from fowlerlab.serialize import (
@@ -142,6 +144,12 @@ class TestValidation:
         s = IntegratorSettings(rel_tol=1e-9, t_span=(-5.0, 7.0))
         assert settings_from_dict(settings_to_dict(s)) == s
 
+    def test_partial_settings_keep_defaults(self):
+        assert settings_from_dict({}) == IntegratorSettings()
+        assert settings_from_dict({"rel_tol": 1e-9}) == IntegratorSettings(rel_tol=1e-9)
+        assert settings_from_dict({"max_step": None}).max_step == math.inf
+        assert settings_from_dict({"t_span": [-3.0, 4.0]}).t_span == (-3.0, 4.0)
+
 
 class TestCsv:
     def test_column_order(self, perturbed_traj, tmp_path):
@@ -174,6 +182,17 @@ class TestCsv:
         assert r == pytest.approx(math.exp(-t), rel=1e-15)
         assert u == pytest.approx(r**-p3.delta * w1, rel=1e-14)
 
+    @pytest.mark.parametrize("samples", [50, None])
+    def test_plot_data_radial_columns_are_to_radial(self, p3, perturbed_traj, tmp_path, samples):
+        # The radial picture has one formula: every row matches to_radial.
+        path = tmp_path / "plot.csv"
+        export_plot_data(perturbed_traj, path, samples=samples)
+        lines = path.read_text().splitlines()[1:]
+        assert len(lines) == (samples or len(perturbed_traj.t))
+        for line in lines:
+            t, w1, w2, _, _, _, r, u, v = (float(x) for x in line.split(","))
+            assert (r, u, v) == to_radial(p3, FowlerState(t, w1, w2, 0.0, 0.0))[:3]
+
 
 class TestReportSerialization:
     def test_counts_must_sum(self, p3):
@@ -190,14 +209,13 @@ class TestReportSerialization:
         validate(doc, "invariant_report")
 
     def test_embedded_reports_round_trip(self, p3, perturbed_traj, tmp_path):
-        from fowlerlab.serialize import load_artifact
-
         report = monitor(p3, perturbed_traj)
         verdict = classify(p3, perturbed_traj, report)
         path = tmp_path / "orbit.json"
         save_trajectory(perturbed_traj, path, invariant_report=report,
                         classification=verdict)
-        doc = load_artifact(path)
+        doc = json.loads(path.read_text())
+        validate(doc, "trajectory")
         embedded = doc["reports"]
         assert embedded["classification"]["verdict"] == verdict.verdict
         assert embedded["classification"]["K_value"] == verdict.K_value
