@@ -110,7 +110,7 @@ def _settings_from(args, config: dict) -> IntegratorSettings:
 def _initial_from(args, config: dict, params: SystemParams) -> FowlerState:
     doc = dict(config.get("initial", {}))
     orbit = getattr(args, "orbit", None) or doc.get("orbit")
-    eps = getattr(args, "eps", None) or doc.get("eps", 1.0)
+    eps = _pick(getattr(args, "eps", None), doc, "eps", 1.0)
     if getattr(args, "initial", None) is not None:
         a1, a2, b1, b2 = args.initial
         return FowlerState(t=0.0, w1=a1, w2=a2, dw1=b1, dw2=b2)
@@ -134,6 +134,15 @@ def _emit(doc: dict, out: str | None, schema: str | None = None) -> None:
         print(json.dumps({"written": path}))
     else:
         sys.stdout.write(text)
+
+
+def _emit_report(report, out: str | None, failure: str) -> int:
+    """Emit an experiment report; exit 2, naming the failures, if it has any."""
+    _emit(serialize.experiment_report_to_dict(report), out, schema="experiment_report")
+    if report.failures:
+        print(f"theorem-level failure: {len(report.failures)} {failure}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _add_param_flags(sp):
@@ -347,14 +356,7 @@ def _cmd_sign_change(args) -> int:
     report = sign_change_experiment(
         params, spec, n_runs=runs, settings=settings, seed=seed, horizon=horizon
     )
-    _emit(serialize.experiment_report_to_dict(report), args.out, schema="experiment_report")
-    if report.failures:
-        print(
-            f"theorem-level failure: {len(report.failures)} run(s) without sign change",
-            file=sys.stderr,
-        )
-        return 2
-    return 0
+    return _emit_report(report, args.out, "run(s) without sign change")
 
 
 def _cmd_search_semi(args) -> int:
@@ -364,15 +366,7 @@ def _cmd_search_semi(args) -> int:
     runs = _pick(args.runs, config, "runs", 200)
     seed = _pick(args.seed, config, "seed", 0)
     report = semi_singular_search(params, n_runs=runs, settings=settings, seed=seed)
-    _emit(serialize.experiment_report_to_dict(report), args.out, schema="experiment_report")
-    if report.failures:
-        print(
-            f"theorem-level failure: {len(report.failures)} semi-singular candidate(s) "
-            f"for N={params.N}",
-            file=sys.stderr,
-        )
-        return 2
-    return 0
+    return _emit_report(report, args.out, f"semi-singular candidate(s) for N={params.N}")
 
 
 def _cmd_sweep(args) -> int:
@@ -388,14 +382,7 @@ def _cmd_sweep(args) -> int:
     archive = _resolve_out(args.archive) if args.archive else None
     report = sweep(params_grid, initial_grid, settings, mode=mode, workers=workers,
                    seed=config.get("seed", 0), archive_dir=archive)
-    _emit(serialize.experiment_report_to_dict(report), args.out, schema="experiment_report")
-    if report.failures:
-        print(
-            f"theorem-level failure: {len(report.failures)} anomalous verdict(s)",
-            file=sys.stderr,
-        )
-        return 2
-    return 0
+    return _emit_report(report, args.out, "anomalous verdict(s)")
 
 
 def _cmd_shoot(args) -> int:

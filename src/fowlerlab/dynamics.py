@@ -5,9 +5,13 @@ Integration uses the package's own embedded Runge-Kutta 5(4) pair
 (Dormand-Prince, Hairer-Norsett-Wanner II.4-5) in both time directions
 from the initial point; the step loop is scalar Python on the four state
 components.  Dense output is a per-step quintic Hermite built from node
-values, derivatives, and accelerations from the vector field, so sampling
-is reproducible after a serialization round trip; terminal events are
-located on the same interpolant.  The field is the signed continuous extension
+values, derivatives, and the accelerations the step loop computed there
+(the first-same-as-last stage; at an event node, the field at the located
+state).  Terminal events are located on the step's quintic, which is the
+interpolant's own on every step that does not end in an event.  A loaded
+trajectory rebuilds the accelerations with the same scalar field at the
+stored nodes, so sampling is bit-identical after a serialization round
+trip.  The field (_make_field) is the signed continuous extension
 |w|^(q-1) w of the positive-cone powers; on the positive cone both forms
 agree, and positivity-constrained runs terminate at a small floor instead of
 crossing zero (the field is not Lipschitz at w = 0 when N >= 5).
@@ -84,24 +88,6 @@ class Event:
 
     def sort_key(self):
         return (self.t, self.component or 0, _EVENT_ORDER.get(self.kind, 9))
-
-
-def _accelerations(params: SystemParams, w1, w2):
-    """Second derivatives (w1'', w2'') of the signed-extension field, on arrays.
-
-    The field of _make_field, kept in numpy for the interpolant: built from
-    the scalar field, dense samples move in the last bits (numpy's pow does
-    not always round like libm's) and the interpolant is 5x slower.
-    """
-    p = params.p
-    d2 = params.delta**2
-    a1 = np.abs(w1)
-    a2 = np.abs(w2)
-    s1 = np.sign(w1)
-    s2 = np.sign(w2)
-    dd1 = d2 * w1 - params.mu1 * s1 * a1 ** (2.0 * p - 1.0) - params.beta * a2**p * s1 * a1 ** (p - 1.0)
-    dd2 = d2 * w2 - params.mu2 * s2 * a2 ** (2.0 * p - 1.0) - params.beta * a1**p * s2 * a2 ** (p - 1.0)
-    return dd1, dd2
 
 
 def rhs(params: SystemParams, state: FowlerState) -> tuple[float, float, float, float]:
@@ -188,6 +174,9 @@ class Trajectory:
     drift: float
     t_initial: float
     failure: str | None = None
+    #: Node accelerations (w1'', w2''), shape (2, n): the step loop's own
+    #: field values; rebuilt from the field at the nodes when absent.
+    acc: np.ndarray | None = field(default=None, repr=False, compare=False)
     _coeffs: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -218,11 +207,15 @@ class Trajectory:
 
     def _interpolant(self):
         if self._coeffs is None:
-            dd1, dd2 = _accelerations(self.params, self.y[0], self.y[1])
+            if self.acc is None:
+                # Loaded or built by hand: the field at the nodes is what the
+                # step loop computed there, bit for bit.
+                fun = _make_field(self.params)
+                self.acc = np.array(list(map(fun, self.y[0].tolist(), self.y[1].tolist()))).T
             h = np.diff(self.t)
             self._coeffs = tuple(
                 np.stack(_quintic(w[:-1], w[1:], dw[:-1], dw[1:], a[:-1], a[1:], h), axis=1)
-                for w, dw, a in ((self.y[0], self.y[2], dd1), (self.y[1], self.y[3], dd2))
+                for w, dw, a in zip(self.y[:2], self.y[2:], self.acc)
             ) + (h,)
         return self._coeffs
 
@@ -304,11 +297,15 @@ def _initial_step(field, y, f, direction, span, max_step, rtol, atol):
 @dataclass
 class Segment:
     """One direction of an integration: accepted nodes t (n,) and y (4, n),
-    field evaluations, and status 0 (reached t_bound), 1 (terminal event,
-    located at the last node), or -1 (step size underflow)."""
+    the field's accelerations (w1'', w2'') at the nodes acc (2, n), stage
+    field evaluations nfev (counted as scipy counts them; the evaluation at
+    a located event node is not a stage), and status 0 (reached t_bound),
+    1 (terminal event, located at the last node), or -1 (step size
+    underflow)."""
 
     t: np.ndarray
     y: np.ndarray
+    acc: np.ndarray
     nfev: int
     status: int
     event: tuple[str, int | None] | None = None
@@ -359,7 +356,7 @@ def solve_ivp(field, t0, y0, t_bound, settings, mode, stop=None):
         field, y0, (v1, v2, a1, a2), direction, abs(t_bound - t0), max_step, rtol, atol
     )
     nfev = 2
-    ts, w1s, w2s, v1s, v2s = [t], [w1], [w2], [v1], [v2]
+    ts, w1s, w2s, v1s, v2s, a1s, a2s = [t], [w1], [w2], [v1], [v2], [a1], [a2]
     status = None
     event = None
     while status is None:
@@ -483,6 +480,8 @@ def solve_ivp(field, t0, y0, t_bound, settings, mode, stop=None):
             s = (t_new - t) / h
             w1_new, w2_new = _quintic_value(c1, s), _quintic_value(c2, s)
             v1_new, v2_new = _quintic_slope(c1, s) / h, _quintic_slope(c2, s) / h
+            # The seventh stage is the trial end's; the event point needs its own.
+            a1_new, a2_new = field(w1_new, w2_new)
             event = (kind, comp)
             status = 1
         elif stop is not None and (label := stop(w1_new, w2_new, v1, v1_new)) is not None:
@@ -497,24 +496,10 @@ def solve_ivp(field, t0, y0, t_bound, settings, mode, stop=None):
         w2s.append(w2)
         v1s.append(v1)
         v2s.append(v2)
-    return Segment(
-        t=np.array(ts), y=np.array([w1s, w2s, v1s, v2s]), nfev=nfev, status=status, event=event
-    )
-
-
-def _segment(fun, t0, y0, t_end, settings, mode):
-    # solve_ivp is looked up on the module at call time, so a wrapper set on
-    # that attribute (bench/tracing.py) sees every call.
-    sol = solve_ivp(fun, t0, y0, t_end, settings, mode)
-    terminal = []
-    if sol.event is not None:
-        kind, comp = sol.event
-        terminal.append(
-            Event(kind=kind, t=float(sol.t[-1]),
-                  state=FowlerState.from_array(sol.t[-1], sol.y[:, -1]), component=comp)
-        )
-    failure = "StepSizeUnderflow" if sol.status == -1 else None
-    return sol.t, sol.y, terminal, failure
+        a1s.append(a1)
+        a2s.append(a2)
+    return Segment(t=np.array(ts), y=np.array([w1s, w2s, v1s, v2s]), acc=np.array([a1s, a2s]),
+                   nfev=nfev, status=status, event=event)
 
 
 def integrate(
@@ -565,29 +550,28 @@ def integrate(
             t_initial=t0,
         )
 
-    ts_parts = [np.array([t0])]
-    ys_parts = [y0.reshape(4, 1)]
-    terminal_events: list[Event] = []
-    failure = None
+    # solve_ivp is looked up on the module at call time, so a wrapper set on
+    # that attribute (bench/tracing.py) sees every call.
+    start = tuple(y0.tolist())
+    forward = solve_ivp(fun, t0, start, t_hi, settings, mode) if t_hi > t0 else None
+    backward = solve_ivp(fun, t0, start, t_lo, settings, mode) if t_lo < t0 else None
+    segments = [seg for seg in (forward, backward) if seg is not None]
+    events = [
+        Event(kind=seg.event[0], t=float(seg.t[-1]), component=seg.event[1],
+              state=FowlerState.from_array(seg.t[-1], seg.y[:, -1]))
+        for seg in segments if seg.event is not None
+    ]
+    failure = "StepSizeUnderflow" if any(seg.status == -1 for seg in segments) else None
 
-    if t_hi > t0:
-        tf, yf, ev, fail = _segment(fun, t0, tuple(y0.tolist()), t_hi, settings, mode)
-        ts_parts.append(tf[1:])
-        ys_parts.append(yf[:, 1:])
-        terminal_events.extend(ev)
-        failure = failure or fail
-    if t_lo < t0:
-        tb, yb, ev, fail = _segment(fun, t0, tuple(y0.tolist()), t_lo, settings, mode)
-        ts_parts.insert(0, tb[1:][::-1])
-        ys_parts.insert(0, yb[:, 1:][:, ::-1])
-        terminal_events.extend(ev)
-        failure = failure or fail
+    def nodes(name):
+        # Strictly increasing t: the backward segment reversed, then the
+        # forward one; both start at the initial node, which is kept once.
+        parts = [getattr(backward, name)[..., ::-1]] if backward is not None else []
+        if forward is not None:
+            parts.append(getattr(forward, name)[..., 1 if parts else 0:])
+        return np.concatenate(parts, axis=-1)
 
-    t = np.concatenate(ts_parts)
-    y = np.concatenate(ys_parts, axis=1)
-    order = np.argsort(t, kind="stable")
-    t = t[order]
-    y = y[:, order]
+    t, y = nodes("t"), nodes("y")
 
     psi_nodes = np.asarray(psi_arrays(params, y[0], y[1], y[2], y[3]), dtype=float)
     drift = float(np.max(np.abs(psi_nodes - psi0))) if psi_nodes.size else 0.0
@@ -604,12 +588,12 @@ def integrate(
         drift=drift,
         t_initial=t0,
         failure=failure,
+        acc=nodes("acc"),
     )
 
-    all_events = list(terminal_events)
     if mode == "signed" and len(t) >= 2:
-        all_events.extend(_sign_change_events(traj))
-    traj.events = tuple(sorted(all_events, key=Event.sort_key))
+        events.extend(_sign_change_events(traj))
+    traj.events = tuple(sorted(events, key=Event.sort_key))
     return traj
 
 

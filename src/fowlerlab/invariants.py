@@ -86,13 +86,20 @@ def to_fowler(
 
 
 def to_radial(params: SystemParams, state: FowlerState) -> tuple[float, float, float, float, float]:
-    """Map a phase point back to radial data (r, u, v, u', v')."""
+    """Map a phase point back to radial data (r, u, v, u', v').
+
+    DomainError where r or its powers leave the float range, which for
+    N = 3 starts near |t| = 473.
+    """
     delta = params.delta
-    r = math.exp(-state.t)
-    u = r ** (-delta) * state.w1
-    v = r ** (-delta) * state.w2
-    du = -(r ** (-delta - 1.0)) * (state.dw1 + delta * state.w1)
-    dv = -(r ** (-delta - 1.0)) * (state.dw2 + delta * state.w2)
+    try:
+        r = math.exp(-state.t)
+        u = r ** (-delta) * state.w1
+        v = r ** (-delta) * state.w2
+        du = -(r ** (-delta - 1.0)) * (state.dw1 + delta * state.w1)
+        dv = -(r ** (-delta - 1.0)) * (state.dw2 + delta * state.w2)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise DomainError(f"radial map out of float range at t = {state.t!r}") from exc
     return r, u, v, du, dv
 
 
@@ -116,7 +123,8 @@ def pohozaev_system(params: SystemParams, r: float, radial_data) -> float:
 
     radial_data is the tuple (u, v, du, dv) at radius r; the surface integral
     reduces exactly to sphere_area * r^(N-1) times the constant integrand
-    because radial symmetry is an input assumption.
+    because radial symmetry is an input assumption.  DomainError where a
+    power leaves the float range.
     """
     if r <= 0.0:
         raise DomainError(f"radius must be positive, got {r!r}")
@@ -124,18 +132,21 @@ def pohozaev_system(params: SystemParams, r: float, radial_data) -> float:
     delta = params.delta
     grad2 = du * du + dv * dv
     p = params.p
-    bulk = (
-        params.mu1 * abs(u) ** params.two_star
-        + params.mu2 * abs(v) ** params.two_star
-        + 2.0 * params.beta * abs(u) ** p * abs(v) ** p
-    )
-    integrand = (
-        delta * (u * du + v * dv)
-        - 0.5 * r * grad2
-        + r * grad2
-        + r / params.two_star * bulk
-    )
-    return params.sphere_area * r ** (params.N - 1) * integrand
+    try:
+        bulk = (
+            params.mu1 * abs(u) ** params.two_star
+            + params.mu2 * abs(v) ** params.two_star
+            + 2.0 * params.beta * abs(u) ** p * abs(v) ** p
+        )
+        integrand = (
+            delta * (u * du + v * dv)
+            - 0.5 * r * grad2
+            + r * grad2
+            + r / params.two_star * bulk
+        )
+        return params.sphere_area * r ** (params.N - 1) * integrand
+    except OverflowError as exc:
+        raise DomainError(f"Pohozaev functional out of float range at r = {r!r}") from exc
 
 
 def pohozaev_scalar(N: int, coefficient: float, r: float, u: float, du: float) -> float:

@@ -2,8 +2,10 @@
 
 Floats pass through the standard json encoder, which emits the shortest
 round-trip decimal representation, so numeric fields survive a save/load
-cycle bit-exactly.  Every artifact carries a schema_version and is validated
-against the schema files shipped under fowlerlab/schemas/.
+cycle bit-exactly.  Node accelerations are not stored: the field at the
+reloaded nodes gives them back exactly.  Every artifact carries a
+schema_version and is validated against the schema files shipped under
+fowlerlab/schemas/.
 """
 
 from __future__ import annotations
@@ -248,9 +250,13 @@ def export_plot_data(traj: Trajectory, path, samples: int | None = None) -> None
         w1, w2, dw1, dw2 = traj.sample(ts)
     psis = psi_arrays(traj.params, w1, w2, dw1, dw2)
     f1, f2 = f_arrays(traj.params, w1, w2, dw1, dw2)
+    # Rows are built before the file is opened, so a DomainError from the
+    # radial map leaves no partial file.
+    rows = []
+    for t, a1, a2, b1, b2, e, g1, g2 in zip(ts, w1, w2, dw1, dw2, psis, f1, f2):
+        r, u, v, _, _ = to_radial(traj.params, FowlerState.from_array(t, (a1, a2, b1, b2)))
+        rows.append([repr(float(x)) for x in (t, a1, a2, e, g1, g2, r, u, v)])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(("t", "w1", "w2", "psi", "f1", "f2", "r", "u", "v"))
-        for t, a1, a2, b1, b2, e, g1, g2 in zip(ts, w1, w2, dw1, dw2, psis, f1, f2):
-            r, u, v, _, _ = to_radial(traj.params, FowlerState.from_array(t, (a1, a2, b1, b2)))
-            writer.writerow([repr(float(x)) for x in (t, a1, a2, e, g1, g2, r, u, v)])
+        writer.writerows(rows)

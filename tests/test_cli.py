@@ -208,3 +208,71 @@ class TestExperimentCommands:
         doc = stdout_json(stdout)
         validate(doc, "shoot")
         assert doc["rel_err"] < 1e-6
+
+
+def _one_failure_report(kind):
+    from fowlerlab.experiments import ExperimentReport
+
+    record = {"index": 0, "verdict": "SemiSingularCandidate", "anomaly": True}
+    return ExperimentReport(kind=kind, seed=0, n_runs=1, counts={"SemiSingularCandidate": 1},
+                            failures=[record], runs=[record])
+
+
+@pytest.mark.parametrize("command,target,kind,line", [
+    ("search-semi", "semi_singular_search", "semi_singular_search",
+     "theorem-level failure: 1 semi-singular candidate(s) for N=5\n"),
+    ("sweep", "sweep", "sweep", "theorem-level failure: 1 anomalous verdict(s)\n"),
+])
+def test_reported_failures_exit_two(capsys, tmp_path, monkeypatch, command, target, kind, line):
+    from fowlerlab import cli
+
+    monkeypatch.setattr(cli, target, lambda *args, **kwargs: _one_failure_report(kind))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "params": {"N": 5, "mu1": 1.0, "mu2": 1.0, "beta": 1.0},
+        "param_grid": [[5, 1.0, 1.0, 1.0]],
+        "initial_grid": [[1.0, 1.0, 0.0, 0.0]],
+    }))
+    code, out, err = run_cli(capsys, command, "--config", str(config))
+    assert code == 2
+    assert err == line
+    validate(stdout_json(out), "experiment_report")
+
+
+def test_zero_eps_is_rejected(capsys):
+    code, out, err = run_cli(capsys, "integrate", "--N", "3", "--mu1", "1", "--mu2", "1",
+                             "--beta", "1", "--orbit", "bubble", "--eps", "0")
+    assert code == 1
+    assert out == ""
+    assert "eps must be positive" in err
+
+
+CYLINDER_N3 = ("--N", "3", "--mu1", "1", "--mu2", "1", "--beta", "1", "--orbit", "cylinder")
+
+
+@pytest.mark.parametrize("t_min", ["-500", "-5"])
+def test_radial_overflow_exits_one(capsys, tmp_path, t_min):
+    # Past t ~ 473 (N = 3) r^(-delta-1) overflows, and at t = -500 so does
+    # r^(N-1) in the Pohozaev functional: both are domain errors.
+    out = tmp_path / "orbit.json"
+    code, _, err = run_cli(capsys, "integrate", *CYLINDER_N3, "--t-min", t_min,
+                           "--t-max", "500", "--out", str(out))
+    assert code == 1
+    assert err.startswith("fowlerlab: error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_plot_data_overflow_writes_no_file(capsys, tmp_path):
+    from fowlerlab import IntegratorSettings, cylinder_state, integrate, make_params
+    from fowlerlab.serialize import save_trajectory
+
+    params = make_params(3, 1.0, 1.0, 1.0)
+    traj = integrate(params, cylinder_state(params)[0],
+                     IntegratorSettings(t_span=(-5.0, 500.0)))
+    artifact = tmp_path / "orbit.json"
+    save_trajectory(traj, artifact)
+    plot = tmp_path / "plot.csv"
+    code, _, err = run_cli(capsys, "plot-data", "--in", str(artifact), "--out", str(plot))
+    assert code == 1
+    assert err.startswith("fowlerlab: error: ") and "Traceback" not in err
+    assert not plot.exists()

@@ -26,6 +26,7 @@ from fowlerlab.dynamics import (
     _row_function,
     _scan_grid,
 )
+from fowlerlab.serialize import load_trajectory, save_trajectory
 
 
 def scipy_segment(params, state, t_end, settings, mode):
@@ -222,3 +223,49 @@ def test_blowup_takes_precedence_over_the_stop_predicate():
     assert seg.event == ("BlowUp", None) and seg.status == 1
     assert seg.t.tolist() == plain.t.tolist() and seg.y.tolist() == plain.y.tolist()
     assert seg.y[0, -1] == pytest.approx(threshold, rel=1e-12)
+
+
+#: N=5 orbits: terminal events on both sides (PositivityLoss; BlowUp below a
+#: lowered threshold, in signed mode; one of each), and a signed orbit with
+#: crossings only.
+N5_ORBITS = {
+    "positivity_loss": (DIFFERENTIAL_CASES["near_cylinder_n5"][1], "positive", 1e3),
+    "blowup": (FowlerState(0.0, 0.5, 0.4, 2.5, -1.0), "signed", 1.5),
+    "loss_and_blowup": (FowlerState(0.0, 0.5, 0.5, 3.0, 3.0), "positive", 2.0),
+    "signed": (SIGNED_ORBITS["n5"][1], "signed", 1e3),
+}
+TERMINATED = ["positivity_loss", "blowup", "loss_and_blowup"]
+
+
+def _n5_orbit(name):
+    state, mode, threshold = N5_ORBITS[name]
+    settings = IntegratorSettings(t_span=(-20.0, 20.0), blowup_threshold=threshold)
+    return integrate(P5, state, settings, mode=mode)
+
+
+@pytest.mark.parametrize("name", sorted(N5_ORBITS))
+def test_node_accelerations_are_the_field_at_the_nodes(name):
+    traj = _n5_orbit(name)
+    field = _make_field(P5)
+    expected = [field(w1, w2) for w1, w2 in zip(traj.y[0].tolist(), traj.y[1].tolist())]
+    assert list(zip(*traj.acc.tolist())) == expected
+    ends = [e.t for e in traj.events if e.kind in ("BlowUp", "PositivityLoss")]
+    assert (sorted(ends) == [traj.t_min, traj.t_max]) == (name in TERMINATED)
+
+
+@pytest.mark.parametrize("name", TERMINATED)
+def test_interpolant_survives_a_round_trip(name, tmp_path):
+    traj = _n5_orbit(name)
+    save_trajectory(traj, tmp_path / "orbit.json")
+    loaded = load_trajectory(tmp_path / "orbit.json")
+    assert loaded.acc is None
+    fresh, again = traj._interpolant(), loaded._interpolant()
+    assert [c.tolist() for c in fresh] == [c.tolist() for c in again]
+    assert loaded.acc.tolist() == traj.acc.tolist()
+
+
+@pytest.mark.parametrize("name", TERMINATED)
+def test_two_sided_terminated_nodes_increase(name):
+    traj = _n5_orbit(name)
+    assert traj.terminated and traj.t_min < 0.0 < traj.t_max
+    assert np.all(np.diff(traj.t) > 0.0)
