@@ -69,6 +69,9 @@ class IntegratorSettings:
     def __post_init__(self):
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise DomainError("tolerances must be positive")
+        if not all(math.isfinite(end) for end in self.t_span):
+            # The step loop would never reach an infinite end.
+            raise DomainError(f"t_span ends must be finite, got {self.t_span!r}")
         if not self.t_span[0] < self.t_span[1]:
             raise DomainError(f"degenerate t_span {self.t_span!r}")
         if not (self.blowup_threshold > 0.0 and self.positivity_floor > 0.0):
@@ -340,9 +343,11 @@ def solve_ivp(field, t0, y0, t_bound, settings, mode, stop=None):
     integration.  They are tested once per accepted step and the
     earliest is bisected to adjacent floats on the step's quintic Hermite;
     the event point becomes the last node.  Otherwise the optional predicate
-    stop(w1, w2, w1'_old, w1'_new) is asked at each new node; a label it
+    stop(t_new, w1_old, w2_old, w1'_old, w1_new, w2_new, w1'_new), given the
+    step's old node and its new one, is asked at each new node; a label it
     returns ends the segment at that node, unrefined, with event
-    (label, None).  Returns a Segment.
+    (label, None).  So a stopped segment's nodes are a prefix of the
+    unstopped run's, bit for bit.  Returns a Segment.
     """
     rtol, atol, max_step = settings.rel_tol, settings.abs_tol, settings.max_step
     threshold = settings.blowup_threshold
@@ -484,7 +489,9 @@ def solve_ivp(field, t0, y0, t_bound, settings, mode, stop=None):
             a1_new, a2_new = field(w1_new, w2_new)
             event = (kind, comp)
             status = 1
-        elif stop is not None and (label := stop(w1_new, w2_new, v1, v1_new)) is not None:
+        elif stop is not None and (
+            label := stop(t_new, w1, w2, v1, w1_new, w2_new, v1_new)
+        ) is not None:
             event = (label, None)
             status = 1
         elif direction * (t_new - t_bound) >= 0.0:
@@ -519,6 +526,27 @@ def integrate(
     """
     if settings is None:
         settings = IntegratorSettings()
+    t_lo, t_hi = settings.t_span
+
+    def solve(fun, t0, start):
+        # solve_ivp is looked up on the module at call time, so a wrapper set
+        # on that attribute (bench/tracing.py) sees every call.
+        forward = solve_ivp(fun, t0, start, t_hi, settings, mode) if t_hi > t0 else None
+        backward = solve_ivp(fun, t0, start, t_lo, settings, mode) if t_lo < t0 else None
+        return forward, backward
+
+    return _two_sided(params, initial, settings, mode, solve)
+
+
+def _two_sided(params, initial, settings, mode, solve) -> Trajectory:
+    """The Trajectory of the two Segments solve(field, t0, start) returns.
+
+    solve gives (forward, backward), either None for a side not integrated.
+    The nodes run in increasing t: the backward segment reversed, then the
+    forward one, with the shared initial node once.  Only BlowUp and
+    PositivityLoss ends become Events; a stop predicate's label does not.
+    Data already at the blow-up threshold are not integrated at all.
+    """
     if mode not in ("positive", "signed"):
         raise DomainError(f"unknown integration mode {mode!r}")
     if mode == "positive" and not (
@@ -528,11 +556,8 @@ def integrate(
             "positivity-constrained integration requires strictly positive data"
         )
 
-    fun = _make_field(params)
     t0 = initial.t
     y0 = initial.as_array()
-    t_lo, t_hi = settings.t_span
-
     psi0 = float(psi_arrays(params, initial.w1, initial.w2, initial.dw1, initial.dw2))
     if max(abs(initial.w1), abs(initial.w2)) >= settings.blowup_threshold:
         # Data already outside the certified box: immediate terminal event.
@@ -550,22 +575,17 @@ def integrate(
             t_initial=t0,
         )
 
-    # solve_ivp is looked up on the module at call time, so a wrapper set on
-    # that attribute (bench/tracing.py) sees every call.
-    start = tuple(y0.tolist())
-    forward = solve_ivp(fun, t0, start, t_hi, settings, mode) if t_hi > t0 else None
-    backward = solve_ivp(fun, t0, start, t_lo, settings, mode) if t_lo < t0 else None
+    forward, backward = solve(_make_field(params), t0, tuple(y0.tolist()))
     segments = [seg for seg in (forward, backward) if seg is not None]
     events = [
         Event(kind=seg.event[0], t=float(seg.t[-1]), component=seg.event[1],
               state=FowlerState.from_array(seg.t[-1], seg.y[:, -1]))
-        for seg in segments if seg.event is not None
+        for seg in segments
+        if seg.event is not None and seg.event[0] in ("BlowUp", "PositivityLoss")
     ]
     failure = "StepSizeUnderflow" if any(seg.status == -1 for seg in segments) else None
 
     def nodes(name):
-        # Strictly increasing t: the backward segment reversed, then the
-        # forward one; both start at the initial node, which is kept once.
         parts = [getattr(backward, name)[..., ::-1]] if backward is not None else []
         if forward is not None:
             parts.append(getattr(forward, name)[..., 1 if parts else 0:])

@@ -215,6 +215,35 @@ def _collect_draws(
     return draws, rejected
 
 
+def _first_flip(t_new, w1_old, w2_old, v1_old, w1, w2, v1):
+    # A component's sign differs from the previous node's; a node exactly at
+    # zero is no flip.
+    if min(w1_old, w1) < 0.0 < max(w1_old, w1) or min(w2_old, w2) < 0.0 < max(w2_old, w2):
+        return "SignChange"
+    return None
+
+
+def _crossing_trajectory(
+    params: SystemParams, data: InitialData, settings: IntegratorSettings
+) -> Trajectory:
+    """Signed orbit from t = 0 over t_span, each direction cut by the stop
+    rule of sign_change_experiment."""
+    t_lo, t_hi = settings.t_span
+
+    def solve(fun, t0, start):
+        # Looked up at call time, so a wrapper set on dynamics.solve_ivp sees it.
+        forward = dynamics.solve_ivp(fun, t0, start, t_hi, settings, "signed", _first_flip)
+        reach = float(forward.t[-1]) - t0 if forward.event == ("SignChange", None) else math.inf
+
+        def back(t_new, *node):
+            return _first_flip(t_new, *node) or ("Reached" if t0 - t_new >= reach else None)
+
+        backward = dynamics.solve_ivp(fun, t0, start, t_lo, settings, "signed", back)
+        return forward, backward
+
+    return dynamics._two_sided(params, data.state(), settings, "signed", solve)
+
+
 def sign_change_experiment(
     params: SystemParams,
     spec: SamplerSpec | None = None,
@@ -229,32 +258,39 @@ def sign_change_experiment(
     with nonzero determinant (choose via spec.projection).  Runs without a
     sign change inside the horizon are reported as failures, never passed
     silently.  Integration uses the signed continuous extension and searches
-    both time directions, widening the window progressively for speed.  Each
-    run reports the crossing nearest t = 0 (sign_change_t); the summary's
-    max_abs_event_t is the largest such |t| over the runs.
+    both time directions.  Each run reports the crossing nearest t = 0
+    (sign_change_t); the summary's max_abs_event_t is the largest such |t|
+    over the runs.
+
+    Each direction stops once that answer is fixed: forward at the first
+    node t_f where a component's sign differs from the previous node's,
+    backward at its own first such node or at the first node with
+    |t| >= t_f.  With no forward flip (horizon or BlowUp), backward searches
+    up to the horizon.  The stopped nodes are a prefix of the full-horizon
+    run's, bit for bit, so the crossing scan of the cut orbit finds every
+    crossing between its ends that a scan of the whole window finds.  A
+    node test sees a flip late (a double crossing inside one step), never
+    early, so the first crossing each way, and with it the nearest one,
+    lies between those ends.
     """
     if spec is None:
         spec = SamplerSpec(kind="uniform_box", projection="psi_positive")
     if spec.projection not in ("psi_positive", "psi_zero"):
         raise DomainError("sign-change sampler must target psi>0 or the psi=0 surface")
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise DomainError(f"horizon must be finite and positive, got {horizon!r}")
     base = settings if settings is not None else IntegratorSettings()
+    window = replace(base, t_span=(-horizon, horizon))
 
     draws, rejected = _collect_draws(params, spec, n_runs, seed)
-    stages = [horizon / 4.0, horizon / 2.0, horizon]
 
     counts: dict[str, int] = {}
     runs = []
     failures = []
     times = []
     for index, data in draws:
-        traj = None
-        event = None
-        for h in stages:
-            stage_settings = replace(base, t_span=(-h, h))
-            traj = integrate(params, data.state(), stage_settings, mode="signed")
-            event = _nearest_event(traj, "SignChange")
-            if event is not None or traj.terminated:
-                break
+        traj = _crossing_trajectory(params, data, window)
+        event = _nearest_event(traj, "SignChange")
         verdict = classify(params, traj).verdict
         counts[verdict] = counts.get(verdict, 0) + 1
         record = {
@@ -300,11 +336,11 @@ def shoot_settings(params: SystemParams) -> IntegratorSettings:
     return IntegratorSettings(rel_tol=1e-12, abs_tol=1e-14, t_span=(-t_end, t_end))
 
 
-def _first_turn(w1, w2, v1_old, v1_new):
+def _first_turn(t_new, w1_old, w2_old, v1_old, w1, w2, v1):
     # Shooting trials stop at a component below zero or a minimum of w1.
     if w1 < 0.0 or w2 < 0.0:
         return "SignChange"
-    return "LocalMin" if v1_old < 0.0 <= v1_new else None
+    return "LocalMin" if v1_old < 0.0 <= v1 else None
 
 
 def _loses_sign(fun, apex_w1: float, ratio: float, t_end: float,

@@ -276,3 +276,21 @@ def test_plot_data_overflow_writes_no_file(capsys, tmp_path):
     assert code == 1
     assert err.startswith("fowlerlab: error: ") and "Traceback" not in err
     assert not plot.exists()
+
+
+def test_infinite_window_exits_one(capsys, tmp_path):
+    out = tmp_path / "orbit.json"
+    code, stdout, err = run_cli(capsys, "integrate", *CYLINDER_N3, "--t-min", "-5",
+                                "--t-max", "inf", "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert err.startswith("fowlerlab: error: ") and "Traceback" not in err
+    assert "finite" in err and not out.exists()
+
+
+@pytest.mark.parametrize("horizon", ["inf", "0", "-10"])
+def test_bad_horizon_exits_one(capsys, horizon):
+    code, out, err = run_cli(capsys, "sign-change", "--N", "3", "--mu1", "1", "--mu2", "1",
+                             "--beta", "1", "--runs", "2", f"--horizon={horizon}")
+    assert code == 1 and out == ""
+    assert err.startswith("fowlerlab: error: horizon must be finite and positive")
+    assert "Traceback" not in err

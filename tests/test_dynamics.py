@@ -37,6 +37,12 @@ class TestSettingsAndState:
         with pytest.raises(DomainError):
             IntegratorSettings(event_refinement_tol=0.0)
 
+    @pytest.mark.parametrize("span", [(-5.0, math.inf), (-math.inf, 5.0), (math.nan, 5.0)])
+    def test_window_ends_must_be_finite(self, span):
+        # The step loop never reaches an infinite end (max_step is 1).
+        with pytest.raises(DomainError, match="finite"):
+            IntegratorSettings(t_span=span)
+
     def test_state_requires_finite_components(self):
         with pytest.raises(DomainError):
             FowlerState(0.0, float("nan"), 1.0, 0.0, 0.0)

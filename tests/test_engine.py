@@ -181,7 +181,7 @@ def _stop_at_call(k, label):
     """A predicate that fires on its k-th call, i.e. at the k-th new node."""
     calls = []
 
-    def stop(w1, w2, v1_old, v1_new):
+    def stop(t_new, w1_old, w2_old, v1_old, w1, w2, v1):
         calls.append(None)
         return label if len(calls) == k else None
 
@@ -207,6 +207,39 @@ def test_stopped_segment_is_a_prefix_of_the_full_run(name):
     assert seg.nfev < full.nfev
 
 
+@pytest.mark.parametrize("backward", [False, True])
+def test_stop_predicate_sees_the_old_and_the_new_node(backward):
+    params, state, span, mode, _ = DIFFERENTIAL_CASES["signed_crossing_n3"]
+    settings = IntegratorSettings(t_span=(-span, span))
+    calls = []
+    seg = dynamics.solve_ivp(_make_field(params), state.t, tuple(state.as_array()),
+                             -span if backward else span, settings, mode,
+                             stop=lambda *node: calls.append(node))
+    t, (w1, w2, v1, _) = seg.t.tolist(), seg.y.tolist()
+    assert seg.status == 0 and len(t) > 10
+    assert calls == [(t[k + 1], w1[k], w2[k], v1[k], w1[k + 1], w2[k + 1], v1[k + 1])
+                     for k in range(len(t) - 1)]
+
+
+def test_stop_labels_never_become_events():
+    # Both sides stopped early by a predicate: the trajectory carries only
+    # the crossings its scan finds, and no event of the predicate's label.
+    params, state, span, mode, _ = DIFFERENTIAL_CASES["signed_crossing_n3"]
+    settings = IntegratorSettings(t_span=(-span, span))
+
+    def solve(fun, t0, start):
+        return tuple(dynamics.solve_ivp(fun, t0, start, bound, settings, mode,
+                                        stop=_stop_at_call(100, "Probe"))
+                     for bound in (span, -span))
+
+    traj = dynamics._two_sided(params, state, settings, mode, solve)
+    full = integrate(params, state, settings, mode=mode)
+    assert full.t_min < traj.t_min and traj.t_max < full.t_max
+    assert len(traj.t) == 201
+    assert traj.events and all(e.kind == "SignChange" for e in traj.events)
+    assert not traj.terminated and traj.failure is None
+
+
 def test_blowup_takes_precedence_over_the_stop_predicate():
     # On w = e^t the step that crosses blowup_threshold also satisfies the
     # predicate; BlowUp is located and refined as without a predicate.
@@ -218,7 +251,7 @@ def test_blowup_takes_precedence_over_the_stop_predicate():
     args = (field, 0.0, (1.0, 1.0, 1.0, 1.0), 10.0, settings, "signed")
     plain = dynamics.solve_ivp(*args)
     assert plain.status == 1 and plain.event == ("BlowUp", None)
-    seg = dynamics.solve_ivp(*args, stop=lambda w1, w2, v1_old, v1_new: (
+    seg = dynamics.solve_ivp(*args, stop=lambda t_new, w1_old, w2_old, v1_old, w1, w2, v1: (
         "Probe" if w1 >= threshold else None))
     assert seg.event == ("BlowUp", None) and seg.status == 1
     assert seg.t.tolist() == plain.t.tolist() and seg.y.tolist() == plain.y.tolist()

@@ -14,6 +14,7 @@ from fowlerlab import (
     IntegratorSettings,
     SamplerSpec,
     bubble_fowler,
+    classify,
     cylinder_state,
     integrate,
     make_params,
@@ -151,6 +152,83 @@ class TestSignChange:
         assert report.summary["max_abs_event_t"] == max(
             abs(run["sign_change_t"]) for run in report.runs
         )
+
+    @staticmethod
+    def full_window_run(params, data, settings=None, horizon=50.0):
+        """The staged rule the early exit replaced: windows of half-width
+        horizon/4, /2 and 1, stopping at the first with a crossing or a
+        terminal event; the run reports its crossing nearest t = 0."""
+        base = settings if settings is not None else IntegratorSettings()
+        for h in (horizon / 4.0, horizon / 2.0, horizon):
+            traj = integrate(params, data.state(), replace(base, t_span=(-h, h)),
+                             mode="signed")
+            event = experiments._nearest_event(traj, "SignChange")
+            if event is not None or traj.terminated:
+                break
+        return traj, event
+
+    @pytest.mark.parametrize("N", [3, 5])
+    @pytest.mark.parametrize("projection", ["psi_positive", "psi_zero"])
+    def test_early_exit_matches_full_window_rule(self, N, projection):
+        params = make_params(N, 1.0, 1.0, 1.0)
+        spec = SamplerSpec(kind="uniform_box", projection=projection)
+        report = sign_change_experiment(params, spec, n_runs=8, seed=31)
+        for run in report.runs:
+            data = InitialData.from_values(params, *run["initial"][:4])
+            traj, event = self.full_window_run(params, data)
+            assert (run["sign_change_t"], run["sign_change_component"]) == (
+                event.t, event.component
+            )
+            assert run["verdict"] == classify(params, traj).verdict
+
+    def test_blowup_on_one_side_does_not_end_the_search(self, p3, monkeypatch):
+        # Just above the zero-energy bubble (psi0 ~ 1.5e-9) the orbit leaves
+        # a box of size 0.3 forward before any crossing, and crosses
+        # backward only at t ~ -14.5: beyond the staged rule's first window,
+        # which ended the search there with a BlowUp failure.
+        bubble = bubble_fowler(p3, 1.0, -6.0)
+        scale = 1.0 + 1e-6
+        data = InitialData.from_values(p3, bubble.w1, bubble.w2,
+                                       bubble.dw1 * scale, bubble.dw2 * scale)
+        assert 1e-9 < data.psi0 < 2e-9
+        settings = IntegratorSettings(blowup_threshold=0.3)
+        stage, event = self.full_window_run(p3, data, settings)
+        assert event is None and stage.terminated
+        assert classify(p3, stage).verdict == "BlowUp"
+
+        monkeypatch.setattr(experiments, "_collect_draws", lambda *args: ([(0, data)], {}))
+        report = sign_change_experiment(p3, SamplerSpec(projection="psi_positive"),
+                                        n_runs=1, settings=settings, horizon=50.0)
+        (run,) = report.runs
+        assert run["verdict"] == "SignChanging" and report.failures == []
+        assert run["sign_change_t"] == pytest.approx(-14.509, abs=1e-3)
+        assert report.summary["detection_rate"] == 1.0
+
+    @pytest.mark.parametrize("N", [3, 5])
+    def test_cut_orbit_keeps_every_crossing_of_its_window(self, N):
+        params = make_params(N, 1.0, 1.0, 1.0)
+        settings = IntegratorSettings(t_span=(-50.0, 50.0))
+        spec = SamplerSpec(kind="uniform_box", projection="psi_positive")
+        several = 0
+        for index in range(20):
+            data, _ = draw_initial(params, spec, seed=17, index=index)
+            if data is None:
+                continue
+            cut = experiments._crossing_trajectory(params, data, settings)
+            full = integrate(params, data.state(), settings, mode="signed")
+            # The cut orbit's nodes are a run of the full orbit's, bit for bit.
+            first = int(np.searchsorted(full.t, cut.t_min))
+            assert full.t[first:first + len(cut.t)].tolist() == cut.t.tolist()
+            assert full.y[:, first:first + len(cut.t)].tolist() == cut.y.tolist()
+            # So is every crossing between its ends (all |t| <= t_f when the
+            # backward side ran that far), and the one nearest t = 0.
+            inside = [e for e in full.events if cut.t_min <= e.t <= cut.t_max]
+            assert list(cut.events) == inside
+            nearest = experiments._nearest_event(cut, "SignChange")
+            assert nearest is not None
+            assert nearest == experiments._nearest_event(full, "SignChange")
+            several += len(inside) > 1
+        assert several > 0
 
     def test_determinism(self, p3):
         spec = SamplerSpec(kind="uniform_box", projection="psi_positive")
