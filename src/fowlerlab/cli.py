@@ -1,5 +1,9 @@
 """Command-line surface.
 
+Each option is declared once, in OPTIONS.  A command passes on only the
+values given to it, a flag beating its config key, so every default lives in
+the library.  One --config file can serve several commands.
+
 Exit codes: 0 success, 1 domain/usage error, 2 theorem-level expectation
 failure (reserved: e.g. a semi-singular detection for N >= 4, or a missed
 sign change), 3 I/O or artifact-schema error.  Human-readable diagnostics go
@@ -14,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from typing import NamedTuple
 
 from . import serialize
 from .classify import classify
@@ -24,11 +28,13 @@ from .experiments import (
     SamplerSpec,
     semi_singular_search,
     shoot_entire,
+    shoot_settings,
     sign_change_experiment,
     sweep,
 )
 from .invariants import monitor
 from .params import (
+    STANDARD_EPS,
     SystemParams,
     bubble_fowler,
     bubble_radial,
@@ -43,6 +49,74 @@ OUT_DIR_ENV = "FOWLERLAB_OUT"
 
 class UsageError(FowlerLabError):
     """Bad command line or configuration (mapped to exit code 1)."""
+
+
+class Option(NamedTuple):
+    """A value `name`, its flag, its config key and the commands that take it.
+
+    Options sharing a name are alternative sources of one value, and two in one
+    layer (flags, or config) is a usage error.  A key is a dotted path of
+    run_config.schema.json (a number indexes a list); several keys,
+    space-separated, fill a multi-value flag.  flag or key may be None.
+    """
+
+    name: str
+    flag: str | None
+    key: str | None
+    commands: tuple[str, ...]
+    argument: dict = {}
+    help: str = ""
+    required: tuple[str, ...] = ()
+
+
+_PARAMS = ("solve-kl", "cylinder", "bubble", "integrate", "sign-change", "search-semi", "shoot")
+_CONFIG = _PARAMS + ("sweep",)
+_SETTINGS = ("integrate", "sign-change", "search-semi", "sweep", "shoot")
+_WINDOW = ("integrate", "search-semi", "sweep", "shoot")  # sign-change: [-horizon, horizon]
+_ARTIFACT = ("classify", "invariants", "plot-data")
+_FLOAT = {"type": float}
+_INT = {"type": int}
+
+OPTIONS = (
+    Option("N", "--N", "params.N", _PARAMS, _INT, "space dimension (>= 3)"),
+    Option("mu1", "--mu1", "params.mu1", _PARAMS, _FLOAT),
+    Option("mu2", "--mu2", "params.mu2", _PARAMS, _FLOAT),
+    Option("beta", "--beta", "params.beta", _PARAMS, _FLOAT),
+    Option("config", "--config", None, _CONFIG, {}, "JSON config file (flags override)"),
+    Option("out", "--out", "out", _CONFIG + _ARTIFACT, {}, "result file", ("plot-data",)),
+    Option("rel_tol", "--rel-tol", "settings.rel_tol", _SETTINGS, _FLOAT),
+    Option("abs_tol", "--abs-tol", "settings.abs_tol", _SETTINGS, _FLOAT),
+    Option("t_min", "--t-min", "settings.t_span.0", _WINDOW, _FLOAT),
+    Option("t_max", "--t-max", "settings.t_span.1", _WINDOW, _FLOAT),
+    Option("max_step", "--max-step", "settings.max_step", _SETTINGS, _FLOAT),
+    Option("blowup_threshold", "--blowup-threshold", "settings.blowup_threshold", _SETTINGS,
+           _FLOAT),
+    Option("positivity_floor", None, "settings.positivity_floor", _SETTINGS),
+    Option("event_refinement_tol", None, "settings.event_refinement_tol", _SETTINGS),
+    Option("initial", "--initial", "initial.a1 initial.a2 initial.b1 initial.b2", ("integrate",),
+           {**_FLOAT, "nargs": 4, "metavar": ("A1", "A2", "B1", "B2")}, "initial values at t = 0"),
+    Option("initial", "--orbit", "initial.orbit", ("integrate",),
+           {"choices": ("bubble", "cylinder")}),
+    Option("eps", "--eps", "initial.eps", ("bubble", "integrate"), _FLOAT, "bubble scale"),
+    Option("r", "--r", None, ("bubble",), {**_FLOAT, "action": "append"},
+           "radius to sample (repeatable)"),
+    Option("mode", "--mode", "mode", ("integrate", "sweep"), {"choices": ("positive", "signed")}),
+    Option("csv", "--csv", "csv", ("integrate",), {}, "also export the node table as CSV"),
+    Option("in", "--in", None, _ARTIFACT, {}, "trajectory artifact", _ARTIFACT),
+    Option("samples", "--samples", None, ("plot-data",), _INT),
+    Option("n_runs", "--runs", "runs", ("sign-change", "search-semi"), _INT),
+    Option("seed", "--seed", "seed", ("sign-change", "search-semi"), _INT),
+    Option("seed", None, "seed", ("sweep",)),
+    Option("branch", "--branch", "branch", ("sign-change",), {"choices": ("positive", "zero")},
+           "target energy surface: psi > 0 or psi = 0"),
+    Option("horizon", "--horizon", "horizon", ("sign-change",), _FLOAT),
+    Option("workers", "--workers", "workers", ("sweep",), _INT),
+    Option("archive", "--archive", None, ("sweep",), {}, "per-run artifact directory"),
+    Option("param_grid", None, "param_grid", ("sweep",)),
+    Option("initial_grid", None, "initial_grid", ("sweep",)),
+)
+
+_ABSENT = object()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,55 +146,79 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _params_from(args, config: dict) -> SystemParams:
-    doc = dict(config.get("params", {}))
-    for key, flag in (("N", args.N), ("mu1", args.mu1), ("mu2", args.mu2), ("beta", args.beta)):
-        if flag is not None:
-            doc[key] = flag
-    missing = [k for k in ("N", "mu1", "mu2", "beta") if k not in doc]
+def _config_value(config: dict, option: Option):
+    """The config value of an option, or _ABSENT; a number indexes a list."""
+    values = []
+    for key in option.key.split():  # the schema gives several keys all or none
+        value = config
+        for part in key.split("."):
+            value = value[int(part)] if isinstance(value, list) else value.get(part, _ABSENT)
+            if value is _ABSENT:
+                return _ABSENT
+        values.append(value)
+    return values[0] if len(values) == 1 else tuple(values)
+
+
+def _layer(entries) -> dict:
+    """name -> value for one layer; two sources of one value is a usage error."""
+    values, sources = {}, {}
+    for source, name, value in entries:
+        if value is _ABSENT:
+            continue
+        if name in values:
+            raise UsageError(f"{sources[name]} and {source} both give {name}; give one")
+        values[name], sources[name] = value, source
+    return values
+
+
+def _given(args) -> dict:
+    """The values given to args.command, by option name; a flag beats its key."""
+    flags = vars(args)
+    config = _load_config(flags.get("config"))
+    options = [o for o in OPTIONS if args.command in o.commands]
+    from_config = _layer((f"config {o.key}", o.name, _config_value(config, o))
+                         for o in options if o.key)
+    from_flags = _layer((o.flag, o.name, flags.get(o.flag[2:], _ABSENT))
+                        for o in options if o.flag)
+    return {**from_config, **from_flags}
+
+
+def _kwargs(given: dict, *names: str) -> dict:
+    return {name: given[name] for name in names if name in given}
+
+
+def _under(section: str) -> list[str]:
+    """Names of the options whose config keys lie in a config section."""
+    return [o.name for o in OPTIONS if (o.key or "").startswith(section + ".")]
+
+
+def _params(given: dict) -> SystemParams:
+    names = _under("params")
+    missing = [name for name in names if name not in given]
     if missing:
-        raise UsageError(f"missing parameter(s): {', '.join(missing)} "
-                         f"(pass flags or a --config file)")
-    return serialize.params_from_dict(doc)
+        raise UsageError(f"missing parameter(s) {', '.join(missing)}: pass flags or --config")
+    return serialize.params_from_dict(_kwargs(given, *names))
 
 
-def _settings_from(args, config: dict) -> IntegratorSettings:
-    settings = serialize.settings_from_dict(config.get("settings", {}))
-    updates = {}
-    if getattr(args, "rel_tol", None) is not None:
-        updates["rel_tol"] = args.rel_tol
-    if getattr(args, "abs_tol", None) is not None:
-        updates["abs_tol"] = args.abs_tol
-    t_lo = getattr(args, "t_min", None)
-    t_hi = getattr(args, "t_max", None)
-    if t_lo is not None or t_hi is not None:
-        span = list(settings.t_span)
-        if t_lo is not None:
-            span[0] = t_lo
-        if t_hi is not None:
-            span[1] = t_hi
-        updates["t_span"] = tuple(span)
-    if getattr(args, "blowup_threshold", None) is not None:
-        updates["blowup_threshold"] = args.blowup_threshold
-    if getattr(args, "max_step", None) is not None:
-        updates["max_step"] = args.max_step
-    return replace(settings, **updates) if updates else settings
+def _settings(given: dict, base: IntegratorSettings = IntegratorSettings()) -> IntegratorSettings:
+    """base with the given settings; t_min and t_max each replace one window end."""
+    doc = serialize.settings_to_dict(base)
+    doc.update(_kwargs(given, *_under("settings")))
+    doc["t_span"] = [doc.pop("t_min", doc["t_span"][0]), doc.pop("t_max", doc["t_span"][1])]
+    return serialize.settings_from_dict(doc)
 
 
-def _initial_from(args, config: dict, params: SystemParams) -> FowlerState:
-    doc = dict(config.get("initial", {}))
-    orbit = getattr(args, "orbit", None) or doc.get("orbit")
-    eps = _pick(getattr(args, "eps", None), doc, "eps", 1.0)
-    if getattr(args, "initial", None) is not None:
-        a1, a2, b1, b2 = args.initial
-        return FowlerState(t=0.0, w1=a1, w2=a2, dw1=b1, dw2=b2)
-    if orbit == "bubble":
-        return bubble_fowler(params, eps, 0.0)
-    if orbit == "cylinder":
+def _initial(given: dict, params: SystemParams) -> FowlerState:
+    source = given.get("initial")
+    if source is None:
+        raise UsageError("no initial data: pass --initial a1 a2 b1 b2 or --orbit")
+    if source != "bubble" and "eps" in given:
+        raise UsageError("eps is the bubble orbit's scale: it needs orbit bubble")
+    if source == "bubble":
+        return bubble_fowler(params, given.get("eps", STANDARD_EPS), 0.0)
+    if source == "cylinder":
         return cylinder_state(params)[0]
-    if all(k in doc for k in ("a1", "a2", "b1", "b2")):
-        return FowlerState(t=0.0, w1=doc["a1"], w2=doc["a2"], dw1=doc["b1"], dw2=doc["b2"])
-    raise UsageError("no initial data: pass --initial a1 a2 b1 b2 or --orbit")
+    return FowlerState(0.0, *source)  # a1, a2, b1, b2
 
 
 def _emit(doc: dict, out: str | None, schema: str | None = None) -> None:
@@ -145,99 +243,8 @@ def _emit_report(report, out: str | None, failure: str) -> int:
     return 0
 
 
-def _add_param_flags(sp):
-    sp.add_argument("--N", type=int, default=None, help="space dimension (>= 3)")
-    sp.add_argument("--mu1", type=float, default=None)
-    sp.add_argument("--mu2", type=float, default=None)
-    sp.add_argument("--beta", type=float, default=None)
-    sp.add_argument("--config", default=None, help="JSON config file (flags override)")
-    sp.add_argument("--out", default=None, help="write the JSON result here")
-
-
-def _add_settings_flags(sp):
-    sp.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
-    sp.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
-    sp.add_argument("--t-min", dest="t_min", type=float, default=None)
-    sp.add_argument("--t-max", dest="t_max", type=float, default=None)
-    sp.add_argument("--max-step", dest="max_step", type=float, default=None)
-    sp.add_argument("--blowup-threshold", dest="blowup_threshold", type=float, default=None)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="fowlerlab", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--json-errors", action="store_true",
-                        help="also emit machine-readable errors on stderr")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("solve-kl", help="solve the coupling amplitude pair (k, l)")
-    _add_param_flags(sp)
-
-    sp = sub.add_parser("cylinder", help="constant equilibrium orbit and its invariant")
-    _add_param_flags(sp)
-
-    sp = sub.add_parser("bubble", help="closed-form entire solution data")
-    _add_param_flags(sp)
-    sp.add_argument("--eps", type=float, default=1.0, help="bubble scale parameter")
-    sp.add_argument("--r", type=float, action="append", default=None,
-                    help="radius to sample (repeatable)")
-
-    sp = sub.add_parser("integrate", help="integrate one orbit to a trajectory artifact")
-    _add_param_flags(sp)
-    _add_settings_flags(sp)
-    sp.add_argument("--initial", type=float, nargs=4, metavar=("A1", "A2", "B1", "B2"),
-                    default=None, help="initial values at t = 0")
-    sp.add_argument("--orbit", choices=("bubble", "cylinder"), default=None)
-    sp.add_argument("--eps", type=float, default=None)
-    sp.add_argument("--mode", choices=("positive", "signed"), default=None)
-    sp.add_argument("--csv", default=None, help="also export the node table as CSV")
-
-    sp = sub.add_parser("classify", help="classify a stored trajectory")
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--out", default=None)
-
-    sp = sub.add_parser("invariants", help="invariant monitor report for a stored trajectory")
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--out", default=None)
-
-    sp = sub.add_parser("sign-change", help="sign-change experiment over sampled data")
-    _add_param_flags(sp)
-    _add_settings_flags(sp)
-    sp.add_argument("--runs", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--branch", choices=("positive", "zero"), default=None,
-                    help="target energy surface: psi > 0 or psi = 0")
-    sp.add_argument("--horizon", type=float, default=None)
-
-    sp = sub.add_parser("search-semi", help="semi-singular search (expected empty for N >= 4)")
-    _add_param_flags(sp)
-    _add_settings_flags(sp)
-    sp.add_argument("--runs", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-
-    sp = sub.add_parser("sweep", help="classify every grid point from a config file")
-    _add_param_flags(sp)
-    _add_settings_flags(sp)
-    sp.add_argument("--mode", choices=("positive", "signed"), default=None)
-    sp.add_argument("--workers", type=int, default=None)
-    sp.add_argument("--archive", default=None,
-                    help="directory for per-run trajectory artifacts")
-
-    sp = sub.add_parser("shoot", help="shoot for the entire (zero-energy) orbit")
-    _add_param_flags(sp)
-    _add_settings_flags(sp)
-
-    sp = sub.add_parser("plot-data", help="columnar plot file from a trajectory artifact")
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--samples", type=int, default=None)
-
-    return parser
-
-
-def _cmd_solve_kl(args) -> int:
-    config = _load_config(args.config)
-    params = _params_from(args, config)
+def _cmd_solve_kl(given: dict) -> int:
+    params = _params(given)
     coupling = solve_coupling(params)
     doc = {
         "schema_version": serialize.SCHEMA_VERSION,
@@ -246,13 +253,12 @@ def _cmd_solve_kl(args) -> int:
         "l": coupling.l,
         "residuals": list(coupling.residuals),
     }
-    _emit(doc, args.out, schema="coupling")
+    _emit(doc, given.get("out"), schema="coupling")
     return 0
 
 
-def _cmd_cylinder(args) -> int:
-    config = _load_config(args.config)
-    params = _params_from(args, config)
+def _cmd_cylinder(given: dict) -> int:
+    params = _params(given)
     state, energy = cylinder_state(params)
     doc = {
         "schema_version": serialize.SCHEMA_VERSION,
@@ -265,56 +271,43 @@ def _cmd_cylinder(args) -> int:
         "lam_star": list(params.lam_star),
         "state": serialize.state_to_list(state),
     }
-    _emit(doc, args.out, schema="cylinder")
+    _emit(doc, given.get("out"), schema="cylinder")
     return 0
 
 
-def _cmd_bubble(args) -> int:
-    config = _load_config(args.config)
-    params = _params_from(args, config)
+def _cmd_bubble(given: dict) -> int:
+    params = _params(given)
     coupling = solve_coupling(params)
-    radii = args.r if args.r else [1.0]
+    eps = given.get("eps", STANDARD_EPS)
     samples = []
-    for r in radii:
-        u, v = bubble_radial(params, args.eps, r)
+    for r in given.get("r", [1.0]):
+        u, v = bubble_radial(params, eps, r)
         samples.append({"r": r, "u": u, "v": v})
-    apex = bubble_fowler(params, args.eps, -math.log(args.eps))
+    apex = bubble_fowler(params, eps, -math.log(eps))
     doc = {
         "schema_version": serialize.SCHEMA_VERSION,
         "params": serialize.params_to_dict(params),
-        "eps": args.eps,
+        "eps": eps,
         "k": coupling.k,
         "l": coupling.l,
         "amplitude": apex.w1 / coupling.k,
         "apex": serialize.state_to_list(apex),
         "samples": samples,
     }
-    _emit(doc, args.out, schema="bubble")
+    _emit(doc, given.get("out"), schema="bubble")
     return 0
 
 
-def _pick(flag, config: dict, key: str, default):
-    if flag is not None:
-        return flag
-    return config.get(key, default)
-
-
-def _cmd_integrate(args) -> int:
-    config = _load_config(args.config)
-    params = _params_from(args, config)
-    settings = _settings_from(args, config)
-    mode = _pick(args.mode, config, "mode", "positive")
-    initial = _initial_from(args, config, params)
-    traj = integrate(params, initial, settings, mode=mode)
+def _cmd_integrate(given: dict) -> int:
+    params = _params(given)
+    traj = integrate(params, _initial(given, params), _settings(given), **_kwargs(given, "mode"))
     report = monitor(params, traj) if len(traj.t) > 1 else None
     verdict = classify(params, traj, report)
-    out = args.out or config.get("out")
-    if out:
-        path = _resolve_out(out)
+    path = _resolve_out(given["out"]) if given.get("out") else None
+    if path:
         serialize.save_trajectory(traj, path, invariant_report=report, classification=verdict)
-    csv_path = args.csv or config.get("csv")
-    if csv_path:
-        serialize.export_csv(traj, _resolve_out(csv_path))
+    if given.get("csv"):
+        serialize.export_csv(traj, _resolve_out(given["csv"]))
     summary = {
         "psi0": traj.psi0,
         "drift": traj.drift,
@@ -322,80 +315,59 @@ def _cmd_integrate(args) -> int:
         "n_nodes": len(traj.t),
         "events": [[e.kind, e.t, e.component] for e in traj.events],
         "verdict": verdict.verdict,
-        "out": _resolve_out(out) if out else None,
+        "out": path,
     }
     sys.stdout.write(serialize.dumps(summary))
     return 0
 
 
-def _cmd_classify(args) -> int:
-    traj = serialize.load_trajectory(args.infile)
+def _cmd_classify(given: dict) -> int:
+    traj = serialize.load_trajectory(given["in"])
     report = monitor(traj.params, traj) if len(traj.t) > 1 else None
     verdict = classify(traj.params, traj, report)
-    _emit(serialize.classification_to_dict(verdict), args.out, schema="classification")
+    _emit(serialize.classification_to_dict(verdict), given.get("out"), schema="classification")
     return 0
 
 
-def _cmd_invariants(args) -> int:
-    traj = serialize.load_trajectory(args.infile)
+def _cmd_invariants(given: dict) -> int:
+    traj = serialize.load_trajectory(given["in"])
     report = monitor(traj.params, traj)
-    _emit(serialize.invariant_report_to_dict(report), args.out, schema="invariant_report")
+    _emit(serialize.invariant_report_to_dict(report), given.get("out"), schema="invariant_report")
     return 0
 
 
-def _cmd_sign_change(args) -> int:
-    config = _load_config(args.config)
-    params = _params_from(args, config)
-    settings = _settings_from(args, config)
-    branch = _pick(args.branch, config, "branch", "positive")
-    runs = _pick(args.runs, config, "runs", 100)
-    seed = _pick(args.seed, config, "seed", 0)
-    horizon = _pick(args.horizon, config, "horizon", 50.0)
-    projection = "psi_positive" if branch == "positive" else "psi_zero"
-    spec = SamplerSpec(kind="uniform_box", projection=projection)
-    report = sign_change_experiment(
-        params, spec, n_runs=runs, settings=settings, seed=seed, horizon=horizon
-    )
-    return _emit_report(report, args.out, "run(s) without sign change")
+def _cmd_sign_change(given: dict) -> int:
+    params = _params(given)
+    kwargs = _kwargs(given, "n_runs", "seed", "horizon")
+    if "branch" in given:
+        # The branch names the energy projection: psi_positive or psi_zero.
+        kwargs["spec"] = SamplerSpec(projection=f"psi_{given['branch']}")
+    report = sign_change_experiment(params, settings=_settings(given), **kwargs)
+    return _emit_report(report, given.get("out"), "run(s) without sign change")
 
 
-def _cmd_search_semi(args) -> int:
-    config = _load_config(args.config)
-    params = _params_from(args, config)
-    settings = _settings_from(args, config)
-    runs = _pick(args.runs, config, "runs", 200)
-    seed = _pick(args.seed, config, "seed", 0)
-    report = semi_singular_search(params, n_runs=runs, settings=settings, seed=seed)
-    return _emit_report(report, args.out, f"semi-singular candidate(s) for N={params.N}")
+def _cmd_search_semi(given: dict) -> int:
+    params = _params(given)
+    report = semi_singular_search(params, settings=_settings(given),
+                                  **_kwargs(given, "n_runs", "seed"))
+    return _emit_report(report, given.get("out"), f"semi-singular candidate(s) for N={params.N}")
 
 
-def _cmd_sweep(args) -> int:
-    config = _load_config(args.config)
-    if "param_grid" not in config or "initial_grid" not in config:
+def _cmd_sweep(given: dict) -> int:
+    if "param_grid" not in given or "initial_grid" not in given:
         raise UsageError("sweep requires a --config file with param_grid and initial_grid")
-    settings = _settings_from(args, config)
-    params_grid = [make_params(int(row[0]), row[1], row[2], row[3])
-                   for row in config["param_grid"]]
-    initial_grid = [tuple(row) for row in config["initial_grid"]]
-    workers = _pick(args.workers, config, "workers", 1)
-    mode = _pick(args.mode, config, "mode", "positive")
-    archive = _resolve_out(args.archive) if args.archive else None
-    report = sweep(params_grid, initial_grid, settings, mode=mode, workers=workers,
-                   seed=config.get("seed", 0), archive_dir=archive)
-    return _emit_report(report, args.out, "anomalous verdict(s)")
+    params_grid = [make_params(int(row[0]), *row[1:]) for row in given["param_grid"]]
+    kwargs = _kwargs(given, "mode", "workers", "seed")
+    if "archive" in given:
+        kwargs["archive_dir"] = _resolve_out(given["archive"])
+    report = sweep(params_grid, given["initial_grid"], _settings(given), **kwargs)
+    return _emit_report(report, given.get("out"), "anomalous verdict(s)")
 
 
-def _cmd_shoot(args) -> int:
-    config = _load_config(args.config)
-    params = _params_from(args, config)
-    settings = None
-    if config.get("settings") or any(
-        getattr(args, k, None) is not None
-        for k in ("rel_tol", "abs_tol", "t_min", "t_max", "max_step", "blowup_threshold")
-    ):
-        settings = _settings_from(args, config)
-    data, traj = shoot_entire(params, settings)
-    exact = bubble_fowler(params, 1.0, 0.0).w1
+def _cmd_shoot(given: dict) -> int:
+    params = _params(given)
+    data, traj = shoot_entire(params, _settings(given, shoot_settings(params)))
+    exact = bubble_fowler(params, STANDARD_EPS, 0.0).w1
     doc = {
         "schema_version": serialize.SCHEMA_VERSION,
         "params": serialize.params_to_dict(params),
@@ -404,30 +376,49 @@ def _cmd_shoot(args) -> int:
         "closed_form_apex": exact,
         "rel_err": abs(data.a1 - exact) / exact,
     }
-    _emit(doc, args.out, schema="shoot")
+    _emit(doc, given.get("out"), schema="shoot")
     return 0
 
 
-def _cmd_plot_data(args) -> int:
-    traj = serialize.load_trajectory(args.infile)
-    serialize.export_plot_data(traj, _resolve_out(args.out), samples=args.samples)
-    print(json.dumps({"written": _resolve_out(args.out)}))
+def _cmd_plot_data(given: dict) -> int:
+    traj = serialize.load_trajectory(given["in"])
+    path = _resolve_out(given["out"])
+    serialize.export_plot_data(traj, path, **_kwargs(given, "samples"))
+    print(json.dumps({"written": path}))
     return 0
 
 
-_HANDLERS = {
-    "solve-kl": _cmd_solve_kl,
-    "cylinder": _cmd_cylinder,
-    "bubble": _cmd_bubble,
-    "integrate": _cmd_integrate,
-    "classify": _cmd_classify,
-    "invariants": _cmd_invariants,
-    "sign-change": _cmd_sign_change,
-    "search-semi": _cmd_search_semi,
-    "sweep": _cmd_sweep,
-    "shoot": _cmd_shoot,
-    "plot-data": _cmd_plot_data,
+_COMMANDS = {
+    "solve-kl": (_cmd_solve_kl, "solve the coupling amplitude pair (k, l)"),
+    "cylinder": (_cmd_cylinder, "constant equilibrium orbit and its invariant"),
+    "bubble": (_cmd_bubble, "closed-form entire solution data"),
+    "integrate": (_cmd_integrate, "integrate one orbit to a trajectory artifact"),
+    "classify": (_cmd_classify, "classify a stored trajectory"),
+    "invariants": (_cmd_invariants, "invariant monitor report for a stored trajectory"),
+    "sign-change": (_cmd_sign_change, "sign-change experiment over sampled data"),
+    "search-semi": (_cmd_search_semi, "semi-singular search (expected empty for N >= 4)"),
+    "sweep": (_cmd_sweep, "classify every grid point from a config file"),
+    "shoot": (_cmd_shoot, "shoot for the entire (zero-energy) orbit"),
+    "plot-data": (_cmd_plot_data, "columnar plot file from a trajectory artifact"),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="fowlerlab", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--json-errors", action="store_true",
+                        help="also emit machine-readable errors on stderr")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, summary) in _COMMANDS.items():
+        # Flags left out are absent from the namespace, not None.
+        sp = sub.add_parser(command, help=summary, argument_default=argparse.SUPPRESS)
+        for option in OPTIONS:
+            if option.flag and command in option.commands:
+                config = f"[config: {option.key}]" if option.key and command in _CONFIG else ""
+                sp.add_argument(option.flag, dest=option.flag[2:],
+                                help=f"{option.help} {config}".strip(),
+                                required=command in option.required, **option.argument)
+    return parser
 
 
 def _report_error(exc: Exception, json_errors: bool) -> None:
@@ -442,8 +433,8 @@ def main(argv=None) -> int:
     json_errors = False
     try:
         args = parser.parse_args(argv)
-        json_errors = getattr(args, "json_errors", False)
-        return _HANDLERS[args.command](args)
+        json_errors = args.json_errors
+        return _COMMANDS[args.command][0](_given(args))
     except (SchemaMismatch, OSError) as exc:
         _report_error(exc, json_errors)
         return 3

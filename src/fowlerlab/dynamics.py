@@ -74,6 +74,8 @@ class IntegratorSettings:
             raise DomainError(f"t_span ends must be finite, got {self.t_span!r}")
         if not self.t_span[0] < self.t_span[1]:
             raise DomainError(f"degenerate t_span {self.t_span!r}")
+        if not self.max_step > 0.0:  # NaN too: it would lift the step bound
+            raise DomainError(f"max_step must be positive, got {self.max_step!r}")
         if not (self.blowup_threshold > 0.0 and self.positivity_floor > 0.0):
             raise DomainError("thresholds must be positive")
         if not self.event_refinement_tol > 0.0:

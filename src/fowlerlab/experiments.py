@@ -197,6 +197,8 @@ def _nearest_event(traj: Trajectory, kind: str):
 def _collect_draws(
     params: SystemParams, spec: SamplerSpec, n_runs: int, seed: int
 ) -> tuple[list[tuple[int, InitialData]], dict]:
+    if n_runs < 0:
+        raise DomainError(f"n_runs must be nonnegative, got {n_runs!r}")
     draws: list[tuple[int, InitialData]] = []
     rejected: dict[str, int] = {}
     index = 0
@@ -440,7 +442,7 @@ def semi_singular_search(
     if settings is None:
         settings = IntegratorSettings()
 
-    draws, rejected = _collect_draws(params, spec, n_runs, seed) if n_runs else ([], {})
+    draws, rejected = _collect_draws(params, spec, n_runs, seed)
     counts: dict[str, int] = {}
     runs = []
     failures = []
@@ -538,6 +540,8 @@ def sweep(
     identical to the serial run.  When archive_dir is given, every
     trajectory artifact is written there and referenced by relative path.
     """
+    if workers < 1:
+        raise DomainError(f"workers must be at least 1, got {workers!r}")
     if settings is None:
         settings = IntegratorSettings()
     if archive_dir is not None:

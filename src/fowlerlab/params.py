@@ -30,6 +30,8 @@ BISECTION_STEPS = 60
 #: Log-grid resolution used to hunt for a sign change when the bracket
 #: endpoints agree in sign.
 _SCAN_POINTS = 512
+#: Scale of the standard member of the entire family (apex at t = 0).
+STANDARD_EPS = 1.0
 
 
 @dataclass(frozen=True)

@@ -197,9 +197,9 @@ class TestExperimentCommands:
         assert doc["counts"] == {"BothSingularCandidate": 1}
 
     def test_sweep_requires_grids(self, capsys):
-        code, _, err = run_cli(capsys, "sweep", "--N", "3", "--mu1", "1",
-                               "--mu2", "1", "--beta", "1")
+        code, _, err = run_cli(capsys, "sweep")
         assert code == 1
+        assert "param_grid and initial_grid" in err
 
     def test_shoot(self, capsys):
         code, stdout, _ = run_cli(capsys, "shoot", "--N", "3", "--mu1", "1",
@@ -294,3 +294,98 @@ def test_bad_horizon_exits_one(capsys, horizon):
     assert code == 1 and out == ""
     assert err.startswith("fowlerlab: error: horizon must be finite and positive")
     assert "Traceback" not in err
+
+
+P3 = ("--N", "3", "--mu1", "1", "--mu2", "1", "--beta", "1")
+
+
+def test_shoot_settings_flags_override_shoot_defaults(capsys, tmp_path):
+    # rel_tol 1e-12 is shoot's own value: giving it again changes nothing.
+    _, flagless, _ = run_cli(capsys, "shoot", *P3)
+    code, flagged, _ = run_cli(capsys, "shoot", *P3, "--rel-tol", "1e-12")
+    assert code == 0 and flagged == flagless
+    config = tmp_path / "shoot.json"
+    config.write_text(json.dumps({"settings": {"rel_tol": 1e-12}}))
+    code, configured, _ = run_cli(capsys, "shoot", *P3, "--config", str(config))
+    assert code == 0 and configured == flagless
+
+
+def test_top_level_eps_config_key_is_rejected(capsys, tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"eps": 2.0}))
+    code, _, _ = run_cli(capsys, "bubble", *P3, "--config", str(config))
+    assert code == 3
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("sweep", "--N"), ("sweep", "--mu1"), ("sweep", "--mu2"), ("sweep", "--beta"),
+    ("sign-change", "--t-min"), ("sign-change", "--t-max"),
+])
+def test_flags_without_effect_are_not_taken(capsys, command, flag):
+    code, out, err = run_cli(capsys, command, flag, "-1")
+    assert code == 1 and out == ""
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("extra,config,exit_code", [
+    (("--orbit", "bubble", "--initial", "0.3", "0.3", "0", "0"), None, 1),
+    (("--orbit", "cylinder", "--eps", "2"), None, 1),
+    ((), {"initial": {"orbit": "bubble", "a1": 0.3, "a2": 0.3, "b1": 0.0, "b2": 0.0}}, 1),
+    ((), {"initial": {"a1": 0.3, "a2": 0.3, "b1": 0.0, "b2": 0.0, "eps": 2.0}}, 1),
+    ((), {"initial": {"orbit": "cylinder", "a1": 0.3}}, 3),  # a1..b2 come all or none
+])
+def test_initial_data_from_one_source(capsys, tmp_path, extra, config, exit_code):
+    args = list(P3) + list(extra)
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        args += ["--config", str(path)]
+    code, out, err = run_cli(capsys, "integrate", *args, "--t-min", "-2", "--t-max", "2")
+    assert code == exit_code and out == ""
+    assert err.startswith("fowlerlab: error: ")
+
+
+def test_flag_source_beats_config_source(capsys, tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"initial": {"orbit": "bubble"}}))
+    code, out, _ = run_cli(capsys, "integrate", *CYLINDER_N3, "--config", str(config),
+                           "--t-min", "-2", "--t-max", "2")
+    assert code == 0
+    assert stdout_json(out)["psi0"] == pytest.approx(-0.0589256, abs=5e-8)
+    # The config eps would then scale data that is not the bubble orbit.
+    config.write_text(json.dumps({"initial": {"orbit": "bubble", "eps": 2.0}}))
+    code, out, _ = run_cli(capsys, "integrate", *CYLINDER_N3, "--config", str(config),
+                           "--t-min", "-2", "--t-max", "2")
+    assert code == 1 and out == ""
+
+
+def test_config_out_applies_to_every_command_with_out(capsys, tmp_path):
+    out = tmp_path / "cylinder.json"
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"out": str(out)}))
+    code, stdout, _ = run_cli(capsys, "cylinder", *P3, "--config", str(config))
+    assert code == 0
+    assert json.loads(stdout) == {"written": str(out)}
+    validate(json.loads(out.read_text()), "cylinder")
+
+
+@pytest.mark.parametrize("max_step", ["0", "-1", "nan"])
+def test_nonpositive_max_step_exits_one(capsys, max_step):
+    code, out, err = run_cli(capsys, "integrate", *CYLINDER_N3, f"--max-step={max_step}")
+    assert code == 1 and out == ""
+    assert "max_step must be positive" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("sign-change", *P3, "--runs", "-1"), "n_runs must be nonnegative"),
+    (("search-semi", "--N", "5", "--mu1", "1", "--mu2", "1", "--beta", "1", "--runs", "-5"),
+     "n_runs must be nonnegative"),
+    (("sweep", "--workers", "0"), "workers must be at least 1"),
+])
+def test_out_of_range_counts_exit_one(capsys, tmp_path, argv, message):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"param_grid": [[3, 1.0, 1.0, 1.0]],
+                                  "initial_grid": [[0.5, 0.5, 0.0, 0.0]]}))
+    code, out, err = run_cli(capsys, *argv, "--config", str(config))
+    assert code == 1 and out == ""
+    assert message in err

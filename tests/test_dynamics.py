@@ -43,6 +43,12 @@ class TestSettingsAndState:
         with pytest.raises(DomainError, match="finite"):
             IntegratorSettings(t_span=span)
 
+    @pytest.mark.parametrize("max_step", [0.0, -1.0, math.nan])
+    def test_max_step_must_be_positive(self, max_step):
+        with pytest.raises(DomainError, match="max_step must be positive"):
+            IntegratorSettings(max_step=max_step)
+        assert IntegratorSettings(max_step=math.inf).max_step == math.inf
+
     def test_state_requires_finite_components(self):
         with pytest.raises(DomainError):
             FowlerState(0.0, float("nan"), 1.0, 0.0, 0.0)

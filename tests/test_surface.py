@@ -3,12 +3,15 @@
 Every public module-level def or class in src/fowlerlab is either exported
 in fowlerlab.__all__ or used by name somewhere in the package source, and
 every private one (a leading underscore) is used by name in that source.
+Likewise every run-config key is read through the CLI option table.
 """
 
 import ast
+import json
 from pathlib import Path
 
 import fowlerlab
+from fowlerlab.cli import OPTIONS
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fowlerlab"
 
@@ -75,3 +78,26 @@ def test_every_private_definition_is_used():
         if name not in used
     ]
     assert orphans == []
+
+
+def _schema_keys(properties: dict, prefix: str = "") -> set[str]:
+    keys = set()
+    for name, spec in properties.items():
+        if "properties" in spec:
+            keys |= _schema_keys(spec["properties"], f"{prefix}{name}.")
+        else:
+            keys.add(prefix + name)
+    return keys
+
+
+def test_every_config_key_is_an_option():
+    schema = json.loads((SRC / "schemas" / "run_config.schema.json").read_text())
+    declared = {
+        ".".join(part for part in key.split(".") if not part.isdigit())
+        for option in OPTIONS if option.key is not None
+        for key in option.key.split()
+    }
+    assert declared == _schema_keys(schema["properties"])
+    # Each key has a reader: a command that takes it and --config.
+    config_commands = next(o.commands for o in OPTIONS if o.flag == "--config")
+    assert all(set(o.commands) & set(config_commands) for o in OPTIONS if o.key)
