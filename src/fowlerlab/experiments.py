@@ -199,6 +199,8 @@ def _collect_draws(
 ) -> tuple[list[tuple[int, InitialData]], dict]:
     if n_runs < 0:
         raise DomainError(f"n_runs must be nonnegative, got {n_runs!r}")
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed!r}")
     draws: list[tuple[int, InitialData]] = []
     rejected: dict[str, int] = {}
     index = 0

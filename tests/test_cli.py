@@ -389,3 +389,35 @@ def test_out_of_range_counts_exit_one(capsys, tmp_path, argv, message):
     code, out, err = run_cli(capsys, *argv, "--config", str(config))
     assert code == 1 and out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("command", ["sign-change", "search-semi"])
+def test_negative_seed_flag_exits_one(capsys, command):
+    code, out, err = run_cli(capsys, command, "--N", "5", "--mu1", "1", "--mu2", "1",
+                             "--beta", "1", "--runs", "2", "--seed", "-1")
+    assert code == 1 and out == ""
+    assert err.startswith("fowlerlab: error: seed must be nonnegative")
+    assert "Traceback" not in err
+
+
+def test_negative_seed_config_exits_three(capsys, tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"seed": -1}))
+    code, out, err = run_cli(capsys, "sign-change", *P3, "--runs", "2",
+                             "--config", str(config))
+    assert code == 3 and out == ""
+    assert err.startswith("fowlerlab: error: run_config: -1 is less than the minimum of 0")
+
+
+@pytest.mark.parametrize("samples", ["-3", "0"])
+def test_plot_data_needs_a_sample(capsys, tmp_path, samples):
+    artifact = tmp_path / "orbit.json"
+    code, _, _ = run_cli(capsys, "integrate", *CYLINDER_N3, "--t-min", "-2", "--t-max", "2",
+                         "--out", str(artifact))
+    assert code == 0
+    plot = tmp_path / "plot.csv"
+    code, out, err = run_cli(capsys, "plot-data", "--in", str(artifact), "--out", str(plot),
+                             f"--samples={samples}")
+    assert code == 1 and out == ""
+    assert err.startswith("fowlerlab: error: samples must be at least 1")
+    assert not plot.exists()

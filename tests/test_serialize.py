@@ -1,6 +1,9 @@
+import copy
 import json
 import math
+from importlib import resources
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,16 +15,21 @@ from fowlerlab import (
     classify,
     export_csv,
     export_plot_data,
+    integrate,
     load_trajectory,
     monitor,
     save_trajectory,
+    sign_change_experiment,
     to_radial,
 )
+from fowlerlab.cli import main
 from fowlerlab.errors import SchemaMismatch
 from fowlerlab.serialize import (
     CSV_COLUMNS,
+    classification_to_dict,
     dumps,
     experiment_report_to_dict,
+    invariant_report_to_dict,
     settings_from_dict,
     settings_to_dict,
     trajectory_to_dict,
@@ -220,3 +228,160 @@ class TestReportSerialization:
         assert embedded["classification"]["verdict"] == verdict.verdict
         assert embedded["classification"]["K_value"] == verdict.K_value
         assert embedded["invariants"]["psi_drift"] == report.psi_drift
+
+
+# --- the cached validator against stock jsonschema.validate ---------------
+
+SCHEMAS = resources.files("fowlerlab").joinpath("schemas")
+SCHEMA_NAMES = sorted(f.name[: -len(".schema.json")] for f in SCHEMAS.iterdir()
+                      if f.name.endswith(".schema.json"))
+
+# Stand-ins for one array item: bool, null, string, array, object, a float
+# subclass, an int and a nan.
+BAD_ITEMS = (True, None, "1.0", [1.0], {}, np.float64(2.0), 3, math.nan)
+
+P3_FLAGS = ("--N", "3", "--mu1", "1", "--mu2", "1", "--beta", "1")
+
+
+def _cli_document(tmp_path_factory, *argv):
+    path = tmp_path_factory.mktemp("cli") / "out.json"
+    assert main([*argv, *P3_FLAGS, "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+@pytest.fixture(scope="module")
+def valid_documents(p3, tmp_path_factory):
+    """One valid document per shipped schema, as the package writes it."""
+    # A short signed orbit: few nodes, and an event with its state.
+    traj = integrate(p3, FowlerState(0.0, 0.05, 0.5, -0.5, 0.3),
+                     IntegratorSettings(t_span=(-1.0, 1.0)), mode="signed")
+    assert traj.events
+    report = monitor(p3, traj)
+    verdict = classify(p3, traj, report)
+    path = tmp_path_factory.mktemp("orbit") / "orbit.json"
+    save_trajectory(traj, path, invariant_report=report, classification=verdict)
+    return {
+        "trajectory": json.loads(path.read_text()),
+        "invariant_report": invariant_report_to_dict(report),
+        "classification": classification_to_dict(verdict),
+        "experiment_report": experiment_report_to_dict(
+            sign_change_experiment(p3, n_runs=2, seed=1)),
+        "run_config": {
+            "params": {"N": 3, "mu1": 1.0, "mu2": 1.0, "beta": 1.0},
+            "initial": {"a1": 0.5, "a2": 0.5, "b1": 0.3, "b2": -0.3},
+            "settings": {"t_span": [-3.0, 3.0], "max_step": None},
+            "seed": 4,
+            "param_grid": [[3, 1.0, 1.0, 1.0], [4, 1.0, 1.0, 2.0]],
+            "initial_grid": [[0.5, 0.5, 0.0, 0.0]],
+        },
+        "bubble": _cli_document(tmp_path_factory, "bubble", "--r", "0.5", "--r", "2.0"),
+        "cylinder": _cli_document(tmp_path_factory, "cylinder"),
+        "coupling": _cli_document(tmp_path_factory, "solve-kl"),
+        "shoot": _cli_document(tmp_path_factory, "shoot"),
+    }
+
+
+def _containers(doc):
+    """Path of every list and dict in doc, the first of each shape only.
+
+    Paths that differ only in list indices (events.0.state, events.1.state)
+    meet the same subschema, so the first one stands for all of them.
+    """
+    seen = set()
+
+    def walk(node, path):
+        shape = tuple("*" if isinstance(key, int) else key for key in path)
+        if isinstance(node, (list, dict)) and shape not in seen:
+            seen.add(shape)
+            yield path
+        children = enumerate(node) if isinstance(node, list) else (
+            node.items() if isinstance(node, dict) else ())
+        for key, child in children:
+            yield from walk(child, (*path, key))
+
+    return list(walk(doc, ()))
+
+
+def _replace(doc, path, value):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _mutants(doc):
+    """(label, document) pairs, each one small edit away from doc."""
+    for path in _containers(doc):
+        node = _get(doc, path)
+        if isinstance(node, dict):
+            yield f"{path}: extra key", _replace(doc, (*path, "surprise"), 1.0)
+            if path:
+                yield f"{path}: as a list", _replace(doc, path, list(node.values()))
+            continue
+        if path:
+            yield f"{path}: as a string", _replace(doc, path, json.dumps(node))
+        for index in sorted({0, len(node) - 1} if node else ()):
+            for bad in BAD_ITEMS:
+                yield f"{path}[{index}] = {bad!r}", _replace(doc, (*path, index), bad)
+        if len(node) >= 2:
+            # Two bad items: the error that wins must be the same one.
+            twice = _replace(doc, (*path, len(node) - 1), "1.0")
+            yield f"{path}: two bad items", _replace(twice, (*path, 0), None)
+
+
+def _stock_outcome(doc, name):
+    schema = json.loads(SCHEMAS.joinpath(f"{name}.schema.json").read_text())
+    try:
+        jsonschema.validate(doc, schema)
+    except jsonschema.ValidationError as exc:
+        return f"{name}: {exc.message}"
+    return None
+
+
+def _outcome(doc, name):
+    try:
+        validate(doc, name)
+    except SchemaMismatch as exc:
+        return str(exc)
+    return None
+
+
+def test_every_schema_has_a_valid_document(valid_documents):
+    assert sorted(valid_documents) == SCHEMA_NAMES
+    for name, doc in valid_documents.items():
+        assert _stock_outcome(doc, name) is None
+        assert _outcome(doc, name) is None
+
+
+@pytest.mark.parametrize("name", SCHEMA_NAMES)
+def test_validate_matches_stock_jsonschema(valid_documents, name):
+    rejected = 0
+    for label, doc in _mutants(valid_documents[name]):
+        expected = _stock_outcome(doc, name)
+        assert _outcome(doc, name) == expected, label
+        rejected += expected is not None
+    assert rejected > 0
+
+
+def test_validate_checks_every_node_item(valid_documents):
+    doc = valid_documents["trajectory"]
+    for key in ("t", "w1", "w2", "dw1", "dw2", "psi"):
+        for index in range(len(doc["nodes"][key])):
+            bad = _replace(doc, ("nodes", key, index), True)
+            with pytest.raises(SchemaMismatch, match="True is not of type 'number'"):
+                validate(bad, "trajectory")
+
+
+@pytest.mark.parametrize("name", SCHEMA_NAMES)
+def test_shipped_schema_is_draft_07(name):
+    schema = json.loads(SCHEMAS.joinpath(f"{name}.schema.json").read_text())
+    assert schema["$schema"] == "http://json-schema.org/draft-07/schema#"
+    jsonschema.Draft7Validator.check_schema(schema)
