@@ -301,9 +301,10 @@ def _cmd_bubble(given: dict) -> int:
 def _cmd_integrate(given: dict) -> int:
     params = _params(given)
     traj = integrate(params, _initial(given, params), _settings(given), **_kwargs(given, "mode"))
-    report = monitor(params, traj) if len(traj.t) > 1 else None
-    verdict = classify(params, traj, report)
     path = _resolve_out(given["out"]) if given.get("out") else None
+    # Only the artifact carries the monitor report.
+    report = monitor(params, traj) if path and len(traj.t) > 1 else None
+    verdict = classify(params, traj, report)
     if path:
         serialize.save_trajectory(traj, path, invariant_report=report, classification=verdict)
     if given.get("csv"):

@@ -106,7 +106,11 @@ def rhs(params: SystemParams, state: FowlerState) -> tuple[float, float, float, 
 
 
 def _make_field(params: SystemParams) -> Callable[[float, float], tuple[float, float]]:
-    """Scalar (w1, w2) -> (w1'', w2''): the field the integrator steps on."""
+    """Scalar (w1, w2) -> (w1'', w2''): the field the integrator steps on.
+
+    The signed formula, with a first branch for the open positive cone that
+    drops the abs and copysign calls and returns the same floats.
+    """
     p = params.p
     d2 = params.delta**2
     mu1, mu2, beta = params.mu1, params.mu2, params.beta
@@ -114,6 +118,11 @@ def _make_field(params: SystemParams) -> Callable[[float, float], tuple[float, f
     q1 = 2.0 * p - 1.0
 
     def field(w1, w2):
+        if w1 > 0.0 and w2 > 0.0:
+            # |w| = w here, and copysign leaves the nonnegative powers as they are.
+            dd1 = d2 * w1 - mu1 * w1**q1 - beta * w2**p * w1**p1
+            dd2 = d2 * w2 - mu2 * w2**q1 - beta * w1**p * w2**p1
+            return dd1, dd2
         a1 = abs(w1)
         a2 = abs(w2)
         dd1 = d2 * w1 - mu1 * math.copysign(a1**q1, w1) - beta * a2**p * math.copysign(a1**p1, w1)
@@ -218,8 +227,10 @@ class Trajectory:
                 fun = _make_field(self.params)
                 self.acc = np.array(list(map(fun, self.y[0].tolist(), self.y[1].tolist()))).T
             h = np.diff(self.t)
+            # Per component a (6, n - 1) array: one contiguous row per
+            # coefficient, gathered row by row in sample.
             self._coeffs = tuple(
-                np.stack(_quintic(w[:-1], w[1:], dw[:-1], dw[1:], a[:-1], a[1:], h), axis=1)
+                np.array(_quintic(w[:-1], w[1:], dw[:-1], dw[1:], a[:-1], a[1:], h))
                 for w, dw, a in zip(self.y[:2], self.y[2:], self.acc)
             ) + (h,)
         return self._coeffs
@@ -232,12 +243,13 @@ class Trajectory:
             return np.tile(self.y[:, :1], (1, len(tq)))
         c1, c2, h = self._interpolant()
         idx = np.clip(np.searchsorted(self.t, tq, side="right") - 1, 0, len(h) - 1)
-        s = (tq - self.t[idx]) / h[idx]
+        hq = h[idx]
+        s = (tq - self.t[idx]) / hq
         out = np.empty((4, len(tq)))
         for row, c in ((0, c1), (1, c2)):
-            cc = c[idx].T
+            cc = [ck[idx] for ck in c]
             out[row] = _quintic_value(cc, s)
-            out[row + 2] = _quintic_slope(cc, s) / h[idx]
+            out[row + 2] = _quintic_slope(cc, s) / hq
         return out
 
     def sample_state(self, t: float) -> FowlerState:
@@ -648,7 +660,7 @@ def _dedupe(candidates: list[float], tol: float) -> list[float]:
 def _row_function(traj: Trajectory, row: int) -> Callable[[float], float]:
     """Scalar x -> traj.sample(x)[row, 0], bit for bit, without numpy calls."""
     c1, c2, h = traj._interpolant()
-    coeffs = (c1 if row % 2 == 0 else c2).tolist()
+    coeffs = (c1 if row % 2 == 0 else c2).T.tolist()
     nodes = traj.t.tolist()
     steps = h.tolist()
     last = len(steps) - 1

@@ -372,9 +372,13 @@ def shoot_entire(
     scalar Fowler equation, whose energy sign fixes which comes first; after
     a minimum a negative-energy orbit is periodic and never reaches zero.
     The converged orbit must decay below SHOOT_DECAY_CUT at both window ends.
+    The window must hold the apex time: t_span[0] < 0 < t_span[1].
     """
     if settings is None:
         settings = shoot_settings(params)
+    if not settings.t_span[0] < 0.0 < settings.t_span[1]:
+        raise DomainError(f"shooting window must hold the apex time 0, got t_span "
+                          f"{settings.t_span!r}")
     try:
         kl = solve_coupling(params)
     except NoPositiveSolution as exc:
@@ -434,6 +438,8 @@ def semi_singular_search(
     positivity-constrained mode and classified; every SemiSingularCandidate
     is recorded as a failure.  The report logs the window infimum of each
     component for both-singular candidates (the lower-bound statistic).
+    Runs are not monitored: a run record keeps only the verdict, K, inf_w
+    and the anomaly flag, none of which reads the lemma monitors.
     """
     if params.N < 4:
         raise DomainError("semi-singular search is specified for N >= 4")
@@ -451,8 +457,7 @@ def semi_singular_search(
     lower_bounds = []
     for index, data in draws:
         traj = integrate(params, data.state(), settings, mode="positive")
-        report = monitor(params, traj) if len(traj.t) > 1 else None
-        verdict_obj = classify(params, traj, report)
+        verdict_obj = classify(params, traj)
         verdict = verdict_obj.verdict
         counts[verdict] = counts.get(verdict, 0) + 1
         record = {
@@ -496,7 +501,8 @@ def _sweep_point(payload):
         data = InitialData.from_values(params, *values)
         record["initial"] = _initial_as_list(data)
         traj = integrate(params, data.state(), settings, mode=mode)
-        report = monitor(params, traj) if len(traj.t) > 1 else None
+        # Only the archived artifact carries the monitor report.
+        report = monitor(params, traj) if archive_dir is not None and len(traj.t) > 1 else None
         verdict_obj = classify(params, traj, report)
         record["verdict"] = verdict_obj.verdict
         record["K_value"] = verdict_obj.K_value

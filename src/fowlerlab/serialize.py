@@ -13,7 +13,8 @@ an array whose items must be {"type": "number"} is type-checked in one
 loop, where a plain float or int passes outright and every other item gets
 jsonschema's own check and error.  So a document is accepted or rejected
 with the same message as by jsonschema.validate, without one schema
-descent per node value.
+descent per node value.  jsonschema is imported on the first validation,
+so runs that never validate do not load it.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from functools import lru_cache
 from importlib import resources
 
 import numpy as np
-from jsonschema.exceptions import best_match
-from jsonschema.validators import extend, validator_for
 
 from .classify import Classification
 from .dynamics import Event, IntegratorSettings, Trajectory
@@ -49,6 +48,8 @@ _NUMBER = {"type": "number"}
 @lru_cache(maxsize=None)
 def _validator(name: str):
     """The shipped schema's validator (see the module docstring), built once."""
+    from jsonschema.validators import extend, validator_for
+
     path = resources.files("fowlerlab").joinpath("schemas", f"{name}.schema.json")
     schema = json.loads(path.read_text())
     cls = validator_for(schema)
@@ -68,6 +69,8 @@ def _validator(name: str):
 
 def validate(instance: dict, schema_name: str) -> None:
     """Validate a document against a shipped schema; SchemaMismatch on failure."""
+    from jsonschema.exceptions import best_match
+
     error = best_match(_validator(schema_name).iter_errors(instance))
     if error is not None:
         raise SchemaMismatch(f"{schema_name}: {error.message}") from error

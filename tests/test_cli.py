@@ -63,6 +63,18 @@ class TestIntegratePipeline:
         code, _, err = run_cli(capsys, "integrate", "--no-such-flag")
         assert code == 1
 
+    def test_integrate_monitors_only_for_the_artifact(self, capsys, monkeypatch):
+        from fowlerlab import cli
+
+        def refuses(*args, **kwargs):
+            raise AssertionError("monitor called")
+
+        monkeypatch.setattr(cli, "monitor", refuses)
+        code, stdout, _ = run_cli(capsys, "integrate", "--N", "3", "--mu1", "1", "--mu2",
+                                  "1", "--beta", "1", "--orbit", "cylinder")
+        assert code == 0
+        assert stdout_json(stdout)["verdict"] == "BothSingularCandidate"
+
     def test_artifact_pipeline(self, capsys, tmp_path):
         out = tmp_path / "orbit.json"
         csv = tmp_path / "orbit.csv"
@@ -208,6 +220,13 @@ class TestExperimentCommands:
         doc = stdout_json(stdout)
         validate(doc, "shoot")
         assert doc["rel_err"] < 1e-6
+
+    @pytest.mark.parametrize("window", [("-10", "0"), ("-10", "-5"), ("1", "10")])
+    def test_shoot_window_must_hold_the_apex_time(self, capsys, window):
+        code, _, err = run_cli(capsys, "shoot", "--N", "3", "--mu1", "1", "--mu2", "1",
+                               "--beta", "1", "--t-min", window[0], "--t-max", window[1])
+        assert code == 1
+        assert err.startswith("fowlerlab: error: shooting window must hold the apex time")
 
 
 def _one_failure_report(kind):

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import mpmath
 import numpy as np
@@ -19,7 +20,9 @@ from fowlerlab import (
     to_fowler,
     to_radial,
 )
+from fowlerlab.dynamics import _make_field, _row_function
 from fowlerlab.errors import DomainError
+from fowlerlab.serialize import load_trajectory, save_trajectory
 
 mpmath.mp.dps = 50
 
@@ -107,6 +110,47 @@ class TestRhs:
         minus = rhs(p5, FowlerState(0.0, -0.4, -0.3, 0.0, 0.0))
         assert plus[2] == pytest.approx(-minus[2], rel=1e-15)
         assert plus[3] == pytest.approx(-minus[3], rel=1e-15)
+
+
+def _signed_field(params, w1, w2):
+    """The field's signed formula, kept here as the reference for its
+    positive-cone branch."""
+    p, d2 = params.p, params.delta**2
+    mu1, mu2, beta = params.mu1, params.mu2, params.beta
+    a1, a2 = abs(w1), abs(w2)
+    dd1 = (d2 * w1 - mu1 * math.copysign(a1 ** (2.0 * p - 1.0), w1)
+           - beta * a2**p * math.copysign(a1 ** (p - 1.0), w1))
+    dd2 = (d2 * w2 - mu2 * math.copysign(a2 ** (2.0 * p - 1.0), w2)
+           - beta * a1**p * math.copysign(a2 ** (p - 1.0), w2))
+    return dd1, dd2
+
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+class TestFieldBranches:
+    POSITIVE = (5e-324, 1e-300, 0.3, 1.0, 1.7, 1e100, 1e300, math.inf)
+    OTHER = ((0.0, 0.7), (0.7, 0.0), (-0.0, 0.7), (0.0, 0.0), (-0.4, 0.3),
+             (0.4, -0.3), (-0.4, -0.3), (-1e-300, 1e100), (-math.inf, 1.0))
+
+    @pytest.mark.parametrize("N", [3, 4, 5, 6])
+    def test_matches_the_signed_formula_bit_for_bit(self, N):
+        params = make_params(N, 1.0, 1.3, 0.7)
+        field = _make_field(params)
+        pairs = [(a, b) for a in self.POSITIVE for b in self.POSITIVE] + list(self.OTHER)
+        overflowed = 0
+        for w1, w2 in pairs:
+            try:
+                expected = _signed_field(params, w1, w2)
+            except OverflowError:
+                overflowed += 1
+                with pytest.raises(OverflowError):
+                    field(w1, w2)
+                continue
+            assert _bits(field(w1, w2)) == _bits(expected), (w1, w2)
+        # 1e300 overflows a pow in every dimension, 1e100 only for N = 3.
+        assert overflowed > 0
 
 
 class TestTransforms:
@@ -294,6 +338,20 @@ class TestIntegrate:
         got = resumed.sample_state(float(tm) + 1.0)
         assert got.w1 == pytest.approx(target.w1, abs=1e-9)
         assert got.dw1 == pytest.approx(target.dw1, abs=1e-9)
+
+    def test_sample_equals_row_function_bit_for_bit(self, p5, tmp_path):
+        state, _ = cylinder_state(p5)
+        bumped = FowlerState(0.0, state.w1 + 2e-2, state.w2 - 1e-2, 0.01, 0.0)
+        fresh = integrate(p5, bumped, IntegratorSettings(t_span=(-12.0, 12.0)))
+        save_trajectory(fresh, tmp_path / "orbit.json")
+        loaded = load_trajectory(tmp_path / "orbit.json")
+        rng = np.random.default_rng(11)
+        tq = np.concatenate([rng.uniform(fresh.t_min, fresh.t_max, 300), fresh.t[::7]])
+        for traj in (fresh, loaded):
+            sampled = traj.sample(tq)
+            for row in range(4):
+                f = _row_function(traj, row)
+                assert [f(x) for x in tq.tolist()] == sampled[row].tolist()
 
 
 class TestDetectExtrema:

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -18,6 +19,7 @@ from fowlerlab import (
     cylinder_state,
     integrate,
     make_params,
+    monitor,
     psi,
     semi_singular_search,
     shoot_entire,
@@ -35,7 +37,11 @@ from fowlerlab.experiments import (
     draw_initial,
     shoot_settings,
 )
-from fowlerlab.serialize import dumps, experiment_report_to_dict
+from fowlerlab.serialize import dumps, experiment_report_to_dict, invariant_report_to_dict
+
+
+def _refuses(*args, **kwargs):
+    raise AssertionError("monitor called")
 
 
 class TestInitialData:
@@ -321,6 +327,11 @@ class TestShootEntire:
             shoot_entire(p5, low_box)
         assert len(calls) <= 2
 
+    @pytest.mark.parametrize("span", [(-10.0, 0.0), (-10.0, -5.0), (1.0, 10.0)])
+    def test_window_must_hold_the_apex_time(self, p3, span):
+        with pytest.raises(DomainError, match="apex time"):
+            shoot_entire(p3, replace(shoot_settings(p3), t_span=span))
+
     def test_no_positive_solution_becomes_bracket_failure(self):
         p = make_params(4, 1.0, 2.0, 1.5)
         with pytest.raises(BracketFailure):
@@ -346,6 +357,22 @@ class TestSemiSingularSearch:
         assert report.n_runs == 0
         assert report.counts == {}
         assert report.runs == []
+
+    def test_runs_are_not_monitored(self, p5, monkeypatch):
+        monkeypatch.setattr(experiments, "monitor", _refuses)
+        report = semi_singular_search(
+            p5, n_runs=3, settings=IntegratorSettings(t_span=(-12.0, 12.0)), seed=2
+        )
+        assert report.n_runs == 3
+
+    def test_long_window_report_needs_no_pohozaev_range(self):
+        # The monitor's Pohozaev cross-check leaves the float range on this
+        # window (r up to e^400); the search never reads it.
+        report = semi_singular_search(
+            make_params(4, 1.0, 1.0, 0.5), n_runs=1,
+            settings=IntegratorSettings(t_span=(-400.0, 400.0)),
+        )
+        assert report.counts == {BOTH_SINGULAR: 1}
 
     def test_determinism(self, p5):
         settings_ = IntegratorSettings(t_span=(-12.0, 12.0))
@@ -437,6 +464,27 @@ class TestSweep:
     def test_counts_sum_invariant(self, p3, span20):
         report = sweep([p3], [(0.4, 0.4, 0.0, 0.0), (1500.0, 1.0, 0.0, 0.0)], span20)
         assert sum(report.counts.values()) == report.n_runs
+
+    def test_unarchived_points_are_not_monitored(self, p3, span20, monkeypatch):
+        monkeypatch.setattr(experiments, "monitor", _refuses)
+        cyl, _ = cylinder_state(p3)
+        report = sweep([p3], [(cyl.w1, cyl.w2, 0.0, 0.0)], span20)
+        assert report.counts == {BOTH_SINGULAR: 1}
+
+    def test_archived_points_carry_the_monitor_report(self, p3, span20, tmp_path,
+                                                      monkeypatch):
+        reports = []
+
+        def kept(*args):
+            reports.append(monitor(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(experiments, "monitor", kept)
+        cyl, _ = cylinder_state(p3)
+        sweep([p3], [(cyl.w1, cyl.w2, 0.0, 0.0)], span20, archive_dir=str(tmp_path))
+        doc = json.loads((tmp_path / "run_000_000.json").read_text())
+        assert len(reports) == 1
+        assert doc["reports"]["invariants"] == invariant_report_to_dict(reports[0])
 
     def test_archive_writes_per_run_artifacts(self, p3, span20, tmp_path):
         from fowlerlab import load_trajectory

@@ -1,6 +1,9 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
@@ -385,3 +388,20 @@ def test_shipped_schema_is_draft_07(name):
     schema = json.loads(SCHEMAS.joinpath(f"{name}.schema.json").read_text())
     assert schema["$schema"] == "http://json-schema.org/draft-07/schema#"
     jsonschema.Draft7Validator.check_schema(schema)
+
+
+def test_runs_that_never_validate_do_not_load_jsonschema():
+    import fowlerlab
+
+    script = (
+        "import sys\n"
+        "import fowlerlab\n"
+        "fowlerlab.semi_singular_search(fowlerlab.make_params(5, 1.0, 1.0, 1.0), n_runs=1,\n"
+        "    settings=fowlerlab.IntegratorSettings(t_span=(-12.0, 12.0)))\n"
+        "assert 'jsonschema' not in sys.modules, 'jsonschema was imported'\n"
+    )
+    src = os.path.dirname(os.path.dirname(fowlerlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
