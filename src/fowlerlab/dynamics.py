@@ -523,6 +523,13 @@ def solve_ivp(field, t0, y0, t_bound, settings, mode, stop=None):
                    nfev=nfev, status=status, event=event)
 
 
+def _require_window(t_span, t: float, message: str, strict: bool = False) -> None:
+    """DomainError unless t_span holds t (strictly inside when strict)."""
+    t_lo, t_hi = t_span
+    if not (t_lo < t < t_hi if strict else t_lo <= t <= t_hi):
+        raise DomainError(f"{message} {t!r}, got t_span {t_span!r}")
+
+
 def integrate(
     params: SystemParams,
     initial: FowlerState,
@@ -536,10 +543,11 @@ def integrate(
     signed mode zero crossings of each component are recorded as
     non-terminal SignChange events, refined by bisection on the dense
     interpolant.  Step-size underflow is reported on the trajectory (flagged
-    uncertified), never raised.
+    uncertified), never raised.  The window must hold the initial time.
     """
     if settings is None:
         settings = IntegratorSettings()
+    _require_window(settings.t_span, initial.t, "integration window must hold the initial time")
     t_lo, t_hi = settings.t_span
 
     def solve(fun, t0, start):

@@ -25,14 +25,17 @@ from .errors import (
     NoPositiveSolution,
     SamplerDegenerate,
 )
-from .invariants import monitor, potential_arrays, psi
+from .invariants import monitor, potential_arrays, psi, psi_arrays
 from .params import SystemParams, cylinder_amplitudes, solve_coupling
 from .state import FowlerState
 
 #: Rejection attempts allowed per accepted draw before giving up.
 MAX_REJECTION_FACTOR = 200
-#: Bisection iterations for the entire-orbit shooting.
-SHOOT_BISECTIONS = 80
+#: Trial cap for closing the shooting bracket to adjacent floats.  The
+#: guarded secant halves the bracket at least once every 3 trials, and 70
+#: halvings take a bracket of the largest width, lam[0] * 2**10, to adjacent
+#: floats at any apex above lam[0] * 2**-7.
+SHOOT_TRIALS = 3 * 70
 #: Decay acceptance for the shot orbit: both components below this at the
 #: window end (while never changing sign).
 SHOOT_DECAY_CUT = 1e-6
@@ -359,26 +362,48 @@ def _loses_sign(fun, apex_w1: float, ratio: float, t_end: float,
     return seg.event == ("SignChange", None)
 
 
+def _apex_energy(params: SystemParams, ratio: float, apex_w1: float) -> float:
+    # Conserved along the trial orbit, nearly linear in the apex, and zero at
+    # the homoclinic one: the guide that places the next shooting trial.
+    return float(psi_arrays(params, apex_w1, ratio * apex_w1, 0.0, 0.0))
+
+
+def _next_apex(lo: float, hi: float, f_lo: float, f_hi: float, width_two_back: float) -> float:
+    # Regula falsi on the end energies, kept w/64 inside the bracket.  The
+    # midpoint instead when the energies do not bracket a root or the last
+    # two trials did not halve the bracket: then three trials always halve it.
+    width = hi - lo
+    mid = 0.5 * (lo + hi)
+    if not (min(f_lo, f_hi) < 0.0 < max(f_lo, f_hi) and width <= 0.5 * width_two_back):
+        return mid
+    secant = hi - f_hi * width / (f_hi - f_lo)
+    apex = min(max(secant, lo + width / 64.0), hi - width / 64.0)
+    # A bracket a few ulp wide rounds the clipped point onto an end.
+    return apex if lo < apex < hi else mid
+
+
 def shoot_entire(
     params: SystemParams, settings: IntegratorSettings | None = None
 ) -> tuple[InitialData, Trajectory]:
     """One-parameter shooting for the homoclinic zero-energy orbit.
 
     Apex states (derivatives zero, component ratio fixed by the coupling
-    pair) are bisected on the apex amplitude: above the homoclinic the orbit
+    pair) are bracketed on the apex amplitude: above the homoclinic the orbit
     changes sign, below it stays positive and returns.  Each trial stops at
     its first event: a component below zero (above), or a minimum of w1 or
     the window end (below).  On the proportional ray the orbit solves the
     scalar Fowler equation, whose energy sign fixes which comes first; after
     a minimum a negative-energy orbit is periodic and never reaches zero.
+    The trial decides which end of the bracket moves; the apex energy, whose
+    root is the homoclinic apex, only picks the next trial (_next_apex).  The
+    bracket closes to adjacent floats within SHOOT_TRIALS trials.
     The converged orbit must decay below SHOOT_DECAY_CUT at both window ends.
     The window must hold the apex time: t_span[0] < 0 < t_span[1].
     """
     if settings is None:
         settings = shoot_settings(params)
-    if not settings.t_span[0] < 0.0 < settings.t_span[1]:
-        raise DomainError(f"shooting window must hold the apex time 0, got t_span "
-                          f"{settings.t_span!r}")
+    dynamics._require_window(settings.t_span, 0.0, "shooting window must hold the apex time",
+                             strict=True)
     try:
         kl = solve_coupling(params)
     except NoPositiveSolution as exc:
@@ -402,14 +427,26 @@ def shoot_entire(
         if grow > 10:
             raise BracketFailure("no sign-losing apex found while expanding the bracket")
 
-    for _ in range(SHOOT_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if _loses_sign(fun, mid, ratio, t_end, settings):
-            hi = mid
+    f_lo = _apex_energy(params, ratio, lo)
+    f_hi = _apex_energy(params, ratio, hi)
+    widths = (math.inf, math.inf)  # bracket widths before the last two trials
+    moved = None
+    trials = 0
+    while 0.5 * (lo + hi) not in (lo, hi):
+        if trials == SHOOT_TRIALS:
+            raise BracketFailure(f"shooting bracket [{lo!r}, {hi!r}] still open after "
+                                 f"{SHOOT_TRIALS} trials")
+        trials += 1
+        apex = _next_apex(lo, hi, f_lo, f_hi, widths[0])
+        widths = (widths[1], hi - lo)
+        if _loses_sign(fun, apex, ratio, t_end, settings):
+            if moved == "hi":  # Illinois: lo kept twice, its energy halves
+                f_lo *= 0.5
+            hi, f_hi, moved = apex, _apex_energy(params, ratio, apex), "hi"
         else:
-            lo = mid
+            if moved == "lo":
+                f_hi *= 0.5
+            lo, f_lo, moved = apex, _apex_energy(params, ratio, apex), "lo"
     # The largest apex that never changes sign within the window.
     apex = lo
 

@@ -281,6 +281,23 @@ def test_radial_overflow_exits_one(capsys, tmp_path, t_min):
     assert not out.exists()
 
 
+def test_integrate_window_must_hold_the_initial_time(capsys, tmp_path):
+    # The cylinder data sit at t = 0, outside [5, 30]: no orbit on [0, 30].
+    out = tmp_path / "orbit.json"
+    code, stdout, err = run_cli(capsys, "integrate", *CYLINDER_N3, "--t-min", "5",
+                                "--t-max", "30", "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert err.startswith("fowlerlab: error: integration window must hold the initial time")
+    assert not out.exists()
+
+
+def test_search_semi_window_must_hold_the_initial_time(capsys):
+    code, _, err = run_cli(capsys, "search-semi", "--N", "4", "--mu1", "1", "--mu2", "1",
+                           "--beta", "1", "--runs", "1", "--t-min", "1", "--t-max", "30")
+    assert code == 1
+    assert err.startswith("fowlerlab: error: integration window must hold the initial time")
+
+
 def test_plot_data_overflow_writes_no_file(capsys, tmp_path):
     from fowlerlab import IntegratorSettings, cylinder_state, integrate, make_params
     from fowlerlab.serialize import save_trajectory

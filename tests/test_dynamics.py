@@ -295,6 +295,18 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             integrate(p3, FowlerState(0.0, -0.1, 0.5, 0.0, 0.0))
 
+    @pytest.mark.parametrize("span", [(5.0, 30.0), (-30.0, -5.0)])
+    def test_window_must_hold_the_initial_time(self, p3, span):
+        with pytest.raises(DomainError, match="window must hold the initial time 0.0"):
+            integrate(p3, cylinder_state(p3)[0], IntegratorSettings(t_span=span))
+        with pytest.raises(DomainError, match="initial time 40.0"):
+            integrate(p3, bubble_fowler(p3, 1.0, 40.0), IntegratorSettings(t_span=(-30.0, 30.0)))
+
+    @pytest.mark.parametrize("span", [(0.0, 5.0), (-5.0, 0.0), (-1.0, 5.0)])
+    def test_window_may_end_at_the_initial_time(self, p3, span):
+        traj = integrate(p3, cylinder_state(p3)[0], IntegratorSettings(t_span=span))
+        assert (traj.t[0], traj.t[-1]) == span
+
     def test_initial_outside_box_is_immediate_blowup(self, p3):
         traj = integrate(p3, FowlerState(0.0, 1500.0, 1500.0, 0.0, 0.0))
         assert len(traj.t) == 1

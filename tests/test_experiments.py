@@ -338,10 +338,88 @@ class TestShootEntire:
             shoot_entire(p)
 
 
+def _shoot_counting_trials(params, monkeypatch):
+    """shoot_entire(params) and its trials as (apex, loses sign) pairs."""
+    trials = []
+    inner = experiments._loses_sign
+
+    def counting(*args):
+        trials.append((args[1], inner(*args)))
+        return trials[-1][1]
+
+    monkeypatch.setattr(experiments, "_loses_sign", counting)
+    data, _ = shoot_entire(params)
+    return data, trials
+
+
+def _assert_on_a_boundary(params, apex):
+    # The largest apex that stays positive: the next float up changes sign.
+    kl = solve_coupling(params)
+    settings = shoot_settings(params)
+    args = (kl.l / kl.k, settings.t_span[1], settings)
+    assert not _loses_sign(_make_field(params), apex, *args)
+    assert _loses_sign(_make_field(params), math.nextafter(apex, math.inf), *args)
+
+
+def _cubed(energy):
+    # Right sign, badly nonlinear: the secant lands near the far end.
+    return lambda params, ratio, apex: energy(params, ratio, apex) ** 3 * 1e6
+
+
+def _lopsided(energy):
+    # Right sign, a huge step at the root: the secant lands on the clip next
+    # to lo, and Illinois halvings take ~1000 trials to move it.
+    return lambda params, ratio, apex: 1e300 if energy(params, ratio, apex) > 0.0 else -1e-300
+
+
+class TestShootBracket:
+    @pytest.mark.parametrize("case", [(3, 1.0), (4, 2.0), (5, 1.0)])
+    def test_apex_is_a_dichotomy_boundary(self, case, monkeypatch):
+        params = make_params(case[0], 1.0, 1.0, case[1])
+        data, trials = _shoot_counting_trials(params, monkeypatch)
+        _assert_on_a_boundary(params, data.a1)
+        # Bisection to adjacent floats takes 55-58 trials.
+        assert len(trials) <= 45
+
+    @pytest.mark.parametrize("guide", [_cubed, _lopsided])
+    def test_a_poor_energy_guide_still_closes_the_bracket(self, p5, guide, monkeypatch):
+        # More than SHOOT_TRIALS trials would raise BracketFailure.
+        monkeypatch.setattr(experiments, "_apex_energy", guide(experiments._apex_energy))
+        data, _ = shoot_entire(p5)
+        _assert_on_a_boundary(p5, data.a1)
+        exact = bubble_fowler(p5, 1.0, 0.0).w1
+        assert abs(data.a1 - exact) / exact < 1e-12
+
+    def test_a_constant_sign_guide_is_plain_bisection(self, p3, monkeypatch):
+        monkeypatch.setattr(experiments, "_apex_energy", lambda *args: -1.0)
+        data, trials = _shoot_counting_trials(p3, monkeypatch)
+        (lo, _), (hi, _) = trials[:2]
+        for apex, loses_sign in trials[2:]:
+            assert apex == 0.5 * (lo + hi)
+            lo, hi = (lo, apex) if loses_sign else (apex, hi)
+        # Every trial decided an end: lo stays positive, the next float does not.
+        assert data.a1 == lo and math.nextafter(lo, math.inf) == hi
+
+    def test_trial_cap_raises_instead_of_stopping_early(self, p3, monkeypatch):
+        data, trials = _shoot_counting_trials(p3, monkeypatch)
+        used = len(trials) - 2  # after the two bracket ends
+        monkeypatch.setattr(experiments, "SHOOT_TRIALS", used)
+        assert shoot_entire(p3)[0] == data
+        monkeypatch.setattr(experiments, "SHOOT_TRIALS", used - 1)
+        with pytest.raises(BracketFailure, match=f"still open after {used - 1} trials"):
+            shoot_entire(p3)
+
+
 class TestSemiSingularSearch:
     def test_rejects_low_dimension(self, p3):
         with pytest.raises(DomainError):
             semi_singular_search(p3, n_runs=1)
+
+    def test_window_must_hold_the_initial_time(self):
+        # Draws start at t = 0; a window on [1, 30] used to classify [0, 30].
+        p4 = make_params(4, 1.0, 1.0, 1.0)
+        with pytest.raises(DomainError, match="window must hold the initial time 0.0"):
+            semi_singular_search(p4, n_runs=1, settings=IntegratorSettings(t_span=(1.0, 30.0)))
 
     def test_n5_finds_no_semi_singular(self, p5):
         report = semi_singular_search(
@@ -382,6 +460,13 @@ class TestSemiSingularSearch:
 
 
 class TestSweep:
+    def test_window_outside_the_initial_time_is_a_point_error(self, p3):
+        report = sweep([p3], [(0.5, 0.5, 0.0, 0.0)], IntegratorSettings(t_span=(5.0, 30.0)))
+        assert report.counts == {"Error": 1}
+        assert report.runs[0]["error"] == (
+            "DomainError: integration window must hold the initial time 0.0, "
+            "got t_span (5.0, 30.0)")
+
     def test_single_bubble_point(self, p3):
         apex = bubble_fowler(p3, 1.0, 0.0)
         report = sweep(
