@@ -92,7 +92,6 @@ OPTIONS = (
     Option("blowup_threshold", "--blowup-threshold", "settings.blowup_threshold", _SETTINGS,
            _FLOAT),
     Option("positivity_floor", None, "settings.positivity_floor", _SETTINGS),
-    Option("event_refinement_tol", None, "settings.event_refinement_tol", _SETTINGS),
     Option("initial", "--initial", "initial.a1 initial.a2 initial.b1 initial.b2", ("integrate",),
            {**_FLOAT, "nargs": 4, "metavar": ("A1", "A2", "B1", "B2")}, "initial values at t = 0"),
     Option("initial", "--orbit", "initial.orbit", ("integrate",),

@@ -8,9 +8,10 @@ components.  Dense output is a per-step quintic Hermite built from node
 values, derivatives, and the accelerations the step loop computed there
 (the first-same-as-last stage; at an event node, the field at the located
 state).  Terminal events are located on the step's quintic, which is the
-interpolant's own on every step that does not end in an event.  A loaded
-trajectory rebuilds the accelerations with the same scalar field at the
-stored nodes, so sampling is bit-identical after a serialization round
+interpolant's own on every step that does not end in an event, and the
+other crossings on the interpolant, all by one bisection (_event_root).  A
+loaded trajectory rebuilds the accelerations with the same scalar field at
+the stored nodes, so sampling is bit-identical after a serialization round
 trip.  The field (_make_field) is the signed continuous extension
 |w|^(q-1) w of the positive-cone powers; on the positive cone both forms
 agree, and positivity-constrained runs terminate at a small floor instead of
@@ -64,7 +65,6 @@ class IntegratorSettings:
     max_step: float = 1.0
     blowup_threshold: float = 1e3
     positivity_floor: float = 1e-14
-    event_refinement_tol: float = 1e-12
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
@@ -78,13 +78,11 @@ class IntegratorSettings:
             raise DomainError(f"max_step must be positive, got {self.max_step!r}")
         if not (self.blowup_threshold > 0.0 and self.positivity_floor > 0.0):
             raise DomainError("thresholds must be positive")
-        if not self.event_refinement_tol > 0.0:
-            raise DomainError("event_refinement_tol must be positive")
 
 
 @dataclass(frozen=True)
 class Event:
-    """A located orbit event, refined in t to the event tolerance."""
+    """A located orbit event; t is bisected to adjacent floats (_event_root)."""
 
     kind: str
     t: float
@@ -254,30 +252,6 @@ class Trajectory:
 
     def sample_state(self, t: float) -> FowlerState:
         return FowlerState.from_array(t, self.sample(t)[:, 0])
-
-
-def _refine_crossing(
-    fun: Callable[[float], float], ta: float, tb: float, tol: float
-) -> float:
-    # Refine a bracketed zero by bisection; the interval is shrunk a factor
-    # 16 below tol so the function value at the result is well inside tol
-    # even for unit-scale slopes.
-    fa = fun(ta)
-    if fa == 0.0:
-        return ta
-    target = tol / 16.0
-    while tb - ta > target:
-        tm = 0.5 * (ta + tb)
-        if tm == ta or tm == tb:
-            break
-        fm = fun(tm)
-        if fm == 0.0:
-            return tm
-        if fa * fm < 0.0:
-            tb = tm
-        else:
-            ta, fa = tm, fm
-    return 0.5 * (ta + tb)
 
 
 #: Step-size controller of the Dormand-Prince pair (Hairer-Norsett-Wanner
@@ -541,9 +515,10 @@ def integrate(
     Terminal events: BlowUp always (a component magnitude crosses the
     threshold), PositivityLoss only in positivity-constrained mode.  In
     signed mode zero crossings of each component are recorded as
-    non-terminal SignChange events, refined by bisection on the dense
-    interpolant.  Step-size underflow is reported on the trajectory (flagged
-    uncertified), never raised.  The window must hold the initial time.
+    non-terminal SignChange events, bisected to adjacent floats on the dense
+    interpolant by the same _event_root as the terminal events.  Step-size
+    underflow is reported on the trajectory (flagged uncertified), never
+    raised.  The window must hold the initial time.
     """
     if settings is None:
         settings = IntegratorSettings()
@@ -656,15 +631,6 @@ def _scan_grid(traj: Trajectory) -> np.ndarray:
     return flat[keep]
 
 
-def _dedupe(candidates: list[float], tol: float) -> list[float]:
-    candidates.sort()
-    kept: list[float] = []
-    for te in candidates:
-        if not kept or te - kept[-1] > max(10.0 * tol, 1e-10):
-            kept.append(te)
-    return kept
-
-
 def _row_function(traj: Trajectory, row: int) -> Callable[[float], float]:
     """Scalar x -> traj.sample(x)[row, 0], bit for bit, without numpy calls."""
     c1, c2, h = traj._interpolant()
@@ -684,10 +650,12 @@ def _row_function(traj: Trajectory, row: int) -> Callable[[float], float]:
 
 
 def _bracketed_zeros(traj: Trajectory, row: int, tt: np.ndarray, vv: np.ndarray) -> list[float]:
-    """Zero crossings of one sampled row, bisection-refined.
+    """Zero crossings of one sampled row, bisected to adjacent floats.
 
-    Exact zeros at grid points count only when the surrounding nonzero
-    values straddle the axis (a tangential touch is not a crossing).
+    Each root is the first float of its bracket at which the row is zero or
+    past it (_event_root).  Exact zeros at grid points count only when the
+    surrounding nonzero values straddle the axis (a tangential touch is not
+    a crossing).
     """
     nz = vv != 0.0
     t_nz = tt[nz]
@@ -695,10 +663,10 @@ def _bracketed_zeros(traj: Trajectory, row: int, tt: np.ndarray, vv: np.ndarray)
     crossings = np.nonzero(v_nz[:-1] * v_nz[1:] < 0.0)[0]
     if not len(crossings):
         return []
-    tol = traj.settings.event_refinement_tol
     f = _row_function(traj, row)
     return [
-        _refine_crossing(f, float(t_nz[i]), float(t_nz[i + 1]), tol)
+        _event_root(lambda x, sign=math.copysign(1.0, v_nz[i]): sign * f(x) <= 0.0,
+                    float(t_nz[i]), float(t_nz[i + 1]))
         for i in crossings
     ]
 
@@ -706,14 +674,11 @@ def _bracketed_zeros(traj: Trajectory, row: int, tt: np.ndarray, vv: np.ndarray)
 def _sign_change_events(traj: Trajectory) -> list[Event]:
     tt = _scan_grid(traj)
     sampled = traj.sample(tt)
-    tol = traj.settings.event_refinement_tol
-    found = []
-    for comp in (1, 2):
-        for te in _dedupe(_bracketed_zeros(traj, comp - 1, tt, sampled[comp - 1]), tol):
-            found.append(
-                Event(kind="SignChange", t=te, state=traj.sample_state(te), component=comp)
-            )
-    return found
+    return [
+        Event(kind="SignChange", t=te, state=traj.sample_state(te), component=comp)
+        for comp in (1, 2)
+        for te in _bracketed_zeros(traj, comp - 1, tt, sampled[comp - 1])
+    ]
 
 
 def detect_extrema(traj: Trajectory) -> tuple[Event, ...]:
@@ -728,7 +693,6 @@ def detect_extrema(traj: Trajectory) -> tuple[Event, ...]:
     if len(traj.t) < 2:
         return ()
     floor = _EXTREMA_DW_FLOOR_FACTOR * traj.settings.abs_tol
-    tol = traj.settings.event_refinement_tol
     tt = _scan_grid(traj)
     sampled = traj.sample(tt)
     step_idx = np.clip(np.searchsorted(traj.t, tt, side="right") - 1, 0, len(traj.t) - 2)
@@ -741,7 +705,7 @@ def detect_extrema(traj: Trajectory) -> tuple[Event, ...]:
         # equilibria (derivative at noise level) yield no events.
         step_max = np.zeros(len(traj.t) - 1)
         np.maximum.at(step_max, step_idx, np.abs(dv))
-        for te in _dedupe(_bracketed_zeros(traj, row, tt, dv), tol):
+        for te in _bracketed_zeros(traj, row, tt, dv):
             k = int(np.clip(np.searchsorted(traj.t, te, side="right") - 1,
                             0, len(traj.t) - 2))
             if step_max[k] <= floor:

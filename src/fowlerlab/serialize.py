@@ -100,8 +100,13 @@ def settings_to_dict(settings: IntegratorSettings) -> dict:
 
 
 def settings_from_dict(doc: dict) -> IntegratorSettings:
-    """Settings from a full or partial document; a null max_step is unbounded."""
+    """Settings from a full or partial document; a null max_step is unbounded.
+
+    Older artifacts also name a refinement tolerance for crossings, which
+    are now bisected to adjacent floats; it is dropped.
+    """
     doc = dict(doc)
+    doc.pop("event_refinement_tol", None)
     if "t_span" in doc:
         doc["t_span"] = tuple(doc["t_span"])
     if "max_step" in doc and doc["max_step"] is None:

@@ -131,12 +131,16 @@ class TestIntegratePipeline:
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         config = tmp_path / "run.json"
-        config.write_text(json.dumps({"params": {"N": 3, "mu1": 1, "mu2": 1,
-                                                 "beta": 1}, "bogus": 1}))
-        code, _, err = run_cli(capsys, "integrate", "--config", str(config),
-                               "--orbit", "cylinder")
-        assert code == 3
-        assert "bogus" in err or "additional" in err.lower()
+        params = {"N": 3, "mu1": 1, "mu2": 1, "beta": 1}
+        # A removed setting is rejected like one that never existed.
+        for extra, key in (({"bogus": 1}, "bogus"),
+                           ({"settings": {"event_refinement_tol": 1e-12}},
+                            "event_refinement_tol")):
+            config.write_text(json.dumps({"params": params, **extra}))
+            code, _, err = run_cli(capsys, "integrate", "--config", str(config),
+                                   "--orbit", "cylinder")
+            assert code == 3
+            assert key in err or "additional" in err.lower()
 
     def test_json_errors_flag(self, capsys):
         code, _, err = run_cli(capsys, "--json-errors", "solve-kl", "--N", "4",

@@ -1,9 +1,12 @@
-"""Independent checks on the Dormand-Prince engine and its event refinement.
+"""Independent checks on the Dormand-Prince engine and its event locator,
+which bisects every crossing to adjacent floats.
 
 scipy's RK45 (same tableau and step-size controller) serves as a
 differential reference, and mpmath's Taylor-series ODE solver at 25 digits
 as an accuracy oracle.  Both are test-only dependencies.
 """
+
+import math
 
 import mpmath
 import numpy as np
@@ -21,8 +24,8 @@ from fowlerlab import (
 from fowlerlab import dynamics
 from fowlerlab.dynamics import (
     _bracketed_zeros,
+    _event_root,
     _make_field,
-    _refine_crossing,
     _row_function,
     _scan_grid,
 )
@@ -138,7 +141,6 @@ def test_scalar_refinement_equals_sample_refinement(name):
     traj = integrate(params, state, IntegratorSettings(t_span=(-10.0, 10.0)), mode="signed")
     tt = _scan_grid(traj)
     sampled = traj.sample(tt)
-    tol = traj.settings.event_refinement_tol
     refined = 0
     for row in range(4):
         vv = sampled[row]
@@ -148,12 +150,21 @@ def test_scalar_refinement_equals_sample_refinement(name):
         def by_sample(x, row=row):
             return float(traj.sample(x)[row, 0])
 
+        brackets = np.nonzero(v_nz[:-1] * v_nz[1:] < 0.0)[0]
+        signs = [math.copysign(1.0, v_nz[i]) for i in brackets]
         expected = [
-            _refine_crossing(by_sample, float(t_nz[i]), float(t_nz[i + 1]), tol)
-            for i in np.nonzero(v_nz[:-1] * v_nz[1:] < 0.0)[0]
+            _event_root(lambda x, sign=sign: sign * by_sample(x) <= 0.0,
+                        float(t_nz[i]), float(t_nz[i + 1]))
+            for i, sign in zip(brackets, signs)
         ]
-        assert _bracketed_zeros(traj, row, tt, vv) == expected
-        refined += len(expected)
+        roots = _bracketed_zeros(traj, row, tt, vv)
+        assert roots == expected
+        # Each root is the first float at which the row is zero or past it:
+        # one float earlier it is still strictly on the near side.
+        for te, sign in zip(roots, signs):
+            assert sign * by_sample(te) <= 0.0
+            assert sign * by_sample(math.nextafter(te, -math.inf)) > 0.0
+        refined += len(roots)
 
         f = _row_function(traj, row)
         probes = np.concatenate([traj.t, tt[1::7], [traj.t_min - 0.5, traj.t_max + 0.5]])

@@ -132,11 +132,17 @@ class TestValidation:
 
     def test_unknown_key_rejected(self, perturbed_traj, tmp_path):
         doc = trajectory_to_dict(perturbed_traj)
-        doc["surprise"] = 1
         path = tmp_path / "orbit.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(SchemaMismatch):
-            load_trajectory(path)
+        for where in ((), ("settings",)):
+            path.write_text(json.dumps(_replace(doc, (*where, "surprise"), 1)))
+            with pytest.raises(SchemaMismatch):
+                load_trajectory(path)
+        # A settings key that older versions wrote still loads; it is no
+        # longer written.
+        assert "event_refinement_tol" not in doc["settings"]
+        legacy = _replace(doc, ("settings", "event_refinement_tol"), 1e-12)
+        path.write_text(json.dumps(legacy))
+        assert load_trajectory(path).settings == perturbed_traj.settings
 
     def test_missing_field_rejected(self, perturbed_traj, tmp_path):
         doc = trajectory_to_dict(perturbed_traj)
@@ -366,6 +372,10 @@ def test_every_schema_has_a_valid_document(valid_documents):
 
 @pytest.mark.parametrize("name", SCHEMA_NAMES)
 def test_validate_matches_stock_jsonschema(valid_documents, name):
+    if name == "trajectory":
+        legacy = _replace(valid_documents[name], ("settings", "event_refinement_tol"), 1e-12)
+        assert _stock_outcome(legacy, name) is None
+        assert _outcome(legacy, name) is None
     rejected = 0
     for label, doc in _mutants(valid_documents[name]):
         expected = _stock_outcome(doc, name)

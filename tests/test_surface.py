@@ -3,14 +3,17 @@
 Every public module-level def or class in src/fowlerlab is either exported
 in fowlerlab.__all__ or used by name somewhere in the package source, and
 every private one (a leading underscore) is used by name in that source.
-Likewise every run-config key is read through the CLI option table.
+Likewise every run-config key is read through the CLI option table, and
+the integrator settings are one list in the code and both schemas.
 """
 
 import ast
+import dataclasses
 import json
 from pathlib import Path
 
 import fowlerlab
+from fowlerlab import IntegratorSettings
 from fowlerlab.cli import OPTIONS
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fowlerlab"
@@ -101,3 +104,12 @@ def test_every_config_key_is_an_option():
     # Each key has a reader: a command that takes it and --config.
     config_commands = next(o.commands for o in OPTIONS if o.flag == "--config")
     assert all(set(o.commands) & set(config_commands) for o in OPTIONS if o.key)
+
+
+def test_settings_are_one_list():
+    # A setting is added or removed in all three places at once.
+    fields = [f.name for f in dataclasses.fields(IntegratorSettings)]
+    config = json.loads((SRC / "schemas" / "run_config.schema.json").read_text())
+    artifact = json.loads((SRC / "schemas" / "trajectory.schema.json").read_text())
+    assert list(config["properties"]["settings"]["properties"]) == fields
+    assert artifact["properties"]["settings"]["required"] == fields
