@@ -31,11 +31,12 @@ from .state import FowlerState
 
 #: Rejection attempts allowed per accepted draw before giving up.
 MAX_REJECTION_FACTOR = 200
-#: Trial cap for closing the shooting bracket to adjacent floats.  The
-#: guarded secant halves the bracket at least once every 3 trials, and 70
-#: halvings take a bracket of the largest width, lam[0] * 2**10, to adjacent
-#: floats at any apex above lam[0] * 2**-7.
-SHOOT_TRIALS = 3 * 70
+#: Trial cap for closing the shooting bracket to adjacent floats.  The guide
+#: root g and the outward search from it, at g -+ 2**-40 * g * 16**j, take at
+#: most 1 + ceil(log16(width / (2**-40 * g))) trials: 16 for a bracket of the
+#: largest width, lam[0] * 2**10, at any apex above lam[0] * 2**-7.  Then 70
+#: halvings take such a bracket to adjacent floats.
+SHOOT_TRIALS = 16 + 70
 #: Decay acceptance for the shot orbit: both components below this at the
 #: window end (while never changing sign).
 SHOOT_DECAY_CUT = 1e-6
@@ -364,22 +365,8 @@ def _loses_sign(fun, apex_w1: float, ratio: float, t_end: float,
 
 def _apex_energy(params: SystemParams, ratio: float, apex_w1: float) -> float:
     # Conserved along the trial orbit, nearly linear in the apex, and zero at
-    # the homoclinic one: the guide that places the next shooting trial.
+    # the homoclinic one: the guide whose root is the first shooting trial.
     return float(psi_arrays(params, apex_w1, ratio * apex_w1, 0.0, 0.0))
-
-
-def _next_apex(lo: float, hi: float, f_lo: float, f_hi: float, width_two_back: float) -> float:
-    # Regula falsi on the end energies, kept w/64 inside the bracket.  The
-    # midpoint instead when the energies do not bracket a root or the last
-    # two trials did not halve the bracket: then three trials always halve it.
-    width = hi - lo
-    mid = 0.5 * (lo + hi)
-    if not (min(f_lo, f_hi) < 0.0 < max(f_lo, f_hi) and width <= 0.5 * width_two_back):
-        return mid
-    secant = hi - f_hi * width / (f_hi - f_lo)
-    apex = min(max(secant, lo + width / 64.0), hi - width / 64.0)
-    # A bracket a few ulp wide rounds the clipped point onto an end.
-    return apex if lo < apex < hi else mid
 
 
 def shoot_entire(
@@ -395,8 +382,13 @@ def shoot_entire(
     scalar Fowler equation, whose energy sign fixes which comes first; after
     a minimum a negative-energy orbit is periodic and never reaches zero.
     The trial decides which end of the bracket moves; the apex energy, whose
-    root is the homoclinic apex, only picks the next trial (_next_apex).  The
-    bracket closes to adjacent floats within SHOOT_TRIALS trials.
+    root is the homoclinic apex, only picks the trials.  Its root g, found by
+    bisection on its sign without integrating, is tried first; then trials
+    step outward from g by gaps growing 16-fold until one lands on the other
+    side of the dichotomy, and the rest bisect.  A proposal outside the
+    bracket, and every trial when the end energies have the same sign, is
+    the midpoint.  The bracket closes to adjacent floats within SHOOT_TRIALS
+    trials.
     The converged orbit must decay below SHOOT_DECAY_CUT at both window ends.
     The window must hold the apex time: t_span[0] < 0 < t_span[1].
     """
@@ -429,24 +421,31 @@ def shoot_entire(
 
     f_lo = _apex_energy(params, ratio, lo)
     f_hi = _apex_energy(params, ratio, hi)
-    widths = (math.inf, math.inf)  # bracket widths before the last two trials
-    moved = None
+    root = gap = side = None
+    if min(f_lo, f_hi) < 0.0 < max(f_lo, f_hi):
+        # The guide's root, bisected on its sign alone: no trial integration.
+        root = dynamics._event_root(
+            lambda a: (_apex_energy(params, ratio, a) > 0.0) == (f_hi > 0.0), lo, hi)
+        gap = 2.0**-44 * root  # widened 16-fold before each outward trial
+    guess = root
     trials = 0
     while 0.5 * (lo + hi) not in (lo, hi):
         if trials == SHOOT_TRIALS:
             raise BracketFailure(f"shooting bracket [{lo!r}, {hi!r}] still open after "
                                  f"{SHOOT_TRIALS} trials")
         trials += 1
-        apex = _next_apex(lo, hi, f_lo, f_hi, widths[0])
-        widths = (widths[1], hi - lo)
-        if _loses_sign(fun, apex, ratio, t_end, settings):
-            if moved == "hi":  # Illinois: lo kept twice, its energy halves
-                f_lo *= 0.5
-            hi, f_hi, moved = apex, _apex_energy(params, ratio, apex), "hi"
+        apex = guess if guess is not None and lo < guess < hi else 0.5 * (lo + hi)
+        loses = _loses_sign(fun, apex, ratio, t_end, settings)
+        if loses:
+            hi = apex
         else:
-            if moved == "lo":
-                f_hi *= 0.5
-            lo, f_lo, moved = apex, _apex_energy(params, ratio, apex), "lo"
+            lo = apex
+        if guess is not None and side in (None, loses):
+            # Not yet across the dichotomy from the root: step further out.
+            side, gap = loses, 16.0 * gap
+            guess = root - gap if loses else root + gap
+        else:
+            guess = None
     # The largest apex that never changes sign within the window.
     apex = lo
 

@@ -367,8 +367,8 @@ def _cubed(energy):
 
 
 def _lopsided(energy):
-    # Right sign, a huge step at the root: the secant lands on the clip next
-    # to lo, and Illinois halvings take ~1000 trials to move it.
+    # Right sign, a huge step at the root: a secant would land next to lo, but
+    # the guide root depends on the sign alone.
     return lambda params, ratio, apex: 1e300 if energy(params, ratio, apex) > 0.0 else -1e-300
 
 
@@ -408,6 +408,68 @@ class TestShootBracket:
         monkeypatch.setattr(experiments, "SHOOT_TRIALS", used - 1)
         with pytest.raises(BracketFailure, match=f"still open after {used - 1} trials"):
             shoot_entire(p3)
+
+    @pytest.mark.parametrize("case", [(3, 1.0), (4, 2.0), (5, 1.0)])
+    def test_default_shoots_take_at_most_20_trials(self, case, monkeypatch):
+        params = make_params(case[0], 1.0, 1.0, case[1])
+        _, trials = _shoot_counting_trials(params, monkeypatch)
+        # The guide root and a few outward trials, then ~12 halvings.
+        assert len(trials) <= 20
+
+    @pytest.mark.parametrize("case", [(3, 1.0), (4, 2.0), (5, 1.0)])
+    def test_the_guide_root_is_tried_before_any_integration(self, case, monkeypatch):
+        params = make_params(case[0], 1.0, 1.0, case[1])
+        log = []
+        inner_trial, inner_ivp = experiments._loses_sign, dynamics.solve_ivp
+
+        def trial(*args):
+            log.append(("trial", args[1]))
+            return inner_trial(*args)
+
+        def ivp(*args):
+            log.append(("solve_ivp", None))
+            return inner_ivp(*args)
+
+        monkeypatch.setattr(experiments, "_loses_sign", trial)
+        monkeypatch.setattr(dynamics, "solve_ivp", ivp)
+        shoot_entire(params)
+        starts = [i for i, (kind, _) in enumerate(log) if kind == "trial"]
+        (_, lo), (_, hi), (_, g) = (log[i] for i in starts[:3])
+        # Nothing is integrated between the hi trial's own call and the g trial.
+        assert log[starts[1]:starts[2]] == [("trial", hi), ("solve_ivp", None)]
+        # g is the first float in (lo, hi) where the apex energy has hi's sign.
+        kl = solve_coupling(params)
+        positive = [experiments._apex_energy(params, kl.l / kl.k, a) > 0.0
+                    for a in (lo, math.nextafter(g, -math.inf), g, hi)]
+        assert lo < g < hi
+        assert positive == [not positive[3], not positive[3], positive[3], positive[3]]
+
+    @pytest.mark.parametrize("shift", [1.0 - 1e-3, 1.0 + 1e-6])
+    def test_a_shifted_guide_root_still_closes_the_bracket(self, p5, shift, monkeypatch):
+        # The guide's root lies off the homoclinic apex by about 1e-3 (above)
+        # or 1e-6 (below): trials step outward from it until one crosses, and
+        # the rest are midpoints.  More than SHOOT_TRIALS raise BracketFailure.
+        energy = experiments._apex_energy
+        monkeypatch.setattr(experiments, "_apex_energy",
+                            lambda params, ratio, a: energy(params, ratio, a * shift))
+        data, trials = _shoot_counting_trials(p5, monkeypatch)
+        _assert_on_a_boundary(p5, data.a1)
+        exact = bubble_fowler(p5, 1.0, 0.0).w1
+        assert abs(data.a1 - exact) / exact < 1e-12
+        (lo, _), (hi, _), (g, side) = trials[:3]
+        lo, hi = (lo, g) if side else (g, hi)
+        step = -1.0 if side else 1.0
+        outward = True
+        for j, (apex, loses_sign) in enumerate(trials[3:]):
+            proposal = g + step * 2.0**-40 * g * 16.0**j
+            if outward and lo < proposal < hi:
+                assert apex == proposal
+            else:
+                assert apex == 0.5 * (lo + hi)
+            outward = outward and loses_sign == side
+            lo, hi = (lo, apex) if loses_sign else (apex, hi)
+        assert not outward  # the search crossed the apex
+        assert data.a1 == lo and math.nextafter(lo, math.inf) == hi
 
 
 class TestSemiSingularSearch:
