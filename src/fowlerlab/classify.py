@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import Trajectory
+from .dynamics import POSITIVITY_FLOOR, Trajectory
 from .errors import InsufficientWindow, WrongVerdict
 from .invariants import InvariantReport, potential_arrays
 from .params import SystemParams
@@ -212,11 +212,10 @@ def classify(
                 evidence["anomaly"] = params.N >= 4
                 evidence["semi_decaying_component"] = comp
                 return Classification(SEMI_SINGULAR, k_value, evidence)
-        positivity_floor = traj.settings.positivity_floor
         if (
             not traj.terminated
-            and inf_w[0] > _SEMI_SEPARATION * positivity_floor
-            and inf_w[1] > _SEMI_SEPARATION * positivity_floor
+            and inf_w[0] > _SEMI_SEPARATION * POSITIVITY_FLOOR
+            and inf_w[1] > _SEMI_SEPARATION * POSITIVITY_FLOOR
             and not decays("+", 1)
             and not decays("+", 2)
         ):

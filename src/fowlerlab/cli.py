@@ -91,7 +91,6 @@ OPTIONS = (
     Option("max_step", "--max-step", "settings.max_step", _SETTINGS, _FLOAT),
     Option("blowup_threshold", "--blowup-threshold", "settings.blowup_threshold", _SETTINGS,
            _FLOAT),
-    Option("positivity_floor", None, "settings.positivity_floor", _SETTINGS),
     Option("initial", "--initial", "initial.a1 initial.a2 initial.b1 initial.b2", ("integrate",),
            {**_FLOAT, "nargs": 4, "metavar": ("A1", "A2", "B1", "B2")}, "initial values at t = 0"),
     Option("initial", "--orbit", "initial.orbit", ("integrate",),
@@ -356,7 +355,7 @@ def _cmd_search_semi(given: dict) -> int:
 def _cmd_sweep(given: dict) -> int:
     if "param_grid" not in given or "initial_grid" not in given:
         raise UsageError("sweep requires a --config file with param_grid and initial_grid")
-    params_grid = [make_params(int(row[0]), *row[1:]) for row in given["param_grid"]]
+    params_grid = [make_params(*row) for row in given["param_grid"]]
     kwargs = _kwargs(given, "mode", "workers", "seed")
     if "archive" in given:
         kwargs["archive_dir"] = _resolve_out(given["archive"])

@@ -14,8 +14,8 @@ loaded trajectory rebuilds the accelerations with the same scalar field at
 the stored nodes, so sampling is bit-identical after a serialization round
 trip.  The field (_make_field) is the signed continuous extension
 |w|^(q-1) w of the positive-cone powers; on the positive cone both forms
-agree, and positivity-constrained runs terminate at a small floor instead of
-crossing zero (the field is not Lipschitz at w = 0 when N >= 5).
+agree, and positivity-constrained runs terminate at POSITIVITY_FLOOR instead
+of crossing zero (the field is not Lipschitz at w = 0 when N >= 5).
 """
 
 from __future__ import annotations
@@ -39,6 +39,9 @@ DRIFT_CERT_FACTOR = 1e-8
 _EXTREMA_DW_FLOOR_FACTOR = 1e3
 #: Critical points with |w''| below 10 * abs_tol cannot be classified.
 _DEGENERATE_FACTOR = 10.0
+#: Positive-mode runs stop where a component falls to this floor, short of
+#: w = 0, where the field is not Lipschitz for N >= 5.
+POSITIVITY_FLOOR = 1e-14
 
 _EVENT_ORDER = {
     "SignChange": 0,
@@ -64,7 +67,6 @@ class IntegratorSettings:
     t_span: tuple[float, float] = (-30.0, 30.0)
     max_step: float = 1.0
     blowup_threshold: float = 1e3
-    positivity_floor: float = 1e-14
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
@@ -76,8 +78,8 @@ class IntegratorSettings:
             raise DomainError(f"degenerate t_span {self.t_span!r}")
         if not self.max_step > 0.0:  # NaN too: it would lift the step bound
             raise DomainError(f"max_step must be positive, got {self.max_step!r}")
-        if not (self.blowup_threshold > 0.0 and self.positivity_floor > 0.0):
-            raise DomainError("thresholds must be positive")
+        if not self.blowup_threshold > 0.0:
+            raise DomainError(f"blowup_threshold must be positive, got {self.blowup_threshold!r}")
 
 
 @dataclass(frozen=True)
@@ -327,7 +329,7 @@ def solve_ivp(field, t0, y0, t_bound, settings, mode, stop=None):
 
     Terminal events are BlowUp (max |w_i| rises to blowup_threshold) and, in
     positive mode, PositivityLoss of component i (w_i falls to
-    positivity_floor), rising and falling along the direction of
+    POSITIVITY_FLOOR), rising and falling along the direction of
     integration.  They are tested once per accepted step and the
     earliest is bisected to adjacent floats on the step's quintic Hermite;
     the event point becomes the last node.  Otherwise the optional predicate
@@ -339,7 +341,7 @@ def solve_ivp(field, t0, y0, t_bound, settings, mode, stop=None):
     """
     rtol, atol, max_step = settings.rel_tol, settings.abs_tol, settings.max_step
     threshold = settings.blowup_threshold
-    floor = settings.positivity_floor
+    floor = POSITIVITY_FLOOR
     positive = mode == "positive"
     direction = 1.0 if t_bound >= t0 else -1.0
     t = t0
@@ -547,7 +549,7 @@ def _two_sided(params, initial, settings, mode, solve) -> Trajectory:
     if mode not in ("positive", "signed"):
         raise DomainError(f"unknown integration mode {mode!r}")
     if mode == "positive" and not (
-        initial.w1 > settings.positivity_floor and initial.w2 > settings.positivity_floor
+        initial.w1 > POSITIVITY_FLOOR and initial.w2 > POSITIVITY_FLOOR
     ):
         raise DomainError(
             "positivity-constrained integration requires strictly positive data"

@@ -73,25 +73,26 @@ class InitialData:
 class SamplerSpec:
     """How initial data are drawn and which energy surface they target.
 
-    kind "uniform_box" draws all four values uniformly on [low, high];
+    kind "uniform_box" draws all four values uniformly on [-1, 1];
     "near_cylinder" perturbs the equilibrium with Gaussian noise of size
-    sigma_scale * ||equilibrium||, half of the draws constrained to the
-    proportional invariant ray (which is guaranteed to stay bounded).
-    projection: "psi_positive" rejects draws with energy below psi_min;
+    0.05 * ||equilibrium||, a ray_fraction of the draws constrained to the
+    proportional invariant ray (which is guaranteed to stay bounded), and
+    rejects draws that are not positive.
+    projection: "psi_positive" rejects draws with energy below 1e-3;
     "psi_zero" rescales (b1, b2) onto the zero-energy surface and requires
-    a nonzero determinant; "psi_negative" rejects nonnegative energy;
-    "none" accepts everything.
+    |a1 b2 - a2 b1| >= DET_FLOOR; "psi_negative" rejects nonnegative
+    energy; "none" accepts everything.
     """
 
     kind: str = "uniform_box"
-    low: float = -1.0
-    high: float = 1.0
-    sigma_scale: float = 0.05
     projection: str = "none"
-    psi_min: float = 1e-3
-    det_min: float = DET_FLOOR
     ray_fraction: float = 0.5
-    require_positive: bool = False
+
+    def __post_init__(self):
+        if self.kind not in ("uniform_box", "near_cylinder"):
+            raise DomainError(f"unknown sampler kind {self.kind!r}")
+        if self.projection not in ("none", "psi_positive", "psi_zero", "psi_negative"):
+            raise DomainError(f"unknown sampler projection {self.projection!r}")
 
 
 def _rng(seed: int, index: int) -> np.random.Generator:
@@ -122,28 +123,23 @@ def draw_initial(
     """One counter-keyed draw; returns (data, None) or (None, reject reason)."""
     rng = _rng(seed, index)
     if spec.kind == "uniform_box":
-        a1, a2, b1, b2 = rng.uniform(spec.low, spec.high, size=4)
-    elif spec.kind == "near_cylinder":
+        a1, a2, b1, b2 = rng.uniform(-1.0, 1.0, size=4)
+    else:
         c1, c2 = cylinder_amplitudes(params)
         base = np.array([c1, c2, 0.0, 0.0])
-        sigma = spec.sigma_scale * float(np.linalg.norm(base))
-        on_ray = rng.uniform() < spec.ray_fraction
-        if on_ray:
+        sigma = 0.05 * float(np.linalg.norm(base))
+        if rng.uniform() < spec.ray_fraction:
             # Perturb along the proportional invariant manifold: the orbit
             # reduces to the scalar problem and stays bounded.
             kl = solve_coupling(params)
-            scalar_eq = c1 / kl.k
             da, db = rng.normal(0.0, sigma, size=2)
-            w0 = scalar_eq + da
+            w0 = c1 / kl.k + da
             a1, a2 = kl.k * w0, kl.l * w0
             b1, b2 = kl.k * db, kl.l * db
         else:
             a1, a2, b1, b2 = base + rng.normal(0.0, sigma, size=4)
-    else:
-        raise DomainError(f"unknown sampler kind {spec.kind!r}")
-
-    if spec.require_positive and not (a1 > 0.0 and a2 > 0.0):
-        return None, "nonpositive"
+        if not (a1 > 0.0 and a2 > 0.0):
+            return None, "nonpositive"
 
     if spec.projection == "psi_zero":
         scaled = _project_psi_zero(params, a1, a2, b1, b2)
@@ -151,12 +147,12 @@ def draw_initial(
             return None, "degenerate_projection"
         b1, b2 = scaled
         data = InitialData.from_values(params, a1, a2, b1, b2)
-        if abs(data.determinant()) < spec.det_min:
+        if abs(data.determinant()) < DET_FLOOR:
             return None, "determinant"
         return data, None
 
     data = InitialData.from_values(params, a1, a2, b1, b2)
-    if spec.projection == "psi_positive" and not data.psi0 > spec.psi_min:
+    if spec.projection == "psi_positive" and not data.psi0 > 1e-3:
         return None, "psi_sign"
     if spec.projection == "psi_negative" and not data.psi0 < 0.0:
         return None, "psi_sign"
@@ -461,32 +457,32 @@ def shoot_entire(
     return data, traj
 
 
+#: The semi-singular search's draws: positive, near the cylinder, psi < 0.
+_SEMI_SPEC = SamplerSpec(kind="near_cylinder", projection="psi_negative")
+
+
 def semi_singular_search(
     params: SystemParams,
-    spec: SamplerSpec | None = None,
     n_runs: int = 200,
     settings: IntegratorSettings | None = None,
     seed: int = 0,
 ) -> ExperimentReport:
     """Hunt for semi-singular behaviour, expected to find none for N >= 4.
 
-    Positive near-equilibrium data with negative energy are integrated in
-    positivity-constrained mode and classified; every SemiSingularCandidate
-    is recorded as a failure.  The report logs the window infimum of each
-    component for both-singular candidates (the lower-bound statistic).
-    Runs are not monitored: a run record keeps only the verdict, K, inf_w
-    and the anomaly flag, none of which reads the lemma monitors.
+    Positive near-equilibrium data with negative energy (_SEMI_SPEC) are
+    integrated in positivity-constrained mode and classified; every
+    SemiSingularCandidate is recorded as a failure.  The report logs the
+    window infimum of each component for both-singular candidates (the
+    lower-bound statistic).  Runs are not monitored: a run record keeps only
+    the verdict, K, inf_w and the anomaly flag, none of which reads the
+    lemma monitors.
     """
     if params.N < 4:
         raise DomainError("semi-singular search is specified for N >= 4")
-    if spec is None:
-        spec = SamplerSpec(
-            kind="near_cylinder", projection="psi_negative", require_positive=True
-        )
     if settings is None:
         settings = IntegratorSettings()
 
-    draws, rejected = _collect_draws(params, spec, n_runs, seed)
+    draws, rejected = _collect_draws(params, _SEMI_SPEC, n_runs, seed)
     counts: dict[str, int] = {}
     runs = []
     failures = []
@@ -583,6 +579,7 @@ def sweep(
     workers > 1 the points run in separate processes and the result is
     identical to the serial run.  When archive_dir is given, every
     trajectory artifact is written there and referenced by relative path.
+    seed only labels the report: a sweep draws nothing.
     """
     if workers < 1:
         raise DomainError(f"workers must be at least 1, got {workers!r}")

@@ -78,7 +78,7 @@ def make_params(N: int, mu1: float, mu2: float, beta: float) -> SystemParams:
 
     Raises DomainError unless N >= 3 is an integer and mu1, mu2, beta > 0.
     """
-    if int(N) != N:
+    if N % 1 != 0:  # also inf and nan, which a sweep config can hold
         raise DomainError(f"dimension N must be an integer, got {N!r}")
     N = int(N)
     if N < 3:
@@ -87,11 +87,14 @@ def make_params(N: int, mu1: float, mu2: float, beta: float) -> SystemParams:
         if not (math.isfinite(value) and value > 0.0):
             raise DomainError(f"coefficient {name} must be positive, got {value!r}")
 
-    delta, p, two_star, sphere_area = _exponents(N)
-    q = 1.0 / (2.0 * p - 2.0)
-    d2 = delta * delta
-    lam = ((p * d2 / mu1) ** q, (p * d2 / mu2) ** q)
-    lam_star = ((d2 / mu1) ** q, (d2 / mu2) ** q)
+    try:  # the sphere area overflows from N = 344, lam earlier for small mu
+        delta, p, two_star, sphere_area = _exponents(N)
+        q = 1.0 / (2.0 * p - 2.0)
+        d2 = delta * delta
+        lam = ((p * d2 / mu1) ** q, (p * d2 / mu2) ** q)
+        lam_star = ((d2 / mu1) ** q, (d2 / mu2) ** q)
+    except OverflowError:
+        raise DomainError(f"N={N}, mu1={mu1!r}, mu2={mu2!r} overflow a derived constant") from None
     return SystemParams(
         N=N,
         mu1=float(mu1),

@@ -103,10 +103,12 @@ def settings_from_dict(doc: dict) -> IntegratorSettings:
     """Settings from a full or partial document; a null max_step is unbounded.
 
     Older artifacts also name a refinement tolerance for crossings, which
-    are now bisected to adjacent floats; it is dropped.
+    are now bisected to adjacent floats, and the positive-mode floor, now
+    dynamics.POSITIVITY_FLOOR; both are dropped.
     """
     doc = dict(doc)
-    doc.pop("event_refinement_tol", None)
+    for legacy in ("event_refinement_tol", "positivity_floor"):
+        doc.pop(legacy, None)
     if "t_span" in doc:
         doc["t_span"] = tuple(doc["t_span"])
     if "max_step" in doc and doc["max_step"] is None:
@@ -210,19 +212,14 @@ def trajectory_from_dict(doc: dict) -> Trajectory:
     params = params_from_dict(doc["params"])
     settings = settings_from_dict(doc["settings"])
     nodes = doc["nodes"]
-    t = np.array(nodes["t"], dtype=float)
-    y = np.array(
-        [nodes["w1"], nodes["w2"], nodes["dw1"], nodes["dw2"]], dtype=float
-    )
-    lengths = {len(nodes[k]) for k in ("t", "w1", "w2", "dw1", "dw2", "psi")}
-    if len(lengths) != 1:
+    if len({len(nodes[k]) for k in ("t", "w1", "w2", "dw1", "dw2", "psi")}) != 1:
         raise SchemaMismatch("node arrays have inconsistent lengths")
     return Trajectory(
         params=params,
         settings=settings,
         mode=doc["mode"],
-        t=t,
-        y=y,
+        t=np.array(nodes["t"], dtype=float),
+        y=np.array([nodes["w1"], nodes["w2"], nodes["dw1"], nodes["dw2"]], dtype=float),
         psi=np.array(nodes["psi"], dtype=float),
         events=tuple(event_from_dict(e) for e in doc["events"]),
         psi0=doc["psi0"],

@@ -49,8 +49,7 @@ def _ok(number, name, detail=""):
 def _bounded_orbits(p3, n, seed):
     """n certified bounded orbits from near-equilibrium draws (N=3 is fully
     elliptic at these coefficients, so every admissible draw stays bounded)."""
-    spec = SamplerSpec(kind="near_cylinder", projection="psi_negative",
-                       require_positive=True)
+    spec = SamplerSpec(kind="near_cylinder", projection="psi_negative")
     orbits = []
     index = 0
     while len(orbits) < n:
@@ -230,8 +229,7 @@ def test_08_sharp_estimate_constants():
     # proportional manifold; the two-sided constants must satisfy C1 > 0 and
     # C2 <= max(lambda) + 1e-6.
     span12 = IntegratorSettings(t_span=(-12.0, 12.0))
-    spec = SamplerSpec(kind="near_cylinder", projection="psi_negative",
-                       require_positive=True, ray_fraction=1.0)
+    spec = SamplerSpec(kind="near_cylinder", projection="psi_negative", ray_fraction=1.0)
     for N, mu1, mu2, beta in [(5, 1.0, 1.0, 1.0), (4, 1.0, 1.0, 3.0)]:
         p = make_params(N, mu1, mu2, beta)
         found = 0

@@ -51,6 +51,14 @@ class TestClosedFormCommands:
         assert code == 1
         assert "positive" in err
 
+    @pytest.mark.parametrize("N", ["300", "400"])
+    def test_overflowing_dimension_exits_one(self, capsys, N):
+        # N = 300 overflows the bounds lam, N = 400 also the sphere area.
+        code, _, err = run_cli(capsys, "solve-kl", "--N", N, "--mu1", "1",
+                               "--mu2", "1", "--beta", "1")
+        assert code == 1
+        assert err.startswith("fowlerlab: error: ") and "overflow" in err
+
 
 class TestIntegratePipeline:
     def test_invalid_dimension_exits_one(self, capsys):
@@ -115,6 +123,19 @@ class TestIntegratePipeline:
         code, _, err = run_cli(capsys, "classify", "--in", str(bad))
         assert code == 3
 
+    def test_ragged_artifact_exits_three(self, capsys, tmp_path):
+        out = tmp_path / "orbit.json"
+        code, _, _ = run_cli(capsys, "integrate", "--N", "3", "--mu1", "1", "--mu2", "1",
+                             "--beta", "1", "--orbit", "cylinder", "--t-min", "-2",
+                             "--t-max", "2", "--out", str(out))
+        assert code == 0
+        doc = json.loads(out.read_text())
+        doc["nodes"]["w1"].pop()
+        out.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "classify", "--in", str(out))
+        assert code == 3
+        assert "node arrays have inconsistent lengths" in err
+
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({
@@ -135,7 +156,8 @@ class TestIntegratePipeline:
         # A removed setting is rejected like one that never existed.
         for extra, key in (({"bogus": 1}, "bogus"),
                            ({"settings": {"event_refinement_tol": 1e-12}},
-                            "event_refinement_tol")):
+                            "event_refinement_tol"),
+                           ({"settings": {"positivity_floor": 1e-14}}, "positivity_floor")):
             config.write_text(json.dumps({"params": params, **extra}))
             code, _, err = run_cli(capsys, "integrate", "--config", str(config),
                                    "--orbit", "cylinder")
@@ -211,6 +233,17 @@ class TestExperimentCommands:
         doc = stdout_json(stdout)
         validate(doc, "experiment_report")
         assert doc["counts"] == {"BothSingularCandidate": 1}
+
+    @pytest.mark.parametrize("N", [3.5, math.inf, math.nan])
+    def test_sweep_rejects_a_fractional_dimension(self, capsys, tmp_path, N):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({
+            "param_grid": [[N, 1.0, 1.0, 1.0]],
+            "initial_grid": [[0.5, 0.5, 0.0, 0.0]],
+        }))
+        code, _, err = run_cli(capsys, "sweep", "--config", str(config))
+        assert code == 1
+        assert "N must be an integer" in err
 
     def test_sweep_requires_grids(self, capsys):
         code, _, err = run_cli(capsys, "sweep")

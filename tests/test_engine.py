@@ -47,7 +47,7 @@ def scipy_segment(params, state, t_end, settings, mode):
     if mode == "positive":
         for comp in (0, 1):
             def floor(t, y, comp=comp):
-                return y[comp] - settings.positivity_floor
+                return y[comp] - dynamics.POSITIVITY_FLOOR
 
             floor.terminal, floor.direction = True, -1.0
             events.append(floor)

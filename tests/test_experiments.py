@@ -79,9 +79,14 @@ class TestSampler:
         c = draw_initial(p3, spec, seed=11, index=6)
         assert c != a
 
+    @pytest.mark.parametrize("spec", [{"projection": "psi_postive"}, {"kind": "box"}],
+                             ids=["projection", "kind"])
+    def test_unknown_kind_or_projection_rejected(self, spec):
+        with pytest.raises(DomainError, match="unknown sampler"):
+            SamplerSpec(**spec)
+
     def test_near_cylinder_positive_negative_energy(self, p5):
-        spec = SamplerSpec(kind="near_cylinder", projection="psi_negative",
-                           require_positive=True)
+        spec = SamplerSpec(kind="near_cylinder", projection="psi_negative")
         found = 0
         for index in range(40):
             data, reason = draw_initial(p5, spec, seed=1, index=index)

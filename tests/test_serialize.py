@@ -139,10 +139,19 @@ class TestValidation:
                 load_trajectory(path)
         # A settings key that older versions wrote still loads; it is no
         # longer written.
-        assert "event_refinement_tol" not in doc["settings"]
-        legacy = _replace(doc, ("settings", "event_refinement_tol"), 1e-12)
-        path.write_text(json.dumps(legacy))
-        assert load_trajectory(path).settings == perturbed_traj.settings
+        for key, value in (("event_refinement_tol", 1e-12), ("positivity_floor", 1e-14)):
+            assert key not in doc["settings"]
+            legacy = _replace(doc, ("settings", key), value)
+            path.write_text(json.dumps(legacy))
+            assert load_trajectory(path).settings == perturbed_traj.settings
+
+    @pytest.mark.parametrize("key", ["t", "w1", "w2", "dw1", "dw2", "psi"])
+    def test_ragged_node_arrays_rejected(self, perturbed_traj, tmp_path, key):
+        doc = trajectory_to_dict(perturbed_traj)
+        path = tmp_path / "orbit.json"
+        path.write_text(json.dumps(_replace(doc, ("nodes", key), doc["nodes"][key][:-1])))
+        with pytest.raises(SchemaMismatch, match="node arrays have inconsistent lengths"):
+            load_trajectory(path)
 
     def test_missing_field_rejected(self, perturbed_traj, tmp_path):
         doc = trajectory_to_dict(perturbed_traj)
@@ -373,9 +382,10 @@ def test_every_schema_has_a_valid_document(valid_documents):
 @pytest.mark.parametrize("name", SCHEMA_NAMES)
 def test_validate_matches_stock_jsonschema(valid_documents, name):
     if name == "trajectory":
-        legacy = _replace(valid_documents[name], ("settings", "event_refinement_tol"), 1e-12)
-        assert _stock_outcome(legacy, name) is None
-        assert _outcome(legacy, name) is None
+        for key, value in (("event_refinement_tol", 1e-12), ("positivity_floor", 1e-14)):
+            legacy = _replace(valid_documents[name], ("settings", key), value)
+            assert _stock_outcome(legacy, name) is None
+            assert _outcome(legacy, name) is None
     rejected = 0
     for label, doc in _mutants(valid_documents[name]):
         expected = _stock_outcome(doc, name)
