@@ -361,6 +361,8 @@ def solve_ivp(field, t0, y0, t_bound, settings, mode, stop=None):
         elif h_abs < min_step:
             h_abs = min_step
         rejected = False
+        # The old node's magnitudes, for the error scale and the BlowUp test.
+        o1, o2, o3, o4 = abs(w1), abs(w2), abs(v1), abs(v2)
         while True:
             if h_abs < min_step:
                 status = -1
@@ -426,12 +428,14 @@ def solve_ivp(field, t0, y0, t_bound, settings, mode, stop=None):
                       + 17253 / 339200 * b1_5 - 22 / 525 * b1_6 + 1 / 40 * a1_new) * h
                 e4 = (-71 / 57600 * a2 + 71 / 16695 * b2_3 - 71 / 1920 * b2_4
                       + 17253 / 339200 * b2_5 - 22 / 525 * b2_6 + 1 / 40 * a2_new) * h
-                error_norm = _rms(
-                    e1 / (atol + max(abs(w1), abs(w1_new)) * rtol),
-                    e2 / (atol + max(abs(w2), abs(w2_new)) * rtol),
-                    e3 / (atol + max(abs(v1), abs(v1_new)) * rtol),
-                    e4 / (atol + max(abs(v2), abs(v2_new)) * rtol),
-                )
+                # The RMS norm of _rms, scaled by atol + rtol * max(old, new)
+                # magnitude: n if n > o else o is max(o, n), ties and NaN too.
+                n1, n2, n3, n4 = abs(w1_new), abs(w2_new), abs(v1_new), abs(v2_new)
+                e1 /= atol + (n1 if n1 > o1 else o1) * rtol
+                e2 /= atol + (n2 if n2 > o2 else o2) * rtol
+                e3 /= atol + (n3 if n3 > o3 else o3) * rtol
+                e4 /= atol + (n4 if n4 > o4 else o4) * rtol
+                error_norm = math.sqrt(e1 * e1 + e2 * e2 + e3 * e3 + e4 * e4) / 2.0
             except OverflowError:
                 error_norm = math.inf
             if error_norm < 1.0:
@@ -450,7 +454,7 @@ def solve_ivp(field, t0, y0, t_bound, settings, mode, stop=None):
             break
 
         crossings = []
-        if max(abs(w1), abs(w2)) <= threshold <= max(abs(w1_new), abs(w2_new)):
+        if (o2 if o2 > o1 else o1) <= threshold <= (n2 if n2 > n1 else n1):
             crossings.append(("BlowUp", None, lambda w: max(abs(w[0]), abs(w[1])) >= threshold))
         if positive:
             if w1 >= floor >= w1_new:
@@ -499,6 +503,21 @@ def solve_ivp(field, t0, y0, t_bound, settings, mode, stop=None):
                    nfev=nfev, status=status, event=event)
 
 
+def _mirror(seg: Segment) -> Segment:
+    """The segment solve_ivp returns toward -t_bound, given its run toward
+    t_bound, when t0 and both initial velocities are +0.0.
+
+    The field is time-reversible: (t, w, w') -> (-t, w, -w') maps orbits to
+    orbits, and such data are their own image.  The step loop is too, float
+    for float: every step size, stage, error norm and event root of the
+    backward run is the forward one's with t and w' negated, and w, w'',
+    nfev, status and event equal.  0.0 - x, not -x, keeps the +0.0 the
+    backward run has at t0 and at any other exact zero.
+    """
+    return Segment(t=0.0 - seg.t, y=np.concatenate([seg.y[:2], 0.0 - seg.y[2:]]), acc=seg.acc,
+                   nfev=seg.nfev, status=seg.status, event=seg.event)
+
+
 def _require_window(t_span, t: float, message: str, strict: bool = False) -> None:
     """DomainError unless t_span holds t (strictly inside when strict)."""
     t_lo, t_hi = t_span
@@ -521,6 +540,10 @@ def integrate(
     interpolant by the same _event_root as the terminal events.  Step-size
     underflow is reported on the trajectory (flagged uncertified), never
     raised.  The window must hold the initial time.
+
+    Data at rest at t = 0 (t0 and both velocities +0.0) on a symmetric
+    window (t_span[0] == -t_span[1]) take one run: the backward half is the
+    forward one mirrored (_mirror), bit for bit what a backward run returns.
     """
     if settings is None:
         settings = IntegratorSettings()
@@ -531,6 +554,11 @@ def integrate(
         # solve_ivp is looked up on the module at call time, so a wrapper set
         # on that attribute (bench/tracing.py) sees every call.
         forward = solve_ivp(fun, t0, start, t_hi, settings, mode) if t_hi > t0 else None
+        # Data at rest at t = 0 on a symmetric window: the backward run is
+        # the forward one mirrored.  A -0.0 would not survive the mirror.
+        if t_lo == -t_hi and all(x == 0.0 and math.copysign(1.0, x) > 0.0
+                                 for x in (t0, start[2], start[3])):
+            return forward, _mirror(forward)
         backward = solve_ivp(fun, t0, start, t_lo, settings, mode) if t_lo < t0 else None
         return forward, backward
 

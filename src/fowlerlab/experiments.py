@@ -385,7 +385,10 @@ def shoot_entire(
     bracket, and every trial when the end energies have the same sign, is
     the midpoint.  The bracket closes to adjacent floats within SHOOT_TRIALS
     trials.
-    The converged orbit must decay below SHOOT_DECAY_CUT at both window ends.
+    The converged orbit is integrate's from the apex data, which are at
+    rest at t = 0: on a symmetric window (t_span[0] == -t_span[1]) that is
+    one run and its mirror.  It must decay below SHOOT_DECAY_CUT at both
+    window ends.
     The window must hold the apex time: t_span[0] < 0 < t_span[1].
     """
     if settings is None:

@@ -154,12 +154,10 @@ def pohozaev_scalar(N: int, coefficient: float, r: float, u: float, du: float) -
 
     Serves as the decoupled (beta -> 0) oracle for the system functional.
     """
-    if int(N) != N or N < 3:
-        raise DomainError(f"dimension N must be an integer >= 3, got {N!r}")
+    delta, _, two_star, sphere_area = _exponents(N)
     if r <= 0.0:
         raise DomainError(f"radius must be positive, got {r!r}")
     N = int(N)
-    delta, _, two_star, sphere_area = _exponents(N)
     integrand = (
         delta * u * du
         - 0.5 * r * du * du

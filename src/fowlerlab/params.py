@@ -64,31 +64,40 @@ class CouplingSolution:
     residuals: tuple[float, float]
 
 
-def _exponents(N: int) -> tuple[float, float, float, float]:
-    """(delta, p, two_star, sphere_area) of the dimension N."""
-    delta = (N - 2) / 2.0
-    p = N / (N - 2.0)
-    # Closed Gamma-function formula for the area of the unit sphere in R^N.
-    sphere_area = 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
-    return delta, p, 2.0 * p, sphere_area
+def _exponents(N) -> tuple[float, float, float, float]:
+    """(delta, p, two_star, sphere_area) of the dimension N.
 
-
-def make_params(N: int, mu1: float, mu2: float, beta: float) -> SystemParams:
-    """Validate the inputs and populate every derived field.
-
-    Raises DomainError unless N >= 3 is an integer and mu1, mu2, beta > 0.
+    The one dimension check, shared by every function of N: DomainError
+    unless N is an integer >= 3 whose sphere area is finite (it overflows
+    from N = 344).
     """
     if N % 1 != 0:  # also inf and nan, which a sweep config can hold
         raise DomainError(f"dimension N must be an integer, got {N!r}")
     N = int(N)
     if N < 3:
         raise DomainError(f"dimension N must be >= 3, got {N}")
+    delta = (N - 2) / 2.0
+    p = N / (N - 2.0)
+    try:
+        # Closed Gamma-function formula for the area of the unit sphere in R^N.
+        sphere_area = 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
+    except OverflowError:
+        raise DomainError(f"dimension N={N} overflows the sphere area") from None
+    return delta, p, 2.0 * p, sphere_area
+
+
+def make_params(N: int, mu1: float, mu2: float, beta: float) -> SystemParams:
+    """Validate the inputs and populate every derived field.
+
+    Raises DomainError unless N passes _exponents and mu1, mu2, beta > 0.
+    """
+    delta, p, two_star, sphere_area = _exponents(N)
+    N = int(N)
     for name, value in (("mu1", mu1), ("mu2", mu2), ("beta", beta)):
         if not (math.isfinite(value) and value > 0.0):
             raise DomainError(f"coefficient {name} must be positive, got {value!r}")
 
-    try:  # the sphere area overflows from N = 344, lam earlier for small mu
-        delta, p, two_star, sphere_area = _exponents(N)
+    try:  # lam overflows from N = 288 at mu = 1, earlier for small mu
         q = 1.0 / (2.0 * p - 2.0)
         d2 = delta * delta
         lam = ((p * d2 / mu1) ** q, (p * d2 / mu2) ** q)
@@ -272,8 +281,16 @@ def cylinder_state(params: SystemParams) -> tuple[FowlerState, float]:
 
 
 def bubble_amplitude(N: int) -> float:
-    """Prefactor [N(N-2)]^((N-2)/4) of the standard entire profile."""
-    return (N * (N - 2.0)) ** ((N - 2.0) / 4.0)
+    """Prefactor [N(N-2)]^((N-2)/4) of the standard entire profile.
+
+    DomainError unless N passes _exponents and the prefactor is finite (it
+    overflows from N = 258).
+    """
+    _exponents(N)
+    try:
+        return (N * (N - 2.0)) ** ((N - 2.0) / 4.0)
+    except OverflowError:
+        raise DomainError(f"dimension N={N} overflows the bubble prefactor") from None
 
 
 def scalar_bubble_radial(N: int, eps: float, r: float) -> float:

@@ -45,12 +45,31 @@ def test_traced_integration_counts_nodes_and_nfev(tracing):
 
     tracer = tracing.Tracer()
     with tracer.patched():
+        # Moving data, so both halves are integrated.
         traj = experiments.integrate(
-            make_params(3, 1.0, 1.0, 1.0), FowlerState(0.0, 0.5, 0.5, 0.0, 0.0),
+            make_params(3, 1.0, 1.0, 1.0), FowlerState(0.0, 0.5, 0.5, 0.1, 0.0),
             IntegratorSettings(t_span=(-2.0, 2.0)),
         )
     counts = tracer.counters
     assert counts["nodes"] == len(traj.t) - 1
     assert counts["nfev"] > 6 * counts["nodes"]
     assert [span[0] for span in tracer.spans].count("dynamics.solve_ivp") == 2
+    assert tracer.problems() == []
+
+
+def test_traced_integration_from_rest_makes_one_run(tracing):
+    from fowlerlab import FowlerState, IntegratorSettings, experiments, make_params
+
+    tracer = tracing.Tracer()
+    with tracer.patched():
+        traj = experiments.integrate(
+            make_params(3, 1.0, 1.0, 1.0), FowlerState(0.0, 0.5, 0.5, 0.0, 0.0),
+            IntegratorSettings(t_span=(-2.0, 2.0)),
+        )
+    # The backward half is the forward run mirrored: its nodes are counted,
+    # but only the forward run evaluates the field.
+    counts = tracer.counters
+    assert counts["nodes"] == len(traj.t) - 1
+    assert counts["nfev"] > 6 * (counts["nodes"] // 2)
+    assert [span[0] for span in tracer.spans].count("dynamics.solve_ivp") == 1
     assert tracer.problems() == []

@@ -51,13 +51,21 @@ class TestClosedFormCommands:
         assert code == 1
         assert "positive" in err
 
-    @pytest.mark.parametrize("N", ["300", "400"])
-    def test_overflowing_dimension_exits_one(self, capsys, N):
-        # N = 300 overflows the bounds lam, N = 400 also the sphere area.
-        code, _, err = run_cli(capsys, "solve-kl", "--N", N, "--mu1", "1",
-                               "--mu2", "1", "--beta", "1")
-        assert code == 1
+    @pytest.mark.parametrize("N, command", [
+        ("300", ("solve-kl",)),
+        ("400", ("solve-kl",)),
+        ("258", ("bubble", "--r", "1")),
+        ("258", ("integrate", "--orbit", "bubble")),
+    ], ids=["300", "400", "258-bubble", "258-integrate"])
+    def test_overflowing_dimension_exits_one(self, capsys, tmp_path, N, command):
+        # N = 300 overflows the bounds lam, N = 400 also the sphere area, and
+        # the bubble prefactor overflows from N = 258, which make_params takes.
+        out = tmp_path / "out.json"
+        code, stdout, err = run_cli(capsys, command[0], "--N", N, "--mu1", "1", "--mu2", "1",
+                                    "--beta", "1", *command[1:], "--out", str(out))
+        assert code == 1 and stdout == ""
         assert err.startswith("fowlerlab: error: ") and "overflow" in err
+        assert "Traceback" not in err and not out.exists()
 
 
 class TestIntegratePipeline:

@@ -17,9 +17,11 @@ from fowlerlab import (
     FowlerState,
     IntegratorSettings,
     bubble_fowler,
+    cylinder_amplitudes,
     cylinder_state,
     integrate,
     make_params,
+    solve_coupling,
 )
 from fowlerlab import dynamics
 from fowlerlab.dynamics import (
@@ -29,6 +31,7 @@ from fowlerlab.dynamics import (
     _row_function,
     _scan_grid,
 )
+from fowlerlab.experiments import shoot_settings
 from fowlerlab.serialize import load_trajectory, save_trajectory
 
 
@@ -313,3 +316,105 @@ def test_two_sided_terminated_nodes_increase(name):
     traj = _n5_orbit(name)
     assert traj.terminated and traj.t_min < 0.0 < traj.t_max
     assert np.all(np.diff(traj.t) > 0.0)
+
+
+#: mu2 != mu1, so the apex components differ.
+MIRROR_PARAMS = {N: make_params(N, 1.0, 1.1, beta)
+                 for N, beta in ((3, 1.0), (4, 2.0), (5, 1.0), (6, 0.3))}
+
+
+def _mirror_settings(name, params):
+    if name == "shoot":
+        return shoot_settings(params)
+    if name == "default":
+        return IntegratorSettings()
+    # A box the orbits reach: rising from below the cylinder or, signed, on
+    # their way down through zero.
+    return IntegratorSettings(blowup_threshold=max(cylinder_amplitudes(params)))
+
+
+def _same_floats(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("N", sorted(MIRROR_PARAMS))
+@pytest.mark.parametrize("settings_name", ["shoot", "default", "blowup"])
+@pytest.mark.parametrize("apex_name", ["small", "half", "homoclinic", "above", "far", "lam"])
+def test_backward_run_from_an_apex_is_the_forward_run_mirrored(N, settings_name, apex_name):
+    # Data (a, r a, 0, 0) at t = 0 are fixed by the time reversal
+    # (t, w, w') -> (-t, w, -w'), and so is the step loop, float for float.
+    params = MIRROR_PARAMS[N]
+    settings = _mirror_settings(settings_name, params)
+    kl = solve_coupling(params)
+    star = bubble_fowler(params, 1.0, 0.0).w1
+    apex = {"small": 0.05 * kl.k * params.lam[0], "half": 0.5 * star, "homoclinic": star,
+            "above": star * (1.0 + 1e-9), "far": 1.3 * star, "lam": params.lam[0]}[apex_name]
+    y0 = (apex, kl.l / kl.k * apex, 0.0, 0.0)
+    t_end = settings.t_span[1]
+    assert settings.t_span[0] == -t_end
+    field = _make_field(params)
+    forward = dynamics.solve_ivp(field, 0.0, y0, t_end, settings, "signed")
+    backward = dynamics.solve_ivp(field, 0.0, y0, -t_end, settings, "signed")
+    mirror = dynamics._mirror(forward)
+    assert _same_floats(mirror.t, backward.t)
+    assert _same_floats(mirror.y, backward.y)
+    assert _same_floats(mirror.acc, backward.acc)
+    assert (mirror.nfev, mirror.status, mirror.event) == (
+        backward.nfev, backward.status, backward.event)
+    # The shared initial node keeps +0.0 in t and in both velocities.
+    assert not np.any(np.signbit([mirror.t[0], *mirror.y[2:, 0]]))
+    if settings_name == "blowup" and apex_name not in ("homoclinic", "above"):
+        assert backward.event == ("BlowUp", None)
+
+
+def _two_runs(params, initial, settings, mode):
+    """The Trajectory integrate would return if it ran both halves with solve_ivp."""
+    t_lo, t_hi = settings.t_span
+
+    def solve(fun, t0, start):
+        return (dynamics.solve_ivp(fun, t0, start, t_hi, settings, mode),
+                dynamics.solve_ivp(fun, t0, start, t_lo, settings, mode))
+
+    return dynamics._two_sided(params, initial, settings, mode, solve)
+
+
+@pytest.mark.parametrize("N", sorted(MIRROR_PARAMS))
+@pytest.mark.parametrize("mode", ["positive", "signed"])
+def test_integrate_from_rest_runs_once_and_equals_two_runs(N, mode, monkeypatch):
+    params = MIRROR_PARAMS[N]
+    settings = IntegratorSettings(t_span=(-25.0, 25.0))
+    star = bubble_fowler(params, 1.0, 0.0)
+    # The cylinder, the entire orbit's apex, and data that fall to zero (a
+    # PositivityLoss in positive mode, a sign change in signed mode).
+    cases = [cylinder_state(params)[0],
+             FowlerState(t=0.0, w1=star.w1, w2=star.w2, dw1=0.0, dw2=0.0),
+             FowlerState(t=0.0, w1=1e-3, w2=0.5 * params.lam[1], dw1=0.0, dw2=0.0)]
+    calls = []
+    inner = dynamics.solve_ivp
+    monkeypatch.setattr(dynamics, "solve_ivp", lambda *a: calls.append(a[3]) or inner(*a))
+    for initial in cases:
+        want = _two_runs(params, initial, settings, mode)
+        calls.clear()
+        got = integrate(params, initial, settings, mode=mode)
+        assert calls == [25.0]
+        for name in ("t", "y", "psi"):
+            assert _same_floats(getattr(got, name), getattr(want, name))
+        assert (got.events, got.psi0, got.drift, got.failure) == (
+            want.events, want.psi0, want.drift, want.failure)
+
+
+@pytest.mark.parametrize("initial", [
+    FowlerState(t=0.0, w1=0.5, w2=0.5, dw1=-0.0, dw2=0.0),
+    FowlerState(t=-0.0, w1=0.5, w2=0.5, dw1=0.0, dw2=0.0),
+    FowlerState(t=0.0, w1=0.5, w2=0.5, dw1=0.0, dw2=1e-300),
+], ids=["negative-zero-velocity", "negative-zero-time", "moving"])
+def test_integrate_runs_both_halves_unless_at_rest(initial, monkeypatch):
+    params = MIRROR_PARAMS[4]
+    settings = IntegratorSettings(t_span=(-25.0, 25.0))
+    want = _two_runs(params, initial, settings, "signed")
+    calls = []
+    inner = dynamics.solve_ivp
+    monkeypatch.setattr(dynamics, "solve_ivp", lambda *a: calls.append(a[3]) or inner(*a))
+    got = integrate(params, initial, settings, mode="signed")
+    assert calls == [25.0, -25.0]
+    assert _same_floats(got.t, want.t) and _same_floats(got.y, want.y)

@@ -248,9 +248,20 @@ class TestSignChange:
         assert dumps(experiment_report_to_dict(a)) == dumps(experiment_report_to_dict(b))
 
 
+def _assert_is_integrate(params, settings, data, traj):
+    """The shot orbit is integrate's orbit from the apex data, bit for bit,
+    though a symmetric window integrates only its forward half."""
+    ref = integrate(params, data.state(), settings, mode="signed")
+    for name in ("t", "y", "acc", "psi"):
+        got, want = getattr(traj, name), getattr(ref, name)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    assert (traj.events, traj.psi0, traj.drift) == (ref.events, ref.psi0, ref.drift)
+
+
 class TestShootEntire:
     def test_recovers_bubble_apex_n3(self, p3):
         data, traj = shoot_entire(p3)
+        _assert_is_integrate(p3, shoot_settings(p3), data, traj)
         exact = bubble_fowler(p3, 1.0, 0.0).w1
         assert abs(data.a1 - exact) / exact < 1e-6
         assert data.b1 == 0.0 and data.b2 == 0.0
@@ -258,7 +269,8 @@ class TestShootEntire:
         assert all(e.kind != "SignChange" for e in traj.events)
 
     def test_apex_ratio_matches_coupling(self, p4b2):
-        data, _ = shoot_entire(p4b2)
+        data, traj = shoot_entire(p4b2)
+        _assert_is_integrate(p4b2, shoot_settings(p4b2), data, traj)
         exact = bubble_fowler(p4b2, 1.0, 0.0)
         assert data.a1 == pytest.approx(exact.w1, rel=1e-6)
         assert data.a2 / data.a1 == pytest.approx(exact.w2 / exact.w1, rel=1e-12)
@@ -307,7 +319,8 @@ class TestShootEntire:
                 assert seg.status == 0 and seg.t[-1] == t_end
 
     def test_shoot_with_full_window_rule_finds_the_same_apex(self, p5, monkeypatch):
-        data, _ = shoot_entire(p5)
+        data, traj = shoot_entire(p5)
+        _assert_is_integrate(p5, shoot_settings(p5), data, traj)
         monkeypatch.setattr(experiments, "_loses_sign", self.full_window_rule(p5))
         assert shoot_entire(p5)[0] == data
 
@@ -331,6 +344,20 @@ class TestShootEntire:
         with pytest.raises(BracketFailure, match="blowup_threshold=1.0"):
             shoot_entire(p5, low_box)
         assert len(calls) <= 2
+
+    def test_an_asymmetric_window_integrates_both_halves(self, p3, monkeypatch):
+        bounds = []
+        inner = dynamics.solve_ivp
+        monkeypatch.setattr(dynamics, "solve_ivp",
+                            lambda *args: bounds.append(args[3]) or inner(*args))
+        settings = replace(shoot_settings(p3), t_span=(-31.0, 32.0))
+        data, traj = shoot_entire(p3, settings)
+        assert bounds[-2:] == [32.0, -31.0]
+        _assert_is_integrate(p3, settings, data, traj)
+        # The symmetric window finds the same apex, and its orbit takes one run.
+        bounds.clear()
+        assert shoot_entire(p3)[0] == data
+        assert bounds[-1] == 32.0 and min(bounds) == 32.0
 
     @pytest.mark.parametrize("span", [(-10.0, 0.0), (-10.0, -5.0), (1.0, 10.0)])
     def test_window_must_hold_the_apex_time(self, p3, span):

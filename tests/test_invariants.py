@@ -188,6 +188,8 @@ class TestPohozaevScalar:
             pohozaev_scalar(3, 1.0, -1.0, 1.0, 0.0)
         with pytest.raises(DomainError):
             pohozaev_scalar(2, 1.0, 1.0, 1.0, 0.0)
+        with pytest.raises(DomainError, match="N=400 overflows"):
+            pohozaev_scalar(400, 1.0, 1.0, 1.0, 0.0)
 
     def test_beta_to_zero_degeneration(self):
         # With beta ~ 0 and decoupled scalar profiles, the system functional

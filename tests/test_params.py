@@ -233,6 +233,27 @@ class TestBubble:
             scalar_bubble_radial(3, 0.0, 1.0)
         with pytest.raises(DomainError):
             scalar_bubble_radial(3, 1.0, -1.0)
+        # 2 would divide by zero, 3.5 is no dimension, 258 overflows the
+        # prefactor and 400 also the sphere area.
+        for N in (2, 3.5, 258, 400):
+            with pytest.raises(DomainError, match="dimension N"):
+                scalar_bubble_radial(N, 1.0, 1.0)
+
+    @pytest.mark.parametrize("N", [1, 2, 3.5, 258, math.inf, math.nan])
+    def test_amplitude_rejects_bad_dimensions(self, N):
+        # N = 1 would give a complex number.
+        with pytest.raises(DomainError, match="dimension N"):
+            bubble_amplitude(N)
+
+    def test_last_finite_prefactor(self):
+        assert bubble_amplitude(257) == (257 * 255.0) ** (255.0 / 4.0)
+        with pytest.raises(DomainError, match="N=258 overflows the bubble prefactor"):
+            bubble_amplitude(258)
+
+    def test_params_do_not_need_the_prefactor(self):
+        # Only the bubble helpers use it, so make_params takes N past 258.
+        assert make_params(260, 1, 1, 1).N == 260
+        assert make_params(300, 100, 100, 1).N == 300
 
     def test_propagates_no_positive_solution(self):
         p = make_params(4, 1.0, 2.0, 1.5)
