@@ -138,7 +138,7 @@ def _load_config(path: str | None) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise SchemaMismatch(f"config is not valid JSON: {exc}") from exc
     serialize.validate(doc, "run_config")
     return doc

@@ -1,20 +1,24 @@
 """JSON artifacts, schema validation, and CSV export.
 
-Floats pass through the standard json encoder, which emits the shortest
-round-trip decimal representation, so numeric fields survive a save/load
-cycle bit-exactly.  Node accelerations are not stored: the field at the
-reloaded nodes gives them back exactly.  Every artifact carries a
-schema_version and is validated against the schema files shipped under
-fowlerlab/schemas/.
+dumps writes the text of json.dumps(indent=2, sort_keys=True,
+allow_nan=False), byte for byte, without json's pure-Python encoder (which
+indent selects) visiting every float: a list of plain floats is checked
+finite once and written from one repr of the list, each float as
+float.__repr__, the shortest decimal that reads back as the same float.  So
+numeric fields survive a save/load cycle bit-exactly.  Node accelerations
+are not stored: the field at the reloaded nodes gives them back exactly.
+Every artifact carries a schema_version and is validated against the schema
+files shipped under fowlerlab/schemas/.
 
 Each shipped schema gets one draft-07 validator, built and meta-checked on
-first use and cached.  It differs from jsonschema's own in one keyword:
-an array whose items must be {"type": "number"} is type-checked in one
-loop, where a plain float or int passes outright and every other item gets
-jsonschema's own check and error.  So a document is accepted or rejected
-with the same message as by jsonschema.validate, without one schema
-descent per node value.  jsonschema is imported on the first validation,
-so runs that never validate do not load it.
+first use and cached.  It differs from jsonschema's own in one keyword: an
+array whose items must be {"type": "number"} passes outright when every item
+is a plain float or int, a check made once on the set of item types;
+otherwise each item that is not gets jsonschema's own check and error.  So a
+document is accepted or rejected with the same message as by
+jsonschema.validate, without one schema descent per node value.  jsonschema
+is imported on the first validation, so runs that never validate do not
+load it.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import math
 from dataclasses import asdict
 from functools import lru_cache
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -43,6 +48,7 @@ CSV_COLUMNS = ("t", "w1", "w2", "dw1", "dw2", "psi")
 
 
 _NUMBER = {"type": "number"}
+_NUMBER_TYPES = {float, int}
 
 
 @lru_cache(maxsize=None)
@@ -59,6 +65,8 @@ def _validator(name: str):
     def items(validator, items_schema, instance, schema):
         if items_schema != _NUMBER or type(instance) is not list:
             yield from stock_items(validator, items_schema, instance, schema)
+            return
+        if set(map(type, instance)) <= _NUMBER_TYPES:
             return
         for index, item in enumerate(instance):
             if type(item) is not float and type(item) is not int:
@@ -80,8 +88,58 @@ def validate(instance: dict, schema_name: str) -> None:
 
 
 def dumps(document: dict) -> str:
-    """Canonical JSON text: sorted keys, stable layout, lossless floats."""
-    return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Canonical JSON text: sorted keys, stable layout, lossless floats.
+
+    Equal to json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
+    + "\n", errors included: ValueError for a non-finite float, TypeError
+    for a value or key json cannot write.  The document must be a tree.
+    """
+    return _encode(document, "") + "\n"
+
+
+def _key(key) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, (float, int)) or key is None:  # bool is an int
+        return '"' + _encode(key, "") + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _encode(value, pad: str) -> str:
+    """value as json's indent=2, sorted-key layout writes it at indentation pad."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise ValueError("Out of range float values are not JSON compliant: " + repr(value))
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if (type(value) is list and set(map(type, value)) == {float}
+                and all(map(math.isfinite, value))):
+            # A float repr holds no ", ", so the list's repr splits exactly
+            # between items.
+            body = repr(value)[1:-1].replace(", ", sep)
+        else:
+            body = sep.join([_encode(item, inner) for item in value])
+        return "[\n" + inner + body + "\n" + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = sep.join([_key(k) + ": " + _encode(v, inner) for k, v in sorted(value.items())])
+        return "{\n" + inner + body + "\n" + pad + "}"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 def params_to_dict(params: SystemParams) -> dict:
@@ -236,23 +294,23 @@ def save_trajectory(
     classification: Classification | None = None,
 ) -> None:
     """Write the single-file JSON artifact (optionally embedding reports)."""
-    doc = trajectory_to_dict(traj, invariant_report, classification)
+    # Encoded before the file is opened, so a failure leaves no file.
+    text = dumps(trajectory_to_dict(traj, invariant_report, classification))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(doc))
+        fh.write(text)
 
 
 def load_trajectory(path) -> Trajectory:
     """Load and validate a trajectory artifact.
 
-    Raises SchemaMismatch for truncated or malformed files and for version
-    mismatches; I/O failures raise OSError.
+    Raises SchemaMismatch for truncated, malformed or non-UTF-8 files and
+    for version mismatches; I/O failures raise OSError.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaMismatch(f"not valid JSON: {exc}") from exc
+        try:
+            doc = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise SchemaMismatch(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaMismatch("artifact root must be an object")
     return trajectory_from_dict(doc)
@@ -263,11 +321,8 @@ def export_csv(traj: Trajectory, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for i, t in enumerate(traj.t):
-            writer.writerow(
-                [repr(float(v)) for v in (t, traj.y[0][i], traj.y[1][i],
-                                          traj.y[2][i], traj.y[3][i], traj.psi[i])]
-            )
+        # csv writes a float as its repr.
+        writer.writerows(zip(traj.t.tolist(), *traj.y.tolist(), traj.psi.tolist()))
 
 
 def export_plot_data(traj: Trajectory, path, samples: int | None = None) -> None:

@@ -131,6 +131,23 @@ class TestIntegratePipeline:
         code, _, err = run_cli(capsys, "classify", "--in", str(bad))
         assert code == 3
 
+    # A PNG signature: its 0x89 byte is not UTF-8.
+    BINARY = b"\x89PNG\r\n\x1a\n\x00\x00"
+
+    def test_binary_artifact_exits_three(self, capsys, tmp_path):
+        bad = tmp_path / "orbit.png"
+        bad.write_bytes(self.BINARY)
+        code, stdout, err = run_cli(capsys, "classify", "--in", str(bad))
+        assert (code, stdout) == (3, "")
+        assert err.startswith("fowlerlab: error: not valid JSON: 'utf-8' codec")
+
+    def test_binary_config_exits_three(self, capsys, tmp_path):
+        bad = tmp_path / "run.png"
+        bad.write_bytes(self.BINARY)
+        code, stdout, err = run_cli(capsys, "solve-kl", "--config", str(bad))
+        assert (code, stdout) == (3, "")
+        assert err.startswith("fowlerlab: error: config is not valid JSON: 'utf-8' codec")
+
     def test_ragged_artifact_exits_three(self, capsys, tmp_path):
         out = tmp_path / "orbit.json"
         code, _, _ = run_cli(capsys, "integrate", "--N", "3", "--mu1", "1", "--mu2", "1",

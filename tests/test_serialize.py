@@ -1,4 +1,6 @@
 import copy
+import csv
+import dataclasses
 import json
 import math
 import os
@@ -23,10 +25,12 @@ from fowlerlab import (
     monitor,
     save_trajectory,
     sign_change_experiment,
+    sweep,
     to_radial,
 )
 from fowlerlab.cli import main
 from fowlerlab.errors import SchemaMismatch
+from fowlerlab.experiments import InitialData
 from fowlerlab.serialize import (
     CSV_COLUMNS,
     classification_to_dict,
@@ -113,6 +117,114 @@ class TestLosslessFloats:
         assert json.loads(dumps(doc))["value"] == x
 
 
+def _stdlib(document) -> str:
+    return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _outcome_of(encode, document):
+    """The text encode writes, or the type and message of what it raises."""
+    try:
+        return encode(document)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e22, -1e22, 1.7976931348623157e308]),
+)
+# Items that keep a list off the plain-float path.
+_ODD_ITEMS = st.one_of(st.booleans(), st.integers(), st.none(), _FLOATS.map(np.float64))
+_TEXT = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(["", "\x00", "a\x01\x1f\x7f", "\t\n\r\"\\/", "é", "\u2028",
+                     "\U0001f600", "\ud800"]),
+)
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), _FLOATS, _TEXT,
+    st.lists(_FLOATS, max_size=6),
+    st.lists(st.one_of(_FLOATS, _ODD_ITEMS), max_size=6),
+)
+_DOCUMENTS = st.dictionaries(_TEXT, st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=4),
+    ),
+    max_leaves=12,
+), max_size=5)
+
+
+class TestDumps:
+    """dumps writes exactly the stdlib's indent=2 text, and fails as it does."""
+
+    @given(_DOCUMENTS)
+    @settings(max_examples=400, deadline=None)
+    def test_equals_stdlib(self, document):
+        assert dumps(document) == _stdlib(document)
+
+    @pytest.mark.parametrize("document", [
+        {"x": [1.0, 5e-324, -0.0]},
+        {"x": [1, True, None, np.float64(0.1)]},
+        {"x": [[]], "y": {}, "z": [{}]},
+        {"x": (0.5,), "y": [0.5]},
+        {1: "int", 2: "keys"}, {1.5: 1.0}, {True: 1}, {None: [2.0]},
+    ])
+    def test_edge_documents(self, document):
+        assert dumps(document) == _stdlib(document)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+    @pytest.mark.parametrize("place", [
+        lambda x: {"x": x},
+        lambda x: {"x": [x]},
+        lambda x: {"x": [1.0, 2.0, x]},
+        lambda x: {"x": [1, x, 3.0]},
+        lambda x: {"x": (1.0, x)},
+        lambda x: {"a": {"b": [[0.5], [x, 0.25]]}},
+        lambda x: {x: 1.0},
+    ])
+    def test_non_finite_raises_value_error(self, bad, place):
+        document = place(bad)
+        outcome = _outcome_of(_stdlib, document)
+        assert outcome[0] is ValueError
+        assert _outcome_of(dumps, document) == outcome
+
+    @pytest.mark.parametrize("document", [
+        {"x": object()}, {"x": [1.0, {1.0}]}, {"x": b"bytes"}, {"x": 1j},
+        {("a",): 1.0}, {"x": [1.0, math.nan], "y": object()}, {"a": math.nan, "b": object()},
+    ])
+    def test_unsupported_raises_as_json(self, document):
+        outcome = _outcome_of(_stdlib, document)
+        assert isinstance(outcome, tuple)
+        assert _outcome_of(dumps, document) == outcome
+
+
+def test_failed_save_leaves_no_file(perturbed_traj, tmp_path):
+    path = tmp_path / "orbit.json"
+    with pytest.raises(ValueError, match="Out of range float"):
+        save_trajectory(dataclasses.replace(perturbed_traj, drift=math.nan), path)
+    assert not path.exists()
+
+
+def test_sweep_archive_equals_stdlib_text(p3, p4b2, tmp_path):
+    settings_ = IntegratorSettings(t_span=(-8.0, 8.0))
+    params_grid = [p3, p4b2]
+    initial_grid = [(0.5, 0.5, 0.0, 0.0), (0.05, 0.5, -0.5, 0.3)]
+    report = sweep(params_grid, initial_grid, settings_, mode="signed",
+                   archive_dir=str(tmp_path))
+    records = report.runs
+    assert len(records) == 4 and all("trajectory" in r for r in records)
+    assert sorted(os.listdir(tmp_path)) == sorted(r["trajectory"] for r in records)
+    for record in records:
+        params = params_grid[record["params_index"]]
+        data = InitialData.from_values(params, *initial_grid[record["initial_index"]])
+        traj = integrate(params, data.state(), settings_, mode="signed")
+        invariants = monitor(params, traj)
+        doc = trajectory_to_dict(traj, invariants, classify(params, traj, invariants))
+        assert (tmp_path / record["trajectory"]).read_text() == _stdlib(doc)
+
+
 class TestValidation:
     def test_truncated_file(self, perturbed_traj, tmp_path):
         path = tmp_path / "orbit.json"
@@ -192,6 +304,20 @@ class TestCsv:
         assert first[0] == perturbed_traj.t[0]
         assert first[1] == perturbed_traj.y[0][0]
         assert first[5] == perturbed_traj.psi[0]
+
+    def test_bytes_equal_per_cell_repr_rows(self, perturbed_traj, tmp_path):
+        path = tmp_path / "orbit.csv"
+        export_csv(perturbed_traj, path)
+        expected = tmp_path / "expected.csv"
+        traj = perturbed_traj
+        with open(expected, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(CSV_COLUMNS)
+            for i, t in enumerate(traj.t):
+                writer.writerow([repr(float(v)) for v in (t, traj.y[0][i], traj.y[1][i],
+                                                          traj.y[2][i], traj.y[3][i],
+                                                          traj.psi[i])])
+        assert path.read_bytes() == expected.read_bytes()
 
     def test_plot_data_columns(self, perturbed_traj, tmp_path):
         path = tmp_path / "plot.csv"
