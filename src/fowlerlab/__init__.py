@@ -15,19 +15,13 @@ from .classify import (
     SIGN_CHANGING,
     VERDICTS,
     Classification,
-    EstimateReport,
     classify,
-    decay_rate,
-    proportionality_probe,
-    sharp_constants,
 )
 from .dynamics import (
     Event,
     IntegratorSettings,
     Trajectory,
-    detect_extrema,
     integrate,
-    rhs,
 )
 from .experiments import (
     ExperimentReport,
@@ -41,12 +35,9 @@ from .experiments import (
 )
 from .invariants import (
     InvariantReport,
-    f_pair,
     monitor,
-    pohozaev_scalar,
     pohozaev_system,
     psi,
-    to_fowler,
     to_radial,
 )
 from .params import (
@@ -81,7 +72,6 @@ __all__ = [
     "VERDICTS",
     "Classification",
     "CouplingSolution",
-    "EstimateReport",
     "Event",
     "ExperimentReport",
     "FowlerState",
@@ -97,30 +87,22 @@ __all__ = [
     "classify",
     "cylinder_amplitudes",
     "cylinder_state",
-    "decay_rate",
-    "detect_extrema",
     "errors",
     "export_csv",
     "export_plot_data",
-    "f_pair",
     "integrate",
     "load_trajectory",
     "make_params",
     "monitor",
-    "pohozaev_scalar",
     "pohozaev_system",
-    "proportionality_probe",
     "psi",
-    "rhs",
     "save_trajectory",
     "scalar_bubble_radial",
     "semi_singular_search",
-    "sharp_constants",
     "shoot_entire",
     "shoot_settings",
     "sign_change_experiment",
     "solve_coupling",
     "sweep",
-    "to_fowler",
     "to_radial",
 ]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import POSITIVITY_FLOOR, Trajectory
-from .errors import InsufficientWindow, WrongVerdict
+from .errors import InsufficientWindow
 from .invariants import InvariantReport, potential_arrays
 from .params import SystemParams
 
@@ -37,7 +37,7 @@ K_TOL_FACTOR = 1e-8
 DECAY_RTOL = 0.05
 #: Minimum one-sided coverage (in t) required for a decay fit.
 MIN_SIDE_COVER = 10.0
-#: Samples drawn from the dense interpolant for fits and extrema scans.
+#: Samples drawn from the dense interpolant for each decay fit.
 _FIT_SAMPLES = 400
 _WINDOW_SAMPLES = 2000
 #: Order-of-magnitude separation used by the semi-singular detector.
@@ -51,16 +51,6 @@ class Classification:
     verdict: str
     K_value: float
     evidence: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class EstimateReport:
-    """Best two-sided amplitude constants over the trajectory window."""
-
-    C1: float
-    C2: float
-    ratio: float
-    window: tuple[float, float]
 
 
 def _side_region(traj: Trajectory, end: str) -> tuple[float, float]:
@@ -79,10 +69,6 @@ def _decay_fit(traj: Trajectory, component: int, end: str) -> tuple[float, float
     than MIN_SIDE_COVER units, is cut by a terminal event, or the component
     is not positive on the fit region.
     """
-    if end not in ("+", "-"):
-        raise ValueError(f"end must be '+' or '-', got {end!r}")
-    if component not in (1, 2):
-        raise ValueError(f"component must be 1 or 2, got {component!r}")
     cover = (traj.t_max - traj.t_initial) if end == "+" else (traj.t_initial - traj.t_min)
     if cover < MIN_SIDE_COVER:
         raise InsufficientWindow(
@@ -109,14 +95,6 @@ def _window_sample(traj: Trajectory) -> np.ndarray:
     """Rows (w1, w2) on _WINDOW_SAMPLES points spanning the whole window."""
     ts = np.linspace(traj.t_min, traj.t_max, _WINDOW_SAMPLES)
     return traj.sample(ts)[:2]
-
-
-def decay_rate(traj: Trajectory, component: int, end: str) -> float:
-    """Fitted exponential decay rate toward one end of the window.
-
-    end is "+" for t -> +inf (r -> 0) or "-" for t -> -inf.
-    """
-    return _decay_fit(traj, component, end)[0]
 
 
 def _k_tolerance(params: SystemParams, traj: Trajectory) -> float:
@@ -226,35 +204,3 @@ def classify(
     # inconclusively and let the caller's expectation checks flag it.
     evidence["positive_K_without_events"] = True
     return Classification(INCONCLUSIVE, k_value, evidence)
-
-
-def sharp_constants(
-    traj: Trajectory, classification: Classification | None = None
-) -> EstimateReport:
-    """Two-sided amplitude constants of a both-singular candidate orbit.
-
-    C1 and C2 are the window minimum and maximum of min/max(w1, w2); the
-    orbit must carry (or be given) a BothSingularCandidate verdict.
-    """
-    if classification is None:
-        classification = classify(traj.params, traj)
-    if classification.verdict != BOTH_SINGULAR:
-        raise WrongVerdict(
-            f"sharp_constants requires {BOTH_SINGULAR}, got {classification.verdict}"
-        )
-    w1, w2 = _window_sample(traj)
-    c1 = float(min(np.min(w1), np.min(w2)))
-    c2 = float(max(np.max(w1), np.max(w2)))
-    return EstimateReport(C1=c1, C2=c2, ratio=c2 / c1, window=(traj.t_min, traj.t_max))
-
-
-def proportionality_probe(traj: Trajectory) -> float:
-    """Worst relative deviation of w1/w2 from its median over the window.
-
-    Zero (to roundoff) exactly when the orbit is a constant multiple of a
-    shared profile; strictly positive otherwise.
-    """
-    w1, w2 = _window_sample(traj)
-    ratio = w1 / w2
-    m = float(np.median(ratio))
-    return float(np.max(np.abs(ratio - m)) / abs(m))

@@ -34,23 +34,11 @@ from .state import FowlerState
 
 #: Certification bound: max |Psi - Psi(0)| <= factor * max(1, |Psi(0)|).
 DRIFT_CERT_FACTOR = 1e-8
-#: Extrema scanning ignores intervals where |w'| never exceeds this floor
-#: (suppresses spurious crossings on constant orbits).
-_EXTREMA_DW_FLOOR_FACTOR = 1e3
-#: Critical points with |w''| below 10 * abs_tol cannot be classified.
-_DEGENERATE_FACTOR = 10.0
 #: Positive-mode runs stop where a component falls to this floor, short of
 #: w = 0, where the field is not Lipschitz for N >= 5.
 POSITIVITY_FLOOR = 1e-14
 
-_EVENT_ORDER = {
-    "SignChange": 0,
-    "PositivityLoss": 1,
-    "BlowUp": 2,
-    "LocalMin": 3,
-    "LocalMax": 4,
-    "DegenerateCritical": 5,
-}
+_EVENT_ORDER = {"SignChange": 0, "PositivityLoss": 1, "BlowUp": 2}
 
 
 @dataclass(frozen=True)
@@ -78,8 +66,10 @@ class IntegratorSettings:
             raise DomainError(f"degenerate t_span {self.t_span!r}")
         if not self.max_step > 0.0:  # NaN too: it would lift the step bound
             raise DomainError(f"max_step must be positive, got {self.max_step!r}")
-        if not self.blowup_threshold > 0.0:
-            raise DomainError(f"blowup_threshold must be positive, got {self.blowup_threshold!r}")
+        if not 0.0 < self.blowup_threshold < math.inf:  # an artifact cannot hold inf
+            raise DomainError(
+                f"blowup_threshold must be positive and finite, got {self.blowup_threshold!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -93,16 +83,6 @@ class Event:
 
     def sort_key(self):
         return (self.t, self.component or 0, _EVENT_ORDER.get(self.kind, 9))
-
-
-def rhs(params: SystemParams, state: FowlerState) -> tuple[float, float, float, float]:
-    """First-order vector field (w1', w2', w1'', w2'') at a phase point.
-
-    Total on finite inputs: the power |w|^(p-2) w is continuously extended
-    by 0 at w = 0, which matters for N >= 5 where p < 2.
-    """
-    dd1, dd2 = _make_field(params)(state.w1, state.w2)
-    return (state.dw1, state.dw2, dd1, dd2)
 
 
 def _make_field(params: SystemParams) -> Callable[[float, float], tuple[float, float]]:
@@ -211,13 +191,6 @@ class Trajectory:
     @property
     def terminated(self) -> bool:
         return any(e.kind in ("BlowUp", "PositivityLoss") for e in self.events)
-
-    @property
-    def positive(self) -> bool:
-        """No node or event indicates a component at or below zero."""
-        if any(e.kind in ("PositivityLoss", "SignChange") for e in self.events):
-            return False
-        return bool(np.min(self.y[0]) > 0.0 and np.min(self.y[1]) > 0.0)
 
     def _interpolant(self):
         if self._coeffs is None:
@@ -662,9 +635,10 @@ def _scan_grid(traj: Trajectory) -> np.ndarray:
 
 
 def _row_function(traj: Trajectory, row: int) -> Callable[[float], float]:
-    """Scalar x -> traj.sample(x)[row, 0], bit for bit, without numpy calls."""
+    """Scalar x -> traj.sample(x)[row, 0] for row 0 (w1) or 1 (w2), bit for
+    bit, without numpy calls."""
     c1, c2, h = traj._interpolant()
-    coeffs = (c1 if row % 2 == 0 else c2).T.tolist()
+    coeffs = (c2 if row else c1).T.tolist()
     nodes = traj.t.tolist()
     steps = h.tolist()
     last = len(steps) - 1
@@ -672,15 +646,14 @@ def _row_function(traj: Trajectory, row: int) -> Callable[[float], float]:
     def f(x):
         i = min(max(bisect_right(nodes, x) - 1, 0), last)
         s = (x - nodes[i]) / steps[i]
-        if row < 2:
-            return _quintic_value(coeffs[i], s)
-        return _quintic_slope(coeffs[i], s) / steps[i]
+        return _quintic_value(coeffs[i], s)
 
     return f
 
 
 def _bracketed_zeros(traj: Trajectory, row: int, tt: np.ndarray, vv: np.ndarray) -> list[float]:
-    """Zero crossings of one sampled row, bisected to adjacent floats.
+    """Zero crossings of component row 0 (w1) or 1 (w2), sampled as vv on
+    the grid tt, bisected to adjacent floats.
 
     Each root is the first float of its bracket at which the row is zero or
     past it (_event_root).  Exact zeros at grid points count only when the
@@ -709,44 +682,3 @@ def _sign_change_events(traj: Trajectory) -> list[Event]:
         for comp in (1, 2)
         for te in _bracketed_zeros(traj, comp - 1, tt, sampled[comp - 1])
     ]
-
-
-def detect_extrema(traj: Trajectory) -> tuple[Event, ...]:
-    """Local extrema of each component from zero crossings of w_i'.
-
-    Crossings are located on the dense interpolant and classified by the
-    sign of w_i'' from the vector field; critical points with |w_i''| below
-    10 * abs_tol are flagged DegenerateCritical (no classification).
-    Intervals where |w_i'| stays below a noise floor are skipped, so exact
-    equilibria yield no events.
-    """
-    if len(traj.t) < 2:
-        return ()
-    floor = _EXTREMA_DW_FLOOR_FACTOR * traj.settings.abs_tol
-    tt = _scan_grid(traj)
-    sampled = traj.sample(tt)
-    step_idx = np.clip(np.searchsorted(traj.t, tt, side="right") - 1, 0, len(traj.t) - 2)
-    events: list[Event] = []
-    for comp in (1, 2):
-        row = comp + 1
-        dv = sampled[row]
-        # Per-step derivative scale: a crossing only counts when the
-        # derivative is resolvable somewhere in its step, so exact
-        # equilibria (derivative at noise level) yield no events.
-        step_max = np.zeros(len(traj.t) - 1)
-        np.maximum.at(step_max, step_idx, np.abs(dv))
-        for te in _bracketed_zeros(traj, row, tt, dv):
-            k = int(np.clip(np.searchsorted(traj.t, te, side="right") - 1,
-                            0, len(traj.t) - 2))
-            if step_max[k] <= floor:
-                continue
-            state = traj.sample_state(te)
-            acc = rhs(traj.params, state)[comp + 1]
-            if abs(acc) < _DEGENERATE_FACTOR * traj.settings.abs_tol:
-                kind = "DegenerateCritical"
-            elif acc > 0.0:
-                kind = "LocalMin"
-            else:
-                kind = "LocalMax"
-            events.append(Event(kind=kind, t=te, state=state, component=comp))
-    return tuple(sorted(events, key=Event.sort_key))

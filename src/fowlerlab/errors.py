@@ -21,10 +21,6 @@ class InsufficientWindow(FowlerLabError):
     """Trajectory does not cover enough of the time axis for the request."""
 
 
-class WrongVerdict(FowlerLabError):
-    """Operation requires a trajectory with a different classification."""
-
-
 class BracketFailure(FowlerLabError):
     """Shooting could not bracket (or verify) the decay/loss dichotomy."""
 

@@ -601,7 +601,8 @@ def sweep(
             payloads.append(((pi, ii), params, values, settings, mode, archive_dir))
 
     if workers > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # A fork-started pool launches all max_workers processes at once.
+        with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
             records = list(pool.map(_sweep_point, payloads))
     else:
         records = [_sweep_point(p) for p in payloads]

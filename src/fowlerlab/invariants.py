@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DomainError
-from .params import SystemParams, _exponents
+from .params import SystemParams
 from .state import FowlerState
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -66,25 +66,6 @@ def psi(params: SystemParams, state: FowlerState) -> float:
     return float(psi_arrays(params, state.w1, state.w2, state.dw1, state.dw2))
 
 
-def to_fowler(
-    params: SystemParams, r: float, u: float, v: float, du: float, dv: float
-) -> FowlerState:
-    """Map radial data (r, u, v, u', v') to the logarithmic phase point.
-
-    Inverse of to_radial; the derivative map follows from
-    u'(r) = -r^(-delta-1) (w1'(t) + delta w1(t)).
-    """
-    if r <= 0.0:
-        raise DomainError(f"radius must be positive, got {r!r}")
-    delta = params.delta
-    t = -math.log(r)
-    w1 = r**delta * u
-    w2 = r**delta * v
-    dw1 = -(r ** (delta + 1.0)) * du - delta * w1
-    dw2 = -(r ** (delta + 1.0)) * dv - delta * w2
-    return FowlerState(t=t, w1=w1, w2=w2, dw1=dw1, dw2=dw2)
-
-
 def to_radial(params: SystemParams, state: FowlerState) -> tuple[float, float, float, float, float]:
     """Map a phase point back to radial data (r, u, v, u', v').
 
@@ -110,12 +91,6 @@ def f_arrays(params: SystemParams, w1, w2, dw1, dw2):
     f1 = -0.5 * dw1 * dw1 + 0.5 * d2 * w1 * w1 - params.mu1 / (2.0 * p) * np.abs(w1) ** (2.0 * p)
     f2 = -0.5 * dw2 * dw2 + 0.5 * d2 * w2 * w2 - params.mu2 / (2.0 * p) * np.abs(w2) ** (2.0 * p)
     return f1, f2
-
-
-def f_pair(params: SystemParams, state: FowlerState) -> tuple[float, float]:
-    """Auxiliary pair (f1, f2) at a phase point."""
-    f1, f2 = f_arrays(params, state.w1, state.w2, state.dw1, state.dw2)
-    return float(f1), float(f2)
 
 
 def pohozaev_system(params: SystemParams, r: float, radial_data) -> float:
@@ -149,24 +124,6 @@ def pohozaev_system(params: SystemParams, r: float, radial_data) -> float:
         raise DomainError(f"Pohozaev functional out of float range at r = {r!r}") from exc
 
 
-def pohozaev_scalar(N: int, coefficient: float, r: float, u: float, du: float) -> float:
-    """Pohozaev functional P(r; u) of the scalar equation -Lap u = c u^(2*-1).
-
-    Serves as the decoupled (beta -> 0) oracle for the system functional.
-    """
-    delta, _, two_star, sphere_area = _exponents(N)
-    if r <= 0.0:
-        raise DomainError(f"radius must be positive, got {r!r}")
-    N = int(N)
-    integrand = (
-        delta * u * du
-        - 0.5 * r * du * du
-        + r * du * du
-        + r / two_star * coefficient * abs(u) ** two_star
-    )
-    return sphere_area * r ** (N - 1) * integrand
-
-
 @dataclass(frozen=True)
 class InvariantReport:
     """Worst-case margins of every monitored inequality along a trajectory.
@@ -186,14 +143,6 @@ class InvariantReport:
     gradient_bound: tuple[bool, bool]
     f_w_monotone_coupling: bool
     pohozaev_match: float
-
-    def all_pass(self) -> bool:
-        return (
-            all(self.f_positive)
-            and all(self.lambda_bound)
-            and all(self.gradient_bound)
-            and self.f_w_monotone_coupling
-        )
 
 
 def _monitor_times(traj: "Trajectory") -> np.ndarray:

@@ -293,12 +293,16 @@ def bubble_amplitude(N: int) -> float:
         raise DomainError(f"dimension N={N} overflows the bubble prefactor") from None
 
 
+def _require_eps(eps: float) -> None:
+    if not 0.0 < eps < math.inf:  # NaN too
+        raise DomainError(f"eps must be positive and finite, got {eps!r}")
+
+
 def scalar_bubble_radial(N: int, eps: float, r: float) -> float:
     """U(r) = [N(N-2)]^((N-2)/4) * (eps / (eps^2 + r^2))^((N-2)/2)."""
-    if eps <= 0.0:
-        raise DomainError(f"eps must be positive, got {eps!r}")
-    if r < 0.0:
-        raise DomainError(f"radius must be nonnegative, got {r!r}")
+    _require_eps(eps)
+    if not 0.0 <= r < math.inf:  # NaN too
+        raise DomainError(f"radius must be nonnegative and finite, got {r!r}")
     delta = _exponents(N)[0]
     return bubble_amplitude(N) * (eps / (eps * eps + r * r)) ** delta
 
@@ -316,8 +320,7 @@ def bubble_fowler(params: SystemParams, eps: float, t: float) -> FowlerState:
     The scaled profile is W(t) = [N(N-2)]^(delta/2) * (2 cosh(t + ln eps))^(-delta),
     a homoclinic orbit with zero conserved energy; components are (k W, l W).
     """
-    if eps <= 0.0:
-        raise DomainError(f"eps must be positive, got {eps!r}")
+    _require_eps(eps)
     coupling = solve_coupling(params)
     delta = params.delta
     tau = t + math.log(eps)

@@ -20,20 +20,19 @@ from fowlerlab import (
     classify,
     cylinder_amplitudes,
     cylinder_state,
-    decay_rate,
     integrate,
     make_params,
     monitor,
     pohozaev_system,
     psi,
     semi_singular_search,
-    sharp_constants,
     shoot_entire,
     sign_change_experiment,
     sweep,
     to_radial,
 )
 from fowlerlab.experiments import draw_initial
+from fowlerlab.invariants import f_arrays
 from fowlerlab.serialize import dumps, experiment_report_to_dict
 
 mpmath.mp.dps = 50
@@ -136,10 +135,12 @@ def test_04_entire_solution_reproduction(p3, bubble20):
     # at both ends, EntireCandidate verdict; shooting recovers the apex to
     # 1e-6 relative for N in {3, 4, 5}.
     assert float(np.max(np.abs(bubble20.psi))) < 1e-10
+    result = classify(p3, bubble20, monitor(p3, bubble20))
     for comp in (1, 2):
         for end in ("+", "-"):
-            assert decay_rate(bubble20, comp, end) == pytest.approx(p3.delta, rel=0.01)
-    assert classify(p3, bubble20, monitor(p3, bubble20)).verdict == ENTIRE
+            rate = result.evidence["decay"][f"{end}{comp}"][0]
+            assert rate == pytest.approx(p3.delta, rel=0.01)
+    assert result.verdict == ENTIRE
 
     errs = {}
     for N, mu1, mu2, beta in [(3, 1.0, 1.0, 1.0), (4, 1.0, 1.0, 2.0), (5, 1.0, 1.0, 1.0)]:
@@ -182,7 +183,8 @@ def test_06_lemma_monitors_on_literal_solutions(p3, cylinder20):
                         IntegratorSettings(t_span=(-8.0, 8.0)))
     reports = {"bubble": monitor(p3, bubble8), "cylinder": monitor(p3, cylinder20)}
     for name, report in reports.items():
-        assert report.all_pass()
+        assert all(report.f_positive) and all(report.lambda_bound)
+        assert all(report.gradient_bound) and report.f_w_monotone_coupling
         assert min(report.f_margin) > 0.0
         assert min(report.lambda_margin) > 0.0
         assert min(report.gradient_margin) > 0.0
@@ -190,12 +192,10 @@ def test_06_lemma_monitors_on_literal_solutions(p3, cylinder20):
     # Literal lemma statements on literal solutions, sampled closed forms.
     ts = np.linspace(-15.0, 15.0, 401)
     c1, c2 = cylinder_amplitudes(p3)
-    from fowlerlab import f_pair
-
     for t in ts:
         for state in (bubble_fowler(p3, 1.0, float(t)),
                       FowlerState(float(t), c1, c2, 0.0, 0.0)):
-            f1, f2 = f_pair(p3, state)
+            f1, f2 = f_arrays(p3, state.w1, state.w2, state.dw1, state.dw2)
             assert state.w1 < p3.lam[0] and state.w2 < p3.lam[1]
             assert f1 > 0.0 and f2 > 0.0
             assert abs(state.dw1) < p3.delta * state.w1
@@ -243,10 +243,12 @@ def test_08_sharp_estimate_constants():
             traj = integrate(p, data.state(), span12)
             verdict = classify(p, traj)
             assert verdict.verdict == BOTH_SINGULAR
-            est = sharp_constants(traj, verdict)
-            assert est.C1 > 0.0
-            assert est.C2 <= max(p.lam) + 1e-6
-            ratios.append(est.ratio)
+            # C1 and C2 are the window extremes of min(w1, w2) and max(w1, w2).
+            c1 = min(verdict.evidence["inf_w"])
+            c2 = max(verdict.evidence["sup_w"])
+            assert c1 > 0.0
+            assert c2 <= max(p.lam) + 1e-6
+            ratios.append(c2 / c1)
             found += 1
         assert found == 50
     _ok(8, "sharp estimate constants", f"100 both-singular bands, max ratio {max(ratios):.3f}")

@@ -14,19 +14,42 @@ from fowlerlab import (
     bubble_fowler,
     classify,
     cylinder_state,
-    decay_rate,
     integrate,
     make_params,
     monitor,
-    proportionality_probe,
-    sharp_constants,
 )
-from fowlerlab.errors import InsufficientWindow, WrongVerdict
+from fowlerlab.classify import _decay_fit, _window_sample
+from fowlerlab.errors import InsufficientWindow
 
 mpmath.mp.dps = 50
 
 #: K of the symmetric N=3 cylinder: 4*pi * (-(1/12)/sqrt(2)) = -pi/(3 sqrt 2).
 CYL_K_N3 = float(-mpmath.pi / (3 * mpmath.sqrt(2)))
+
+
+def decay_rate(params, traj, component, end):
+    """The fitted decay rate classify records for one component and end."""
+    return classify(params, traj).evidence["decay"][f"{end}{component}"][0]
+
+
+def band(params, traj):
+    """Two-sided constants (C1, C2) of a both-singular candidate: the window
+    extremes of min(w1, w2) and max(w1, w2) that classify records."""
+    result = classify(params, traj)
+    assert result.verdict == BOTH_SINGULAR
+    return min(result.evidence["inf_w"]), max(result.evidence["sup_w"])
+
+
+def proportionality_probe(traj):
+    """Worst relative deviation of w1/w2 from its median over the window.
+
+    Zero (to roundoff) exactly when the orbit is a constant multiple of a
+    shared profile; strictly positive otherwise.
+    """
+    w1, w2 = _window_sample(traj)
+    ratio = w1 / w2
+    m = float(np.median(ratio))
+    return float(np.max(np.abs(ratio - m)) / abs(m))
 
 
 class TestClassify:
@@ -105,60 +128,60 @@ class TestDecayRate:
     def test_bubble_rate_both_sides(self, bubble_traj, p3):
         for comp in (1, 2):
             for end in ("+", "-"):
-                rate = decay_rate(bubble_traj, comp, end)
+                rate = decay_rate(p3, bubble_traj, comp, end)
                 assert rate == pytest.approx(p3.delta, rel=0.01)
 
-    def test_cylinder_rate_is_zero(self, cylinder_traj):
-        assert abs(decay_rate(cylinder_traj, 1, "+")) < 1e-6
-        assert abs(decay_rate(cylinder_traj, 2, "-")) < 1e-6
+    def test_cylinder_rate_is_zero(self, p3, cylinder_traj):
+        assert abs(decay_rate(p3, cylinder_traj, 1, "+")) < 1e-6
+        assert abs(decay_rate(p3, cylinder_traj, 2, "-")) < 1e-6
 
-    def test_perturbed_cylinder_rate_small(self, perturbed_traj):
+    def test_perturbed_cylinder_rate_small(self, p3, perturbed_traj):
         # Oracle: the dense range of log w is bounded, so the fitted slope
         # cannot exceed range/length of the fit region.
         ts = np.linspace(perturbed_traj.t_min, perturbed_traj.t_max, 10000)
         w1 = perturbed_traj.sample(ts)[0]
         spread = np.ptp(np.log(w1))
         assert spread < 0.02
-        assert abs(decay_rate(perturbed_traj, 1, "+")) < 5e-2
+        assert abs(decay_rate(p3, perturbed_traj, 1, "+")) < 5e-2
 
     def test_insufficient_window(self, p3):
         state, _ = cylinder_state(p3)
         short = integrate(p3, state, IntegratorSettings(t_span=(-4.0, 4.0)))
-        with pytest.raises(InsufficientWindow):
-            decay_rate(short, 1, "+")
+        evidence = classify(p3, short).evidence
+        assert evidence["decay"]["+1"] is None
+        assert ["+", 1, "side + covers 4 < 10.0 units of t"] in evidence["fit_errors"]
 
     def test_truncated_side_rejected(self, p3):
         state = FowlerState(0.0, 0.5, 0.5, 0.3, -0.3)
         traj = integrate(p3, state, IntegratorSettings(t_span=(-50.0, 50.0)))
         assert traj.terminated
+        # classify fits no side of a terminated orbit; the fit alone
+        # refuses this side too.
+        assert "decay" not in classify(p3, traj).evidence
         with pytest.raises(InsufficientWindow):
-            decay_rate(traj, 1, "+")
+            _decay_fit(traj, 1, "+")
 
 
 class TestSharpConstants:
     def test_cylinder_degenerate_band(self, p3, cylinder_traj):
-        est = sharp_constants(cylinder_traj)
+        c1, c2 = band(p3, cylinder_traj)
         c = (1.0 / 8.0) ** 0.25
-        assert est.C1 == pytest.approx(c, abs=1e-9)
-        assert est.C2 == pytest.approx(c, abs=1e-9)
-        assert est.ratio == pytest.approx(1.0, abs=1e-9)
+        assert c1 == pytest.approx(c, abs=1e-9)
+        assert c2 == pytest.approx(c, abs=1e-9)
+        assert c2 / c1 == pytest.approx(1.0, abs=1e-9)
 
     def test_perturbed_cylinder_band(self, p3, perturbed_traj):
-        est = sharp_constants(perturbed_traj)
-        assert 0 < est.C1 < est.C2
-        assert est.ratio > 1.0
-        assert est.C2 <= max(p3.lam) + 1e-6
+        c1, c2 = band(p3, perturbed_traj)
+        assert 0 < c1 < c2
+        assert c2 / c1 > 1.0
+        assert c2 <= max(p3.lam) + 1e-6
         # Oracle: direct min/max over a dense sample grid.
         ts = np.linspace(perturbed_traj.t_min, perturbed_traj.t_max, 2000)
         w1, w2 = perturbed_traj.sample(ts)[:2]
-        assert est.C1 == pytest.approx(min(w1.min(), w2.min()), rel=1e-12)
-        assert est.C2 == pytest.approx(max(w1.max(), w2.max()), rel=1e-12)
-        assert np.all(w1 >= est.C1) and np.all(w2 >= est.C1)
-        assert np.all(w1 <= est.C2) and np.all(w2 <= est.C2)
-
-    def test_bubble_wrong_verdict(self, bubble_traj):
-        with pytest.raises(WrongVerdict):
-            sharp_constants(bubble_traj)
+        assert c1 == pytest.approx(min(w1.min(), w2.min()), rel=1e-12)
+        assert c2 == pytest.approx(max(w1.max(), w2.max()), rel=1e-12)
+        assert np.all(w1 >= c1) and np.all(w2 >= c1)
+        assert np.all(w1 <= c2) and np.all(w2 <= c2)
 
 
 class TestProportionality:

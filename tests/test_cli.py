@@ -328,7 +328,33 @@ def test_zero_eps_is_rejected(capsys):
     assert "eps must be positive" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("bubble", "--r", "nan"), "radius must be nonnegative and finite, got nan"),
+    (("bubble", "--r", "inf"), "radius must be nonnegative and finite, got inf"),
+    (("bubble", "--eps", "inf"), "eps must be positive and finite, got inf"),
+    (("bubble", "--eps", "nan"), "eps must be positive and finite, got nan"),
+    (("integrate", "--orbit", "bubble", "--eps", "inf"),
+     "eps must be positive and finite, got inf"),
+], ids=["r-nan", "r-inf", "eps-inf", "eps-nan", "integrate-eps-inf"])
+def test_nonfinite_bubble_input_is_rejected(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv[:1], "--N", "3", "--mu1", "1", "--mu2", "1",
+                             "--beta", "1", *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert err == f"fowlerlab: error: {message}\n"
+
+
 CYLINDER_N3 = ("--N", "3", "--mu1", "1", "--mu2", "1", "--beta", "1", "--orbit", "cylinder")
+
+
+def test_infinite_blowup_threshold_writes_nothing(capsys, tmp_path):
+    out = tmp_path / "orbit.json"
+    code, stdout, err = run_cli(capsys, "integrate", *CYLINDER_N3,
+                                "--blowup-threshold", "inf", "--out", str(out))
+    assert code == 1
+    assert stdout == ""
+    assert err == "fowlerlab: error: blowup_threshold must be positive and finite, got inf\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("t_min", ["-500", "-5"])

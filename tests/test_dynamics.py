@@ -12,12 +12,9 @@ from fowlerlab import (
     IntegratorSettings,
     bubble_fowler,
     cylinder_state,
-    detect_extrema,
     integrate,
     make_params,
     psi,
-    rhs,
-    to_fowler,
     to_radial,
 )
 from fowlerlab.dynamics import _make_field, _row_function
@@ -25,6 +22,21 @@ from fowlerlab.errors import DomainError
 from fowlerlab.serialize import load_trajectory, save_trajectory
 
 mpmath.mp.dps = 50
+
+
+def to_fowler(params, r, u, v, du, dv):
+    """Map radial data (r, u, v, u', v') to the logarithmic phase point.
+
+    Inverse of to_radial, kept here as its oracle; the derivative map
+    follows from u'(r) = -r^(-delta-1) (w1'(t) + delta w1(t)).
+    """
+    delta = params.delta
+    t = -math.log(r)
+    w1 = r**delta * u
+    w2 = r**delta * v
+    dw1 = -(r ** (delta + 1.0)) * du - delta * w1
+    dw2 = -(r ** (delta + 1.0)) * dv - delta * w2
+    return FowlerState(t=t, w1=w1, w2=w2, dw1=dw1, dw2=dw2)
 
 
 class TestSettingsAndState:
@@ -37,6 +49,8 @@ class TestSettingsAndState:
             IntegratorSettings(t_span=(3.0, 3.0))
         with pytest.raises(DomainError):
             IntegratorSettings(blowup_threshold=0.0)
+        with pytest.raises(DomainError, match="blowup_threshold must be positive and finite"):
+            IntegratorSettings(blowup_threshold=math.inf)
 
     @pytest.mark.parametrize("span", [(-5.0, math.inf), (-math.inf, 5.0), (math.nan, 5.0)])
     def test_window_ends_must_be_finite(self, span):
@@ -62,7 +76,7 @@ class TestSettingsAndState:
 
         state = FowlerState(0.0, 0.1, 0.1, 0.0, 0.0)
         events = [
-            Event(kind="LocalMax", t=1.0, state=state, component=2),
+            Event(kind="PositivityLoss", t=1.0, state=state, component=2),
             Event(kind="SignChange", t=1.0, state=state, component=2),
             Event(kind="SignChange", t=1.0, state=state, component=1),
             Event(kind="BlowUp", t=0.5, state=state, component=None),
@@ -72,7 +86,7 @@ class TestSettingsAndState:
             (0.5, None, "BlowUp"),
             (1.0, 1, "SignChange"),
             (1.0, 2, "SignChange"),
-            (1.0, 2, "LocalMax"),
+            (1.0, 2, "PositivityLoss"),
         ]
 
     def test_unknown_mode_rejected(self, p3):
@@ -83,31 +97,29 @@ class TestSettingsAndState:
 class TestRhs:
     def test_equilibrium_is_fixed_point(self, p3):
         state, _ = cylinder_state(p3)
-        assert max(abs(v) for v in rhs(p3, state)) < 1e-14
+        assert max(abs(v) for v in _make_field(p3)(state.w1, state.w2)) < 1e-14
 
     def test_hand_value_against_mp(self, p3):
-        state = FowlerState(0.0, 0.5, 0.5, 0.0, 0.0)
-        out = rhs(p3, state)
+        out = _make_field(p3)(0.5, 0.5)
         w = mpmath.mpf("0.5")
         oracle = mpmath.mpf("0.25") * w - w**5 - w**2 * w**3
-        assert out[2] == pytest.approx(float(oracle), rel=1e-15)
-        assert out[2] == 0.0625
-        assert out[3] == out[2]
-        assert out[0] == 0.0 and out[1] == 0.0
+        assert out[0] == pytest.approx(float(oracle), rel=1e-15)
+        assert out[0] == 0.0625
+        assert out[1] == out[0]
 
     def test_signed_extension_zero_component(self):
         # |w1|^(p-2) w1 extends continuously by 0 for every dimension,
         # including N >= 5 where p < 2.
         for N in (3, 4, 5, 7):
             p = make_params(N, 1, 1, 1)
-            out = rhs(p, FowlerState(0.0, 0.0, 0.7, 0.0, 0.0))
-            assert out[2] == 0.0
+            assert _make_field(p)(0.0, 0.7)[0] == 0.0
 
     def test_odd_symmetry(self, p5):
-        plus = rhs(p5, FowlerState(0.0, 0.4, 0.3, 0.0, 0.0))
-        minus = rhs(p5, FowlerState(0.0, -0.4, -0.3, 0.0, 0.0))
-        assert plus[2] == pytest.approx(-minus[2], rel=1e-15)
-        assert plus[3] == pytest.approx(-minus[3], rel=1e-15)
+        field = _make_field(p5)
+        plus = field(0.4, 0.3)
+        minus = field(-0.4, -0.3)
+        assert plus[0] == pytest.approx(-minus[0], rel=1e-15)
+        assert plus[1] == pytest.approx(-minus[1], rel=1e-15)
 
 
 def _signed_field(params, w1, w2):
@@ -212,12 +224,6 @@ class TestTransforms:
         assert du2 == pytest.approx(du, rel=1e-12, abs=1e-12)
         assert dv2 == pytest.approx(dv, rel=1e-12, abs=1e-12)
 
-    def test_rejects_nonpositive_radius(self, p3):
-        with pytest.raises(DomainError):
-            to_fowler(p3, 0.0, 1.0, 1.0, 0.0, 0.0)
-        with pytest.raises(DomainError):
-            to_fowler(p3, -2.0, 1.0, 1.0, 0.0, 0.0)
-
 
 class TestIntegrate:
     def test_cylinder_stays_at_equilibrium(self, p3, cylinder_traj):
@@ -288,7 +294,6 @@ class TestIntegrate:
         assert "PositivityLoss" in kinds
         assert np.min(traj.y[0]) > 0.0
         assert np.min(traj.y[1]) > 0.0
-        assert not traj.positive
 
     def test_positive_mode_rejects_nonpositive_data(self, p3):
         with pytest.raises(DomainError):
@@ -360,69 +365,7 @@ class TestIntegrate:
         tq = np.concatenate([rng.uniform(fresh.t_min, fresh.t_max, 300), fresh.t[::7]])
         for traj in (fresh, loaded):
             sampled = traj.sample(tq)
-            for row in range(4):
+            for row in range(2):
                 f = _row_function(traj, row)
                 assert [f(x) for x in tq.tolist()] == sampled[row].tolist()
 
-
-class TestDetectExtrema:
-    def test_cylinder_has_none(self, cylinder_traj):
-        assert detect_extrema(cylinder_traj) == ()
-
-    def test_bubble_single_maximum_per_component(self, bubble_traj):
-        events = detect_extrema(bubble_traj)
-        for comp in (1, 2):
-            mine = [e for e in events if e.component == comp]
-            assert len(mine) == 1
-            assert mine[0].kind == "LocalMax"
-            assert abs(mine[0].t) < 1e-9
-
-    def test_perturbed_cylinder_alternates(self, perturbed_traj):
-        events = detect_extrema(perturbed_traj)
-        for comp in (1, 2):
-            kinds = [e.kind for e in sorted(
-                (e for e in events if e.component == comp), key=lambda e: e.t
-            )]
-            assert len(kinds) >= 6
-            assert all(a != b for a, b in zip(kinds, kinds[1:]))
-            assert set(kinds) == {"LocalMin", "LocalMax"}
-
-    def test_extrema_against_dense_scan_oracle(self, perturbed_traj):
-        # Oracle: sign changes of w1' on a dense uniform grid.
-        ts = np.linspace(perturbed_traj.t_min, perturbed_traj.t_max, 10000)
-        dw = perturbed_traj.sample(ts)[2]
-        flips = np.sum(dw[:-1] * dw[1:] < 0)
-        mine = len([e for e in detect_extrema(perturbed_traj) if e.component == 1])
-        assert mine == flips
-
-    def test_degenerate_critical_flagged(self, p3):
-        # Synthetic trajectory whose derivative crosses zero while the field
-        # acceleration stays below 10 * abs_tol (a tangency the classifier
-        # must refuse to label).  Node values sit at the equilibrium, and the
-        # intervals are short enough that the interpolated component never
-        # leaves the zero-acceleration neighbourhood.
-        from fowlerlab.dynamics import Trajectory
-
-        state, energy = cylinder_state(p3)
-        h = 1e-10
-        t = np.array([0.0, h, 2 * h])
-        y = np.array([
-            [state.w1] * 3,
-            [state.w2] * 3,
-            [0.1, 0.0, -0.1],
-            [0.0, 0.0, 0.0],
-        ])
-        traj = Trajectory(
-            params=p3,
-            settings=IntegratorSettings(t_span=(0.0, 2 * h)),
-            mode="positive",
-            t=t,
-            y=y,
-            psi=np.array([energy] * 3),
-            events=(),
-            psi0=energy,
-            drift=0.0,
-            t_initial=0.0,
-        )
-        events = detect_extrema(traj)
-        assert any(e.kind == "DegenerateCritical" and e.component == 1 for e in events)

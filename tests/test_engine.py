@@ -145,7 +145,7 @@ def test_scalar_refinement_equals_sample_refinement(name):
     tt = _scan_grid(traj)
     sampled = traj.sample(tt)
     refined = 0
-    for row in range(4):
+    for row in range(2):
         vv = sampled[row]
         nz = vv != 0.0
         t_nz, v_nz = tt[nz], vv[nz]

@@ -633,6 +633,33 @@ class TestSweep:
             experiment_report_to_dict(parallel)
         )
 
+    def test_pool_is_no_larger_than_the_grid(self, p3, span20, monkeypatch):
+        # A fork-started pool launches all max_workers processes up front.
+        # The fake records the size asked for and maps serially, so no
+        # process starts.
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        cyl, _ = cylinder_state(p3)
+        grid = [(cyl.w1, cyl.w2, 0.0, 0.0), (cyl.w1 + 1e-3, cyl.w2, 0.0, 0.0)]
+        serial = sweep([p3], grid, span20)
+        for workers in (2, 5000):
+            assert sweep([p3], grid, span20, workers=workers).runs == serial.runs
+        assert sizes == [2, 2]
+
     def test_deterministic_json(self, p3, span20):
         cyl, _ = cylinder_state(p3)
         grid = [(cyl.w1, cyl.w2, 0.0, 0.0)]

@@ -265,6 +265,18 @@ class TestValidation:
         with pytest.raises(SchemaMismatch, match="node arrays have inconsistent lengths"):
             load_trajectory(path)
 
+    def test_event_kind_outside_the_three_rejected(self, perturbed_traj, tmp_path):
+        # Only SignChange, PositivityLoss and BlowUp are ever recorded.
+        doc = trajectory_to_dict(perturbed_traj)
+        event = {"kind": "SignChange", "t": 0.0, "component": 1,
+                 "state": [0.0, *perturbed_traj.y[:, 0].tolist()]}
+        path = tmp_path / "orbit.json"
+        path.write_text(json.dumps(_replace(doc, ("events",), [event])))
+        assert load_trajectory(path).events[0].kind == "SignChange"
+        path.write_text(json.dumps(_replace(doc, ("events",), [{**event, "kind": "LocalMax"}])))
+        with pytest.raises(SchemaMismatch):
+            load_trajectory(path)
+
     def test_missing_field_rejected(self, perturbed_traj, tmp_path):
         doc = trajectory_to_dict(perturbed_traj)
         del doc["nodes"]
