@@ -66,20 +66,14 @@ def _decay_fit(traj: Trajectory, component: int, end: str) -> tuple[float, float
 
     Returns (rate, amplitude) with w ~ amplitude * exp(-rate * |t|) toward
     the requested end.  Raises InsufficientWindow when the side covers less
-    than MIN_SIDE_COVER units, is cut by a terminal event, or the component
-    is not positive on the fit region.
+    than MIN_SIDE_COVER units or the component is not positive on the fit
+    region.  The orbit carries no terminal event: classify fits none.
     """
     cover = (traj.t_max - traj.t_initial) if end == "+" else (traj.t_initial - traj.t_min)
     if cover < MIN_SIDE_COVER:
         raise InsufficientWindow(
             f"side {end} covers {cover:.3g} < {MIN_SIDE_COVER} units of t"
         )
-    for ev in traj.events:
-        if ev.kind in ("BlowUp", "PositivityLoss"):
-            if (end == "+" and ev.t > traj.t_initial) or (
-                end == "-" and ev.t < traj.t_initial
-            ):
-                raise InsufficientWindow(f"side {end} truncated by {ev.kind}")
     lo, hi = _side_region(traj, end)
     ts = np.linspace(lo, hi, _FIT_SAMPLES)
     w = traj.sample(ts)[component - 1]

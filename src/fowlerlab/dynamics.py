@@ -15,7 +15,10 @@ the stored nodes, so sampling is bit-identical after a serialization round
 trip.  The field (_make_field) is the signed continuous extension
 |w|^(q-1) w of the positive-cone powers; on the positive cone both forms
 agree, and positivity-constrained runs terminate at POSITIVITY_FLOOR instead
-of crossing zero (the field is not Lipschitz at w = 0 when N >= 5).
+of crossing zero (the field is not Lipschitz at w = 0 when N >= 5).  The
+step loop evaluates the positive-cone branch inline, from the constants
+_make_field attaches to the field, at every stage point and new node inside
+the open cone; elsewhere it calls the field.  Both give the same floats.
 """
 
 from __future__ import annotations
@@ -89,7 +92,9 @@ def _make_field(params: SystemParams) -> Callable[[float, float], tuple[float, f
     """Scalar (w1, w2) -> (w1'', w2''): the field the integrator steps on.
 
     The signed formula, with a first branch for the open positive cone that
-    drops the abs and copysign calls and returns the same floats.
+    drops the abs and copysign calls and returns the same floats.  That
+    branch's constants ride on the callable as _cone, so that solve_ivp can
+    evaluate it inline.
     """
     p = params.p
     d2 = params.delta**2
@@ -109,6 +114,7 @@ def _make_field(params: SystemParams) -> Callable[[float, float], tuple[float, f
         dd2 = d2 * w2 - mu2 * math.copysign(a2**q1, w2) - beta * a1**p * math.copysign(a2**p1, w2)
         return dd1, dd2
 
+    field._cone = (d2, mu1, mu2, beta, p, p1, q1)
     return field
 
 
@@ -293,9 +299,14 @@ def _event_root(crossed, ta, tb):
 def solve_ivp(field, t0, y0, t_bound, settings, mode, stop=None):
     """The package's own Dormand-Prince 5(4) solver, from t0 toward t_bound.
 
-    field is the scalar acceleration map of _make_field and y0 the four
-    floats (w1, w2, w1', w2').  The tableau and the step-size control are
-    those of Hairer-Norsett-Wanner II.4-5 (as in scipy's RK45): RMS error
+    field is the scalar acceleration map (w1, w2) -> (w1'', w2'') and y0
+    the four floats (w1, w2, w1', w2').  A field from _make_field carries
+    its positive-cone constants (_cone): at each stage point and new node
+    with both components > 0.0 the step loop evaluates that branch itself,
+    float for float the call's result.  Off the cone, at an event node, in
+    the initial-step estimate, and for any field without _cone, field is
+    called.  The tableau and the step-size control are those of
+    Hairer-Norsett-Wanner II.4-5 (as in scipy's RK45): RMS error
     norm scaled by atol + rtol * max(|y|, |y_new|), no step growth right
     after a rejection, and failure once the step falls below 10 ulp(t).  A
     trial step that overflows is rejected like one with an infinite error.
@@ -313,6 +324,11 @@ def solve_ivp(field, t0, y0, t_bound, settings, mode, stop=None):
     unstopped run's, bit for bit.  Returns a Segment.
     """
     rtol, atol, max_step = settings.rel_tol, settings.abs_tol, settings.max_step
+    # A field call's frame and returned tuple cost more than the cone
+    # branch's arithmetic, which is written out below in the same order.
+    cone = getattr(field, "_cone", None)
+    inline = cone is not None
+    d2, mu1, mu2, beta, p, p1, q1 = cone if inline else (0.0,) * 7
     threshold = settings.blowup_threshold
     floor = POSITIVITY_FLOOR
     positive = mode == "positive"
@@ -353,17 +369,29 @@ def solve_ivp(field, t0, y0, t_bound, settings, mode, stop=None):
                 x2 = w2 + (0.2 * v2) * h
                 v1_2 = v1 + (0.2 * a1) * h
                 v2_2 = v2 + (0.2 * a2) * h
-                b1_2, b2_2 = field(x1, x2)
+                if inline and x1 > 0.0 and x2 > 0.0:
+                    b1_2 = d2 * x1 - mu1 * x1**q1 - beta * x2**p * x1**p1
+                    b2_2 = d2 * x2 - mu2 * x2**q1 - beta * x1**p * x2**p1
+                else:
+                    b1_2, b2_2 = field(x1, x2)
                 x1 = w1 + (3 / 40 * v1 + 9 / 40 * v1_2) * h
                 x2 = w2 + (3 / 40 * v2 + 9 / 40 * v2_2) * h
                 v1_3 = v1 + (3 / 40 * a1 + 9 / 40 * b1_2) * h
                 v2_3 = v2 + (3 / 40 * a2 + 9 / 40 * b2_2) * h
-                b1_3, b2_3 = field(x1, x2)
+                if inline and x1 > 0.0 and x2 > 0.0:
+                    b1_3 = d2 * x1 - mu1 * x1**q1 - beta * x2**p * x1**p1
+                    b2_3 = d2 * x2 - mu2 * x2**q1 - beta * x1**p * x2**p1
+                else:
+                    b1_3, b2_3 = field(x1, x2)
                 x1 = w1 + (44 / 45 * v1 - 56 / 15 * v1_2 + 32 / 9 * v1_3) * h
                 x2 = w2 + (44 / 45 * v2 - 56 / 15 * v2_2 + 32 / 9 * v2_3) * h
                 v1_4 = v1 + (44 / 45 * a1 - 56 / 15 * b1_2 + 32 / 9 * b1_3) * h
                 v2_4 = v2 + (44 / 45 * a2 - 56 / 15 * b2_2 + 32 / 9 * b2_3) * h
-                b1_4, b2_4 = field(x1, x2)
+                if inline and x1 > 0.0 and x2 > 0.0:
+                    b1_4 = d2 * x1 - mu1 * x1**q1 - beta * x2**p * x1**p1
+                    b2_4 = d2 * x2 - mu2 * x2**q1 - beta * x1**p * x2**p1
+                else:
+                    b1_4, b2_4 = field(x1, x2)
                 x1 = w1 + (19372 / 6561 * v1 - 25360 / 2187 * v1_2 + 64448 / 6561 * v1_3
                            - 212 / 729 * v1_4) * h
                 x2 = w2 + (19372 / 6561 * v2 - 25360 / 2187 * v2_2 + 64448 / 6561 * v2_3
@@ -372,7 +400,11 @@ def solve_ivp(field, t0, y0, t_bound, settings, mode, stop=None):
                              - 212 / 729 * b1_4) * h
                 v2_5 = v2 + (19372 / 6561 * a2 - 25360 / 2187 * b2_2 + 64448 / 6561 * b2_3
                              - 212 / 729 * b2_4) * h
-                b1_5, b2_5 = field(x1, x2)
+                if inline and x1 > 0.0 and x2 > 0.0:
+                    b1_5 = d2 * x1 - mu1 * x1**q1 - beta * x2**p * x1**p1
+                    b2_5 = d2 * x2 - mu2 * x2**q1 - beta * x1**p * x2**p1
+                else:
+                    b1_5, b2_5 = field(x1, x2)
                 x1 = w1 + (9017 / 3168 * v1 - 355 / 33 * v1_2 + 46732 / 5247 * v1_3
                            + 49 / 176 * v1_4 - 5103 / 18656 * v1_5) * h
                 x2 = w2 + (9017 / 3168 * v2 - 355 / 33 * v2_2 + 46732 / 5247 * v2_3
@@ -381,7 +413,11 @@ def solve_ivp(field, t0, y0, t_bound, settings, mode, stop=None):
                              + 49 / 176 * b1_4 - 5103 / 18656 * b1_5) * h
                 v2_6 = v2 + (9017 / 3168 * a2 - 355 / 33 * b2_2 + 46732 / 5247 * b2_3
                              + 49 / 176 * b2_4 - 5103 / 18656 * b2_5) * h
-                b1_6, b2_6 = field(x1, x2)
+                if inline and x1 > 0.0 and x2 > 0.0:
+                    b1_6 = d2 * x1 - mu1 * x1**q1 - beta * x2**p * x1**p1
+                    b2_6 = d2 * x2 - mu2 * x2**q1 - beta * x1**p * x2**p1
+                else:
+                    b1_6, b2_6 = field(x1, x2)
                 w1_new = w1 + h * (35 / 384 * v1 + 500 / 1113 * v1_3 + 125 / 192 * v1_4
                                    - 2187 / 6784 * v1_5 + 11 / 84 * v1_6)
                 w2_new = w2 + h * (35 / 384 * v2 + 500 / 1113 * v2_3 + 125 / 192 * v2_4
@@ -390,7 +426,11 @@ def solve_ivp(field, t0, y0, t_bound, settings, mode, stop=None):
                                    - 2187 / 6784 * b1_5 + 11 / 84 * b1_6)
                 v2_new = v2 + h * (35 / 384 * a2 + 500 / 1113 * b2_3 + 125 / 192 * b2_4
                                    - 2187 / 6784 * b2_5 + 11 / 84 * b2_6)
-                a1_new, a2_new = field(w1_new, w2_new)
+                if inline and w1_new > 0.0 and w2_new > 0.0:
+                    a1_new = d2 * w1_new - mu1 * w1_new**q1 - beta * w2_new**p * w1_new**p1
+                    a2_new = d2 * w2_new - mu2 * w2_new**q1 - beta * w1_new**p * w2_new**p1
+                else:
+                    a1_new, a2_new = field(w1_new, w2_new)
                 # Error estimate: the fifth- minus the embedded fourth-order
                 # weights, on all seven stages (the seventh is the new field).
                 e1 = (-71 / 57600 * v1 + 71 / 16695 * v1_3 - 71 / 1920 * v1_4
@@ -521,21 +561,29 @@ def integrate(
     if settings is None:
         settings = IntegratorSettings()
     _require_window(settings.t_span, initial.t, "integration window must hold the initial time")
-    t_lo, t_hi = settings.t_span
+    t_hi = settings.t_span[1]
 
     def solve(fun, t0, start):
         # solve_ivp is looked up on the module at call time, so a wrapper set
         # on that attribute (bench/tracing.py) sees every call.
         forward = solve_ivp(fun, t0, start, t_hi, settings, mode) if t_hi > t0 else None
-        # Data at rest at t = 0 on a symmetric window: the backward run is
-        # the forward one mirrored.  A -0.0 would not survive the mirror.
-        if t_lo == -t_hi and all(x == 0.0 and math.copysign(1.0, x) > 0.0
-                                 for x in (t0, start[2], start[3])):
-            return forward, _mirror(forward)
-        backward = solve_ivp(fun, t0, start, t_lo, settings, mode) if t_lo < t0 else None
-        return forward, backward
+        return forward, _backward_half(fun, t0, start, forward, settings, mode)
 
     return _two_sided(params, initial, settings, mode, solve)
+
+
+def _backward_half(fun, t0, start, forward, settings, mode):
+    """integrate's Segment from t0 toward t_span[0], given its forward one
+    (None when t_span[0] == t0).
+
+    Data at rest at t = 0 on a symmetric window: the backward run is the
+    forward one mirrored.  A -0.0 would not survive the mirror.
+    """
+    t_lo, t_hi = settings.t_span
+    if t_lo == -t_hi and all(x == 0.0 and math.copysign(1.0, x) > 0.0
+                             for x in (t0, start[2], start[3])):
+        return _mirror(forward)
+    return solve_ivp(fun, t0, start, t_lo, settings, mode) if t_lo < t0 else None
 
 
 def _two_sided(params, initial, settings, mode, solve) -> Trajectory:

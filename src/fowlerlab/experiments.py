@@ -348,15 +348,17 @@ def _first_turn(t_new, w1_old, w2_old, v1_old, w1, w2, v1):
 
 
 def _loses_sign(fun, apex_w1: float, ratio: float, t_end: float,
-                settings: IntegratorSettings) -> bool:
+                settings: IntegratorSettings) -> tuple[bool, dynamics.Segment | None]:
+    """Whether the trial from this apex changes sign, and the trial's
+    forward Segment (None when the data are not integrated)."""
     # Symmetric apex data: forward integration alone decides the dichotomy.
     y0 = (apex_w1, ratio * apex_w1, 0.0, 0.0)
     if max(y0[0], y0[1]) >= settings.blowup_threshold:
         # integrate stops such data at once with BlowUp: no sign change.
-        return False
+        return False, None
     # Looked up at call time, so a wrapper set on dynamics.solve_ivp sees it.
     seg = dynamics.solve_ivp(fun, 0.0, y0, t_end, settings, "signed", _first_turn)
-    return seg.event == ("SignChange", None)
+    return seg.event == ("SignChange", None), seg
 
 
 def _apex_energy(params: SystemParams, ratio: float, apex_w1: float) -> float:
@@ -385,16 +387,32 @@ def shoot_entire(
     bracket, and every trial when the end energies have the same sign, is
     the midpoint.  The bracket closes to adjacent floats within SHOOT_TRIALS
     trials.
-    The converged orbit is integrate's from the apex data, which are at
-    rest at t = 0: on a symmetric window (t_span[0] == -t_span[1]) that is
-    one run and its mirror.  It must decay below SHOOT_DECAY_CUT at both
-    window ends.
-    The window must hold the apex time: t_span[0] < 0 < t_span[1].
+    The converged orbit is integrate's from the apex data, bit for bit,
+    and takes no run of its own when it can: its forward half is the trial
+    from the converged apex, which is the last trial that stayed positive,
+    when that trial reached t_span[1] with no event (its stop rule never
+    fired); a trial that stopped at a minimum is not reused, and the orbit
+    is integrated afresh.  The apex data are at rest at t = 0, so on a
+    symmetric window (t_span[0] == -t_span[1]) the backward half is the
+    forward one mirrored; otherwise it is a run.  The orbit must decay below
+    SHOOT_DECAY_CUT at both window ends.
+    The window must hold the apex time: t_span[0] < 0 < t_span[1].  It must
+    also resolve the dichotomy: delta * min(-t_span[0], t_span[1]) at least
+    half the default exponent _SHOOT_WINDOW_EXPONENT, else DomainError.
     """
     if settings is None:
         settings = shoot_settings(params)
     dynamics._require_window(settings.t_span, 0.0, "shooting window must hold the apex time",
                              strict=True)
+    # The converged orbit passes the decay cut on any window, so a short one
+    # must be refused here.  The apex error falls like exp(-2 delta T): at
+    # N = 3 it is 1.3e-2 at delta T = 2.5, 2.3e-7 at 8 and 4.1e-9 at 10.
+    reach = params.delta * min(-settings.t_span[0], settings.t_span[1])
+    least = 0.5 * _SHOOT_WINDOW_EXPONENT
+    if reach < least:
+        raise DomainError(f"shooting window too short to resolve the dichotomy: "
+                          f"delta * min(-t_span[0], t_span[1]) = {reach!r} < {least!r}, "
+                          f"got t_span {settings.t_span!r}")
     try:
         kl = solve_coupling(params)
     except NoPositiveSolution as exc:
@@ -405,10 +423,12 @@ def shoot_entire(
 
     lo = 0.05 * kl.k * params.lam[0]
     hi = params.lam[0]
-    if _loses_sign(fun, lo, ratio, t_end, settings):
+    # lo_run is the trial from lo, which stays positive.
+    loses, lo_run = _loses_sign(fun, lo, ratio, t_end, settings)
+    if loses:
         raise BracketFailure("lower shooting endpoint already changes sign")
     grow = 0
-    while not _loses_sign(fun, hi, ratio, t_end, settings):
+    while not _loses_sign(fun, hi, ratio, t_end, settings)[0]:
         if max(hi, ratio * hi) >= settings.blowup_threshold:
             # Larger apexes count as staying positive: the bracket cannot close.
             raise BracketFailure(f"no sign-losing apex below blowup_threshold="
@@ -434,11 +454,11 @@ def shoot_entire(
                                  f"{SHOOT_TRIALS} trials")
         trials += 1
         apex = guess if guess is not None and lo < guess < hi else 0.5 * (lo + hi)
-        loses = _loses_sign(fun, apex, ratio, t_end, settings)
+        loses, run = _loses_sign(fun, apex, ratio, t_end, settings)
         if loses:
             hi = apex
         else:
-            lo = apex
+            lo, lo_run = apex, run
         if guess is not None and side in (None, loses):
             # Not yet across the dichotomy from the root: step further out.
             side, gap = loses, 16.0 * gap
@@ -449,7 +469,15 @@ def shoot_entire(
     apex = lo
 
     data = InitialData.from_values(params, apex, ratio * apex, 0.0, 0.0)
-    traj = integrate(params, data.state(), settings, mode="signed")
+    if lo_run is not None and lo_run.status == 0:
+        # The trial reached t_span[1]: its stop rule never fired, so it is
+        # integrate's forward half, bit for bit.
+        def solve(fun, t0, start):
+            return lo_run, dynamics._backward_half(fun, t0, start, lo_run, settings, "signed")
+
+        traj = dynamics._two_sided(params, data.state(), settings, "signed", solve)
+    else:
+        traj = integrate(params, data.state(), settings, mode="signed")
     if _nearest_event(traj, "SignChange") is not None:
         raise BracketFailure("converged orbit still changes sign")
     tail = traj.sample(np.array([settings.t_span[0], settings.t_span[1]]))

@@ -4,8 +4,6 @@ at its stated tolerance and prints one PASS line.  Run with
     pytest tests/test_acceptance.py -v -s
 """
 
-import math
-
 import mpmath
 import numpy as np
 import pytest

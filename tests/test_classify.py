@@ -1,5 +1,3 @@
-import math
-
 import mpmath
 import numpy as np
 import pytest
@@ -156,9 +154,9 @@ class TestDecayRate:
         traj = integrate(p3, state, IntegratorSettings(t_span=(-50.0, 50.0)))
         assert traj.terminated
         # classify fits no side of a terminated orbit; the fit alone
-        # refuses this side too.
+        # refuses this side too, which ends at t = 1.93.
         assert "decay" not in classify(p3, traj).evidence
-        with pytest.raises(InsufficientWindow):
+        with pytest.raises(InsufficientWindow, match=r"side \+ covers 1.93 < 10.0 units of t"):
             _decay_fit(traj, 1, "+")
 
 

@@ -290,6 +290,15 @@ class TestExperimentCommands:
         assert code == 1
         assert err.startswith("fowlerlab: error: shooting window must hold the apex time")
 
+    def test_shoot_window_too_short_exits_one(self, capsys):
+        # The apex error would be 1.3e-2 on this window, and the converged
+        # orbit passes the decay cut anyway.
+        code, out, err = run_cli(capsys, "shoot", "--N", "3", "--mu1", "1", "--mu2", "1",
+                                 "--beta", "1", "--t-min", "-5", "--t-max", "5")
+        assert code == 1 and out == ""
+        assert err.startswith("fowlerlab: error: shooting window too short to resolve the "
+                              "dichotomy: delta * min(-t_span[0], t_span[1]) = 2.5 < 8.0")
+
 
 def _one_failure_report(kind):
     from fowlerlab.experiments import ExperimentReport

@@ -14,7 +14,6 @@ from fowlerlab import (
     cylinder_state,
     integrate,
     make_params,
-    psi,
     to_radial,
 )
 from fowlerlab.dynamics import _make_field, _row_function

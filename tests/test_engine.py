@@ -31,7 +31,7 @@ from fowlerlab.dynamics import (
     _row_function,
     _scan_grid,
 )
-from fowlerlab.experiments import shoot_settings
+from fowlerlab.experiments import _first_turn, shoot_settings
 from fowlerlab.serialize import load_trajectory, save_trajectory
 
 
@@ -418,3 +418,43 @@ def test_integrate_runs_both_halves_unless_at_rest(initial, monkeypatch):
     got = integrate(params, initial, settings, mode="signed")
     assert calls == [25.0, -25.0]
     assert _same_floats(got.t, want.t) and _same_floats(got.y, want.y)
+
+
+#: (initial data, mode, blowup_threshold, stop predicate): crossings that
+#: leave the positive cone, a PositivityLoss end, a BlowUp end, and the stop
+#: rule of the shooting trials.
+INLINE_CASES = {
+    "signed": ((0.5, 0.5, 0.3, -0.3), "signed", 1e3, None),
+    "positivity_loss": ((0.5, 0.5, -1.0, 0.2), "positive", 1e3, None),
+    "blowup": ((0.5, 0.4, 2.5, -1.0), "signed", 1.5, None),
+    "stop": ((1.2, 1.0, 0.0, 0.0), "signed", 1e3, _first_turn),
+}
+
+
+@pytest.mark.parametrize("N", sorted(MIRROR_PARAMS))
+@pytest.mark.parametrize("name", sorted(INLINE_CASES))
+@pytest.mark.parametrize("backward", [False, True])
+def test_inline_field_equals_the_field_call(N, name, backward):
+    # solve_ivp evaluates _make_field's positive-cone branch itself; a plain
+    # wrapper carries no constants, so there every evaluation is a call.
+    params = MIRROR_PARAMS[N]
+    y0, mode, threshold, stop = INLINE_CASES[name]
+    settings = IntegratorSettings(t_span=(-10.0, 10.0), blowup_threshold=threshold)
+    field = _make_field(params)
+    inline, called = (
+        dynamics.solve_ivp(fun, 0.0, y0, -10.0 if backward else 10.0, settings, mode, stop)
+        for fun in (field, lambda w1, w2: field(w1, w2))
+    )
+    for attr in ("t", "y", "acc"):
+        assert _same_floats(getattr(inline, attr), getattr(called, attr))
+    assert (inline.nfev, inline.status, inline.event) == (called.nfev, called.status,
+                                                          called.event)
+    w1, w2 = inline.y[:2].tolist()
+    assert list(zip(*inline.acc.tolist())) == list(map(field, w1, w2))
+    # Each case reaches the end it is named for.
+    if name == "signed":
+        assert inline.status == 0 and min(w1 + w2) < 0.0
+    elif name == "stop":
+        assert inline.event in (("SignChange", None), ("LocalMin", None))
+    else:
+        assert inline.event[0] == {"positivity_loss": "PositivityLoss", "blowup": "BlowUp"}[name]

@@ -276,14 +276,17 @@ class TestShootEntire:
         assert data.a2 / data.a1 == pytest.approx(exact.w2 / exact.w1, rel=1e-12)
 
     @staticmethod
-    def full_window_rule(params):
+    def full_window_rule(params, calls=None):
         """The dichotomy as decided before early exit: integrate the whole
-        forward window and look for any sign change."""
+        forward window and look for any sign change.  It hands shoot_entire
+        no trial run; each apex goes to calls when given."""
         def loses_sign(fun, apex_w1, ratio, t_end, integrator):
+            if calls is not None:
+                calls.append(apex_w1)
             state = FowlerState(0.0, apex_w1, ratio * apex_w1, 0.0, 0.0)
             traj = integrate(params, state, replace(integrator, t_span=(0.0, t_end)),
                              mode="signed")
-            return any(e.kind == "SignChange" for e in traj.events)
+            return any(e.kind == "SignChange" for e in traj.events), None
 
         return loses_sign
 
@@ -303,14 +306,17 @@ class TestShootEntire:
             for k in (2, 8, 16, 24, 32, 40, 48) for sign in (-1.0, 1.0)
         ]
         old_rule = self.full_window_rule(params)
-        decisions = [_loses_sign(fun, apex, ratio, t_end, integrator) for apex in apexes]
-        assert decisions == [old_rule(fun, apex, ratio, t_end, integrator) for apex in apexes]
+        results = [_loses_sign(fun, apex, ratio, t_end, integrator) for apex in apexes]
+        decisions = [loses for loses, _ in results]
+        assert decisions == [old_rule(fun, apex, ratio, t_end, integrator)[0]
+                             for apex in apexes]
         assert decisions[:4] == [False, True, False, True]
         # Each trial ends at the event it reports: a negative component, or
         # the first minimum of w1 (w1' rising through zero on the last step).
-        for apex in apexes:
-            seg = dynamics.solve_ivp(fun, 0.0, (apex, ratio * apex, 0.0, 0.0), t_end,
+        for apex, (_, seg) in zip(apexes, results):
+            ref = dynamics.solve_ivp(fun, 0.0, (apex, ratio * apex, 0.0, 0.0), t_end,
                                      integrator, "signed", _first_turn)
+            assert np.array_equal(seg.y, ref.y) and seg.event == ref.event
             if seg.event == ("SignChange", None):
                 assert min(seg.y[0, -1], seg.y[1, -1]) < 0.0
             elif seg.event == ("LocalMin", None):
@@ -321,8 +327,12 @@ class TestShootEntire:
     def test_shoot_with_full_window_rule_finds_the_same_apex(self, p5, monkeypatch):
         data, traj = shoot_entire(p5)
         _assert_is_integrate(p5, shoot_settings(p5), data, traj)
-        monkeypatch.setattr(experiments, "_loses_sign", self.full_window_rule(p5))
-        assert shoot_entire(p5)[0] == data
+        calls = []
+        monkeypatch.setattr(experiments, "_loses_sign", self.full_window_rule(p5, calls))
+        # With no trial run to reuse, the orbit is integrated afresh.
+        data_again, traj_again = shoot_entire(p5)
+        assert data_again == data and len(calls) > 2
+        _assert_is_integrate(p5, shoot_settings(p5), data_again, traj_again)
 
     def test_apex_above_blowup_threshold_never_loses_sign(self, p5):
         # Such apex data end at once in BlowUp, so the bracket cannot close.
@@ -343,26 +353,59 @@ class TestShootEntire:
         low_box = replace(shoot_settings(p5), blowup_threshold=1.0)
         with pytest.raises(BracketFailure, match="blowup_threshold=1.0"):
             shoot_entire(p5, low_box)
-        assert len(calls) <= 2
+        assert 1 <= len(calls) <= 2
 
-    def test_an_asymmetric_window_integrates_both_halves(self, p3, monkeypatch):
-        bounds = []
-        inner = dynamics.solve_ivp
-        monkeypatch.setattr(dynamics, "solve_ivp",
-                            lambda *args: bounds.append(args[3]) or inner(*args))
+    @pytest.mark.parametrize("case", [(3, 1.0), (4, 2.0), (5, 1.0)])
+    def test_the_orbit_takes_no_run_of_its_own(self, case, monkeypatch):
+        # One solve_ivp call per trial; the orbit's forward half is the last
+        # trial that stayed positive, and its backward half that mirrored.
+        params = make_params(case[0], 1.0, 1.0, case[1])
+        settings = shoot_settings(params)
+        data, traj, trials, bounds = _shoot_counting_runs(params, settings, monkeypatch)
+        assert bounds == [settings.t_span[1]] * len(trials)
+        _assert_is_integrate(params, settings, data, traj)
+        apex, _, run = [trial for trial in trials if not trial[1]][-1]
+        assert apex == data.a1 and (run.status, run.event) == (0, None)
+        tail = traj.t.size - run.t.size
+        assert np.array_equal(traj.t[tail:], run.t) and np.array_equal(traj.y[:, tail:], run.y)
+
+    def test_an_asymmetric_window_runs_only_the_backward_half(self, p3, monkeypatch):
         settings = replace(shoot_settings(p3), t_span=(-31.0, 32.0))
-        data, traj = shoot_entire(p3, settings)
-        assert bounds[-2:] == [32.0, -31.0]
+        data, traj, trials, bounds = _shoot_counting_runs(p3, settings, monkeypatch)
+        assert bounds == [32.0] * len(trials) + [-31.0]
         _assert_is_integrate(p3, settings, data, traj)
-        # The symmetric window finds the same apex, and its orbit takes one run.
-        bounds.clear()
+        # The symmetric window finds the same apex.
         assert shoot_entire(p3)[0] == data
-        assert bounds[-1] == 32.0 and min(bounds) == 32.0
+
+    def test_a_trial_stopped_short_of_the_window_end_is_not_reused(self, p3, monkeypatch):
+        # On t_span (-40, 40) the last trial that stays positive turns at a
+        # minimum of w1 near t = 36.7: the orbit is integrated afresh.
+        settings = replace(shoot_settings(p3), t_span=(-40.0, 40.0))
+        integrations = []
+        inner = experiments.integrate
+        monkeypatch.setattr(experiments, "integrate",
+                            lambda *args, **kw: integrations.append(args) or inner(*args, **kw))
+        data, traj, trials, bounds = _shoot_counting_runs(p3, settings, monkeypatch)
+        apex, _, run = [trial for trial in trials if not trial[1]][-1]
+        assert apex == data.a1 and run.event == ("LocalMin", None) and run.t[-1] < 40.0
+        assert len(integrations) == 1 and bounds == [40.0] * (len(trials) + 1)
+        _assert_is_integrate(p3, settings, data, traj)
 
     @pytest.mark.parametrize("span", [(-10.0, 0.0), (-10.0, -5.0), (1.0, 10.0)])
     def test_window_must_hold_the_apex_time(self, p3, span):
         with pytest.raises(DomainError, match="apex time"):
             shoot_entire(p3, replace(shoot_settings(p3), t_span=span))
+
+    @pytest.mark.parametrize("span", [(-5.0, 5.0), (-15.9, 32.0), (-32.0, 15.9)])
+    def test_window_too_short_for_the_dichotomy(self, p3, span):
+        # delta = 1/2 at N = 3: the shorter side must reach delta * T = 8.
+        with pytest.raises(DomainError, match="too short to resolve the dichotomy"):
+            shoot_entire(p3, replace(shoot_settings(p3), t_span=span))
+
+    def test_window_at_the_floor_is_resolved(self, p3):
+        data, _ = shoot_entire(p3, replace(shoot_settings(p3), t_span=(-16.0, 16.0)))
+        exact = bubble_fowler(p3, 1.0, 0.0).w1
+        assert abs(data.a1 - exact) / exact < 1e-6
 
     def test_no_positive_solution_becomes_bracket_failure(self):
         p = make_params(4, 1.0, 2.0, 1.5)
@@ -370,18 +413,29 @@ class TestShootEntire:
             shoot_entire(p)
 
 
+def _shoot_counting_runs(params, settings, monkeypatch):
+    """shoot_entire(params, settings), its trials as (apex, loses sign, run)
+    triples, and the t_bound of every solve_ivp call it made."""
+    trials, bounds = [], []
+    inner_trial, inner_ivp = experiments._loses_sign, dynamics.solve_ivp
+
+    def trial(*args):
+        trials.append((args[1], *inner_trial(*args)))
+        return trials[-1][1:]
+
+    monkeypatch.setattr(experiments, "_loses_sign", trial)
+    monkeypatch.setattr(dynamics, "solve_ivp", lambda *args: bounds.append(args[3])
+                        or inner_ivp(*args))
+    data, traj = shoot_entire(params, settings)
+    # Every trial passes through the seam: none of the counts is vacuous.
+    assert len(trials) > 2
+    return data, traj, trials, bounds
+
+
 def _shoot_counting_trials(params, monkeypatch):
     """shoot_entire(params) and its trials as (apex, loses sign) pairs."""
-    trials = []
-    inner = experiments._loses_sign
-
-    def counting(*args):
-        trials.append((args[1], inner(*args)))
-        return trials[-1][1]
-
-    monkeypatch.setattr(experiments, "_loses_sign", counting)
-    data, _ = shoot_entire(params)
-    return data, trials
+    data, _, trials, _ = _shoot_counting_runs(params, None, monkeypatch)
+    return data, [(apex, loses) for apex, loses, _ in trials]
 
 
 def _assert_on_a_boundary(params, apex):
@@ -389,8 +443,8 @@ def _assert_on_a_boundary(params, apex):
     kl = solve_coupling(params)
     settings = shoot_settings(params)
     args = (kl.l / kl.k, settings.t_span[1], settings)
-    assert not _loses_sign(_make_field(params), apex, *args)
-    assert _loses_sign(_make_field(params), math.nextafter(apex, math.inf), *args)
+    assert not _loses_sign(_make_field(params), apex, *args)[0]
+    assert _loses_sign(_make_field(params), math.nextafter(apex, math.inf), *args)[0]
 
 
 def _cubed(energy):

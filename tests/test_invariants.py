@@ -17,7 +17,6 @@ from fowlerlab import (
     pohozaev_system,
     psi,
     scalar_bubble_radial,
-    solve_coupling,
     to_radial,
 )
 from fowlerlab.errors import DomainError

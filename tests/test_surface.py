@@ -6,7 +6,8 @@ source outside __init__.py: being exported is not a use.  Every public
 method or property of a public class is used as an attribute (obj.name)
 there.
 Likewise every run-config key is read through the CLI option table, and
-the integrator settings are one list in the code and both schemas.
+the integrator settings are one list in the code and both schemas.  No
+module in the package or its tests imports a name it never uses.
 """
 
 import ast
@@ -19,7 +20,8 @@ import fowlerlab
 from fowlerlab import IntegratorSettings
 from fowlerlab.cli import OPTIONS
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fowlerlab"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "fowlerlab"
 
 
 def _public_definitions(tree: ast.Module) -> list[str]:
@@ -118,6 +120,40 @@ def test_every_private_definition_is_used():
         if name not in used
     ]
     assert orphans == []
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    # Module-level imports only.  A name listed in __all__ is re-exported,
+    # which is a use; __future__ imports bind no name.
+    bound = [
+        alias.asname or alias.name.partition(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+    ]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {
+        elt.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets)
+        for elt in ast.walk(node.value)
+        if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+    }
+    return [name for name in bound if name not in used | exported]
+
+
+def test_no_unused_module_imports():
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    assert SRC / "dynamics.py" in paths and TESTS / "test_surface.py" in paths
+    unused = [
+        f"{path.relative_to(TESTS.parent)}:{name}"
+        for path in paths
+        for name in _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert unused == []
 
 
 def _schema_keys(properties: dict, prefix: str = "") -> set[str]:
