@@ -13,7 +13,6 @@ from .classify import (
     INCONCLUSIVE,
     SEMI_SINGULAR,
     SIGN_CHANGING,
-    VERDICTS,
     Classification,
     classify,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "INCONCLUSIVE",
     "SEMI_SINGULAR",
     "SIGN_CHANGING",
-    "VERDICTS",
     "Classification",
     "CouplingSolution",
     "Event",

@@ -29,8 +29,6 @@ SIGN_CHANGING = "SignChanging"
 BLOW_UP = "BlowUp"
 INCONCLUSIVE = "Inconclusive"
 
-VERDICTS = (ENTIRE, BOTH_SINGULAR, SEMI_SINGULAR, SIGN_CHANGING, BLOW_UP, INCONCLUSIVE)
-
 #: |K| below 1e-8 * max(1, scale of the energy terms) counts as zero.
 K_TOL_FACTOR = 1e-8
 #: Fitted decay rate must sit within 5% of delta.
@@ -176,17 +174,15 @@ def classify(
         # the decaying tail.
         span = traj.t_max - traj.t_min
         for comp, other in ((1, 2), (2, 1)):
-            fit = fits[("+", comp)]
-            if fit is None or not decays("+", comp):
+            if not decays("+", comp):
                 continue
-            tail = fit[1] * math.exp(-params.delta * span / 3.0)
+            tail = fits[("+", comp)][1] * math.exp(-params.delta * span / 3.0)
             if not decays("+", other) and inf_w[other - 1] > _SEMI_SEPARATION * tail:
                 evidence["anomaly"] = params.N >= 4
                 evidence["semi_decaying_component"] = comp
                 return Classification(SEMI_SINGULAR, k_value, evidence)
         if (
-            not traj.terminated
-            and inf_w[0] > _SEMI_SEPARATION * POSITIVITY_FLOOR
+            inf_w[0] > _SEMI_SEPARATION * POSITIVITY_FLOOR
             and inf_w[1] > _SEMI_SEPARATION * POSITIVITY_FLOOR
             and not decays("+", 1)
             and not decays("+", 2)

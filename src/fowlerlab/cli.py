@@ -135,11 +135,7 @@ def _resolve_out(path: str) -> str:
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise SchemaMismatch(f"config is not valid JSON: {exc}") from exc
+    doc = serialize.read_json(path, "config is ")
     serialize.validate(doc, "run_config")
     return doc
 

@@ -60,8 +60,10 @@ class IntegratorSettings:
     blowup_threshold: float = 1e3
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise DomainError("tolerances must be positive")
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            # An infinite tolerance checks no step, and 0 * inf makes it NaN.
+            raise DomainError(f"tolerances must be positive and finite, got rel_tol "
+                              f"{self.rel_tol!r}, abs_tol {self.abs_tol!r}")
         if not all(math.isfinite(end) for end in self.t_span):
             # The step loop would never reach an infinite end.
             raise DomainError(f"t_span ends must be finite, got {self.t_span!r}")
@@ -194,10 +196,6 @@ class Trajectory:
             1.0, abs(self.psi0)
         )
 
-    @property
-    def terminated(self) -> bool:
-        return any(e.kind in ("BlowUp", "PositivityLoss") for e in self.events)
-
     def _interpolant(self):
         if self._coeffs is None:
             if self.acc is None:
@@ -256,6 +254,10 @@ def _initial_step(field, y, f, direction, span, max_step, rtol, atol):
     d1 = _rms(*(fi / si for fi, si in zip(f, scale)))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
+    if h0 == 0.0:
+        # Underflowed (a tiny atol against a large field): the step loop
+        # raises it to its minimum step.
+        return 0.0
     y1 = [yi + h0 * direction * fi for yi, fi in zip(y, f)]
     f1 = (y1[2], y1[3], *field(y1[0], y1[1]))
     d2 = _rms(*((b - a) / si for a, b, si in zip(f, f1, scale))) / h0
@@ -353,7 +355,7 @@ def solve_ivp(field, t0, y0, t_bound, settings, mode, stop=None):
         # The old node's magnitudes, for the error scale and the BlowUp test.
         o1, o2, o3, o4 = abs(w1), abs(w2), abs(v1), abs(v2)
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:  # NaN too: such a step never ends
                 status = -1
                 break
             t_new = t + h_abs * direction

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import dynamics
+from . import dynamics, serialize
 from .classify import BOTH_SINGULAR, SEMI_SINGULAR, classify
 from .dynamics import IntegratorSettings, Trajectory, integrate
 from .errors import (
@@ -163,25 +164,25 @@ def draw_initial(
 class ExperimentReport:
     """Aggregated result of a batch run.
 
-    counts maps verdict labels to run counts and always sums to n_runs;
-    failures lists the runs violating the theorem-level expectation of the
-    experiment kind.
+    runs holds one record per run, each with its verdict; n_runs and counts
+    are computed from them.  failures lists the runs violating the
+    theorem-level expectation of the experiment kind.
     """
 
     kind: str
     seed: int
-    n_runs: int
-    counts: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
-    runs: list = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
+    runs: list
+    failures: list
+    summary: dict
 
-    def __post_init__(self):
-        total = sum(self.counts.values())
-        if total != self.n_runs:
-            raise DomainError(
-                f"verdict counts sum to {total}, expected n_runs={self.n_runs}"
-            )
+    @property
+    def n_runs(self) -> int:
+        return len(self.runs)
+
+    @property
+    def counts(self) -> dict:
+        """Runs per verdict label, in the order the labels first occur."""
+        return dict(Counter(run["verdict"] for run in self.runs))
 
 
 def _initial_as_list(data: InitialData) -> list[float]:
@@ -288,44 +289,29 @@ def sign_change_experiment(
 
     draws, rejected = _collect_draws(params, spec, n_runs, seed)
 
-    counts: dict[str, int] = {}
     runs = []
-    failures = []
-    times = []
     for index, data in draws:
         traj = _crossing_trajectory(params, data, window)
         event = _nearest_event(traj, "SignChange")
-        verdict = classify(params, traj).verdict
-        counts[verdict] = counts.get(verdict, 0) + 1
-        record = {
+        runs.append({
             "index": index,
             "initial": _initial_as_list(data),
-            "verdict": verdict,
+            "verdict": classify(params, traj).verdict,
             "sign_change_t": None if event is None else event.t,
             "sign_change_component": None if event is None else event.component,
-        }
-        runs.append(record)
-        if event is None:
-            failures.append(record)
-        else:
-            times.append(abs(event.t))
+        })
 
+    times = [abs(run["sign_change_t"]) for run in runs if run["sign_change_t"] is not None]
     summary = {
         "projection": spec.projection,
         "horizon": horizon,
         "rejected": rejected,
-        "detection_rate": (n_runs - len(failures)) / n_runs if n_runs else None,
+        "detection_rate": len(times) / len(runs) if runs else None,
         "max_abs_event_t": max(times) if times else None,
     }
-    return ExperimentReport(
-        kind="sign_change",
-        seed=seed,
-        n_runs=n_runs,
-        counts=counts,
-        failures=failures,
-        runs=runs,
-        summary=summary,
-    )
+    failures = [run for run in runs if run["sign_change_t"] is None]
+    return ExperimentReport(kind="sign_change", seed=seed, runs=runs, failures=failures,
+                            summary=summary)
 
 
 #: Exponent of the delta-scaled shooting window: both the apex bias of the
@@ -514,29 +500,20 @@ def semi_singular_search(
         settings = IntegratorSettings()
 
     draws, rejected = _collect_draws(params, _SEMI_SPEC, n_runs, seed)
-    counts: dict[str, int] = {}
     runs = []
-    failures = []
-    lower_bounds = []
     for index, data in draws:
-        traj = integrate(params, data.state(), settings, mode="positive")
-        verdict_obj = classify(params, traj)
-        verdict = verdict_obj.verdict
-        counts[verdict] = counts.get(verdict, 0) + 1
-        record = {
+        result = classify(params, integrate(params, data.state(), settings, mode="positive"))
+        runs.append({
             "index": index,
             "initial": _initial_as_list(data),
-            "verdict": verdict,
-            "K_value": verdict_obj.K_value,
-            "inf_w": verdict_obj.evidence.get("inf_w"),
-            "anomaly": verdict_obj.evidence.get("anomaly", False),
-        }
-        runs.append(record)
-        if verdict == SEMI_SINGULAR:
-            failures.append(record)
-        if verdict == BOTH_SINGULAR:
-            lower_bounds.append(verdict_obj.evidence["inf_w"][0])
+            "verdict": result.verdict,
+            "K_value": result.K_value,
+            "inf_w": result.evidence.get("inf_w"),
+            "anomaly": result.evidence.get("anomaly", False),
+        })
 
+    failures = [run for run in runs if run["verdict"] == SEMI_SINGULAR]
+    lower_bounds = [run["inf_w"][0] for run in runs if run["verdict"] == BOTH_SINGULAR]
     summary = {
         "rejected": rejected,
         "semi_singular_found": len(failures),
@@ -546,15 +523,8 @@ def semi_singular_search(
             "median": float(np.median(lower_bounds)) if lower_bounds else None,
         },
     }
-    return ExperimentReport(
-        kind="semi_singular_search",
-        seed=seed,
-        n_runs=len(draws),
-        counts=counts,
-        failures=failures,
-        runs=runs,
-        summary=summary,
-    )
+    return ExperimentReport(kind="semi_singular_search", seed=seed, runs=runs,
+                            failures=failures, summary=summary)
 
 
 def _sweep_point(payload):
@@ -575,8 +545,6 @@ def _sweep_point(payload):
         if archive_dir is not None:
             # Per-run artifact on its own path; the record carries the
             # relative name.
-            from . import serialize
-
             name = f"run_{pi:03d}_{ii:03d}.json"
             serialize.save_trajectory(
                 traj, os.path.join(archive_dir, name),
@@ -635,20 +603,7 @@ def sweep(
     else:
         records = [_sweep_point(p) for p in payloads]
 
-    counts: dict[str, int] = {}
-    failures = []
-    for record in records:
-        counts[record["verdict"]] = counts.get(record["verdict"], 0) + 1
-        if record.get("anomaly"):
-            failures.append(record)
-
     summary = {"mode": mode, "grid": [len(params_grid), len(values_grid)]}
-    return ExperimentReport(
-        kind="sweep",
-        seed=seed,
-        n_runs=len(records),
-        counts=counts,
-        failures=failures,
-        runs=records,
-        summary=summary,
-    )
+    failures = [record for record in records if record.get("anomaly")]
+    return ExperimentReport(kind="sweep", seed=seed, runs=records, failures=failures,
+                            summary=summary)

@@ -30,16 +30,19 @@ from dataclasses import asdict
 from functools import lru_cache
 from importlib import resources
 from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .classify import Classification
 from .dynamics import Event, IntegratorSettings, Trajectory
 from .errors import DomainError, SchemaMismatch
-from .experiments import ExperimentReport, InitialData
 from .invariants import InvariantReport, f_arrays, psi_arrays, to_radial
 from .params import SystemParams, make_params
 from .state import FowlerState
+
+if TYPE_CHECKING:  # experiments imports this module
+    from .experiments import ExperimentReport, InitialData
 
 SCHEMA_VERSION = 1
 
@@ -272,11 +275,17 @@ def trajectory_from_dict(doc: dict) -> Trajectory:
     nodes = doc["nodes"]
     if len({len(nodes[k]) for k in ("t", "w1", "w2", "dw1", "dw2", "psi")}) != 1:
         raise SchemaMismatch("node arrays have inconsistent lengths")
+    # Every artifact that save_trajectory writes meets both.
+    t = np.array(nodes["t"], dtype=float)
+    if not len(t):
+        raise SchemaMismatch("node arrays are empty")
+    if not np.all(t[1:] > t[:-1]):
+        raise SchemaMismatch("node times do not strictly increase")
     return Trajectory(
         params=params,
         settings=settings,
         mode=doc["mode"],
-        t=np.array(nodes["t"], dtype=float),
+        t=t,
         y=np.array([nodes["w1"], nodes["w2"], nodes["dw1"], nodes["dw2"]], dtype=float),
         psi=np.array(nodes["psi"], dtype=float),
         events=tuple(event_from_dict(e) for e in doc["events"]),
@@ -300,17 +309,32 @@ def save_trajectory(
         fh.write(text)
 
 
-def load_trajectory(path) -> Trajectory:
-    """Load and validate a trajectory artifact.
+def _non_finite(constant: str):
+    raise ValueError(f"{constant} is not a finite number")
 
-    Raises SchemaMismatch for truncated, malformed or non-UTF-8 files and
-    for version mismatches; I/O failures raise OSError.
+
+def read_json(path, context: str = ""):
+    """The JSON document in an artifact or config file.
+
+    SchemaMismatch, its message led by context, for a file that is not UTF-8
+    JSON, and for the constants NaN, Infinity and -Infinity, which json
+    reads but dumps never writes; I/O failures raise OSError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise SchemaMismatch(f"not valid JSON: {exc}") from exc
+            return json.load(fh, parse_constant=_non_finite)
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+            raise SchemaMismatch(f"{context}not valid JSON: {exc}") from exc
+
+
+def load_trajectory(path) -> Trajectory:
+    """Load and validate a trajectory artifact.
+
+    Raises SchemaMismatch for truncated, malformed, non-finite or non-UTF-8
+    files, for version mismatches and for nodes trajectory_from_dict
+    refuses; I/O failures raise OSError.
+    """
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise SchemaMismatch("artifact root must be an object")
     return trajectory_from_dict(doc)

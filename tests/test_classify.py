@@ -102,7 +102,7 @@ class TestClassify:
             if psi_fn(p, state) <= 1e-3:
                 continue
             traj = integrate(p, state, IntegratorSettings(t_span=(-50.0, 50.0)))
-            assert traj.terminated
+            assert any(e.kind in ("BlowUp", "PositivityLoss") for e in traj.events)
             assert classify(p, traj).verdict == SIGN_CHANGING
             checked += 1
 
@@ -152,7 +152,7 @@ class TestDecayRate:
     def test_truncated_side_rejected(self, p3):
         state = FowlerState(0.0, 0.5, 0.5, 0.3, -0.3)
         traj = integrate(p3, state, IntegratorSettings(t_span=(-50.0, 50.0)))
-        assert traj.terminated
+        assert any(e.kind in ("BlowUp", "PositivityLoss") for e in traj.events)
         # classify fits no side of a terminated orbit; the fit alone
         # refuses this side too, which ends at t = 1.93.
         assert "decay" not in classify(p3, traj).evidence

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -261,14 +264,20 @@ class TestExperimentCommands:
 
     @pytest.mark.parametrize("N", [3.5, math.inf, math.nan])
     def test_sweep_rejects_a_fractional_dimension(self, capsys, tmp_path, N):
+        # 1e999 reads as inf.  No JSON number reads as NaN, and a config
+        # holding the NaN constant is not JSON.
         config = tmp_path / "sweep.json"
         config.write_text(json.dumps({
             "param_grid": [[N, 1.0, 1.0, 1.0]],
             "initial_grid": [[0.5, 0.5, 0.0, 0.0]],
-        }))
+        }).replace("Infinity", "1e999"))
         code, _, err = run_cli(capsys, "sweep", "--config", str(config))
-        assert code == 1
-        assert "N must be an integer" in err
+        if math.isnan(N):
+            assert (code, err) == (3, "fowlerlab: error: config is not valid JSON: "
+                                      "NaN is not a finite number\n")
+        else:
+            assert code == 1
+            assert "N must be an integer" in err
 
     def test_sweep_requires_grids(self, capsys):
         code, _, err = run_cli(capsys, "sweep")
@@ -304,8 +313,7 @@ def _one_failure_report(kind):
     from fowlerlab.experiments import ExperimentReport
 
     record = {"index": 0, "verdict": "SemiSingularCandidate", "anomaly": True}
-    return ExperimentReport(kind=kind, seed=0, n_runs=1, counts={"SemiSingularCandidate": 1},
-                            failures=[record], runs=[record])
+    return ExperimentReport(kind=kind, seed=0, runs=[record], failures=[record], summary={})
 
 
 @pytest.mark.parametrize("command,target,kind,line", [
@@ -554,3 +562,103 @@ def test_plot_data_needs_a_sample(capsys, tmp_path, samples):
     assert code == 1 and out == ""
     assert err.startswith("fowlerlab: error: samples must be at least 1")
     assert not plot.exists()
+
+
+def run_cli_process(*argv):
+    """The CLI in a process of its own: a run that never ends fails the test
+    when the timeout expires, instead of hanging the suite."""
+    import fowlerlab
+
+    src = os.path.dirname(os.path.dirname(fowlerlab.__file__))
+    done = subprocess.run([sys.executable, "-m", "fowlerlab.cli", *argv], capture_output=True,
+                          text=True, timeout=30, env=dict(os.environ, PYTHONPATH=src))
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("integrate", *CYLINDER_N3, "--rel-tol", "inf"),
+    ("integrate", *CYLINDER_N3, "--abs-tol", "inf", "--out", "orbit.json"),
+    ("sign-change", *P3, "--runs", "2", "--rel-tol", "inf"),
+])
+def test_infinite_tolerance_exits_one(tmp_path, monkeypatch, argv):
+    # An infinite tolerance error-checks no step; with a zero velocity the
+    # error scale is 0 * inf = NaN and the step size with it.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli_process(*argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("fowlerlab: error: tolerances must be positive and finite")
+    assert "Traceback" not in err and not (tmp_path / "orbit.json").exists()
+
+
+@pytest.mark.parametrize("tol", ["1e-300", "1e-320"])
+def test_unattainable_tolerance_ends_in_step_underflow(tmp_path, tol):
+    # Both tolerances this small make the step size NaN, which no step-size
+    # floor test caught.
+    out = tmp_path / "orbit.json"
+    code, _, err = run_cli_process("integrate", *CYLINDER_N3, "--rel-tol", tol,
+                                   "--abs-tol", tol, "--out", str(out))
+    assert (code, err) == (0, "")
+    assert json.loads(out.read_text())["failure"] == "StepSizeUnderflow"
+
+
+def test_tiny_abs_tol_integrates():
+    # The starting-step estimate underflowed to 0 and was divided by.
+    code, out, err = run_cli_process("integrate", *CYLINDER_N3, "--abs-tol", "1e-300")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["certified"]
+
+
+def _artifact(tmp_path) -> tuple:
+    path = tmp_path / "orbit.json"
+    assert main(["integrate", *CYLINDER_N3, "--t-min", "-2", "--t-max", "2",
+                 "--out", str(path)]) == 0
+    return path, json.loads(path.read_text())
+
+
+def _exits_three(capsys, path, command="classify"):
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, command, "--in", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("fowlerlab: error: ") and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("command", ["classify", "invariants"])
+def test_infinite_psi0_artifact_exits_three(capsys, tmp_path, command):
+    path, doc = _artifact(tmp_path)
+    doc["psi0"] = math.inf
+    path.write_text(json.dumps(doc))
+    err = _exits_three(capsys, path, command)
+    assert "not valid JSON: Infinity is not a finite number" in err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_node_artifact_exits_three(capsys, tmp_path, value):
+    path, doc = _artifact(tmp_path)
+    doc["nodes"]["w1"][1] = value
+    path.write_text(json.dumps(doc))
+    assert "is not a finite number" in _exits_three(capsys, path)
+
+
+def test_empty_node_artifact_exits_three(capsys, tmp_path):
+    path, doc = _artifact(tmp_path)
+    doc["nodes"] = {key: [] for key in doc["nodes"]}
+    path.write_text(json.dumps(doc))
+    assert _exits_three(capsys, path) == "fowlerlab: error: node arrays are empty\n"
+
+
+def test_reversed_node_times_exit_three(capsys, tmp_path):
+    path, doc = _artifact(tmp_path)
+    doc["nodes"] = {key: values[::-1] for key, values in doc["nodes"].items()}
+    path.write_text(json.dumps(doc))
+    err = _exits_three(capsys, path)
+    assert err == "fowlerlab: error: node times do not strictly increase\n"
+
+
+def test_non_finite_config_exits_three(capsys, tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text('{"settings": {"rel_tol": NaN}}')
+    code, out, err = run_cli(capsys, "integrate", *CYLINDER_N3, "--config", str(config))
+    assert (code, out) == (3, "")
+    assert err == ("fowlerlab: error: config is not valid JSON: NaN is not a finite "
+                   "number\n")

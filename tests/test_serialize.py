@@ -359,12 +359,16 @@ class TestCsv:
 
 
 class TestReportSerialization:
-    def test_counts_must_sum(self, p3):
+    def test_counts_are_the_verdicts_of_the_runs(self):
         from fowlerlab import ExperimentReport
-        from fowlerlab.errors import DomainError
 
-        with pytest.raises(DomainError):
-            ExperimentReport(kind="sweep", seed=0, n_runs=3, counts={"A": 1})
+        runs = [{"verdict": verdict} for verdict in ("B", "A", "B")]
+        report = ExperimentReport(kind="sweep", seed=0, runs=runs, failures=[], summary={})
+        assert report.n_runs == 3
+        # In the order the labels first occur; the document sorts them.
+        assert list(report.counts.items()) == [("B", 2), ("A", 1)]
+        doc = experiment_report_to_dict(report)
+        assert (doc["n_runs"], list(doc["counts"].items())) == (3, [("A", 1), ("B", 2)])
 
     def test_invariant_report_schema(self, p3, perturbed_traj):
         from fowlerlab.serialize import invariant_report_to_dict

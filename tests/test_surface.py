@@ -56,10 +56,11 @@ def _public_methods(tree: ast.Module) -> list[tuple[str, str]]:
 
 
 def _used_names(tree: ast.Module) -> set[str]:
-    # A definition's own name is not an ast.Name, so it never counts as a use.
+    # A definition's own name is not an ast.Name, and a name assigned or
+    # deleted is not read: only a Load counts as a use.
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
