@@ -104,7 +104,12 @@ def _k_tolerance(params: SystemParams, traj: Trajectory) -> float:
 def classify(
     params: SystemParams, traj: Trajectory, report: InvariantReport | None = None
 ) -> Classification:
-    """Classify an orbit by its invariant value, events, and decay fits."""
+    """Classify an orbit by its invariant value, events, and decay fits.
+
+    A located event is a witnessed fact, so its verdict stands on any orbit.
+    An orbit whose integration failed (traj.failure set) and has no such
+    event is Inconclusive, with the failure in its evidence.
+    """
     k_value = params.sphere_area * traj.psi0
     k_tol = _k_tolerance(params, traj)
     evidence: dict = {
@@ -136,6 +141,10 @@ def classify(
     if "PositivityLoss" in kinds:
         evidence["positivity_loss"] = True
         return Classification(SIGN_CHANGING, k_value, evidence)
+    if traj.failure is not None:
+        # The integrator stopped short of the window: infima and decay fits
+        # would read the stretch it reached, not the orbit.
+        return Classification(INCONCLUSIVE, k_value, evidence)
 
     w1, w2 = _window_sample(traj)
     inf_w = (float(np.min(w1)), float(np.min(w2)))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,12 +31,19 @@ from .state import FowlerState
 
 #: Rejection attempts allowed per accepted draw before giving up.
 MAX_REJECTION_FACTOR = 200
-#: Trial cap for closing the shooting bracket to adjacent floats.  The guide
-#: root g and the outward search from it, at g -+ 2**-40 * g * 16**j, take at
-#: most 1 + ceil(log16(width / (2**-40 * g))) trials: 16 for a bracket of the
-#: largest width, lam[0] * 2**10, at any apex above lam[0] * 2**-7.  Then 70
-#: halvings take such a bracket to adjacent floats.
-SHOOT_TRIALS = 16 + 70
+#: Last trial that a shoot may place by the secant: later ones bisect.  Over
+#: the shoots measured, guide and secant trials closed in on the apex within
+#: 37 trials (an energy guide of one sign at N = 4), and within 7 with the
+#: true energy guide.
+_SECANT_LAST_TRIAL = 40
+#: Trial cap for closing the shooting bracket to adjacent floats.  Take the
+#: widest bracket, lam[0] * 2**10, with its lower end above lam[0] * 2**-7:
+#: it spans at most 2**70 ulps of either end.  The guide and secant trials
+#: are at most _SECANT_LAST_TRIAL.  A gallop from an end, at 4**j ulps for
+#: j = 0, 1, ..., leaves the bracket by j = 35 (36 trials); crossing at j
+#: leaves 3 * 4**(j - 1) ulps, which 2j <= 70 halvings close, as 70 close
+#: the whole bracket.
+SHOOT_TRIALS = _SECANT_LAST_TRIAL + 36 + 70
 #: Decay acceptance for the shot orbit: both components below this at the
 #: window end (while never changing sign).
 SHOOT_DECAY_CUT = 1e-6
@@ -347,6 +353,24 @@ def _loses_sign(fun, apex_w1: float, ratio: float, t_end: float,
     return seg.event == ("SignChange", None), seg
 
 
+def _window_end_value(run: dynamics.Segment, delta: float, t_end: float) -> float:
+    """w1 at t_end continued from the trial's last node by the linearisation
+    w'' = delta**2 w at the origin: it changes sign at the window's own
+    dichotomy, and it is w1 itself on a trial that reached t_end."""
+    s = delta * (t_end - float(run.t[-1]))
+    return float(run.y[0, -1]) * math.cosh(s) + float(run.y[2, -1]) / delta * math.sinh(s)
+
+
+def _secant(lo: float, w_lo: float, hi: float, w_hi: float) -> float:
+    """Root of the line through (lo, w_lo) and (hi, w_hi): lo itself when
+    w_lo <= 0, hi when w_hi >= 0, NaN when either value is NaN."""
+    if w_lo <= 0.0:
+        return lo
+    if w_hi >= 0.0:
+        return hi
+    return lo + (hi - lo) * (w_lo / (w_lo - w_hi))
+
+
 def _apex_energy(params: SystemParams, ratio: float, apex_w1: float) -> float:
     # Conserved along the trial orbit, nearly linear in the apex, and zero at
     # the homoclinic one: the guide whose root is the first shooting trial.
@@ -365,14 +389,22 @@ def shoot_entire(
     the window end (below).  On the proportional ray the orbit solves the
     scalar Fowler equation, whose energy sign fixes which comes first; after
     a minimum a negative-energy orbit is periodic and never reaches zero.
-    The trial decides which end of the bracket moves; the apex energy, whose
-    root is the homoclinic apex, only picks the trials.  Its root g, found by
-    bisection on its sign without integrating, is tried first; then trials
-    step outward from g by gaps growing 16-fold until one lands on the other
-    side of the dichotomy, and the rest bisect.  A proposal outside the
-    bracket, and every trial when the end energies have the same sign, is
-    the midpoint.  The bracket closes to adjacent floats within SHOOT_TRIALS
-    trials.
+    Only a trial's verdict moves an end of the bracket; two guides pick
+    where the trials go.  The apex energy, zero at the homoclinic apex,
+    gives the first two: its root g, found by bisection on its sign without
+    integrating, then one step from g by 2**-40 g across from the side g's
+    trial settled.  Each trial's run gives the rest: w1 continued from its
+    last node to t_span[1] by the linearisation w'' = delta**2 w at the
+    origin (_window_end_value), which changes sign at the window's own
+    dichotomy.  The secant of that value over the bracket ends places the
+    next trials, with the Illinois rule (an end kept a second time in a row
+    has its value halved).  When an end's value disagrees with its verdict,
+    or the secant rounds onto an end, trials gallop inward from that end by
+    1, 4, 16, ... ulps until one lands on the other side, and the rest
+    bisect.  With end energies of one sign there is no g and the secant
+    starts at once; a proposal outside the bracket, a run missing (BlowUp
+    data) and a secant trial past _SECANT_LAST_TRIAL give the midpoint.  The
+    bracket closes to adjacent floats within SHOOT_TRIALS trials.
     The converged orbit is integrate's from the apex data, bit for bit,
     and takes no run of its own when it can: its forward half is the trial
     from the converged apex, which is the last trial that stayed positive,
@@ -409,12 +441,14 @@ def shoot_entire(
 
     lo = 0.05 * kl.k * params.lam[0]
     hi = params.lam[0]
-    # lo_run is the trial from lo, which stays positive.
+    # lo_run is the trial from lo, which stays positive; hi_run the trial
+    # from hi, which changes sign.
     loses, lo_run = _loses_sign(fun, lo, ratio, t_end, settings)
     if loses:
         raise BracketFailure("lower shooting endpoint already changes sign")
     grow = 0
-    while not _loses_sign(fun, hi, ratio, t_end, settings)[0]:
+    loses, hi_run = _loses_sign(fun, hi, ratio, t_end, settings)
+    while not loses:
         if max(hi, ratio * hi) >= settings.blowup_threshold:
             # Larger apexes count as staying positive: the bracket cannot close.
             raise BracketFailure(f"no sign-losing apex below blowup_threshold="
@@ -423,34 +457,70 @@ def shoot_entire(
         grow += 1
         if grow > 10:
             raise BracketFailure("no sign-losing apex found while expanding the bracket")
+        loses, hi_run = _loses_sign(fun, hi, ratio, t_end, settings)
 
+    def at_end(run):
+        return math.nan if run is None else _window_end_value(run, params.delta, t_end)
+
+    w_lo, w_hi = at_end(lo_run), at_end(hi_run)
     f_lo = _apex_energy(params, ratio, lo)
     f_hi = _apex_energy(params, ratio, hi)
-    root = gap = side = None
+    # Trials go to the guide root g and one step outward from it, then to
+    # the secant on the window-end value, then gallop from an end, then bisect.
+    stage = "secant"
     if min(f_lo, f_hi) < 0.0 < max(f_lo, f_hi):
         # The guide's root, bisected on its sign alone: no trial integration.
         root = dynamics._event_root(
             lambda a: (_apex_energy(params, ratio, a) > 0.0) == (f_hi > 0.0), lo, hi)
-        gap = 2.0**-44 * root  # widened 16-fold before each outward trial
-    guess = root
+        stage = "guide"
     trials = 0
+    moved = None  # the end the last secant trial moved: True for hi
     while 0.5 * (lo + hi) not in (lo, hi):
         if trials == SHOOT_TRIALS:
             raise BracketFailure(f"shooting bracket [{lo!r}, {hi!r}] still open after "
                                  f"{SHOOT_TRIALS} trials")
         trials += 1
-        apex = guess if guess is not None and lo < guess < hi else 0.5 * (lo + hi)
+        if stage == "secant" and trials > _SECANT_LAST_TRIAL:
+            stage = "bisect"
+        guess = math.nan
+        if stage == "guide":
+            guess = root
+        elif stage == "outward":
+            # Away from g, across from the side its trial settled.
+            guess = root - 2.0**-40 * root if loses else root + 2.0**-40 * root
+        elif stage == "secant":
+            guess = _secant(lo, w_lo, hi, w_hi)
+            if guess <= lo or guess >= hi:
+                # An end's window-end value disagrees with its verdict, or the
+                # secant rounds onto an end: gallop from that end inward.
+                stage, upward, gap = "gallop", guess <= lo, 1.0
+                origin = lo if upward else hi
+        if stage == "gallop":
+            guess = origin + (gap if upward else -gap) * math.ulp(origin)
+        apex = guess if lo < guess < hi else 0.5 * (lo + hi)
         loses, run = _loses_sign(fun, apex, ratio, t_end, settings)
         if loses:
-            hi = apex
+            hi, w_hi = apex, at_end(run)
         else:
-            lo, lo_run = apex, run
-        if guess is not None and side in (None, loses):
-            # Not yet across the dichotomy from the root: step further out.
-            side, gap = loses, 16.0 * gap
-            guess = root - gap if loses else root + gap
-        else:
-            guess = None
+            lo, lo_run, w_lo = apex, run, at_end(run)
+        if stage == "guide":
+            stage = "outward"
+        elif stage == "outward":
+            stage = "secant"
+        elif stage == "secant":
+            if loses == moved:
+                # The same end moved twice: halve the value kept at the other
+                # end (Illinois), so the next secant lands nearer to it.
+                if loses:
+                    w_lo *= 0.5
+                else:
+                    w_hi *= 0.5
+            moved = loses
+        elif stage == "gallop":
+            if apex == guess and loses != upward:
+                gap *= 4.0  # still on the origin's side of the dichotomy
+            else:
+                stage = "bisect"
     # The largest apex that never changes sign within the window.
     apex = lo
 
@@ -597,7 +667,11 @@ def sweep(
             payloads.append(((pi, ii), params, values, settings, mode, archive_dir))
 
     if workers > 1 and len(payloads) > 1:
-        # A fork-started pool launches all max_workers processes at once.
+        # Imported here: the pool's modules cost every process that never
+        # runs one about 15 ms.  A fork-started pool launches all
+        # max_workers processes at once.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
             records = list(pool.map(_sweep_point, payloads))
     else:

@@ -275,8 +275,17 @@ def trajectory_from_dict(doc: dict) -> Trajectory:
     nodes = doc["nodes"]
     if len({len(nodes[k]) for k in ("t", "w1", "w2", "dw1", "dw2", "psi")}) != 1:
         raise SchemaMismatch("node arrays have inconsistent lengths")
-    # Every artifact that save_trajectory writes meets both.
+    # Every artifact that save_trajectory writes meets these.
     t = np.array(nodes["t"], dtype=float)
+    y = np.array([nodes["w1"], nodes["w2"], nodes["dw1"], nodes["dw2"]], dtype=float)
+    psi = np.array(nodes["psi"], dtype=float)
+    # json reads a number literal too large for a float as inf.
+    for name, values in (("node times", t), ("node states", y), ("node energies", psi),
+                         ("psi0", doc["psi0"]), ("drift", doc["drift"]),
+                         ("t_initial", doc["t_initial"]),
+                         ("events", [[e["t"], *e["state"]] for e in doc["events"]])):
+        if not np.all(np.isfinite(np.asarray(values, dtype=float))):
+            raise SchemaMismatch(f"{name}: a number is not finite")
     if not len(t):
         raise SchemaMismatch("node arrays are empty")
     if not np.all(t[1:] > t[:-1]):
@@ -286,8 +295,8 @@ def trajectory_from_dict(doc: dict) -> Trajectory:
         settings=settings,
         mode=doc["mode"],
         t=t,
-        y=np.array([nodes["w1"], nodes["w2"], nodes["dw1"], nodes["dw2"]], dtype=float),
-        psi=np.array(nodes["psi"], dtype=float),
+        y=y,
+        psi=psi,
         events=tuple(event_from_dict(e) for e in doc["events"]),
         psi0=doc["psi0"],
         drift=doc["drift"],

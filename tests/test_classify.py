@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import mpmath
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from fowlerlab import (
     BLOW_UP,
     BOTH_SINGULAR,
     ENTIRE,
+    INCONCLUSIVE,
     SIGN_CHANGING,
     FowlerState,
     IntegratorSettings,
@@ -105,6 +108,24 @@ class TestClassify:
             assert any(e.kind in ("BlowUp", "PositivityLoss") for e in traj.events)
             assert classify(p, traj).verdict == SIGN_CHANGING
             checked += 1
+
+    def test_a_failed_integration_is_inconclusive(self, p3):
+        # Tolerances no step can meet: the run stops at its first node, and
+        # a constant window sample would pass for a both-singular orbit.
+        settings = IntegratorSettings(rel_tol=1e-300, abs_tol=1e-300)
+        traj = integrate(p3, cylinder_state(p3)[0], settings)
+        assert traj.failure == "StepSizeUnderflow" and traj.t.size == 1
+        result = classify(p3, traj)
+        assert result.verdict == INCONCLUSIVE
+        assert result.evidence["failure"] == "StepSizeUnderflow"
+        assert "inf_w" not in result.evidence and "decay" not in result.evidence
+
+    def test_a_failed_integration_keeps_its_witnessed_event(self, p3):
+        state = FowlerState(0.0, 0.5, 0.5, 0.3, -0.3)
+        traj = integrate(p3, state, IntegratorSettings(t_span=(-50.0, 50.0)), mode="signed")
+        result = classify(p3, replace(traj, failure="StepSizeUnderflow"))
+        assert result.verdict == SIGN_CHANGING
+        assert result.evidence["failure"] == "StepSizeUnderflow"
 
     def test_verdict_stability(self, p3):
         # Closed-form orbits keep their verdicts under halved tolerances and

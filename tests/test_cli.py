@@ -601,6 +601,14 @@ def test_unattainable_tolerance_ends_in_step_underflow(tmp_path, tol):
     assert json.loads(out.read_text())["failure"] == "StepSizeUnderflow"
 
 
+def test_a_run_that_never_integrated_gets_no_verdict():
+    code, out, err = run_cli_process("integrate", *CYLINDER_N3, "--rel-tol", "1e-300",
+                                     "--abs-tol", "1e-300")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["n_nodes"], doc["certified"], doc["verdict"]) == (1, False, "Inconclusive")
+
+
 def test_tiny_abs_tol_integrates():
     # The starting-step estimate underflowed to 0 and was divided by.
     code, out, err = run_cli_process("integrate", *CYLINDER_N3, "--abs-tol", "1e-300")
@@ -638,6 +646,18 @@ def test_non_finite_node_artifact_exits_three(capsys, tmp_path, value):
     doc["nodes"]["w1"][1] = value
     path.write_text(json.dumps(doc))
     assert "is not a finite number" in _exits_three(capsys, path)
+
+
+@pytest.mark.parametrize("where", ["psi0", "drift", "t_initial", "nodes"])
+def test_overflowing_number_artifact_exits_three(capsys, tmp_path, where):
+    # json reads a literal too large for a float as inf, without complaint.
+    path, doc = _artifact(tmp_path)
+    if where == "nodes":
+        doc["nodes"]["w1"][1] = "OVERFLOW"
+    else:
+        doc[where] = "OVERFLOW"
+    path.write_text(json.dumps(doc).replace('"OVERFLOW"', "1e999"))
+    assert "a number is not finite" in _exits_three(capsys, path)
 
 
 def test_empty_node_artifact_exits_three(capsys, tmp_path):

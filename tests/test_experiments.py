@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 from dataclasses import replace
@@ -276,13 +277,11 @@ class TestShootEntire:
         assert data.a2 / data.a1 == pytest.approx(exact.w2 / exact.w1, rel=1e-12)
 
     @staticmethod
-    def full_window_rule(params, calls=None):
+    def full_window_rule(params):
         """The dichotomy as decided before early exit: integrate the whole
-        forward window and look for any sign change.  It hands shoot_entire
-        no trial run; each apex goes to calls when given."""
+        forward window and look for any sign change.  It hands back no trial
+        run."""
         def loses_sign(fun, apex_w1, ratio, t_end, integrator):
-            if calls is not None:
-                calls.append(apex_w1)
             state = FowlerState(0.0, apex_w1, ratio * apex_w1, 0.0, 0.0)
             traj = integrate(params, state, replace(integrator, t_span=(0.0, t_end)),
                              mode="signed")
@@ -327,11 +326,21 @@ class TestShootEntire:
     def test_shoot_with_full_window_rule_finds_the_same_apex(self, p5, monkeypatch):
         data, traj = shoot_entire(p5)
         _assert_is_integrate(p5, shoot_settings(p5), data, traj)
-        calls = []
-        monkeypatch.setattr(experiments, "_loses_sign", self.full_window_rule(p5, calls))
-        # With no trial run to reuse, the orbit is integrated afresh.
+        full_window = self.full_window_rule(p5)
+        verdicts = []
+
+        def loses_sign(*args):
+            # The full window's verdict with the early-exit trial's run, whose
+            # window-end value places the next trial: both shoots place the
+            # same trials when every verdict agrees.
+            early, run = _loses_sign(*args)
+            verdicts.append((full_window(*args)[0], early))
+            return verdicts[-1][0], run
+
+        monkeypatch.setattr(experiments, "_loses_sign", loses_sign)
         data_again, traj_again = shoot_entire(p5)
-        assert data_again == data and len(calls) > 2
+        assert data_again == data and len(verdicts) > 2
+        assert all(full == early for full, early in verdicts)
         _assert_is_integrate(p5, shoot_settings(p5), data_again, traj_again)
 
     def test_apex_above_blowup_threshold_never_loses_sign(self, p5):
@@ -447,6 +456,20 @@ def _assert_on_a_boundary(params, apex):
     assert _loses_sign(_make_field(params), math.nextafter(apex, math.inf), *args)[0]
 
 
+def _bracket(trials):
+    """The bracket that (apex, loses sign, run) trials leave, as (lo, its run)
+    and (hi, its run): only a trial's verdict moves an end."""
+    lo = max((trial for trial in trials if not trial[1]), key=lambda trial: trial[0])
+    hi = min((trial for trial in trials if trial[1]), key=lambda trial: trial[0])
+    return (lo[0], lo[2]), (hi[0], hi[2])
+
+
+def _end_values(params):
+    """The window-end value of a trial run, at the default shooting window."""
+    t_end = shoot_settings(params).t_span[1]
+    return lambda run: experiments._window_end_value(run, params.delta, t_end)
+
+
 def _cubed(energy):
     # Right sign, badly nonlinear: the secant lands near the far end.
     return lambda params, ratio, apex: energy(params, ratio, apex) ** 3 * 1e6
@@ -476,14 +499,51 @@ class TestShootBracket:
         exact = bubble_fowler(p5, 1.0, 0.0).w1
         assert abs(data.a1 - exact) / exact < 1e-12
 
-    def test_a_constant_sign_guide_is_plain_bisection(self, p3, monkeypatch):
+    def test_a_constant_sign_guide_goes_straight_to_the_secant(self, p3, monkeypatch):
+        # With no guide root the first trial after the bracket ends is the
+        # secant of their window-end values.  Secant trials follow until one
+        # would round onto an end, each with the Illinois rule: an end kept
+        # for a second time in a row has its value halved.
         monkeypatch.setattr(experiments, "_apex_energy", lambda *args: -1.0)
-        data, trials = _shoot_counting_trials(p3, monkeypatch)
-        (lo, _), (hi, _) = trials[:2]
-        for apex, loses_sign in trials[2:]:
-            assert apex == 0.5 * (lo + hi)
+        data, _, trials, _ = _shoot_counting_runs(p3, None, monkeypatch)
+        _assert_on_a_boundary(p3, data.a1)
+        value = _end_values(p3)
+        (lo, _, lo_run), (hi, _, hi_run) = trials[:2]
+        w_lo, w_hi = value(lo_run), value(hi_run)
+        moved = None
+        for placed, (apex, loses_sign, run) in enumerate(trials[2:]):
+            guess = experiments._secant(lo, w_lo, hi, w_hi)
+            if not lo < guess < hi:
+                break
+            assert apex == guess
+            if loses_sign:
+                hi, w_hi = apex, value(run)
+            else:
+                lo, w_lo = apex, value(run)
+            if loses_sign == moved:
+                w_lo, w_hi = (0.5 * w_lo, w_hi) if loses_sign else (w_lo, 0.5 * w_hi)
+            moved = loses_sign
+        # The secant came within a few ulps before it gave way.
+        assert placed > 10 and len(trials) - 2 - placed <= 3
+
+    def test_a_window_end_value_at_odds_with_its_verdict_starts_a_gallop(self, p5, monkeypatch):
+        # Every run reads a positive window-end value, so the losing end's
+        # disagrees with its verdict: after g and the step outward, trials
+        # leave that end by 1, 4, 16, ... ulps until one stays positive, and
+        # the rest are midpoints.
+        monkeypatch.setattr(experiments, "_window_end_value", lambda *args: 1.0)
+        data, _, trials, _ = _shoot_counting_runs(p5, None, monkeypatch)
+        _assert_on_a_boundary(p5, data.a1)
+        (lo, _), (hi, _) = _bracket(trials[:4])
+        origin, gap, galloping = hi, 1.0, True
+        for apex, loses_sign, _ in trials[4:]:
+            if galloping:
+                assert apex == origin - gap * math.ulp(origin)
+                galloping, gap = loses_sign, 4.0 * gap
+            else:
+                assert apex == 0.5 * (lo + hi)
             lo, hi = (lo, apex) if loses_sign else (apex, hi)
-        # Every trial decided an end: lo stays positive, the next float does not.
+        assert gap > 16.0 and not galloping
         assert data.a1 == lo and math.nextafter(lo, math.inf) == hi
 
     def test_trial_cap_raises_instead_of_stopping_early(self, p3, monkeypatch):
@@ -496,11 +556,27 @@ class TestShootBracket:
             shoot_entire(p3)
 
     @pytest.mark.parametrize("case", [(3, 1.0), (4, 2.0), (5, 1.0)])
-    def test_default_shoots_take_at_most_20_trials(self, case, monkeypatch):
+    def test_default_shoots_take_at_most_9_trials(self, case, monkeypatch):
         params = make_params(case[0], 1.0, 1.0, case[1])
         _, trials = _shoot_counting_trials(params, monkeypatch)
-        # The guide root and a few outward trials, then ~12 halvings.
-        assert len(trials) <= 20
+        # The bracket ends, g, one step outward, and a secant within a few
+        # ulps of the boundary; then a short gallop and a few midpoints.
+        assert len(trials) <= 9
+
+    def test_drawn_shoots_end_on_a_boundary_in_few_trials(self, monkeypatch):
+        # Self-couplings drawn from [0.9, 1.1]: every apex is a boundary of
+        # the dichotomy, and a shoot takes at most 10 trials on average,
+        # bracket ends included (stepping out of g and bisecting took 16.5).
+        rng = np.random.default_rng(21)
+        counts = []
+        for N, beta in [(3, 1.0), (4, 2.0), (5, 1.0)] * 4:
+            mu1, mu2 = rng.uniform(0.9, 1.1, size=2)
+            params = make_params(N, float(mu1), float(mu2), beta)
+            with monkeypatch.context() as patch:
+                data, trials = _shoot_counting_trials(params, patch)
+            _assert_on_a_boundary(params, data.a1)
+            counts.append(len(trials))
+        assert sum(counts) / len(counts) <= 10.0
 
     @pytest.mark.parametrize("case", [(3, 1.0), (4, 2.0), (5, 1.0)])
     def test_the_guide_root_is_tried_before_any_integration(self, case, monkeypatch):
@@ -533,29 +609,24 @@ class TestShootBracket:
     @pytest.mark.parametrize("shift", [1.0 - 1e-3, 1.0 + 1e-6])
     def test_a_shifted_guide_root_still_closes_the_bracket(self, p5, shift, monkeypatch):
         # The guide's root lies off the homoclinic apex by about 1e-3 (above)
-        # or 1e-6 (below): trials step outward from it until one crosses, and
-        # the rest are midpoints.  More than SHOOT_TRIALS raise BracketFailure.
+        # or 1e-6 (below): g and the one step outward from it settle the same
+        # side, and the next trial is the secant of the window-end values
+        # over the bracket they leave.  More than SHOOT_TRIALS raise
+        # BracketFailure.
         energy = experiments._apex_energy
         monkeypatch.setattr(experiments, "_apex_energy",
                             lambda params, ratio, a: energy(params, ratio, a * shift))
-        data, trials = _shoot_counting_trials(p5, monkeypatch)
+        data, _, trials, _ = _shoot_counting_runs(p5, None, monkeypatch)
         _assert_on_a_boundary(p5, data.a1)
         exact = bubble_fowler(p5, 1.0, 0.0).w1
         assert abs(data.a1 - exact) / exact < 1e-12
-        (lo, _), (hi, _), (g, side) = trials[:3]
-        lo, hi = (lo, g) if side else (g, hi)
-        step = -1.0 if side else 1.0
-        outward = True
-        for j, (apex, loses_sign) in enumerate(trials[3:]):
-            proposal = g + step * 2.0**-40 * g * 16.0**j
-            if outward and lo < proposal < hi:
-                assert apex == proposal
-            else:
-                assert apex == 0.5 * (lo + hi)
-            outward = outward and loses_sign == side
-            lo, hi = (lo, apex) if loses_sign else (apex, hi)
-        assert not outward  # the search crossed the apex
-        assert data.a1 == lo and math.nextafter(lo, math.inf) == hi
+        (g, side, _), (step, side_again, _) = trials[2:4]
+        assert step == (g - 2.0**-40 * g if side else g + 2.0**-40 * g)
+        assert side_again == side
+        (lo, lo_run), (hi, hi_run) = _bracket(trials[:4])
+        value = _end_values(p5)
+        assert trials[4][0] == experiments._secant(lo, value(lo_run), hi, value(hi_run))
+
 
 
 class TestSemiSingularSearch:
@@ -706,7 +777,8 @@ class TestSweep:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        # sweep imports the pool class from concurrent.futures when it runs one.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         cyl, _ = cylinder_state(p3)
         grid = [(cyl.w1, cyl.w2, 0.0, 0.0), (cyl.w1 + 1e-3, cyl.w2, 0.0, 0.0)]
         serial = sweep([p3], grid, span20)

@@ -552,18 +552,31 @@ def test_shipped_schema_is_draft_07(name):
     jsonschema.Draft7Validator.check_schema(schema)
 
 
-def test_runs_that_never_validate_do_not_load_jsonschema():
+def _fresh_process(script):
+    """Run script in a new interpreter that imports fowlerlab from this tree."""
     import fowlerlab
 
-    script = (
+    src = os.path.dirname(os.path.dirname(fowlerlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_runs_that_never_validate_do_not_load_jsonschema():
+    _fresh_process(
         "import sys\n"
         "import fowlerlab\n"
         "fowlerlab.semi_singular_search(fowlerlab.make_params(5, 1.0, 1.0, 1.0), n_runs=1,\n"
         "    settings=fowlerlab.IntegratorSettings(t_span=(-12.0, 12.0)))\n"
         "assert 'jsonschema' not in sys.modules, 'jsonschema was imported'\n"
     )
-    src = os.path.dirname(os.path.dirname(fowlerlab.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True)
-    assert done.returncode == 0, done.stderr
+
+
+def test_importing_the_package_does_not_load_the_process_pool():
+    # Only a sweep with workers > 1 imports it.
+    _fresh_process(
+        "import sys\n"
+        "import fowlerlab\n"
+        "assert 'concurrent.futures.process' not in sys.modules, 'the pool was imported'\n"
+    )
