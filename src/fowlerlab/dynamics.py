@@ -4,7 +4,9 @@ detection, in the logarithmic radial variables of fowlerlab.invariants.
 Integration uses the package's own embedded Runge-Kutta 5(4) pair
 (Dormand-Prince, Hairer-Norsett-Wanner II.4-5) in both time directions
 from the initial point; the step loop is scalar Python on the four state
-components.  Dense output is a per-step quintic Hermite built from node
+components, and its trial step is rendered at import from one table of
+coefficients (_TABLEAU) and one text of the positive-cone field (_CONE).
+Dense output is a per-step quintic Hermite built from node
 values, derivatives, and the accelerations the step loop computed there
 (the first-same-as-last stage; at an event node, the field at the located
 state).  Terminal events are located on the step's quintic, which is the
@@ -16,13 +18,14 @@ trip.  The field (_make_field) is the signed continuous extension
 |w|^(q-1) w of the positive-cone powers; on the positive cone both forms
 agree, and positivity-constrained runs terminate at POSITIVITY_FLOOR instead
 of crossing zero (the field is not Lipschitz at w = 0 when N >= 5).  The
-step loop evaluates the positive-cone branch inline, from the constants
-_make_field attaches to the field, at every stage point and new node inside
-the open cone; elsewhere it calls the field.  Both give the same floats.
+step loop evaluates _CONE inline, from the constants _make_field attaches to
+the field, at every stage point and new node inside the open cone;
+elsewhere it calls the field.  Both give the same floats.
 """
 
 from __future__ import annotations
 
+import linecache
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -93,10 +96,10 @@ class Event:
 def _make_field(params: SystemParams) -> Callable[[float, float], tuple[float, float]]:
     """Scalar (w1, w2) -> (w1'', w2''): the field the integrator steps on.
 
-    The signed formula, with a first branch for the open positive cone that
-    drops the abs and copysign calls and returns the same floats.  That
-    branch's constants ride on the callable as _cone, so that solve_ivp can
-    evaluate it inline.
+    The signed formula, |w|^(q-1) w for each power.  Its constants ride on
+    the callable as _cone, so that solve_ivp evaluates _CONE, the same
+    formula on the open positive cone, inline; there both give the same
+    floats.
     """
     p = params.p
     d2 = params.delta**2
@@ -105,11 +108,6 @@ def _make_field(params: SystemParams) -> Callable[[float, float], tuple[float, f
     q1 = 2.0 * p - 1.0
 
     def field(w1, w2):
-        if w1 > 0.0 and w2 > 0.0:
-            # |w| = w here, and copysign leaves the nonnegative powers as they are.
-            dd1 = d2 * w1 - mu1 * w1**q1 - beta * w2**p * w1**p1
-            dd2 = d2 * w2 - mu2 * w2**q1 - beta * w1**p * w2**p1
-            return dd1, dd2
         a1 = abs(w1)
         a2 = abs(w2)
         dd1 = d2 * w1 - mu1 * math.copysign(a1**q1, w1) - beta * a2**p * math.copysign(a1**p1, w1)
@@ -241,6 +239,22 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _ERROR_EXPONENT = -1.0 / 5.0
 
+#: The Dormand-Prince 5(4) pair (Hairer-Norsett-Wanner II.5, as scipy's RK45
+#: holds it): stage rows A, row j combining stages 0..j-1; the fifth-order
+#: weights B; and the error weights E, fifth- minus embedded fourth-order,
+#: on all seven stages (the seventh is the field at the new node).
+_TABLEAU = (
+    ((), (1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
+     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40),
+)
+#: The positive-cone acceleration of component i at (x, y), y the other
+#: component: _make_field's signed formula where |w| = w, without its abs and
+#: copysign calls, float for float.
+_CONE = "d2 * {x} - mu{i} * {x}**q1 - beta * {y}**p * {x}**p1"
+
 
 def _rms(x1, x2, x3, x4):
     return math.sqrt(x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4) / 2.0
@@ -298,17 +312,61 @@ def _event_root(crossed, ta, tb):
             ta = tm
 
 
+def _render_solve_ivp(template: str) -> str:
+    """template with its <trial step> line written out from _TABLEAU and _CONE.
+
+    Stages 2-6 and the new node are each an A or B row's sum over the
+    earlier stages, then the field there (_CONE on the open cone, else a
+    call); then come the error terms e1..e4 from E.  Each nonzero weight is
+    the repr of its magnitude, its sign the operator, which CPython compiles
+    to the constants and bytecode of the folded fraction.
+    """
+    A, B, E = _TABLEAU
+
+    def stage(c, k):
+        # Stage k of component c (w1, w2, w1', w2'): the old node's
+        # derivative (k = 0), the stage values, the new node's (k = 6).
+        if k in (0, 6):
+            return ("v1", "v2", "a1", "a2")[c] + ("_new" if k else "")
+        return f"{('v1', 'v2', 'b1', 'b2')[c]}_{k + 1}"
+
+    def combo(weights, c):
+        text = "".join(f" {'-' if a < 0.0 else '+'} {abs(a)!r} * {stage(c, k)}"
+                       for k, a in enumerate(weights) if a)
+        return text[3:] if text[1] == "+" else "-" + text[3:]
+
+    lines = []
+    for k in range(1, 7):
+        x, y = ("x1", "x2") if k < 6 else ("w1_new", "w2_new")
+        for c, (target, base) in enumerate(zip((x, y, stage(0, k), stage(1, k)),
+                                               ("w1", "w2", "v1", "v2"))):
+            lines.append(f"{target} = {base} + ({combo(A[k], c)}) * h" if k < 6
+                         else f"{target} = {base} + h * ({combo(B, c)})")
+        b1, b2 = stage(2, k), stage(3, k)
+        lines += [f"if inline and {x} > 0.0 and {y} > 0.0:",
+                  f"    {b1} = {_CONE.format(x=x, y=y, i=1)}",
+                  f"    {b2} = {_CONE.format(x=y, y=x, i=2)}",
+                  "else:",
+                  f"    {b1}, {b2} = field({x}, {y})"]
+    lines += [f"e{c + 1} = ({combo(E, c)}) * h" for c in range(4)]
+    head, _, tail = template.partition("<trial step>\n")
+    indent = head[head.rindex("\n") + 1:]
+    return head + ("\n" + indent).join(lines) + "\n" + tail
+
+
+_SOLVE_IVP_TEMPLATE = '''\
 def solve_ivp(field, t0, y0, t_bound, settings, mode, stop=None):
     """The package's own Dormand-Prince 5(4) solver, from t0 toward t_bound.
 
     field is the scalar acceleration map (w1, w2) -> (w1'', w2'') and y0
-    the four floats (w1, w2, w1', w2').  A field from _make_field carries
-    its positive-cone constants (_cone): at each stage point and new node
-    with both components > 0.0 the step loop evaluates that branch itself,
-    float for float the call's result.  Off the cone, at an event node, in
-    the initial-step estimate, and for any field without _cone, field is
-    called.  The tableau and the step-size control are those of
-    Hairer-Norsett-Wanner II.4-5 (as in scipy's RK45): RMS error
+    the four floats (w1, w2, w1', w2').  This source is rendered at import
+    (_render_solve_ivp): its trial step is written out from _TABLEAU, and a
+    field from _make_field, which carries its constants as _cone, is
+    evaluated there as _CONE at each stage point and new node with both
+    components > 0.0, float for float the call's result.  Off the cone, at
+    an event node, in the initial-step estimate, and for any field without
+    _cone, field is called.  The step-size control is that of
+    Hairer-Norsett-Wanner II.4 (as in scipy's RK45): RMS error
     norm scaled by atol + rtol * max(|y|, |y_new|), no step growth right
     after a rejection, and failure once the step falls below 10 ulp(t).  A
     trial step that overflows is rejected like one with an infinite error.
@@ -326,8 +384,8 @@ def solve_ivp(field, t0, y0, t_bound, settings, mode, stop=None):
     unstopped run's, bit for bit.  Returns a Segment.
     """
     rtol, atol, max_step = settings.rel_tol, settings.abs_tol, settings.max_step
-    # A field call's frame and returned tuple cost more than the cone
-    # branch's arithmetic, which is written out below in the same order.
+    # A field call's frame and returned tuple cost more than _CONE's
+    # arithmetic, which the trial step writes out in the same order.
     cone = getattr(field, "_cone", None)
     inline = cone is not None
     d2, mu1, mu2, beta, p, p1, q1 = cone if inline else (0.0,) * 7
@@ -365,84 +423,9 @@ def solve_ivp(field, t0, y0, t_bound, settings, mode, stop=None):
             h_abs = abs(h)
             nfev += 6
             try:
-                # Stage j is k_j = (v1_j, v2_j, b1_j, b2_j): the stage
-                # velocities and the field's accelerations there.
-                x1 = w1 + (0.2 * v1) * h
-                x2 = w2 + (0.2 * v2) * h
-                v1_2 = v1 + (0.2 * a1) * h
-                v2_2 = v2 + (0.2 * a2) * h
-                if inline and x1 > 0.0 and x2 > 0.0:
-                    b1_2 = d2 * x1 - mu1 * x1**q1 - beta * x2**p * x1**p1
-                    b2_2 = d2 * x2 - mu2 * x2**q1 - beta * x1**p * x2**p1
-                else:
-                    b1_2, b2_2 = field(x1, x2)
-                x1 = w1 + (3 / 40 * v1 + 9 / 40 * v1_2) * h
-                x2 = w2 + (3 / 40 * v2 + 9 / 40 * v2_2) * h
-                v1_3 = v1 + (3 / 40 * a1 + 9 / 40 * b1_2) * h
-                v2_3 = v2 + (3 / 40 * a2 + 9 / 40 * b2_2) * h
-                if inline and x1 > 0.0 and x2 > 0.0:
-                    b1_3 = d2 * x1 - mu1 * x1**q1 - beta * x2**p * x1**p1
-                    b2_3 = d2 * x2 - mu2 * x2**q1 - beta * x1**p * x2**p1
-                else:
-                    b1_3, b2_3 = field(x1, x2)
-                x1 = w1 + (44 / 45 * v1 - 56 / 15 * v1_2 + 32 / 9 * v1_3) * h
-                x2 = w2 + (44 / 45 * v2 - 56 / 15 * v2_2 + 32 / 9 * v2_3) * h
-                v1_4 = v1 + (44 / 45 * a1 - 56 / 15 * b1_2 + 32 / 9 * b1_3) * h
-                v2_4 = v2 + (44 / 45 * a2 - 56 / 15 * b2_2 + 32 / 9 * b2_3) * h
-                if inline and x1 > 0.0 and x2 > 0.0:
-                    b1_4 = d2 * x1 - mu1 * x1**q1 - beta * x2**p * x1**p1
-                    b2_4 = d2 * x2 - mu2 * x2**q1 - beta * x1**p * x2**p1
-                else:
-                    b1_4, b2_4 = field(x1, x2)
-                x1 = w1 + (19372 / 6561 * v1 - 25360 / 2187 * v1_2 + 64448 / 6561 * v1_3
-                           - 212 / 729 * v1_4) * h
-                x2 = w2 + (19372 / 6561 * v2 - 25360 / 2187 * v2_2 + 64448 / 6561 * v2_3
-                           - 212 / 729 * v2_4) * h
-                v1_5 = v1 + (19372 / 6561 * a1 - 25360 / 2187 * b1_2 + 64448 / 6561 * b1_3
-                             - 212 / 729 * b1_4) * h
-                v2_5 = v2 + (19372 / 6561 * a2 - 25360 / 2187 * b2_2 + 64448 / 6561 * b2_3
-                             - 212 / 729 * b2_4) * h
-                if inline and x1 > 0.0 and x2 > 0.0:
-                    b1_5 = d2 * x1 - mu1 * x1**q1 - beta * x2**p * x1**p1
-                    b2_5 = d2 * x2 - mu2 * x2**q1 - beta * x1**p * x2**p1
-                else:
-                    b1_5, b2_5 = field(x1, x2)
-                x1 = w1 + (9017 / 3168 * v1 - 355 / 33 * v1_2 + 46732 / 5247 * v1_3
-                           + 49 / 176 * v1_4 - 5103 / 18656 * v1_5) * h
-                x2 = w2 + (9017 / 3168 * v2 - 355 / 33 * v2_2 + 46732 / 5247 * v2_3
-                           + 49 / 176 * v2_4 - 5103 / 18656 * v2_5) * h
-                v1_6 = v1 + (9017 / 3168 * a1 - 355 / 33 * b1_2 + 46732 / 5247 * b1_3
-                             + 49 / 176 * b1_4 - 5103 / 18656 * b1_5) * h
-                v2_6 = v2 + (9017 / 3168 * a2 - 355 / 33 * b2_2 + 46732 / 5247 * b2_3
-                             + 49 / 176 * b2_4 - 5103 / 18656 * b2_5) * h
-                if inline and x1 > 0.0 and x2 > 0.0:
-                    b1_6 = d2 * x1 - mu1 * x1**q1 - beta * x2**p * x1**p1
-                    b2_6 = d2 * x2 - mu2 * x2**q1 - beta * x1**p * x2**p1
-                else:
-                    b1_6, b2_6 = field(x1, x2)
-                w1_new = w1 + h * (35 / 384 * v1 + 500 / 1113 * v1_3 + 125 / 192 * v1_4
-                                   - 2187 / 6784 * v1_5 + 11 / 84 * v1_6)
-                w2_new = w2 + h * (35 / 384 * v2 + 500 / 1113 * v2_3 + 125 / 192 * v2_4
-                                   - 2187 / 6784 * v2_5 + 11 / 84 * v2_6)
-                v1_new = v1 + h * (35 / 384 * a1 + 500 / 1113 * b1_3 + 125 / 192 * b1_4
-                                   - 2187 / 6784 * b1_5 + 11 / 84 * b1_6)
-                v2_new = v2 + h * (35 / 384 * a2 + 500 / 1113 * b2_3 + 125 / 192 * b2_4
-                                   - 2187 / 6784 * b2_5 + 11 / 84 * b2_6)
-                if inline and w1_new > 0.0 and w2_new > 0.0:
-                    a1_new = d2 * w1_new - mu1 * w1_new**q1 - beta * w2_new**p * w1_new**p1
-                    a2_new = d2 * w2_new - mu2 * w2_new**q1 - beta * w1_new**p * w2_new**p1
-                else:
-                    a1_new, a2_new = field(w1_new, w2_new)
-                # Error estimate: the fifth- minus the embedded fourth-order
-                # weights, on all seven stages (the seventh is the new field).
-                e1 = (-71 / 57600 * v1 + 71 / 16695 * v1_3 - 71 / 1920 * v1_4
-                      + 17253 / 339200 * v1_5 - 22 / 525 * v1_6 + 1 / 40 * v1_new) * h
-                e2 = (-71 / 57600 * v2 + 71 / 16695 * v2_3 - 71 / 1920 * v2_4
-                      + 17253 / 339200 * v2_5 - 22 / 525 * v2_6 + 1 / 40 * v2_new) * h
-                e3 = (-71 / 57600 * a1 + 71 / 16695 * b1_3 - 71 / 1920 * b1_4
-                      + 17253 / 339200 * b1_5 - 22 / 525 * b1_6 + 1 / 40 * a1_new) * h
-                e4 = (-71 / 57600 * a2 + 71 / 16695 * b2_3 - 71 / 1920 * b2_4
-                      + 17253 / 339200 * b2_5 - 22 / 525 * b2_6 + 1 / 40 * a2_new) * h
+                # Stage k is (v1_k, v2_k, b1_k, b2_k): the stage velocities
+                # and the field's accelerations there.
+                <trial step>
                 # The RMS norm of _rms, scaled by atol + rtol * max(old, new)
                 # magnitude: n if n > o else o is max(o, n), ties and NaN too.
                 n1, n2, n3, n4 = abs(w1_new), abs(w2_new), abs(v1_new), abs(v2_new)
@@ -516,6 +499,16 @@ def solve_ivp(field, t0, y0, t_bound, settings, mode, stop=None):
         a2s.append(a2)
     return Segment(t=np.array(ts), y=np.array([w1s, w2s, v1s, v2s]), acc=np.array([a1s, a2s]),
                    nfev=nfev, status=status, event=event)
+'''
+
+#: solve_ivp's source as rendered, which inspect.getsource and tracebacks show.
+_SOLVE_IVP_SOURCE = _render_solve_ivp(_SOLVE_IVP_TEMPLATE)
+_SOLVE_IVP_FILE = "<fowlerlab.dynamics.solve_ivp>"
+# The unit imports math and numpy first, as this module does, so that CPython
+# compiles math.nextafter and np.array to the same instructions as here.
+_unit = "import math\nimport numpy as np\n" + _SOLVE_IVP_SOURCE
+linecache.cache[_SOLVE_IVP_FILE] = (len(_unit), None, _unit.splitlines(True), _SOLVE_IVP_FILE)
+exec(compile(_unit, _SOLVE_IVP_FILE, "exec"), globals())  # defines solve_ivp
 
 
 def _mirror(seg: Segment) -> Segment:

@@ -270,8 +270,16 @@ def trajectory_to_dict(
 
 def trajectory_from_dict(doc: dict) -> Trajectory:
     validate(doc, "trajectory")
-    params = params_from_dict(doc["params"])
-    settings = settings_from_dict(doc["settings"])
+    # The schema admits values that make_params or IntegratorSettings refuse:
+    # a negative tolerance, or a literal json reads as inf.
+    try:
+        params = params_from_dict(doc["params"])
+    except DomainError as exc:
+        raise SchemaMismatch(f"params: {exc}") from exc
+    try:
+        settings = settings_from_dict(doc["settings"])
+    except DomainError as exc:
+        raise SchemaMismatch(f"settings: {exc}") from exc
     nodes = doc["nodes"]
     if len({len(nodes[k]) for k in ("t", "w1", "w2", "dw1", "dw2", "psi")}) != 1:
         raise SchemaMismatch("node arrays have inconsistent lengths")

@@ -648,16 +648,31 @@ def test_non_finite_node_artifact_exits_three(capsys, tmp_path, value):
     assert "is not a finite number" in _exits_three(capsys, path)
 
 
-@pytest.mark.parametrize("where", ["psi0", "drift", "t_initial", "nodes"])
+@pytest.mark.parametrize("where", ["psi0", "drift", "t_initial", "nodes", "params", "settings"])
 def test_overflowing_number_artifact_exits_three(capsys, tmp_path, where):
     # json reads a literal too large for a float as inf, without complaint.
     path, doc = _artifact(tmp_path)
     if where == "nodes":
         doc["nodes"]["w1"][1] = "OVERFLOW"
+    elif where in ("params", "settings"):
+        doc[where]["mu1" if where == "params" else "rel_tol"] = "OVERFLOW"
     else:
         doc[where] = "OVERFLOW"
     path.write_text(json.dumps(doc).replace('"OVERFLOW"', "1e999"))
-    assert "a number is not finite" in _exits_three(capsys, path)
+    expected = {
+        "params": "error: params: coefficient mu1 must be positive, got inf\n",
+        "settings": "error: settings: tolerances must be positive and finite, got rel_tol inf",
+    }.get(where, "a number is not finite")
+    assert expected in _exits_three(capsys, path)
+
+
+def test_negative_tolerance_artifact_exits_three(capsys, tmp_path):
+    # The schema admits a negative tolerance; IntegratorSettings does not.
+    path, doc = _artifact(tmp_path)
+    doc["settings"]["rel_tol"] = -1e-10
+    path.write_text(json.dumps(doc))
+    err = _exits_three(capsys, path)
+    assert "error: settings: tolerances must be positive and finite, got rel_tol -1e-10" in err
 
 
 def test_empty_node_artifact_exits_three(capsys, tmp_path):

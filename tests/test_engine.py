@@ -6,11 +6,14 @@ differential reference, and mpmath's Taylor-series ODE solver at 25 digits
 as an accuracy oracle.  Both are test-only dependencies.
 """
 
+import inspect
 import math
+import traceback
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import RK45
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 from fowlerlab import (
@@ -98,6 +101,15 @@ def test_matches_scipy_rk45(name, backward):
         assert fired == [got.event[1]]
     assert np.max(np.abs(got.t - ref.t)) <= 1e-6 * max(1.0, span)
     assert np.max(np.abs(got.y - ref.y)) <= 1e-6 * max(1.0, np.max(np.abs(ref.y)))
+
+
+def test_tableau_is_scipys():
+    # The one table solve_ivp's trial step is rendered from, float for
+    # float against scipy's copy (A padded with the zeros it leaves out).
+    A, B, E = dynamics._TABLEAU
+    assert [list(row) + [0.0] * (5 - len(row)) for row in A] == RK45.A.tolist()
+    assert list(B) == RK45.B.tolist()
+    assert list(E) == RK45.E.tolist()
 
 
 def test_global_error_against_mpmath_taylor_oracle():
@@ -189,6 +201,32 @@ def test_overflowing_trial_steps_are_rejected_until_underflow():
     assert seg.status == -1 and seg.event is None
     assert seg.t[-1] == pytest.approx(np.log(1.5), abs=1e-9)
     assert np.all(seg.y[0] <= 1.5)
+
+
+def test_rendered_solve_ivp_is_its_source():
+    assert inspect.getsource(dynamics.solve_ivp) == dynamics._SOLVE_IVP_SOURCE
+
+
+def test_a_failing_stage_is_quoted_from_the_rendered_source():
+    # A field without _cone is called everywhere: at t0, in the initial-step
+    # estimate, and then at the second stage.
+    calls = []
+
+    def field(w1, w2):
+        calls.append(None)
+        if len(calls) == 3:
+            raise ZeroDivisionError("third field call")
+        return w1, w2
+
+    settings = IntegratorSettings(t_span=(0.0, 1.0))
+    with pytest.raises(ZeroDivisionError) as info:
+        dynamics.solve_ivp(field, 0.0, (1.0, 1.0, 1.0, 1.0), 1.0, settings, "signed")
+    frame = next(f for f in traceback.extract_tb(info.tb) if f.name == "solve_ivp")
+    assert frame.line == "b1_2, b2_2 = field(x1, x2)"
+    source = dynamics._SOLVE_IVP_SOURCE.splitlines()
+    first = dynamics.solve_ivp.__code__.co_firstlineno
+    assert source[frame.lineno - first].strip() == frame.line
+    assert "\n    b1_2, b2_2 = field(x1, x2)\n" in "".join(traceback.format_tb(info.tb))
 
 
 def _stop_at_call(k, label):
