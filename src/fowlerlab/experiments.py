@@ -32,17 +32,17 @@ from .state import FowlerState
 #: Rejection attempts allowed per accepted draw before giving up.
 MAX_REJECTION_FACTOR = 200
 #: Last trial that a shoot may place by the secant: later ones bisect.  Over
-#: the shoots measured, guide and secant trials closed in on the apex within
-#: 37 trials (an energy guide of one sign at N = 4), and within 7 with the
-#: true energy guide.
+#: the shoots measured, secant trials closed in on the apex within 37 (an
+#: energy guide of one sign at N = 4), and all trials after g's within 8.
 _SECANT_LAST_TRIAL = 40
-#: Trial cap for closing the shooting bracket to adjacent floats.  Take the
-#: widest bracket, lam[0] * 2**10, with its lower end above lam[0] * 2**-7:
-#: it spans at most 2**70 ulps of either end.  The guide and secant trials
-#: are at most _SECANT_LAST_TRIAL.  A gallop from an end, at 4**j ulps for
-#: j = 0, 1, ..., leaves the bracket by j = 35 (36 trials); crossing at j
-#: leaves 3 * 4**(j - 1) ulps, which 2j <= 70 halvings close, as 70 close
-#: the whole bracket.
+#: Cap on the trials after the bracket's setup (its ends, g and g's outward
+#: step) that close it to adjacent floats.  Take the widest bracket,
+#: lam[0] * 2**10, with its lower end above lam[0] * 2**-7: it spans at
+#: most 2**70 ulps of either end.  The secant trials are at most
+#: _SECANT_LAST_TRIAL.  A gallop from an end, at 4**j ulps for j = 0, 1,
+#: ..., leaves the bracket by j = 35 (36 trials); crossing at j leaves
+#: 3 * 4**(j - 1) ulps, which 2j <= 70 halvings close, as 70 close the
+#: whole bracket.
 SHOOT_TRIALS = _SECANT_LAST_TRIAL + 36 + 70
 #: Decay acceptance for the shot orbit: both components below this at the
 #: window end (while never changing sign).
@@ -391,20 +391,23 @@ def shoot_entire(
     a minimum a negative-energy orbit is periodic and never reaches zero.
     Only a trial's verdict moves an end of the bracket; two guides pick
     where the trials go.  The apex energy, zero at the homoclinic apex,
-    gives the first two: its root g, found by bisection on its sign without
-    integrating, then one step from g by 2**-40 g across from the side g's
-    trial settled.  Each trial's run gives the rest: w1 continued from its
-    last node to t_span[1] by the linearisation w'' = delta**2 w at the
+    gives the first two: its root g in [0.05 k lam[0], lam[0]], found by
+    bisection on its sign without integrating, then one step from g by
+    2**-40 g across from the side g's trial settled.  An end of that bracket
+    that neither settled runs its own trial: the lower must stay positive,
+    the upper doubles until it changes sign.  With end energies of one sign
+    both ends run first, and g comes from the bracket they leave.  Each
+    trial's run gives the rest: w1 continued from its last node to
+    t_span[1] by the linearisation w'' = delta**2 w at the
     origin (_window_end_value), which changes sign at the window's own
     dichotomy.  The secant of that value over the bracket ends places the
     next trials, with the Illinois rule (an end kept a second time in a row
     has its value halved).  When an end's value disagrees with its verdict,
     or the secant rounds onto an end, trials gallop inward from that end by
     1, 4, 16, ... ulps until one lands on the other side, and the rest
-    bisect.  With end energies of one sign there is no g and the secant
-    starts at once; a proposal outside the bracket, a run missing (BlowUp
-    data) and a secant trial past _SECANT_LAST_TRIAL give the midpoint.  The
-    bracket closes to adjacent floats within SHOOT_TRIALS trials.
+    bisect.  A proposal outside the bracket, a run missing (BlowUp data) and
+    a secant trial past _SECANT_LAST_TRIAL give the midpoint.  The bracket
+    closes to adjacent floats within SHOOT_TRIALS trials after it is set up.
     The converged orbit is integrate's from the apex data, bit for bit,
     and takes no run of its own when it can: its forward half is the trial
     from the converged apex, which is the last trial that stayed positive,
@@ -439,40 +442,64 @@ def shoot_entire(
     t_end = settings.t_span[1]
     fun = dynamics._make_field(params)
 
-    lo = 0.05 * kl.k * params.lam[0]
-    hi = params.lam[0]
-    # lo_run is the trial from lo, which stays positive; hi_run the trial
-    # from hi, which changes sign.
-    loses, lo_run = _loses_sign(fun, lo, ratio, t_end, settings)
-    if loses:
-        raise BracketFailure("lower shooting endpoint already changes sign")
-    grow = 0
-    loses, hi_run = _loses_sign(fun, hi, ratio, t_end, settings)
-    while not loses:
-        if max(hi, ratio * hi) >= settings.blowup_threshold:
-            # Larger apexes count as staying positive: the bracket cannot close.
-            raise BracketFailure(f"no sign-losing apex below blowup_threshold="
-                                 f"{settings.blowup_threshold!r}: apex {hi!r} reaches it")
-        hi *= 2.0
-        grow += 1
-        if grow > 10:
-            raise BracketFailure("no sign-losing apex found while expanding the bracket")
-        loses, hi_run = _loses_sign(fun, hi, ratio, t_end, settings)
-
     def at_end(run):
         return math.nan if run is None else _window_end_value(run, params.delta, t_end)
 
-    w_lo, w_hi = at_end(lo_run), at_end(hi_run)
-    f_lo = _apex_energy(params, ratio, lo)
-    f_hi = _apex_energy(params, ratio, hi)
-    # Trials go to the guide root g and one step outward from it, then to
-    # the secant on the window-end value, then gallop from an end, then bisect.
-    stage = "secant"
-    if min(f_lo, f_hi) < 0.0 < max(f_lo, f_hi):
-        # The guide's root, bisected on its sign alone: no trial integration.
-        root = dynamics._event_root(
+    # lo_run is the trial from lo, which stays positive; w_lo and w_hi the
+    # window-end values of the trials from lo and hi.
+    lo, hi = 0.05 * kl.k * params.lam[0], params.lam[0]
+
+    def settle(guess):
+        # The trial from guess, or from the midpoint when guess is not inside
+        # the bracket: its verdict moves one end.
+        nonlocal lo, hi, lo_run, w_lo, w_hi
+        apex = guess if lo < guess < hi else 0.5 * (lo + hi)
+        loses, run = _loses_sign(fun, apex, ratio, t_end, settings)
+        if loses:
+            hi, w_hi = apex, at_end(run)
+        else:
+            lo, lo_run, w_lo = apex, run, at_end(run)
+        return apex, loses
+
+    def from_guide():
+        # The trials from the guide's root g, bisected on its sign alone (no
+        # trial integration), and from one step away from g, across from the
+        # side g's trial settled: the verdicts of the two, none without g.
+        f_lo, f_hi = _apex_energy(params, ratio, lo), _apex_energy(params, ratio, hi)
+        if not min(f_lo, f_hi) < 0.0 < max(f_lo, f_hi):
+            return set()
+        g = dynamics._event_root(
             lambda a: (_apex_energy(params, ratio, a) > 0.0) == (f_hi > 0.0), lo, hi)
-        stage = "guide"
+        loses = settle(g)[1]
+        return {loses, settle(g - 2.0**-40 * g if loses else g + 2.0**-40 * g)[1]}
+
+    settled = from_guide()
+    # An end that no trial has settled runs its own trial.
+    if False not in settled:
+        loses, lo_run = _loses_sign(fun, lo, ratio, t_end, settings)
+        if loses:
+            raise BracketFailure("lower shooting endpoint already changes sign")
+        w_lo = at_end(lo_run)
+    if True not in settled:
+        grow = 0
+        loses, hi_run = _loses_sign(fun, hi, ratio, t_end, settings)
+        while not loses:
+            if max(hi, ratio * hi) >= settings.blowup_threshold:
+                # Larger apexes count as staying positive: the bracket cannot close.
+                raise BracketFailure(f"no sign-losing apex below blowup_threshold="
+                                     f"{settings.blowup_threshold!r}: apex {hi!r} reaches it")
+            hi *= 2.0
+            grow += 1
+            if grow > 10:
+                raise BracketFailure("no sign-losing apex found while expanding the bracket")
+            loses, hi_run = _loses_sign(fun, hi, ratio, t_end, settings)
+        w_hi = at_end(hi_run)
+    if not settled:
+        # End energies of one sign: g over the bracket the end trials left.
+        from_guide()
+    # Trials go to the secant on the window-end value, then gallop from an
+    # end, then bisect.
+    stage = "secant"
     trials = 0
     moved = None  # the end the last secant trial moved: True for hi
     while 0.5 * (lo + hi) not in (lo, hi):
@@ -483,12 +510,7 @@ def shoot_entire(
         if stage == "secant" and trials > _SECANT_LAST_TRIAL:
             stage = "bisect"
         guess = math.nan
-        if stage == "guide":
-            guess = root
-        elif stage == "outward":
-            # Away from g, across from the side its trial settled.
-            guess = root - 2.0**-40 * root if loses else root + 2.0**-40 * root
-        elif stage == "secant":
+        if stage == "secant":
             guess = _secant(lo, w_lo, hi, w_hi)
             if guess <= lo or guess >= hi:
                 # An end's window-end value disagrees with its verdict, or the
@@ -497,17 +519,8 @@ def shoot_entire(
                 origin = lo if upward else hi
         if stage == "gallop":
             guess = origin + (gap if upward else -gap) * math.ulp(origin)
-        apex = guess if lo < guess < hi else 0.5 * (lo + hi)
-        loses, run = _loses_sign(fun, apex, ratio, t_end, settings)
-        if loses:
-            hi, w_hi = apex, at_end(run)
-        else:
-            lo, lo_run, w_lo = apex, run, at_end(run)
-        if stage == "guide":
-            stage = "outward"
-        elif stage == "outward":
-            stage = "secant"
-        elif stage == "secant":
+        apex, loses = settle(guess)
+        if stage == "secant":
             if loses == moved:
                 # The same end moved twice: halve the value kept at the other
                 # end (Illinois), so the next secant lands nearer to it.

@@ -350,19 +350,14 @@ class TestShootEntire:
             shoot_entire(p5, low_box)
 
     def test_blowup_box_below_bracket_fails_at_once(self, p5, monkeypatch):
-        # The first apex tried (lam[0] ~ 2.69) is already in a box of size 1.
-        calls = []
-        inner = experiments._loses_sign
-
-        def counting(*args):
-            calls.append(args[1])
-            return inner(*args)
-
-        monkeypatch.setattr(experiments, "_loses_sign", counting)
+        # g ~ 1.60, its outward step and the upper end lam[0] ~ 2.69 all lie
+        # outside a box of size 1: no trial integrates.
+        calls, inner = [], dynamics.solve_ivp
+        monkeypatch.setattr(dynamics, "solve_ivp", lambda *args: calls.append(args) or inner(*args))
         low_box = replace(shoot_settings(p5), blowup_threshold=1.0)
         with pytest.raises(BracketFailure, match="blowup_threshold=1.0"):
             shoot_entire(p5, low_box)
-        assert 1 <= len(calls) <= 2
+        assert calls == []
 
     @pytest.mark.parametrize("case", [(3, 1.0), (4, 2.0), (5, 1.0)])
     def test_the_orbit_takes_no_run_of_its_own(self, case, monkeypatch):
@@ -528,15 +523,15 @@ class TestShootBracket:
 
     def test_a_window_end_value_at_odds_with_its_verdict_starts_a_gallop(self, p5, monkeypatch):
         # Every run reads a positive window-end value, so the losing end's
-        # disagrees with its verdict: after g and the step outward, trials
-        # leave that end by 1, 4, 16, ... ulps until one stays positive, and
-        # the rest are midpoints.
+        # disagrees with its verdict: after g and the step outward, which
+        # bracket the apex, trials leave that end by 1, 4, 16, ... ulps until
+        # one stays positive, and the rest are midpoints.
         monkeypatch.setattr(experiments, "_window_end_value", lambda *args: 1.0)
         data, _, trials, _ = _shoot_counting_runs(p5, None, monkeypatch)
         _assert_on_a_boundary(p5, data.a1)
-        (lo, _), (hi, _) = _bracket(trials[:4])
+        (lo, _), (hi, _) = _bracket(trials[:2])
         origin, gap, galloping = hi, 1.0, True
-        for apex, loses_sign, _ in trials[4:]:
+        for apex, loses_sign, _ in trials[2:]:
             if galloping:
                 assert apex == origin - gap * math.ulp(origin)
                 galloping, gap = loses_sign, 4.0 * gap
@@ -548,7 +543,7 @@ class TestShootBracket:
 
     def test_trial_cap_raises_instead_of_stopping_early(self, p3, monkeypatch):
         data, trials = _shoot_counting_trials(p3, monkeypatch)
-        used = len(trials) - 2  # after the two bracket ends
+        used = len(trials) - 2  # after g and its outward step, which bracket the apex
         monkeypatch.setattr(experiments, "SHOOT_TRIALS", used)
         assert shoot_entire(p3)[0] == data
         monkeypatch.setattr(experiments, "SHOOT_TRIALS", used - 1)
@@ -556,17 +551,34 @@ class TestShootBracket:
             shoot_entire(p3)
 
     @pytest.mark.parametrize("case", [(3, 1.0), (4, 2.0), (5, 1.0)])
-    def test_default_shoots_take_at_most_9_trials(self, case, monkeypatch):
+    def test_default_shoots_take_at_most_7_trials(self, case, monkeypatch):
         params = make_params(case[0], 1.0, 1.0, case[1])
         _, trials = _shoot_counting_trials(params, monkeypatch)
-        # The bracket ends, g, one step outward, and a secant within a few
-        # ulps of the boundary; then a short gallop and a few midpoints.
-        assert len(trials) <= 9
+        # g and one step outward bracket the apex; a secant lands within a
+        # few ulps of the boundary, then a short gallop and a few midpoints.
+        # Measured: 6, 6 and 7 trials.
+        assert len(trials) <= 7
+
+    @pytest.mark.parametrize("case, apex", [
+        ((3, 1.0), "0x1.90a9620ee39afp-1"),
+        ((4, 2.0), "0x1.a20bd700c31a8p-1"),
+        ((5, 1.0), "0x1.9a320e004b32fp+0"),
+    ])
+    def test_default_shoots_keep_their_apexes(self, case, apex, monkeypatch):
+        # The apexes the shoots found when the bracket ends ran first: trials
+        # from g and its outward step give the secant the same bracket.  No
+        # trial runs from either lam-scaled end.
+        params = make_params(case[0], 1.0, 1.0, case[1])
+        data, trials = _shoot_counting_trials(params, monkeypatch)
+        assert data.a1.hex() == apex
+        ends = {0.05 * solve_coupling(params).k * params.lam[0], params.lam[0]}
+        assert ends.isdisjoint(a for a, _ in trials)
 
     def test_drawn_shoots_end_on_a_boundary_in_few_trials(self, monkeypatch):
         # Self-couplings drawn from [0.9, 1.1]: every apex is a boundary of
-        # the dichotomy, and a shoot takes at most 10 trials on average,
-        # bracket ends included (stepping out of g and bisecting took 16.5).
+        # the dichotomy, and a shoot takes at most 6 trials on average (8
+        # when both bracket ends ran first, 16.5 stepping out of g and
+        # bisecting).
         rng = np.random.default_rng(21)
         counts = []
         for N, beta in [(3, 1.0), (4, 2.0), (5, 1.0)] * 4:
@@ -576,7 +588,7 @@ class TestShootBracket:
                 data, trials = _shoot_counting_trials(params, patch)
             _assert_on_a_boundary(params, data.a1)
             counts.append(len(trials))
-        assert sum(counts) / len(counts) <= 10.0
+        assert sum(counts) / len(counts) <= 6.0
 
     @pytest.mark.parametrize("case", [(3, 1.0), (4, 2.0), (5, 1.0)])
     def test_the_guide_root_is_tried_before_any_integration(self, case, monkeypatch):
@@ -595,12 +607,13 @@ class TestShootBracket:
         monkeypatch.setattr(experiments, "_loses_sign", trial)
         monkeypatch.setattr(dynamics, "solve_ivp", ivp)
         shoot_entire(params)
-        starts = [i for i, (kind, _) in enumerate(log) if kind == "trial"]
-        (_, lo), (_, hi), (_, g) = (log[i] for i in starts[:3])
-        # Nothing is integrated between the hi trial's own call and the g trial.
-        assert log[starts[1]:starts[2]] == [("trial", hi), ("solve_ivp", None)]
-        # g is the first float in (lo, hi) where the apex energy has hi's sign.
+        # g is the first trial, and nothing is integrated before it.
+        (kind, g), *_ = log
+        assert kind == "trial"
+        # g is the first float in (lo, hi) where the apex energy has hi's
+        # sign, over the bracket's lam-scaled ends.
         kl = solve_coupling(params)
+        lo, hi = 0.05 * kl.k * params.lam[0], params.lam[0]
         positive = [experiments._apex_energy(params, kl.l / kl.k, a) > 0.0
                     for a in (lo, math.nextafter(g, -math.inf), g, hi)]
         assert lo < g < hi
@@ -610,8 +623,9 @@ class TestShootBracket:
     def test_a_shifted_guide_root_still_closes_the_bracket(self, p5, shift, monkeypatch):
         # The guide's root lies off the homoclinic apex by about 1e-3 (above)
         # or 1e-6 (below): g and the one step outward from it settle the same
-        # side, and the next trial is the secant of the window-end values
-        # over the bracket they leave.  More than SHOOT_TRIALS raise
+        # side, so the bracket's end on the other side runs its own trial,
+        # and the next trial is the secant of the window-end values over the
+        # bracket the three leave.  More than SHOOT_TRIALS raise
         # BracketFailure.
         energy = experiments._apex_energy
         monkeypatch.setattr(experiments, "_apex_energy",
@@ -620,12 +634,32 @@ class TestShootBracket:
         _assert_on_a_boundary(p5, data.a1)
         exact = bubble_fowler(p5, 1.0, 0.0).w1
         assert abs(data.a1 - exact) / exact < 1e-12
-        (g, side, _), (step, side_again, _) = trials[2:4]
+        (g, side, _), (step, side_again, _), (end, end_side, _) = trials[:3]
         assert step == (g - 2.0**-40 * g if side else g + 2.0**-40 * g)
-        assert side_again == side
-        (lo, lo_run), (hi, hi_run) = _bracket(trials[:4])
+        assert side_again == side == (shift < 1.0)
+        # Exactly one lam-scaled end runs: the lower one when both lost sign.
+        lo_end, hi_end = 0.05 * solve_coupling(p5).k * p5.lam[0], p5.lam[0]
+        assert (end, end_side) == ((lo_end, False) if side else (hi_end, True))
+        assert [a for a, _, _ in trials if a in (lo_end, hi_end)] == [end]
+        (lo, lo_run), (hi, hi_run) = _bracket(trials[:3])
         value = _end_values(p5)
-        assert trials[4][0] == experiments._secant(lo, value(lo_run), hi, value(hi_run))
+        assert trials[3][0] == experiments._secant(lo, value(lo_run), hi, value(hi_run))
+
+    def test_a_lower_end_that_changes_sign_still_fails(self, p5, monkeypatch):
+        # Every trial reports a sign change: g and its step down leave the
+        # lower end unsettled, and its own trial raises.
+        trials = []
+        inner = experiments._loses_sign
+
+        def losing(*args):
+            trials.append(args[1])
+            return True, inner(*args)[1]
+
+        monkeypatch.setattr(experiments, "_loses_sign", losing)
+        with pytest.raises(BracketFailure, match="lower shooting endpoint already changes sign"):
+            shoot_entire(p5)
+        g = trials[0]
+        assert trials == [g, g - 2.0**-40 * g, 0.05 * solve_coupling(p5).k * p5.lam[0]]
 
 
 
