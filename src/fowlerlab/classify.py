@@ -74,7 +74,7 @@ def _decay_fit(traj: Trajectory, component: int, end: str) -> tuple[float, float
         )
     lo, hi = _side_region(traj, end)
     ts = np.linspace(lo, hi, _FIT_SAMPLES)
-    w = traj.sample(ts)[component - 1]
+    w = traj.sample(ts, slopes=False)[component - 1]
     if np.any(w <= 0.0):
         raise InsufficientWindow("component not positive on the fit region")
     slope, intercept = np.polyfit(ts, np.log(w), 1)
@@ -86,7 +86,7 @@ def _decay_fit(traj: Trajectory, component: int, end: str) -> tuple[float, float
 def _window_sample(traj: Trajectory) -> np.ndarray:
     """Rows (w1, w2) on _WINDOW_SAMPLES points spanning the whole window."""
     ts = np.linspace(traj.t_min, traj.t_max, _WINDOW_SAMPLES)
-    return traj.sample(ts)[:2]
+    return traj.sample(ts, slopes=False)
 
 
 def _k_tolerance(params: SystemParams, traj: Trajectory) -> float:

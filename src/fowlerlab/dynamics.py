@@ -11,16 +11,21 @@ values, derivatives, and the accelerations the step loop computed there
 (the first-same-as-last stage; at an event node, the field at the located
 state).  Terminal events are located on the step's quintic, which is the
 interpolant's own on every step that does not end in an event, and the
-other crossings on the interpolant, all by one bisection (_event_root).  A
-loaded trajectory rebuilds the accelerations with the same scalar field at
-the stored nodes, so sampling is bit-identical after a serialization round
+other crossings on the interpolant (on their step's quintic alone when the
+bracket lies within one step), all by one bisection (_event_root).  Sampling
+computes only what its caller reads: a single float query takes scalar
+Horner on its step, and slopes=False only the value rows.  A loaded
+trajectory rebuilds the accelerations with the same scalar field at the
+stored nodes, so sampling is bit-identical after a serialization round
 trip.  The field (_make_field) is the signed continuous extension
 |w|^(q-1) w of the positive-cone powers; on the positive cone both forms
 agree, and positivity-constrained runs terminate at POSITIVITY_FLOOR instead
 of crossing zero (the field is not Lipschitz at w = 0 when N >= 5).  The
 step loop evaluates _CONE inline, from the constants _make_field attaches to
-the field, at every stage point and new node inside the open cone;
-elsewhere it calls the field.  Both give the same floats.
+the field, at every stage point and new node: inside the open cone on the
+components, elsewhere on their magnitudes with a negative component's
+acceleration negated (_stage_field).  It calls the field at event nodes and
+in the initial-step estimate.  Both give the same floats.
 """
 
 from __future__ import annotations
@@ -97,9 +102,9 @@ def _make_field(params: SystemParams) -> Callable[[float, float], tuple[float, f
     """Scalar (w1, w2) -> (w1'', w2''): the field the integrator steps on.
 
     The signed formula, |w|^(q-1) w for each power.  Its constants ride on
-    the callable as _cone, so that solve_ivp evaluates _CONE, the same
-    formula on the open positive cone, inline; there both give the same
-    floats.
+    the callable as _cone, so that solve_ivp evaluates it inline from _CONE,
+    the same formula on the open positive cone (_stage_field); both give
+    the same floats.
     """
     p = params.p
     d2 = params.delta**2
@@ -210,21 +215,38 @@ class Trajectory:
             ) + (h,)
         return self._coeffs
 
-    def sample(self, tq) -> np.ndarray:
-        """Dense state arrays (w1, w2, w1', w2') at query times within cover."""
-        tq = np.atleast_1d(np.asarray(tq, dtype=float))
+    def sample(self, tq, *, slopes: bool = True) -> np.ndarray:
+        """Dense state arrays (w1, w2, w1', w2') at query times within cover,
+        only the value rows (w1, w2) when slopes is false.
+
+        A time outside the cover takes the nearest step's quintic.  A single
+        float query is answered by scalar Horner on its step's coefficients,
+        float for float the array path's result.
+        """
+        rows = 4 if slopes else 2
         if len(self.t) < 2:
             # Degenerate single-node trajectory (e.g. immediate blow-up).
-            return np.tile(self.y[:, :1], (1, len(tq)))
+            return np.tile(self.y[:rows, :1], (1, np.size(tq)))
         c1, c2, h = self._interpolant()
+        if isinstance(tq, float):
+            i = min(max(int(self.t.searchsorted(tq, side="right")) - 1, 0), len(h) - 1)
+            hi = float(h[i])
+            s = (float(tq) - float(self.t[i])) / hi
+            cols = (c1[:, i].tolist(), c2[:, i].tolist())
+            out = [_quintic_value(c, s) for c in cols]
+            if slopes:
+                out += [_quintic_slope(c, s) / hi for c in cols]
+            return np.array(out).reshape(rows, 1)
+        tq = np.atleast_1d(np.asarray(tq, dtype=float))
         idx = np.clip(np.searchsorted(self.t, tq, side="right") - 1, 0, len(h) - 1)
         hq = h[idx]
         s = (tq - self.t[idx]) / hq
-        out = np.empty((4, len(tq)))
+        out = np.empty((rows, len(tq)))
         for row, c in ((0, c1), (1, c2)):
             cc = [ck[idx] for ck in c]
             out[row] = _quintic_value(cc, s)
-            out[row + 2] = _quintic_slope(cc, s) / hq
+            if slopes:
+                out[row + 2] = _quintic_slope(cc, s) / hq
         return out
 
     def sample_state(self, t: float) -> FowlerState:
@@ -312,14 +334,41 @@ def _event_root(crossed, ta, tb):
             ta = tm
 
 
+def _stage_field(x: str, y: str, b1: str, b2: str) -> list[str]:
+    """Lines of solve_ivp that set b1, b2 to field(x, y), float for float.
+
+    A field with _cone (inline) is evaluated as _CONE: on the open cone
+    directly, elsewhere on the magnitudes m1, m2 = |x|, |y|, each component
+    whose w is negative negated as 0.0 - b.  Rounding to nearest is
+    sign-symmetric, so this is the signed formula's result; 0.0 - b, not -b,
+    keeps the +0.0 that formula gives where the terms cancel exactly.
+    Overflowing powers raise OverflowError on both paths.  Any other field
+    is called.
+    """
+    return [f"if inline and {x} > 0.0 and {y} > 0.0:",
+            f"    {b1} = {_CONE.format(x=x, y=y, i=1)}",
+            f"    {b2} = {_CONE.format(x=y, y=x, i=2)}",
+            "elif inline:",
+            f"    m1 = abs({x})",
+            f"    m2 = abs({y})",
+            f"    {b1} = {_CONE.format(x='m1', y='m2', i=1)}",
+            f"    {b2} = {_CONE.format(x='m2', y='m1', i=2)}",
+            f"    if {x} < 0.0:",
+            f"        {b1} = 0.0 - {b1}",
+            f"    if {y} < 0.0:",
+            f"        {b2} = 0.0 - {b2}",
+            "else:",
+            f"    {b1}, {b2} = field({x}, {y})"]
+
+
 def _render_solve_ivp(template: str) -> str:
     """template with its <trial step> line written out from _TABLEAU and _CONE.
 
     Stages 2-6 and the new node are each an A or B row's sum over the
-    earlier stages, then the field there (_CONE on the open cone, else a
-    call); then come the error terms e1..e4 from E.  Each nonzero weight is
-    the repr of its magnitude, its sign the operator, which CPython compiles
-    to the constants and bytecode of the folded fraction.
+    earlier stages, then the field there (_stage_field); then come the
+    error terms e1..e4 from E.  Each nonzero weight is the repr of its
+    magnitude, its sign the operator, which CPython compiles to the
+    constants and bytecode of the folded fraction.
     """
     A, B, E = _TABLEAU
 
@@ -342,12 +391,7 @@ def _render_solve_ivp(template: str) -> str:
                                                ("w1", "w2", "v1", "v2"))):
             lines.append(f"{target} = {base} + ({combo(A[k], c)}) * h" if k < 6
                          else f"{target} = {base} + h * ({combo(B, c)})")
-        b1, b2 = stage(2, k), stage(3, k)
-        lines += [f"if inline and {x} > 0.0 and {y} > 0.0:",
-                  f"    {b1} = {_CONE.format(x=x, y=y, i=1)}",
-                  f"    {b2} = {_CONE.format(x=y, y=x, i=2)}",
-                  "else:",
-                  f"    {b1}, {b2} = field({x}, {y})"]
+        lines += _stage_field(x, y, stage(2, k), stage(3, k))
     lines += [f"e{c + 1} = ({combo(E, c)}) * h" for c in range(4)]
     head, _, tail = template.partition("<trial step>\n")
     indent = head[head.rindex("\n") + 1:]
@@ -362,10 +406,12 @@ def solve_ivp(field, t0, y0, t_bound, settings, mode, stop=None):
     the four floats (w1, w2, w1', w2').  This source is rendered at import
     (_render_solve_ivp): its trial step is written out from _TABLEAU, and a
     field from _make_field, which carries its constants as _cone, is
-    evaluated there as _CONE at each stage point and new node with both
-    components > 0.0, float for float the call's result.  Off the cone, at
-    an event node, in the initial-step estimate, and for any field without
-    _cone, field is called.  The step-size control is that of
+    evaluated there as _CONE at each stage point and new node, float for
+    float the call's result (_stage_field): on the components where both
+    are > 0.0, elsewhere on their magnitudes, a negative component's
+    acceleration negated as 0.0 - b.  At an event node, in the initial-step
+    estimate, and for any field without _cone, field is called.  The
+    step-size control is that of
     Hairer-Norsett-Wanner II.4 (as in scipy's RK45): RMS error
     norm scaled by atol + rtol * max(|y|, |y_new|), no step growth right
     after a rejection, and failure once the step falls below 10 ulp(t).  A
@@ -694,6 +740,15 @@ def _row_function(traj: Trajectory, row: int) -> Callable[[float], float]:
     return f
 
 
+def _step_function(traj: Trajectory, row: int, k: int) -> Callable[[float], float]:
+    """Scalar x -> traj.sample(x)[row, 0] for x strictly inside step k, bit
+    for bit: that step's quintic alone."""
+    c1, c2, h = traj._interpolant()
+    coeffs = (c2 if row else c1)[:, k].tolist()
+    t0, hk = float(traj.t[k]), float(h[k])
+    return lambda x: _quintic_value(coeffs, (x - t0) / hk)
+
+
 def _bracketed_zeros(traj: Trajectory, row: int, tt: np.ndarray, vv: np.ndarray) -> list[float]:
     """Zero crossings of component row 0 (w1) or 1 (w2), sampled as vv on
     the grid tt, bisected to adjacent floats.
@@ -701,7 +756,9 @@ def _bracketed_zeros(traj: Trajectory, row: int, tt: np.ndarray, vv: np.ndarray)
     Each root is the first float of its bracket at which the row is zero or
     past it (_event_root).  Exact zeros at grid points count only when the
     surrounding nonzero values straddle the axis (a tangential touch is not
-    a crossing).
+    a crossing).  _event_root evaluates only inside its bracket, so a
+    bracket within one step bisects on that step's quintic; one that spans
+    a node (a zero grid value dropped there) on the whole orbit's.
     """
     nz = vv != 0.0
     t_nz = tt[nz]
@@ -709,17 +766,19 @@ def _bracketed_zeros(traj: Trajectory, row: int, tt: np.ndarray, vv: np.ndarray)
     crossings = np.nonzero(v_nz[:-1] * v_nz[1:] < 0.0)[0]
     if not len(crossings):
         return []
-    f = _row_function(traj, row)
-    return [
-        _event_root(lambda x, sign=math.copysign(1.0, v_nz[i]): sign * f(x) <= 0.0,
-                    float(t_nz[i]), float(t_nz[i + 1]))
-        for i in crossings
-    ]
+    steps = np.searchsorted(traj.t, t_nz[crossings], side="right") - 1
+    within = t_nz[crossings + 1] <= traj.t[steps + 1]
+    roots = []
+    for i, k, local in zip(crossings.tolist(), steps.tolist(), within.tolist()):
+        f = _step_function(traj, row, k) if local else _row_function(traj, row)
+        sign = math.copysign(1.0, v_nz[i])
+        roots.append(_event_root(lambda x: sign * f(x) <= 0.0, float(t_nz[i]), float(t_nz[i + 1])))
+    return roots
 
 
 def _sign_change_events(traj: Trajectory) -> list[Event]:
     tt = _scan_grid(traj)
-    sampled = traj.sample(tt)
+    sampled = traj.sample(tt, slopes=False)
     return [
         Event(kind="SignChange", t=te, state=traj.sample_state(te), component=comp)
         for comp in (1, 2)

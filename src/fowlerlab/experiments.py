@@ -229,7 +229,7 @@ def _collect_draws(
 def _first_flip(t_new, w1_old, w2_old, v1_old, w1, w2, v1):
     # A component's sign differs from the previous node's; a node exactly at
     # zero is no flip.
-    if min(w1_old, w1) < 0.0 < max(w1_old, w1) or min(w2_old, w2) < 0.0 < max(w2_old, w2):
+    if w1_old < 0.0 < w1 or w1 < 0.0 < w1_old or w2_old < 0.0 < w2 or w2 < 0.0 < w2_old:
         return "SignChange"
     return None
 
@@ -549,8 +549,8 @@ def shoot_entire(
         traj = integrate(params, data.state(), settings, mode="signed")
     if _nearest_event(traj, "SignChange") is not None:
         raise BracketFailure("converged orbit still changes sign")
-    tail = traj.sample(np.array([settings.t_span[0], settings.t_span[1]]))
-    if float(np.max(np.abs(tail[:2]))) > SHOOT_DECAY_CUT:
+    tail = traj.sample(np.array([settings.t_span[0], settings.t_span[1]]), slopes=False)
+    if float(np.max(np.abs(tail))) > SHOOT_DECAY_CUT:
         raise BracketFailure(
             "converged orbit does not decay below the cut at the window ends"
         )

@@ -1,3 +1,4 @@
+import functools
 import math
 import struct
 
@@ -368,3 +369,36 @@ class TestIntegrate:
                 f = _row_function(traj, row)
                 assert [f(x) for x in tq.tolist()] == sampled[row].tolist()
 
+
+@functools.cache
+def _dense_orbit(name):
+    """A signed N=5 orbit, or a single-node one (data past the blow-up
+    threshold are not integrated)."""
+    params = make_params(5, 1.0, 1.0, 1.0)
+    if name == "single":
+        return integrate(params, FowlerState(0.0, 2e3, 1.0, 0.0, 0.0), IntegratorSettings())
+    return integrate(params, FowlerState(0.0, 0.5, 0.4, 0.3, -0.3),
+                     IntegratorSettings(t_span=(-10.0, 10.0)), mode="signed")
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and _bits(a.ravel().tolist()) == _bits(b.ravel().tolist())
+
+
+@given(name=st.sampled_from(["signed", "single"]),
+       picks=st.lists(st.one_of(st.floats(-12.0, 12.0), st.integers(0, 10**6)),
+                      min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_single_queries_and_value_rows_equal_the_full_sample(name, picks):
+    # An integer pick is a node time, by index modulo the node count; floats
+    # reach past the cover [-10, 10], where sample clips to the end steps.
+    traj = _dense_orbit(name)
+    times = [traj.t[k % len(traj.t)] if isinstance(k, int) else k for k in picks]
+    times.append(traj.t_max)
+    full = traj.sample(np.array(times))
+    assert full.shape == (4, len(times))
+    assert _same_bits(traj.sample(np.array(times), slopes=False), full[:2])
+    for i, x in enumerate(times):
+        assert _same_bits(traj.sample(x), full[:, i:i + 1])
+        assert _same_bits(traj.sample(x, slopes=False), full[:2, i:i + 1])
+        assert _same_bits(traj.sample(float(x)), full[:, i:i + 1])

@@ -13,12 +13,16 @@ import traceback
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
 from scipy.integrate import RK45
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 from fowlerlab import (
     FowlerState,
     IntegratorSettings,
+    SamplerSpec,
     bubble_fowler,
     cylinder_amplitudes,
     cylinder_state,
@@ -26,8 +30,9 @@ from fowlerlab import (
     make_params,
     solve_coupling,
 )
-from fowlerlab import dynamics
+from fowlerlab import dynamics, experiments
 from fowlerlab.dynamics import (
+    _SCAN_PER_STEP,
     _bracketed_zeros,
     _event_root,
     _make_field,
@@ -185,6 +190,61 @@ def test_scalar_refinement_equals_sample_refinement(name):
         probes = np.concatenate([traj.t, tt[1::7], [traj.t_min - 0.5, traj.t_max + 0.5]])
         assert [f(float(x)) for x in probes] == traj.sample(probes)[row].tolist()
     assert refined >= 4
+
+
+def _whole_orbit_zeros(traj, row, tt, vv):
+    """_bracketed_zeros with every root bisected on the whole orbit's
+    _row_function."""
+    nz = vv != 0.0
+    t_nz, v_nz = tt[nz], vv[nz]
+    f = _row_function(traj, row)
+    return [_event_root(lambda x, sign=math.copysign(1.0, v_nz[i]): sign * f(x) <= 0.0,
+                        float(t_nz[i]), float(t_nz[i + 1]))
+            for i in np.nonzero(v_nz[:-1] * v_nz[1:] < 0.0)[0]]
+
+
+@pytest.mark.parametrize("projection", ["psi_positive", "psi_zero"])
+def test_step_local_roots_equal_whole_orbit_roots_on_the_acceptance_draws(projection,
+                                                                          monkeypatch):
+    # The draws of the sign-change acceptance test (N = 3, seed 20260809).
+    spec = SamplerSpec(kind="uniform_box", projection=projection)
+    window = IntegratorSettings(t_span=(-50.0, 50.0))
+    draws, _ = experiments._collect_draws(P3, spec, 100, 20260809)
+    fallbacks = []
+    inner = dynamics._row_function
+    monkeypatch.setattr(dynamics, "_row_function",
+                        lambda traj, row: fallbacks.append(row) or inner(traj, row))
+    found = 0
+    for _, data in draws:
+        traj = experiments._crossing_trajectory(P3, data, window)
+        tt = _scan_grid(traj)
+        sampled = traj.sample(tt)
+        for row in range(2):
+            roots = _bracketed_zeros(traj, row, tt, sampled[row])
+            assert roots == _whole_orbit_zeros(traj, row, tt, sampled[row])
+            found += len(roots)
+    assert found >= len(draws) and fallbacks == []
+
+
+def test_a_bracket_across_a_dropped_zero_node_bisects_on_the_whole_orbit(monkeypatch):
+    # w1 is exactly zero at the middle node: the scan drops that grid value,
+    # so the bracket around it runs from one step into the next.
+    y = np.array([[-1.0, 0.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+    traj = dynamics.Trajectory(
+        params=P3, settings=IntegratorSettings(t_span=(0.0, 2.0)), mode="signed",
+        t=np.array([0.0, 1.0, 2.0]), y=y, psi=np.zeros(3), events=(), psi0=0.0, drift=0.0,
+        t_initial=0.0)
+    tt = _scan_grid(traj)
+    vv = traj.sample(tt, slopes=False)[0]
+    assert tt[_SCAN_PER_STEP - 1] == 1.0 and vv[_SCAN_PER_STEP - 1] == 0.0
+    assert np.count_nonzero(vv == 0.0) == 1
+    fallbacks = []
+    inner = dynamics._row_function
+    monkeypatch.setattr(dynamics, "_row_function",
+                        lambda traj, row: fallbacks.append(row) or inner(traj, row))
+    roots = _bracketed_zeros(traj, 0, tt, vv)
+    assert fallbacks == [0]
+    assert roots == _whole_orbit_zeros(traj, 0, tt, vv) == [1.0]
 
 
 def test_overflowing_trial_steps_are_rejected_until_underflow():
@@ -459,11 +519,14 @@ def test_integrate_runs_both_halves_unless_at_rest(initial, monkeypatch):
     assert _same_floats(got.t, want.t) and _same_floats(got.y, want.y)
 
 
-#: (initial data, mode, blowup_threshold, stop predicate): crossings that
-#: leave the positive cone, a PositivityLoss end, a BlowUp end, and the stop
-#: rule of the shooting trials.
+#: (initial data, mode, blowup_threshold, stop predicate): signed orbits
+#: that start in each sign quadrant and cross an axis, a PositivityLoss end,
+#: a BlowUp end, and the stop rule of the shooting trials.
 INLINE_CASES = {
     "signed": ((0.5, 0.5, 0.3, -0.3), "signed", 1e3, None),
+    "signed_neg_w1": ((-0.5, 0.4, 0.2, -0.3), "signed", 1e3, None),
+    "signed_neg_w2": ((0.4, -0.5, -0.3, 0.2), "signed", 1e3, None),
+    "signed_neg_both": ((-0.4, -0.6, 0.2, 0.5), "signed", 1e3, None),
     "positivity_loss": ((0.5, 0.5, -1.0, 0.2), "positive", 1e3, None),
     "blowup": ((0.5, 0.4, 2.5, -1.0), "signed", 1.5, None),
     "stop": ((1.2, 1.0, 0.0, 0.0), "signed", 1e3, _first_turn),
@@ -474,8 +537,9 @@ INLINE_CASES = {
 @pytest.mark.parametrize("name", sorted(INLINE_CASES))
 @pytest.mark.parametrize("backward", [False, True])
 def test_inline_field_equals_the_field_call(N, name, backward):
-    # solve_ivp evaluates _make_field's positive-cone branch itself; a plain
-    # wrapper carries no constants, so there every evaluation is a call.
+    # solve_ivp evaluates _make_field's formula itself, on and off the
+    # positive cone; a plain wrapper carries no constants, so there every
+    # evaluation is a call.
     params = MIRROR_PARAMS[N]
     y0, mode, threshold, stop = INLINE_CASES[name]
     settings = IntegratorSettings(t_span=(-10.0, 10.0), blowup_threshold=threshold)
@@ -491,9 +555,73 @@ def test_inline_field_equals_the_field_call(N, name, backward):
     w1, w2 = inline.y[:2].tolist()
     assert list(zip(*inline.acc.tolist())) == list(map(field, w1, w2))
     # Each case reaches the end it is named for.
-    if name == "signed":
-        assert inline.status == 0 and min(w1 + w2) < 0.0
+    if name.startswith("signed"):
+        quadrants = set(zip(np.signbit(w1).tolist(), np.signbit(w2).tolist()))
+        assert inline.status == 0 and len(quadrants) > 1
     elif name == "stop":
         assert inline.event in (("SignChange", None), ("LocalMin", None))
     else:
         assert inline.event[0] == {"positivity_loss": "PositivityLoss", "blowup": "BlowUp"}[name]
+
+
+def _inline_field(field):
+    """field(w1, w2) as solve_ivp evaluates it inline: the lines its renderer
+    writes at each stage point, compiled on their own."""
+    lines = dynamics._stage_field("x", "y", "b1", "b2")
+    source = ("def inline(x, y):\n" + "".join(f"    {line}\n" for line in lines)
+              + "    return b1, b2\n")
+    namespace = dict(zip(("d2", "mu1", "mu2", "beta", "p", "p1", "q1"), field._cone),
+                     inline=True, field=None)
+    exec(source, namespace)
+    return namespace["inline"]
+
+
+def test_the_inline_field_lines_are_solve_ivps():
+    indent = "\n" + " " * 16
+    names = [("x1", "x2", f"b1_{k}", f"b2_{k}") for k in range(2, 7)]
+    for point in names + [("w1_new", "w2_new", "a1_new", "a2_new")]:
+        lines = dynamics._stage_field(*point)
+        assert indent + indent.join(lines) + "\n" in dynamics._SOLVE_IVP_SOURCE
+
+
+def _outcome(fun, w1, w2):
+    try:
+        return np.array(fun(w1, w2))
+    except OverflowError:
+        return "OverflowError"
+
+
+#: Signed node values: both zeros, the subnormal and normal edges, and
+#: floats of every size (the largest overflow a power).
+SIGNED_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@pytest.mark.parametrize("N", sorted(MIRROR_PARAMS))
+@given(w1=SIGNED_FLOATS, w2=SIGNED_FLOATS)
+@example(w1=-1.0, w2=0.0)
+@example(w1=-1.0, w2=-0.0)
+@example(w1=5e-324, w2=-5e-324)
+@example(w1=-1e300, w2=0.5)
+@hypothesis_settings(max_examples=300, deadline=None)
+def test_inline_field_equals_the_field_call_at_any_signed_point(N, w1, w2):
+    field = _make_field(MIRROR_PARAMS[N])
+    got, want = _outcome(_inline_field(field), w1, w2), _outcome(field, w1, w2)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert _same_floats(got, want), (w1, w2, got, want)
+
+
+def test_an_exact_zero_acceleration_keeps_its_sign():
+    # delta = mu1 = 1: the terms of w1'' cancel exactly at (-1, 0), where the
+    # signed formula gives +0.0 and -b, not 0.0 - b, would give -0.0.
+    params = MIRROR_PARAMS[4]
+    assert params.delta == params.mu1 == 1.0
+    field = _make_field(params)
+    for w2 in (0.0, -0.0):
+        got = _inline_field(field)(-1.0, w2)
+        assert got[0] == 0.0 and not math.copysign(1.0, got[0]) < 0.0
+        assert _same_floats(np.array(got), np.array(field(-1.0, w2)))

@@ -32,6 +32,7 @@ from fowlerlab import dynamics, experiments
 from fowlerlab.errors import BracketFailure, DomainError
 from fowlerlab.dynamics import _make_field
 from fowlerlab.experiments import (
+    _first_flip,
     _first_turn,
     _loses_sign,
     _project_psi_zero,
@@ -241,6 +242,16 @@ class TestSignChange:
             assert nearest == experiments._nearest_event(full, "SignChange")
             several += len(inside) > 1
         assert several > 0
+
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+                              st.floats(allow_nan=False)), min_size=4, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_first_flip_equals_its_min_max_form(self, values):
+        w1_old, w2_old, w1, w2 = values
+        flips = (min(w1_old, w1) < 0.0 < max(w1_old, w1)
+                 or min(w2_old, w2) < 0.0 < max(w2_old, w2))
+        assert _first_flip(0.0, w1_old, w2_old, 0.0, w1, w2, 0.0) == (
+            "SignChange" if flips else None)
 
     def test_determinism(self, p3):
         spec = SamplerSpec(kind="uniform_box", projection="psi_positive")
