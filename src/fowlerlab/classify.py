@@ -59,28 +59,31 @@ def _side_region(traj: Trajectory, end: str) -> tuple[float, float]:
     return traj.t_min, traj.t_min + third
 
 
-def _decay_fit(traj: Trajectory, component: int, end: str) -> tuple[float, float]:
-    """Least-squares decay fit of one component on the outer third.
+def _decay_fits(traj: Trajectory, end: str) -> list:
+    """Least-squares decay fits of w1 and w2 on the outer third, from one
+    sample of that region.
 
-    Returns (rate, amplitude) with w ~ amplitude * exp(-rate * |t|) toward
-    the requested end.  Raises InsufficientWindow when the side covers less
-    than MIN_SIDE_COVER units or the component is not positive on the fit
-    region.  The orbit carries no terminal event: classify fits none.
+    Each entry is (rate, amplitude) with w ~ amplitude * exp(-rate * |t|)
+    toward the requested end, or the InsufficientWindow that refuses the
+    fit: the side covers less than MIN_SIDE_COVER units (both entries), or
+    the component is not positive on the fit region.  The orbit carries no
+    terminal event: classify fits none.
     """
     cover = (traj.t_max - traj.t_initial) if end == "+" else (traj.t_initial - traj.t_min)
     if cover < MIN_SIDE_COVER:
-        raise InsufficientWindow(
-            f"side {end} covers {cover:.3g} < {MIN_SIDE_COVER} units of t"
-        )
+        short = InsufficientWindow(f"side {end} covers {cover:.3g} < {MIN_SIDE_COVER} units of t")
+        return [short, short]
     lo, hi = _side_region(traj, end)
     ts = np.linspace(lo, hi, _FIT_SAMPLES)
-    w = traj.sample(ts, slopes=False)[component - 1]
-    if np.any(w <= 0.0):
-        raise InsufficientWindow("component not positive on the fit region")
-    slope, intercept = np.polyfit(ts, np.log(w), 1)
-    rate = -slope if end == "+" else slope
-    amplitude = math.exp(intercept)
-    return float(rate), float(amplitude)
+    fits: list = []
+    for w in traj.sample(ts, slopes=False):
+        if np.any(w <= 0.0):
+            fits.append(InsufficientWindow("component not positive on the fit region"))
+            continue
+        slope, intercept = np.polyfit(ts, np.log(w), 1)
+        rate = -slope if end == "+" else slope
+        fits.append((float(rate), float(math.exp(intercept))))
+    return fits
 
 
 def _window_sample(traj: Trajectory) -> np.ndarray:
@@ -154,14 +157,12 @@ def classify(
 
     fits: dict = {}
     for end in ("+", "-"):
-        for comp in (1, 2):
-            try:
-                fits[(end, comp)] = _decay_fit(traj, comp, end)
-            except InsufficientWindow as exc:
+        for comp, fit in zip((1, 2), _decay_fits(traj, end)):
+            if isinstance(fit, InsufficientWindow):
                 fits[(end, comp)] = None
-                evidence.setdefault("fit_errors", []).append(
-                    [end, comp, str(exc)]
-                )
+                evidence.setdefault("fit_errors", []).append([end, comp, str(fit)])
+            else:
+                fits[(end, comp)] = fit
     evidence["decay"] = {
         f"{end}{comp}": (None if fits[(end, comp)] is None else list(fits[(end, comp)]))
         for end in ("+", "-")

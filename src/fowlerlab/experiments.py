@@ -31,18 +31,24 @@ from .state import FowlerState
 
 #: Rejection attempts allowed per accepted draw before giving up.
 MAX_REJECTION_FACTOR = 200
-#: Last trial that a shoot may place by the secant: later ones bisect.  Over
-#: the shoots measured, secant trials closed in on the apex within 37 (an
-#: energy guide of one sign at N = 4), and all trials after g's within 8.
+#: Last trial that a shoot may place by Newton from g's trial: later ones
+#: go to the secant.  Over 180 bench-style shoots, Newton's proposals left
+#: the bracket within 4 trials in 174; the other 6 walked toward the apex
+#: an ulp or a few at a time, slower than the secant and gallop after them.
+_NEWTON_LAST_TRIAL = 4
+#: Last trial that a shoot may place by Newton or the secant: later ones
+#: bisect.  Over the shoots measured, secant trials closed in on the apex
+#: within 37 (an energy guide of one sign at N = 4), and every bench-style
+#: shoot, g's trial included, closed within 10 trials.
 _SECANT_LAST_TRIAL = 40
-#: Cap on the trials after the bracket's setup (its ends, g and g's outward
-#: step) that close it to adjacent floats.  Take the widest bracket,
+#: Cap on the trials after g (not counting the lam-scaled bracket ends)
+#: that close the bracket to adjacent floats.  Take the widest bracket,
 #: lam[0] * 2**10, with its lower end above lam[0] * 2**-7: it spans at
-#: most 2**70 ulps of either end.  The secant trials are at most
-#: _SECANT_LAST_TRIAL.  A gallop from an end, at 4**j ulps for j = 0, 1,
-#: ..., leaves the bracket by j = 35 (36 trials); crossing at j leaves
-#: 3 * 4**(j - 1) ulps, which 2j <= 70 halvings close, as 70 close the
-#: whole bracket.
+#: most 2**70 ulps of either end.  The Newton and secant trials are at most
+#: _SECANT_LAST_TRIAL (_NEWTON_LAST_TRIAL is smaller).  A gallop from an
+#: end, at 4**j ulps for j = 0, 1, ..., leaves the bracket by j = 35 (36
+#: trials); crossing at j leaves 3 * 4**(j - 1) ulps, which 2j <= 70
+#: halvings close, as 70 close the whole bracket.
 SHOOT_TRIALS = _SECANT_LAST_TRIAL + 36 + 70
 #: Decay acceptance for the shot orbit: both components below this at the
 #: window end (while never changing sign).
@@ -356,9 +362,31 @@ def _loses_sign(fun, apex_w1: float, ratio: float, t_end: float,
 def _window_end_value(run: dynamics.Segment, delta: float, t_end: float) -> float:
     """w1 at t_end continued from the trial's last node by the linearisation
     w'' = delta**2 w at the origin: it changes sign at the window's own
-    dichotomy, and it is w1 itself on a trial that reached t_end."""
+    dichotomy, and it is w1 itself on a trial that reached t_end.  NaN when
+    the continuation overflows (a trial that stopped far from t_end)."""
     s = delta * (t_end - float(run.t[-1]))
-    return float(run.y[0, -1]) * math.cosh(s) + float(run.y[2, -1]) / delta * math.sinh(s)
+    try:
+        return float(run.y[0, -1]) * math.cosh(s) + float(run.y[2, -1]) / delta * math.sinh(s)
+    except OverflowError:
+        return math.nan
+
+
+def _window_end_slope(run: dynamics.Segment, delta: float, ratio: float, t_end: float) -> float:
+    """d/dpsi of _window_end_value under the same linearisation.
+
+    On the ray w2 = ratio * w1, w1 = alpha e^(-delta t) + beta e^(delta t)
+    has energy psi ~ -2 delta**2 (1 + ratio**2) alpha beta.  A change of
+    energy moves the growing part beta and leaves the decaying alpha, read
+    from the last node (t_n, w1_n, w1'_n), so the slope is
+    -e^(delta (T - t_n)) / (delta**2 (1 + ratio**2) (w1_n - w1'_n / delta)).
+    NaN where that overflows or the decaying part is zero."""
+    s = delta * (t_end - float(run.t[-1]))
+    decaying = float(run.y[0, -1]) - float(run.y[2, -1]) / delta
+    try:
+        grow = math.exp(s)
+    except OverflowError:
+        return math.nan
+    return -grow / (delta**2 * (1.0 + ratio**2) * decaying) if decaying else math.nan
 
 
 def _secant(lo: float, w_lo: float, hi: float, w_hi: float) -> float:
@@ -377,6 +405,25 @@ def _apex_energy(params: SystemParams, ratio: float, apex_w1: float) -> float:
     return float(psi_arrays(params, apex_w1, ratio * apex_w1, 0.0, 0.0))
 
 
+def _newton(params: SystemParams, ratio: float, t_end: float, apex: float,
+            run: dynamics.Segment | None) -> float:
+    """Newton's next apex from this trial, apex - W / W'.
+
+    W is the trial's window-end value; W' is its slope in the energy
+    (_window_end_slope, from the trial's tail) times the energy's slope in
+    the apex, a central difference of _apex_energy (no integration).  NaN
+    when the run is missing (BlowUp data) or W' is zero."""
+    if run is None:
+        return math.nan
+    h = 2.0**-20 * apex
+    guide_slope = (_apex_energy(params, ratio, apex + h)
+                   - _apex_energy(params, ratio, apex - h)) / (2.0 * h)
+    slope = _window_end_slope(run, params.delta, ratio, t_end) * guide_slope
+    if slope == 0.0:
+        return math.nan
+    return apex - _window_end_value(run, params.delta, t_end) / slope
+
+
 def shoot_entire(
     params: SystemParams, settings: IntegratorSettings | None = None
 ) -> tuple[InitialData, Trajectory]:
@@ -391,23 +438,29 @@ def shoot_entire(
     a minimum a negative-energy orbit is periodic and never reaches zero.
     Only a trial's verdict moves an end of the bracket; two guides pick
     where the trials go.  The apex energy, zero at the homoclinic apex,
-    gives the first two: its root g in [0.05 k lam[0], lam[0]], found by
-    bisection on its sign without integrating, then one step from g by
-    2**-40 g across from the side g's trial settled.  An end of that bracket
-    that neither settled runs its own trial: the lower must stay positive,
-    the upper doubles until it changes sign.  With end energies of one sign
-    both ends run first, and g comes from the bracket they leave.  Each
-    trial's run gives the rest: w1 continued from its last node to
-    t_span[1] by the linearisation w'' = delta**2 w at the
-    origin (_window_end_value), which changes sign at the window's own
-    dichotomy.  The secant of that value over the bracket ends places the
-    next trials, with the Illinois rule (an end kept a second time in a row
-    has its value halved).  When an end's value disagrees with its verdict,
-    or the secant rounds onto an end, trials gallop inward from that end by
-    1, 4, 16, ... ulps until one lands on the other side, and the rest
-    bisect.  A proposal outside the bracket, a run missing (BlowUp data) and
-    a secant trial past _SECANT_LAST_TRIAL give the midpoint.  The bracket
-    closes to adjacent floats within SHOOT_TRIALS trials after it is set up.
+    gives the first: its root g in [0.05 k lam[0], lam[0]], found by
+    bisection on its sign without integrating.  Each trial's run gives the
+    rest: W, w1 continued from its last node to t_span[1] by the
+    linearisation w'' = delta**2 w at the origin (_window_end_value), which
+    changes sign at the window's own dichotomy.  Every trial after g's is
+    placed by Newton on W from the latest trial, at a - W / W' (_newton):
+    W' is W's slope in the energy under the same linearisation
+    (_window_end_slope) times the energy's slope in the apex.  A proposal
+    that rounds onto its own trial steps one ulp toward the open side.  A
+    proposal that is not finite or not strictly inside the bracket, or one
+    past _NEWTON_LAST_TRIAL, ends Newton's trials.  An end of the bracket
+    that no trial settled then runs its own trial: the lower must stay
+    positive, the upper doubles until it changes sign.  With end energies
+    of one sign both ends run first, g comes from the bracket they leave,
+    and with no such g no Newton trial runs.  The secant of W over the
+    bracket ends places the next trials, with the Illinois rule (an end kept
+    a second time in a row has its value halved).  When an end's value
+    disagrees with its verdict, or the secant rounds onto an end, trials
+    gallop inward from that end by 1, 4, 16, ... ulps until one lands on
+    the other side, and the rest bisect.  A proposal outside the bracket, a
+    run missing (BlowUp data), a W that overflows and a secant trial past
+    _SECANT_LAST_TRIAL give the midpoint.  The bracket closes to adjacent
+    floats within SHOOT_TRIALS trials after g's.
     The converged orbit is integrate's from the apex data, bit for bit,
     and takes no run of its own when it can: its forward half is the trial
     from the converged apex, which is the last trial that stayed positive,
@@ -446,8 +499,12 @@ def shoot_entire(
         return math.nan if run is None else _window_end_value(run, params.delta, t_end)
 
     # lo_run is the trial from lo, which stays positive; w_lo and w_hi the
-    # window-end values of the trials from lo and hi.
+    # window-end values of the trials from lo and hi; settled the verdicts
+    # trials have given.
     lo, hi = 0.05 * kl.k * params.lam[0], params.lam[0]
+    lo_run = None
+    w_lo = w_hi = math.nan
+    settled = set()
 
     def settle(guess):
         # The trial from guess, or from the midpoint when guess is not inside
@@ -459,57 +516,76 @@ def shoot_entire(
             hi, w_hi = apex, at_end(run)
         else:
             lo, lo_run, w_lo = apex, run, at_end(run)
-        return apex, loses
+        settled.add(loses)
+        return apex, loses, run
 
-    def from_guide():
-        # The trials from the guide's root g, bisected on its sign alone (no
-        # trial integration), and from one step away from g, across from the
-        # side g's trial settled: the verdicts of the two, none without g.
+    def guide_root():
+        # The first float in (lo, hi) where the apex energy has hi's sign,
+        # bisected on its sign alone (no trial integration); None when the
+        # end energies have one sign.
         f_lo, f_hi = _apex_energy(params, ratio, lo), _apex_energy(params, ratio, hi)
         if not min(f_lo, f_hi) < 0.0 < max(f_lo, f_hi):
-            return set()
-        g = dynamics._event_root(
+            return None
+        return dynamics._event_root(
             lambda a: (_apex_energy(params, ratio, a) > 0.0) == (f_hi > 0.0), lo, hi)
-        loses = settle(g)[1]
-        return {loses, settle(g - 2.0**-40 * g if loses else g + 2.0**-40 * g)[1]}
 
-    settled = from_guide()
-    # An end that no trial has settled runs its own trial.
-    if False not in settled:
-        loses, lo_run = _loses_sign(fun, lo, ratio, t_end, settings)
-        if loses:
-            raise BracketFailure("lower shooting endpoint already changes sign")
-        w_lo = at_end(lo_run)
-    if True not in settled:
-        grow = 0
-        loses, hi_run = _loses_sign(fun, hi, ratio, t_end, settings)
-        while not loses:
-            if max(hi, ratio * hi) >= settings.blowup_threshold:
-                # Larger apexes count as staying positive: the bracket cannot close.
-                raise BracketFailure(f"no sign-losing apex below blowup_threshold="
-                                     f"{settings.blowup_threshold!r}: apex {hi!r} reaches it")
-            hi *= 2.0
-            grow += 1
-            if grow > 10:
-                raise BracketFailure("no sign-losing apex found while expanding the bracket")
+    def run_ends():
+        # An end that no trial has settled runs its own trial.
+        nonlocal lo_run, w_lo, hi, w_hi
+        if False not in settled:
+            loses, lo_run = _loses_sign(fun, lo, ratio, t_end, settings)
+            if loses:
+                raise BracketFailure("lower shooting endpoint already changes sign")
+            w_lo = at_end(lo_run)
+        if True not in settled:
+            grow = 0
             loses, hi_run = _loses_sign(fun, hi, ratio, t_end, settings)
-        w_hi = at_end(hi_run)
-    if not settled:
-        # End energies of one sign: g over the bracket the end trials left.
-        from_guide()
-    # Trials go to the secant on the window-end value, then gallop from an
-    # end, then bisect.
+            while not loses:
+                if max(hi, ratio * hi) >= settings.blowup_threshold:
+                    # Larger apexes count as staying positive: the bracket cannot close.
+                    raise BracketFailure(f"no sign-losing apex below blowup_threshold="
+                                         f"{settings.blowup_threshold!r}: apex {hi!r} reaches it")
+                hi *= 2.0
+                grow += 1
+                if grow > 10:
+                    raise BracketFailure("no sign-losing apex found while expanding the bracket")
+                loses, hi_run = _loses_sign(fun, hi, ratio, t_end, settings)
+            w_hi = at_end(hi_run)
+        settled.update((False, True))
+
+    g = guide_root()
+    if g is None:
+        # End energies of one sign: g over the bracket the end trials leave.
+        run_ends()
+        g = guide_root()
+    # Trials go to Newton from g's trial, then to the secant on the
+    # window-end value, then gallop from an end, then bisect.
     stage = "secant"
+    if g is not None:
+        apex, loses, run = settle(g)
+        stage = "newton"
     trials = 0
     moved = None  # the end the last secant trial moved: True for hi
-    while 0.5 * (lo + hi) not in (lo, hi):
+    # An end that no trial has settled still runs, even on a closed bracket.
+    while 0.5 * (lo + hi) not in (lo, hi) or len(settled) < 2:
+        guess = math.nan
+        if stage == "newton":
+            # From the latest trial.
+            if trials < _NEWTON_LAST_TRIAL:
+                guess = _newton(params, ratio, t_end, apex, run)
+            if guess == apex:
+                # Rounded onto its own trial: one ulp toward the open side.
+                guess = math.nextafter(apex, lo if loses else hi)
+            if not lo < guess < hi:
+                stage = "secant"
+                run_ends()
+                continue
         if trials == SHOOT_TRIALS:
             raise BracketFailure(f"shooting bracket [{lo!r}, {hi!r}] still open after "
                                  f"{SHOOT_TRIALS} trials")
         trials += 1
         if stage == "secant" and trials > _SECANT_LAST_TRIAL:
             stage = "bisect"
-        guess = math.nan
         if stage == "secant":
             guess = _secant(lo, w_lo, hi, w_hi)
             if guess <= lo or guess >= hi:
@@ -519,7 +595,7 @@ def shoot_entire(
                 origin = lo if upward else hi
         if stage == "gallop":
             guess = origin + (gap if upward else -gap) * math.ulp(origin)
-        apex, loses = settle(guess)
+        apex, loses, run = settle(guess)
         if stage == "secant":
             if loses == moved:
                 # The same end moved twice: halve the value kept at the other

@@ -19,7 +19,7 @@ from fowlerlab import (
     make_params,
     monitor,
 )
-from fowlerlab.classify import _decay_fit, _window_sample
+from fowlerlab.classify import _decay_fits, _window_sample
 from fowlerlab.errors import InsufficientWindow
 
 mpmath.mp.dps = 50
@@ -150,6 +150,24 @@ class TestDecayRate:
                 rate = decay_rate(p3, bubble_traj, comp, end)
                 assert rate == pytest.approx(p3.delta, rel=0.01)
 
+    def test_each_side_is_sampled_once_for_both_components(self, bubble_traj, p3,
+                                                          monkeypatch):
+        # Both fits of a side read the rows of one sample of its outer third.
+        sampled, inner = [], type(bubble_traj).sample
+
+        def sample(self, tq, **kw):
+            sampled.append((float(np.min(tq)), float(np.max(tq)), np.size(tq)))
+            return inner(self, tq, **kw)
+
+        monkeypatch.setattr(type(bubble_traj), "sample", sample)
+        fits = classify(p3, bubble_traj).evidence["decay"]
+        third = (bubble_traj.t_max - bubble_traj.t_min) / 3.0
+        assert [call for call in sampled if call[2] == 400] == [
+            (bubble_traj.t_max - third, bubble_traj.t_max, 400),
+            (bubble_traj.t_min, bubble_traj.t_min + third, 400),
+        ]
+        assert all(fits[key] is not None for key in ("+1", "+2", "-1", "-2"))
+
     def test_cylinder_rate_is_zero(self, p3, cylinder_traj):
         assert abs(decay_rate(p3, cylinder_traj, 1, "+")) < 1e-6
         assert abs(decay_rate(p3, cylinder_traj, 2, "-")) < 1e-6
@@ -177,8 +195,9 @@ class TestDecayRate:
         # classify fits no side of a terminated orbit; the fit alone
         # refuses this side too, which ends at t = 1.93.
         assert "decay" not in classify(p3, traj).evidence
-        with pytest.raises(InsufficientWindow, match=r"side \+ covers 1.93 < 10.0 units of t"):
-            _decay_fit(traj, 1, "+")
+        refused = _decay_fits(traj, "+")
+        assert all(isinstance(fit, InsufficientWindow) for fit in refused)
+        assert [str(fit) for fit in refused] == ["side + covers 1.93 < 10.0 units of t"] * 2
 
 
 class TestSharpConstants:

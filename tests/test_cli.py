@@ -308,6 +308,16 @@ class TestExperimentCommands:
         assert err.startswith("fowlerlab: error: shooting window too short to resolve the "
                               "dichotomy: delta * min(-t_span[0], t_span[1]) = 2.5 < 8.0")
 
+    def test_shoot_on_a_window_too_long_to_continue_exits_one(self, capsys):
+        # delta * T = 750 at N = 3: a trial's tail continued to the window end
+        # overflows a float, so trials fall back to bisection, and the
+        # converged orbit grows back above the cut before the window ends.
+        code, out, err = run_cli(capsys, "shoot", "--N", "3", "--mu1", "1", "--mu2", "1",
+                                 "--beta", "1", "--t-min", "-1500", "--t-max", "1500")
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert err == ("fowlerlab: error: converged orbit does not decay below the cut at "
+                       "the window ends\n")
+
 
 def _one_failure_report(kind):
     from fowlerlab.experiments import ExperimentReport

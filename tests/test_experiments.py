@@ -361,8 +361,9 @@ class TestShootEntire:
             shoot_entire(p5, low_box)
 
     def test_blowup_box_below_bracket_fails_at_once(self, p5, monkeypatch):
-        # g ~ 1.60, its outward step and the upper end lam[0] ~ 2.69 all lie
-        # outside a box of size 1: no trial integrates.
+        # g ~ 1.60 and the upper end lam[0] ~ 2.69 both lie outside a box of
+        # size 1, and g's trial has no run for Newton to start from: no
+        # trial integrates.
         calls, inner = [], dynamics.solve_ivp
         monkeypatch.setattr(dynamics, "solve_ivp", lambda *args: calls.append(args) or inner(*args))
         low_box = replace(shoot_settings(p5), blowup_threshold=1.0)
@@ -476,6 +477,24 @@ def _end_values(params):
     return lambda run: experiments._window_end_value(run, params.delta, t_end)
 
 
+def _newton_trials(params, trials):
+    """How many trials after the first were placed by Newton, each from the
+    trial before it: the proposal, or one ulp from that trial toward the
+    open side when the proposal rounds onto it, up to Newton's cap."""
+    kl = solve_coupling(params)
+    t_end = shoot_settings(params).t_span[1]
+    placed = 0
+    after_first = trials[1:1 + experiments._NEWTON_LAST_TRIAL]
+    for (apex, loses_sign, run), (after, _, _) in zip(trials, after_first):
+        guess = experiments._newton(params, kl.l / kl.k, t_end, apex, run)
+        if guess == apex:
+            guess = math.nextafter(apex, -math.inf if loses_sign else math.inf)
+        if after != guess:
+            break
+        placed += 1
+    return placed
+
+
 def _cubed(energy):
     # Right sign, badly nonlinear: the secant lands near the far end.
     return lambda params, ratio, apex: energy(params, ratio, apex) ** 3 * 1e6
@@ -506,15 +525,17 @@ class TestShootBracket:
         assert abs(data.a1 - exact) / exact < 1e-12
 
     def test_a_constant_sign_guide_goes_straight_to_the_secant(self, p3, monkeypatch):
-        # With no guide root the first trial after the bracket ends is the
-        # secant of their window-end values.  Secant trials follow until one
-        # would round onto an end, each with the Illinois rule: an end kept
-        # for a second time in a row has its value halved.
+        # With no guide root there is no g to start Newton from, and a flat
+        # guide gives Newton no slope: the first trial after the bracket ends
+        # is the secant of their window-end values.  Secant trials follow
+        # until one would round onto an end, each with the Illinois rule: an
+        # end kept for a second time in a row has its value halved.
         monkeypatch.setattr(experiments, "_apex_energy", lambda *args: -1.0)
         data, _, trials, _ = _shoot_counting_runs(p3, None, monkeypatch)
         _assert_on_a_boundary(p3, data.a1)
         value = _end_values(p3)
         (lo, _, lo_run), (hi, _, hi_run) = trials[:2]
+        assert math.isnan(experiments._newton(p3, 1.0, shoot_settings(p3).t_span[1], hi, hi_run))
         w_lo, w_hi = value(lo_run), value(hi_run)
         moved = None
         for placed, (apex, loses_sign, run) in enumerate(trials[2:]):
@@ -533,19 +554,26 @@ class TestShootBracket:
         assert placed > 10 and len(trials) - 2 - placed <= 3
 
     def test_a_window_end_value_at_odds_with_its_verdict_starts_a_gallop(self, p5, monkeypatch):
-        # Every run reads a positive window-end value, so the losing end's
-        # disagrees with its verdict: after g and the step outward, which
-        # bracket the apex, trials leave that end by 1, 4, 16, ... ulps until
-        # one stays positive, and the rest are midpoints.
+        # Every run reads a positive window-end value.  g stays positive, and
+        # Newton's proposal from it changes sign, so that end's value
+        # disagrees with its verdict.  Newton from there points up, out of
+        # the bracket, and the secant of the two values rounds onto the
+        # disagreeing end: trials leave it by 1, 4, 16, ... ulps until one
+        # stays positive or would leave the bracket (then it is the
+        # midpoint), and the rest are midpoints.
         monkeypatch.setattr(experiments, "_window_end_value", lambda *args: 1.0)
         data, _, trials, _ = _shoot_counting_runs(p5, None, monkeypatch)
         _assert_on_a_boundary(p5, data.a1)
+        assert _newton_trials(p5, trials) == 1
+        assert [loses_sign for _, loses_sign, _ in trials[:2]] == [False, True]
         (lo, _), (hi, _) = _bracket(trials[:2])
+        assert experiments._secant(lo, 1.0, hi, 1.0) == hi
         origin, gap, galloping = hi, 1.0, True
         for apex, loses_sign, _ in trials[2:]:
             if galloping:
-                assert apex == origin - gap * math.ulp(origin)
-                galloping, gap = loses_sign, 4.0 * gap
+                guess = origin - gap * math.ulp(origin)
+                assert apex == (guess if lo < guess < hi else 0.5 * (lo + hi))
+                galloping, gap = apex == guess and loses_sign, 4.0 * gap
             else:
                 assert apex == 0.5 * (lo + hi)
             lo, hi = (lo, apex) if loses_sign else (apex, hi)
@@ -554,21 +582,58 @@ class TestShootBracket:
 
     def test_trial_cap_raises_instead_of_stopping_early(self, p3, monkeypatch):
         data, trials = _shoot_counting_trials(p3, monkeypatch)
-        used = len(trials) - 2  # after g and its outward step, which bracket the apex
+        used = len(trials) - 1  # after g; no bracket end runs
+        assert used > experiments._NEWTON_LAST_TRIAL  # the cap reaches past Newton's trials
         monkeypatch.setattr(experiments, "SHOOT_TRIALS", used)
         assert shoot_entire(p3)[0] == data
         monkeypatch.setattr(experiments, "SHOOT_TRIALS", used - 1)
         with pytest.raises(BracketFailure, match=f"still open after {used - 1} trials"):
             shoot_entire(p3)
+        # Newton's own trials count against the cap too.
+        monkeypatch.setattr(experiments, "SHOOT_TRIALS", 1)
+        with pytest.raises(BracketFailure, match="still open after 1 trials"):
+            shoot_entire(p3)
 
     @pytest.mark.parametrize("case", [(3, 1.0), (4, 2.0), (5, 1.0)])
-    def test_default_shoots_take_at_most_7_trials(self, case, monkeypatch):
+    def test_default_shoots_take_at_most_6_trials(self, case, monkeypatch):
         params = make_params(case[0], 1.0, 1.0, case[1])
         _, trials = _shoot_counting_trials(params, monkeypatch)
-        # g and one step outward bracket the apex; a secant lands within a
-        # few ulps of the boundary, then a short gallop and a few midpoints.
-        # Measured: 6, 6 and 7 trials.
-        assert len(trials) <= 7
+        # Newton from g lands within a few ulps of the boundary, and the next
+        # trials settle the two floats around it.  Measured: 6, 5 and 6
+        # trials (6, 6 and 7 with g's outward step and the secant).
+        assert len(trials) <= 6
+
+    @pytest.mark.parametrize("case", [(3, 1.0), (4, 2.0), (5, 1.0)])
+    def test_newtons_first_proposal_lands_next_to_the_apex(self, case, monkeypatch):
+        # g is a few hundred to a few thousand ulps off the boundary the
+        # window shows; the trial after it is Newton's from g's run.
+        params = make_params(case[0], 1.0, 1.0, case[1])
+        data, _, trials, _ = _shoot_counting_runs(params, None, monkeypatch)
+        assert _newton_trials(params, trials) >= 1
+        (g, _, _), (first, _, _) = trials[:2]
+        assert abs(g - data.a1) > 256 * math.ulp(data.a1)
+        assert abs(first - data.a1) <= 16 * math.ulp(data.a1)
+
+    @pytest.mark.parametrize("broken", ["nan", "zero", "wrong sign"])
+    def test_a_broken_newton_slope_still_closes_the_bracket(self, broken, monkeypatch):
+        # Newton's proposals are then NaN, or step out of the bracket: no
+        # trial after g is Newton's, the lam-scaled end on the side g did
+        # not settle runs, and the secant, gallop and bisection close the
+        # bracket within SHOOT_TRIALS (past it, shoot_entire raises).
+        slope = experiments._window_end_slope
+        monkeypatch.setattr(experiments, "_window_end_slope", {
+            "nan": lambda *args: math.nan,
+            "zero": lambda *args: 0.0,
+            "wrong sign": lambda *args: -slope(*args),
+        }[broken])
+        for N, beta in [(3, 1.0), (4, 2.0), (5, 1.0)]:
+            params = make_params(N, 1.0, 1.0, beta)
+            with monkeypatch.context() as patch:
+                data, _, trials, _ = _shoot_counting_runs(params, None, patch)
+            _assert_on_a_boundary(params, data.a1)
+            assert _newton_trials(params, trials) == 0
+            ends = {0.05 * solve_coupling(params).k * params.lam[0], params.lam[0]}
+            assert trials[1][0] in ends
 
     @pytest.mark.parametrize("case, apex", [
         ((3, 1.0), "0x1.90a9620ee39afp-1"),
@@ -587,9 +652,9 @@ class TestShootBracket:
 
     def test_drawn_shoots_end_on_a_boundary_in_few_trials(self, monkeypatch):
         # Self-couplings drawn from [0.9, 1.1]: every apex is a boundary of
-        # the dichotomy, and a shoot takes at most 6 trials on average (8
-        # when both bracket ends ran first, 16.5 stepping out of g and
-        # bisecting).
+        # the dichotomy, and a shoot takes at most 5.1 trials on average
+        # (5.08 measured; 5.7 with g's outward step and the secant, 8 when
+        # both bracket ends ran first, 16.5 stepping out of g and bisecting).
         rng = np.random.default_rng(21)
         counts = []
         for N, beta in [(3, 1.0), (4, 2.0), (5, 1.0)] * 4:
@@ -599,7 +664,7 @@ class TestShootBracket:
                 data, trials = _shoot_counting_trials(params, patch)
             _assert_on_a_boundary(params, data.a1)
             counts.append(len(trials))
-        assert sum(counts) / len(counts) <= 6.0
+        assert sum(counts) / len(counts) <= 5.1
 
     @pytest.mark.parametrize("case", [(3, 1.0), (4, 2.0), (5, 1.0)])
     def test_the_guide_root_is_tried_before_any_integration(self, case, monkeypatch):
@@ -633,11 +698,10 @@ class TestShootBracket:
     @pytest.mark.parametrize("shift", [1.0 - 1e-3, 1.0 + 1e-6])
     def test_a_shifted_guide_root_still_closes_the_bracket(self, p5, shift, monkeypatch):
         # The guide's root lies off the homoclinic apex by about 1e-3 (above)
-        # or 1e-6 (below): g and the one step outward from it settle the same
-        # side, so the bracket's end on the other side runs its own trial,
-        # and the next trial is the secant of the window-end values over the
-        # bracket the three leave.  More than SHOOT_TRIALS raise
-        # BracketFailure.
+        # or 1e-6 (below).  Newton from g, far out on W's linearisation,
+        # takes all _NEWTON_LAST_TRIAL of its trials to settle both sides, so
+        # no lam-scaled end runs; the secant, gallop and bisection close the
+        # rest.  More than SHOOT_TRIALS raise BracketFailure.
         energy = experiments._apex_energy
         monkeypatch.setattr(experiments, "_apex_energy",
                             lambda params, ratio, a: energy(params, ratio, a * shift))
@@ -645,33 +709,91 @@ class TestShootBracket:
         _assert_on_a_boundary(p5, data.a1)
         exact = bubble_fowler(p5, 1.0, 0.0).w1
         assert abs(data.a1 - exact) / exact < 1e-12
-        (g, side, _), (step, side_again, _), (end, end_side, _) = trials[:3]
-        assert step == (g - 2.0**-40 * g if side else g + 2.0**-40 * g)
-        assert side_again == side == (shift < 1.0)
-        # Exactly one lam-scaled end runs: the lower one when both lost sign.
+        g, side, _ = trials[0]
+        assert side == (shift < 1.0)
+        newton = _newton_trials(p5, trials)
+        assert newton == experiments._NEWTON_LAST_TRIAL
+        assert {loses_sign for _, loses_sign, _ in trials[:newton + 1]} == {False, True}
         lo_end, hi_end = 0.05 * solve_coupling(p5).k * p5.lam[0], p5.lam[0]
-        assert (end, end_side) == ((lo_end, False) if side else (hi_end, True))
-        assert [a for a, _, _ in trials if a in (lo_end, hi_end)] == [end]
-        (lo, lo_run), (hi, hi_run) = _bracket(trials[:3])
+        assert not {lo_end, hi_end} & {apex for apex, _, _ in trials}
+        # The first trial after Newton's is the secant of the bracket they
+        # leave, or a gallop from the end it rounds onto.
+        (lo, lo_run), (hi, hi_run) = _bracket(trials[:newton + 1])
         value = _end_values(p5)
-        assert trials[3][0] == experiments._secant(lo, value(lo_run), hi, value(hi_run))
+        guess = experiments._secant(lo, value(lo_run), hi, value(hi_run))
+        if not lo < guess < hi:
+            guess = lo + math.ulp(lo) if guess <= lo else hi - math.ulp(hi)
+        assert trials[newton + 1][0] == guess
 
     def test_a_lower_end_that_changes_sign_still_fails(self, p5, monkeypatch):
-        # Every trial reports a sign change: g and its step down leave the
-        # lower end unsettled, and its own trial raises.
+        # Every trial reports a sign change.  g's run stays positive, so its
+        # window-end value puts Newton's proposal above g, outside the
+        # bracket below it; the lower end, still unsettled, runs its own
+        # trial, which raises.
         trials = []
         inner = experiments._loses_sign
 
         def losing(*args):
-            trials.append(args[1])
-            return True, inner(*args)[1]
+            trials.append((args[1], *inner(*args)))
+            return True, trials[-1][2]
 
         monkeypatch.setattr(experiments, "_loses_sign", losing)
         with pytest.raises(BracketFailure, match="lower shooting endpoint already changes sign"):
             shoot_entire(p5)
-        g = trials[0]
-        assert trials == [g, g - 2.0**-40 * g, 0.05 * solve_coupling(p5).k * p5.lam[0]]
+        (g, stays, run), (end, _, _) = trials
+        kl = solve_coupling(p5)
+        assert end == 0.05 * kl.k * p5.lam[0] and stays is False
+        assert experiments._newton(p5, kl.l / kl.k, shoot_settings(p5).t_span[1], g, run) > g
 
+    def test_a_closed_bracket_still_runs_its_unsettled_end(self, p5, monkeypatch):
+        # Newton proposes the float just below lam[0], and every trial stays
+        # positive: that float and lam[0] close the bracket, but no trial has
+        # lost sign at lam[0], so it runs its own trial, and the upper end
+        # doubles until it reaches the blow-up box.
+        trials = []
+        inner = experiments._loses_sign
+
+        def staying(*args):
+            trials.append(args[1])
+            return False, inner(*args)[1]
+
+        below = math.nextafter(p5.lam[0], 0.0)
+        monkeypatch.setattr(experiments, "_loses_sign", staying)
+        monkeypatch.setattr(experiments, "_newton", lambda *args: below)
+        with pytest.raises(BracketFailure, match="no sign-losing apex below blowup_threshold"):
+            shoot_entire(p5)
+        assert trials[1:3] == [below, p5.lam[0]]
+
+    @pytest.mark.parametrize("case", [(3, 1.0), (4, 2.0), (5, 1.0)])
+    def test_the_window_end_slope_matches_two_trials(self, case):
+        # dW/dpsi read from one trial's tail against the secant of W over
+        # the trials from exact * (1 -+ 2**-26), which bracket the boundary.
+        params = make_params(case[0], 1.0, 1.0, case[1])
+        kl = solve_coupling(params)
+        ratio, settings = kl.l / kl.k, shoot_settings(params)
+        t_end = settings.t_span[1]
+        exact = bubble_fowler(params, 1.0, 0.0).w1
+        apexes = (exact * (1.0 - 2.0**-26), exact * (1.0 + 2.0**-26))
+        trials = [_loses_sign(_make_field(params), a, ratio, t_end, settings) for a in apexes]
+        assert [loses_sign for loses_sign, _ in trials] == [False, True]
+        value = _end_values(params)
+        secant = ((value(trials[1][1]) - value(trials[0][1]))
+                  / (experiments._apex_energy(params, ratio, apexes[1])
+                     - experiments._apex_energy(params, ratio, apexes[0])))
+        for _, run in trials:
+            slope = experiments._window_end_slope(run, params.delta, ratio, t_end)
+            assert slope == pytest.approx(secant, rel=1e-4)
+
+    def test_a_continuation_that_overflows_is_nan(self, p3):
+        # A trial that stops at a minimum near t = 34 on a window out to
+        # 1500: e^(delta (T - t)) is past the float range.
+        settings = replace(shoot_settings(p3), t_span=(-1500.0, 1500.0))
+        kl = solve_coupling(p3)
+        apex = 0.99 * bubble_fowler(p3, 1.0, 0.0).w1
+        loses_sign, run = _loses_sign(_make_field(p3), apex, kl.l / kl.k, 1500.0, settings)
+        assert not loses_sign and run.event == ("LocalMin", None)
+        assert math.isnan(experiments._window_end_value(run, p3.delta, 1500.0))
+        assert math.isnan(experiments._window_end_slope(run, p3.delta, kl.l / kl.k, 1500.0))
 
 
 class TestSemiSingularSearch:
