@@ -1,23 +1,28 @@
 """The vector field and the adaptive integrator with dense output and event
 detection, in the logarithmic radial variables of fowlerlab.invariants.
 
-Integration uses the package's own embedded Runge-Kutta 5(4) pair
-(Dormand-Prince, Hairer-Norsett-Wanner II.4-5) in both time directions
-from the initial point; the step loop is scalar Python on the four state
-components, and its trial step is rendered at import from one table of
-coefficients (_TABLEAU) and one text of the positive-cone field (_CONE).
-Dense output is a per-step quintic Hermite built from node
-values, derivatives, and the accelerations the step loop computed there
-(the first-same-as-last stage; at an event node, the field at the located
-state).  Terminal events are located on the step's quintic, which is the
-interpolant's own on every step that does not end in an event, and the
-other crossings on the interpolant (on their step's quintic alone when the
-bracket lies within one step), all by one bisection (_event_root).  Sampling
-computes only what its caller reads: a single float query takes scalar
-Horner on its step, and slopes=False only the value rows.  A loaded
-trajectory rebuilds the accelerations with the same scalar field at the
-stored nodes, so sampling is bit-identical after a serialization round
-trip.  The field (_make_field) is the signed continuous extension
+Integration uses the package's own embedded Runge-Kutta 8(5,3) pair
+(Dormand-Prince DOP853, Hairer-Norsett-Wanner II.5 and II.10) in both time
+directions from the initial point; the step loop is scalar Python on the
+four state components, and its trial step is rendered at import from one
+table of coefficients (_TABLEAU) and one text of the positive-cone field
+(_CONE).  Dense output is a per-step degree-9 Hermite in the node values of
+w and its first four derivatives: w'' is the acceleration the step loop
+computed there (the first-same-as-last stage; at an event node, the field
+at the located state), and the third and fourth come from the field's
+Jacobian and Hessian (_field_jet).  A step on which a component changes
+sign or touches zero, where the field is not smooth, or whose derivative
+data are not finite keeps the quintic Hermite in (w, w', w'')
+(_step_polynomials).  Terminal events are located on the step's
+polynomial, which is the interpolant's own on every step that does not end
+in an event, and the other crossings on the interpolant (on their step's
+polynomial alone when the bracket lies within one step), all by one
+bisection (_event_root).  Sampling computes only what its caller reads: a
+single float query takes scalar Horner on its step, and slopes=False only
+the value rows.  A loaded trajectory rebuilds the accelerations with the
+same scalar field at the stored nodes, and the higher derivatives from
+them, so sampling is bit-identical after a serialization round trip.  The
+field (_make_field) is the signed continuous extension
 |w|^(q-1) w of the positive-cone powers; on the positive cone both forms
 agree, and positivity-constrained runs terminate at POSITIVITY_FLOOR instead
 of crossing zero (the field is not Lipschitz at w = 0 when N >= 5).  The
@@ -56,9 +61,11 @@ _EVENT_ORDER = {"SignChange": 0, "PositivityLoss": 1, "BlowUp": 2}
 class IntegratorSettings:
     """Tolerances, window, and event thresholds for a single integration.
 
+    The tolerances bound DOP853's error norm on each step (solve_ivp).
     max_step defaults to 1 so near-equilibrium orbits keep a dense node
-    grid (sub-1e-13 node accuracy at the constant orbit) instead of taking
-    window-sized steps whose stage arithmetic amplifies rounding.
+    grid instead of taking window-sized steps whose stage arithmetic
+    amplifies rounding: at the N = 5 cylinder the nodes stay within 3e-15
+    of the constant orbit, against 3e-13 with steps as long as the window.
     """
 
     rel_tol: float = 1e-10
@@ -123,6 +130,30 @@ def _make_field(params: SystemParams) -> Callable[[float, float], tuple[float, f
     return field
 
 
+def _field_jet(cone, mu, x, y, vx, vy, ax, ay):
+    """(x''', x''''), the third and fourth derivatives of component x along
+    the orbit: J(w) w' and J(w) w'' + H(w)[w', w'] for the row of
+    _make_field's signed field with self-coupling mu, whose other component
+    is y; cone is the field's _cone.
+
+    Works on floats and, elementwise, on arrays (x and y the two rows, mu a
+    column).  |x|^(p-2) is unbounded at x = 0 when p < 2, and its second
+    derivative has a 1/|x| factor at every p: off x = 0 only.
+    """
+    d2, _, _, beta, p, p1, q1 = cone
+    mx, my = abs(x), abs(y)
+    px, py = mx ** (p - 2.0), my ** (p - 2.0)
+    sx, sy = px * x, py * y  # |x|^(p-1) sgn x and |y|^(p-1) sgn y
+    yp = py * my * my  # |y|^p
+    gx = d2 - mu * q1 * (px * mx) ** 2 - beta * p1 * yp * px
+    gy = -beta * p * sy * sx
+    gxx = -(mu * q1 * (q1 - 1.0) * px * sx + beta * p1 * (p1 - 1.0) * yp * sx / (mx * mx))
+    gxy = -beta * p * p1 * sy * px
+    gyy = -beta * p * (p - 1.0) * py * sx
+    return (gx * vx + gy * vy,
+            gx * ax + gy * ay + gxx * vx * vx + 2.0 * gxy * vx * vy + gyy * vy * vy)
+
+
 def _quintic(y0, y1, d0, d1, a0, a1, h):
     """Quintic Hermite coefficients (c0, ..., c5) in s = (tau - t0) / h.
 
@@ -145,18 +176,80 @@ def _quintic(y0, y1, d0, d1, a0, a1, h):
     )
 
 
-def _quintic_value(c, s):
-    val = c[5]
-    for k in (4, 3, 2, 1, 0):
-        val = val * s + c[k]
+def _hermite9(y0, y1, d0, d1, a0, a1, j0, j1, k0, k1, h):
+    """Degree-9 Hermite coefficients (c0, ..., c9) in s = (tau - t0) / h.
+
+    Matches value y and derivatives d, a, j, k of orders 1 to 4 at both
+    ends of a step of signed length h; works on floats and, elementwise, on
+    arrays of steps.  Powers of h are products, so a step and its mirror
+    image (h, d, j negated) give the same coefficients.
+    """
+    hh = h * h
+    d0, d1 = d0 * h, d1 * h
+    a0, a1 = a0 * hh, a1 * hh
+    j0, j1 = j0 * (hh * h), j1 * (hh * h)
+    k0, k1 = k0 * (hh * hh), k1 * (hh * hh)
+    c2, c3, c4 = 0.5 * a0, j0 / 6.0, k0 / 24.0
+    r0 = y1 - (y0 + d0 + c2 + c3 + c4)
+    r1 = d1 - (d0 + a0 + 0.5 * j0 + k0 / 6.0)
+    r2 = a1 - (a0 + j0 + 0.5 * k0)
+    r3 = j1 - (j0 + k0)
+    r4 = k1 - k0
+    return (
+        y0, d0, c2, c3, c4,
+        126.0 * r0 - 56.0 * r1 + 10.5 * r2 - r3 + r4 / 24.0,
+        -420.0 * r0 + 196.0 * r1 - 38.5 * r2 + 23.0 * r3 / 6.0 - r4 / 6.0,
+        540.0 * r0 - 260.0 * r1 + 53.0 * r2 - 5.5 * r3 + 0.25 * r4,
+        -315.0 * r0 + 155.0 * r1 - 32.5 * r2 + 3.5 * r3 - r4 / 6.0,
+        70.0 * r0 - 35.0 * r1 + 7.5 * r2 - 5.0 * r3 / 6.0 + r4 / 24.0,
+    )
+
+
+def _step_polynomials(cone, old, new, h):
+    """The two components' coefficients on one step, from the node data old
+    and new, each (w1, w2, w1', w2', w1'', w2'') as floats: degree 9 where
+    the field's jet (_field_jet, cone its constants) applies, else the
+    quintic padded with zeros.
+
+    The quintic is kept where cone is None (a field without constants),
+    where a component changes sign or touches zero over the step (the
+    solution is not smooth there), and where the jet or the degree-9
+    coefficients are not finite.
+    """
+    w1, w2, v1, v2, a1, a2 = old
+    z1, z2, u1, u2, b1, b2 = new
+    if cone is not None and w1 * z1 > 0.0 and w2 * z2 > 0.0:
+        try:
+            j1, k1 = _field_jet(cone, cone[1], w1, w2, v1, v2, a1, a2)
+            j2, k2 = _field_jet(cone, cone[2], w2, w1, v2, v1, a2, a1)
+            i1, l1 = _field_jet(cone, cone[1], z1, z2, u1, u2, b1, b2)
+            i2, l2 = _field_jet(cone, cone[2], z2, z1, u2, u1, b2, b1)
+        except (OverflowError, ZeroDivisionError):
+            pass
+        else:
+            c1 = _hermite9(w1, z1, v1, u1, a1, b1, j1, i1, k1, l1, h)
+            c2 = _hermite9(w2, z2, v2, u2, a2, b2, j2, i2, k2, l2, h)
+            if all(map(math.isfinite, c1 + c2)):
+                return c1, c2
+    pad = (0.0,) * 4
+    return (_quintic(w1, z1, v1, u1, a1, b1, h) + pad,
+            _quintic(w2, z2, v2, u2, a2, b2, h) + pad)
+
+
+def _poly_value(c, s):
+    """Horner's value of the polynomial with coefficients c (lowest first)."""
+    val = c[-1]
+    for ck in c[-2::-1]:
+        val = val * s + ck
     return val
 
 
-def _quintic_slope(c, s):
-    """d/ds of the quintic; divide by h for the derivative in tau."""
-    dv = 5.0 * c[5]
-    for k, m in ((4, 4.0), (3, 3.0), (2, 2.0), (1, 1.0)):
-        dv = dv * s + m * c[k]
+def _poly_slope(c, s):
+    """d/ds of the polynomial; divide by h for the derivative in tau."""
+    top = len(c) - 1
+    dv = float(top) * c[top]
+    for k in range(top - 1, 0, -1):
+        dv = dv * s + float(k) * c[k]
     return dv
 
 
@@ -200,28 +293,41 @@ class Trajectory:
         )
 
     def _interpolant(self):
+        """Per component a (10, n - 1) array of step coefficients, one
+        contiguous row per coefficient, gathered row by row in sample; and
+        the steps h.  _step_polynomials's rule on every step, on arrays."""
         if self._coeffs is None:
+            fun = _make_field(self.params)
             if self.acc is None:
                 # Loaded or built by hand: the field at the nodes is what the
                 # step loop computed there, bit for bit.
-                fun = _make_field(self.params)
                 self.acc = np.array(list(map(fun, self.y[0].tolist(), self.y[1].tolist()))).T
             h = np.diff(self.t)
-            # Per component a (6, n - 1) array: one contiguous row per
-            # coefficient, gathered row by row in sample.
-            self._coeffs = tuple(
-                np.array(_quintic(w[:-1], w[1:], dw[:-1], dw[1:], a[:-1], a[1:], h))
-                for w, dw, a in zip(self.y[:2], self.y[2:], self.acc)
-            ) + (h,)
+            w, v, a = self.y[:2], self.y[2:], self.acc
+            # Both components at once: row i's other component is row 1 - i.
+            mu = np.array([[fun._cone[1]], [fun._cone[2]]])
+            with np.errstate(all="ignore"):
+                jet, snap = _field_jet(fun._cone, mu, w, w[::-1], v, v[::-1], a, a[::-1])
+                coeffs = np.array(_hermite9(w[:, :-1], w[:, 1:], v[:, :-1], v[:, 1:], a[:, :-1],
+                                            a[:, 1:], jet[:, :-1], jet[:, 1:], snap[:, :-1],
+                                            snap[:, 1:], h))
+                rough = ~((w[:, :-1] * w[:, 1:] > 0.0).all(axis=0)
+                          & np.isfinite(coeffs).all(axis=(0, 1)))
+            if rough.any():
+                k = np.flatnonzero(rough)
+                coeffs[:6, :, k] = _quintic(w[:, k], w[:, k + 1], v[:, k], v[:, k + 1], a[:, k],
+                                            a[:, k + 1], h[k])
+                coeffs[6:, :, k] = 0.0
+            self._coeffs = (coeffs[:, 0], coeffs[:, 1], h)
         return self._coeffs
 
     def sample(self, tq, *, slopes: bool = True) -> np.ndarray:
         """Dense state arrays (w1, w2, w1', w2') at query times within cover,
         only the value rows (w1, w2) when slopes is false.
 
-        A time outside the cover takes the nearest step's quintic.  A single
-        float query is answered by scalar Horner on its step's coefficients,
-        float for float the array path's result.
+        A time outside the cover takes the nearest step's polynomial.  A
+        single float query is answered by scalar Horner on its step's
+        coefficients, float for float the array path's result.
         """
         rows = 4 if slopes else 2
         if len(self.t) < 2:
@@ -233,9 +339,9 @@ class Trajectory:
             hi = float(h[i])
             s = (float(tq) - float(self.t[i])) / hi
             cols = (c1[:, i].tolist(), c2[:, i].tolist())
-            out = [_quintic_value(c, s) for c in cols]
+            out = [_poly_value(c, s) for c in cols]
             if slopes:
-                out += [_quintic_slope(c, s) / hi for c in cols]
+                out += [_poly_slope(c, s) / hi for c in cols]
             return np.array(out).reshape(rows, 1)
         tq = np.atleast_1d(np.asarray(tq, dtype=float))
         idx = np.clip(np.searchsorted(self.t, tq, side="right") - 1, 0, len(h) - 1)
@@ -244,9 +350,9 @@ class Trajectory:
         out = np.empty((rows, len(tq)))
         for row, c in ((0, c1), (1, c2)):
             cc = [ck[idx] for ck in c]
-            out[row] = _quintic_value(cc, s)
+            out[row] = _poly_value(cc, s)
             if slopes:
-                out[row + 2] = _quintic_slope(cc, s) / hq
+                out[row + 2] = _poly_slope(cc, s) / hq
         return out
 
     def sample_state(self, t: float) -> FowlerState:
@@ -255,22 +361,46 @@ class Trajectory:
 
 #: Step-size controller of the Dormand-Prince pair (Hairer-Norsett-Wanner
 #: II.4): safety factor, bounds on the step change, and the exponent
-#: -1/(q+1) for the error estimator of order q = 4.
+#: -1/(q+1) for the error estimator of order q = 7.
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
-_ERROR_EXPONENT = -1.0 / 5.0
+_ERROR_EXPONENT = -1.0 / 8.0
 
-#: The Dormand-Prince 5(4) pair (Hairer-Norsett-Wanner II.5, as scipy's RK45
-#: holds it): stage rows A, row j combining stages 0..j-1; the fifth-order
-#: weights B; and the error weights E, fifth- minus embedded fourth-order,
-#: on all seven stages (the seventh is the field at the new node).
+#: The DOP853 pair (Hairer-Norsett-Wanner II.5 and II.10, as scipy's DOP853
+#: holds it): stage rows A, row j combining stages 0..j-1; the eighth-order
+#: weights B; and the error weights E5 and E3, eighth- minus embedded fifth-
+#: and third-order, on the twelve stages (the field at the new node, the
+#: thirteenth, weighs zero in both).
 _TABLEAU = (
-    ((), (1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
-     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-    (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40),
+    ((),
+     (0.05260015195876773,),
+     (0.0197250569845379, 0.0591751709536137),
+     (0.02958758547680685, 0.0, 0.08876275643042054),
+     (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+     (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+     (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+     (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+      -0.015319437748624402, 0.008273789163814023),
+     (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+      27.59209969944671, 20.154067550477894, -43.48988418106996),
+     (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+      21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627),
+     (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+      -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+      -3.0467644718982196),
+     (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+      -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+      12.360567175794303, 0.6433927460157636)),
+    (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+     0.04471061572777259),
+    (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+     1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+     -0.022355307863886294),
+    (-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+     0.02265179219836082),
 )
 #: The positive-cone acceleration of component i at (x, y), y the other
 #: component: _make_field's signed formula where |w| = w, without its abs and
@@ -282,9 +412,25 @@ def _rms(x1, x2, x3, x4):
     return math.sqrt(x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4) / 2.0
 
 
+def _error_norm(err5, err3):
+    """DOP853's error norm (Hairer-Norsett-Wanner II.10, as scipy's DOP853
+    computes it) from the sums of squares err5 and err3 of the four error
+    rows, E5 and E3 over the stages, each times h and over its tolerance
+    scale: err5 / sqrt(4 (err5 + 0.01 err3)).
+
+    0.0 when both are zero.  Scaling a row by h before the tolerance keeps it
+    finite on a small step where the row alone, over a tiny atol, would not
+    be; rows that still overflow, and a NaN, give inf, a rejected step.
+    """
+    if err5 == 0.0 and err3 == 0.0:
+        return 0.0
+    denom = math.sqrt(4.0 * (err5 + 0.01 * err3))
+    return err5 / denom if denom < math.inf else math.inf
+
+
 def _initial_step(field, y, f, direction, span, max_step, rtol, atol):
     """Starting step from the field's size and change (Hairer-Norsett-Wanner
-    II.4), for an error estimator of order 4."""
+    II.4), for an error estimator of order 7."""
     scale = [atol + abs(yi) * rtol for yi in y]
     d0 = _rms(*(yi / si for yi, si in zip(y, scale)))
     d1 = _rms(*(fi / si for fi, si in zip(f, scale)))
@@ -300,7 +446,7 @@ def _initial_step(field, y, f, direction, span, max_step, rtol, atol):
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1.0 / 5.0)
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
     return min(100.0 * h0, h1, span, max_step)
 
 
@@ -364,18 +510,18 @@ def _stage_field(x: str, y: str, b1: str, b2: str) -> list[str]:
 def _render_solve_ivp(template: str) -> str:
     """template with its <trial step> line written out from _TABLEAU and _CONE.
 
-    Stages 2-6 and the new node are each an A or B row's sum over the
+    Stages 2-12 and the new node are each an A or B row's sum over the
     earlier stages, then the field there (_stage_field); then come the
-    error terms e1..e4 from E.  Each nonzero weight is the repr of its
-    magnitude, its sign the operator, which CPython compiles to the
-    constants and bytecode of the folded fraction.
+    error terms e1..e4 from E5 and f1..f4 from E3, each times h.  Each
+    nonzero weight is the repr of its magnitude, its sign the operator.
     """
-    A, B, E = _TABLEAU
+    A, B, E5, E3 = _TABLEAU
+    last = len(B)  # the new node's stage
 
     def stage(c, k):
         # Stage k of component c (w1, w2, w1', w2'): the old node's
-        # derivative (k = 0), the stage values, the new node's (k = 6).
-        if k in (0, 6):
+        # derivative (k = 0), the stage values, the new node's (k = last).
+        if k in (0, last):
             return ("v1", "v2", "a1", "a2")[c] + ("_new" if k else "")
         return f"{('v1', 'v2', 'b1', 'b2')[c]}_{k + 1}"
 
@@ -385,14 +531,15 @@ def _render_solve_ivp(template: str) -> str:
         return text[3:] if text[1] == "+" else "-" + text[3:]
 
     lines = []
-    for k in range(1, 7):
-        x, y = ("x1", "x2") if k < 6 else ("w1_new", "w2_new")
+    for k in range(1, last + 1):
+        x, y = ("x1", "x2") if k < last else ("w1_new", "w2_new")
         for c, (target, base) in enumerate(zip((x, y, stage(0, k), stage(1, k)),
                                                ("w1", "w2", "v1", "v2"))):
-            lines.append(f"{target} = {base} + ({combo(A[k], c)}) * h" if k < 6
+            lines.append(f"{target} = {base} + ({combo(A[k], c)}) * h" if k < last
                          else f"{target} = {base} + h * ({combo(B, c)})")
         lines += _stage_field(x, y, stage(2, k), stage(3, k))
-    lines += [f"e{c + 1} = ({combo(E, c)}) * h" for c in range(4)]
+    lines += [f"{e}{c + 1} = ({combo(E, c)}) * h" for e, E in (("e", E5), ("f", E3))
+              for c in range(4)]
     head, _, tail = template.partition("<trial step>\n")
     indent = head[head.rindex("\n") + 1:]
     return head + ("\n" + indent).join(lines) + "\n" + tail
@@ -400,7 +547,7 @@ def _render_solve_ivp(template: str) -> str:
 
 _SOLVE_IVP_TEMPLATE = '''\
 def solve_ivp(field, t0, y0, t_bound, settings, mode, stop=None):
-    """The package's own Dormand-Prince 5(4) solver, from t0 toward t_bound.
+    """The package's own DOP853 solver, from t0 toward t_bound.
 
     field is the scalar acceleration map (w1, w2) -> (w1'', w2'') and y0
     the four floats (w1, w2, w1', w2').  This source is rendered at import
@@ -412,16 +559,18 @@ def solve_ivp(field, t0, y0, t_bound, settings, mode, stop=None):
     acceleration negated as 0.0 - b.  At an event node, in the initial-step
     estimate, and for any field without _cone, field is called.  The
     step-size control is that of
-    Hairer-Norsett-Wanner II.4 (as in scipy's RK45): RMS error
-    norm scaled by atol + rtol * max(|y|, |y_new|), no step growth right
-    after a rejection, and failure once the step falls below 10 ulp(t).  A
-    trial step that overflows is rejected like one with an infinite error.
+    Hairer-Norsett-Wanner II.4 and II.10 (as in scipy's DOP853): the
+    combined error norm of _error_norm, its rows scaled by atol + rtol *
+    max(|y|, |y_new|), no step growth right after a rejection, and failure
+    once the step falls below 10 ulp(t).  A trial step that overflows is
+    rejected like one with an infinite error.
 
     Terminal events are BlowUp (max |w_i| rises to blowup_threshold) and, in
     positive mode, PositivityLoss of component i (w_i falls to
     POSITIVITY_FLOOR), rising and falling along the direction of
     integration.  They are tested once per accepted step and the
-    earliest is bisected to adjacent floats on the step's quintic Hermite;
+    earliest is bisected to adjacent floats on the step's polynomial
+    (_step_polynomials; the degree-9 Hermite when field carries _cone);
     the event point becomes the last node.  Otherwise the optional predicate
     stop(t_new, w1_old, w2_old, w1'_old, w1_new, w2_new, w1'_new), given the
     step's old node and its new one, is asked at each new node; a label it
@@ -467,19 +616,28 @@ def solve_ivp(field, t0, y0, t_bound, settings, mode, stop=None):
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            nfev += 6
+            nfev += 12
             try:
                 # Stage k is (v1_k, v2_k, b1_k, b2_k): the stage velocities
                 # and the field's accelerations there.
                 <trial step>
-                # The RMS norm of _rms, scaled by atol + rtol * max(old, new)
-                # magnitude: n if n > o else o is max(o, n), ties and NaN too.
+                # Both error rows over atol + rtol * max(old, new) magnitude:
+                # n if n > o else o is max(o, n), ties and NaN too.
                 n1, n2, n3, n4 = abs(w1_new), abs(w2_new), abs(v1_new), abs(v2_new)
-                e1 /= atol + (n1 if n1 > o1 else o1) * rtol
-                e2 /= atol + (n2 if n2 > o2 else o2) * rtol
-                e3 /= atol + (n3 if n3 > o3 else o3) * rtol
-                e4 /= atol + (n4 if n4 > o4 else o4) * rtol
-                error_norm = math.sqrt(e1 * e1 + e2 * e2 + e3 * e3 + e4 * e4) / 2.0
+                s = atol + (n1 if n1 > o1 else o1) * rtol
+                e1 /= s
+                f1 /= s
+                s = atol + (n2 if n2 > o2 else o2) * rtol
+                e2 /= s
+                f2 /= s
+                s = atol + (n3 if n3 > o3 else o3) * rtol
+                e3 /= s
+                f3 /= s
+                s = atol + (n4 if n4 > o4 else o4) * rtol
+                e4 /= s
+                f4 /= s
+                error_norm = _error_norm(e1 * e1 + e2 * e2 + e3 * e3 + e4 * e4,
+                                         f1 * f1 + f2 * f2 + f3 * f3 + f4 * f4)
             except OverflowError:
                 error_norm = math.inf
             if error_norm < 1.0:
@@ -506,14 +664,14 @@ def solve_ivp(field, t0, y0, t_bound, settings, mode, stop=None):
             if w2 >= floor >= w2_new:
                 crossings.append(("PositivityLoss", 2, lambda w: w[1] <= floor))
         if crossings:
-            # Locate each on the step's quintic Hermite and stop at the
-            # earliest in the direction of integration.
-            c1 = _quintic(w1, w1_new, v1, v1_new, a1, a1_new, h)
-            c2 = _quintic(w2, w2_new, v2, v2_new, a2, a2_new, h)
+            # Locate each on the step's polynomial and stop at the earliest
+            # in the direction of integration.
+            c1, c2 = _step_polynomials(cone, (w1, w2, v1, v2, a1, a2),
+                                       (w1_new, w2_new, v1_new, v2_new, a1_new, a2_new), h)
 
             def at(tau):
                 s = (tau - t) / h
-                return _quintic_value(c1, s), _quintic_value(c2, s)
+                return _poly_value(c1, s), _poly_value(c2, s)
 
             roots = [
                 (_event_root(lambda tau: crossed(at(tau)), t, t_new), kind, comp)
@@ -521,9 +679,9 @@ def solve_ivp(field, t0, y0, t_bound, settings, mode, stop=None):
             ]
             t_new, kind, comp = min(roots, key=lambda r: direction * r[0])
             s = (t_new - t) / h
-            w1_new, w2_new = _quintic_value(c1, s), _quintic_value(c2, s)
-            v1_new, v2_new = _quintic_slope(c1, s) / h, _quintic_slope(c2, s) / h
-            # The seventh stage is the trial end's; the event point needs its own.
+            w1_new, w2_new = _poly_value(c1, s), _poly_value(c2, s)
+            v1_new, v2_new = _poly_slope(c1, s) / h, _poly_slope(c2, s) / h
+            # The last stage is the trial end's; the event point needs its own.
             a1_new, a2_new = field(w1_new, w2_new)
             event = (kind, comp)
             status = 1
@@ -735,18 +893,18 @@ def _row_function(traj: Trajectory, row: int) -> Callable[[float], float]:
     def f(x):
         i = min(max(bisect_right(nodes, x) - 1, 0), last)
         s = (x - nodes[i]) / steps[i]
-        return _quintic_value(coeffs[i], s)
+        return _poly_value(coeffs[i], s)
 
     return f
 
 
 def _step_function(traj: Trajectory, row: int, k: int) -> Callable[[float], float]:
     """Scalar x -> traj.sample(x)[row, 0] for x strictly inside step k, bit
-    for bit: that step's quintic alone."""
+    for bit: that step's polynomial alone."""
     c1, c2, h = traj._interpolant()
     coeffs = (c2 if row else c1)[:, k].tolist()
     t0, hk = float(traj.t[k]), float(h[k])
-    return lambda x: _quintic_value(coeffs, (x - t0) / hk)
+    return lambda x: _poly_value(coeffs, (x - t0) / hk)
 
 
 def _bracketed_zeros(traj: Trajectory, row: int, tt: np.ndarray, vv: np.ndarray) -> list[float]:
@@ -757,7 +915,7 @@ def _bracketed_zeros(traj: Trajectory, row: int, tt: np.ndarray, vv: np.ndarray)
     past it (_event_root).  Exact zeros at grid points count only when the
     surrounding nonzero values straddle the axis (a tangential touch is not
     a crossing).  _event_root evaluates only inside its bracket, so a
-    bracket within one step bisects on that step's quintic; one that spans
+    bracket within one step bisects on that step's polynomial; one that spans
     a node (a zero grid value dropped there) on the whole orbit's.
     """
     nz = vv != 0.0

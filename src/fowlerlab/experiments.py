@@ -31,10 +31,16 @@ from .state import FowlerState
 
 #: Rejection attempts allowed per accepted draw before giving up.
 MAX_REJECTION_FACTOR = 200
-#: Last trial that a shoot may place by Newton from g's trial: later ones
-#: go to the secant.  Over 180 bench-style shoots, Newton's proposals left
-#: the bracket within 4 trials in 174; the other 6 walked toward the apex
-#: an ulp or a few at a time, slower than the secant and gallop after them.
+#: Most trials that a shoot may place by Newton from g's trial, and most
+#: one-ulp creeps (a proposal that rounds onto its own trial): later ones
+#: go to the secant.  Over 180 bench-style shoots (with the DP5(4) engine),
+#: Newton's proposals left the bracket within 4 trials in 174; the other 6
+#: walked toward the apex an ulp or a few at a time, slower than the secant
+#: and gallop after them.
+#: Near the apex W is noise-limited, a few ulps wide at N = 3 and 4 and
+#: about 20 at N = 5: at (N, beta) = (4, 2) Newton crept up 1 ulp a trial,
+#: and a creep counted as a Newton trial sent the shoot to the lam-scaled
+#: end one trial short of the apex.
 _NEWTON_LAST_TRIAL = 4
 #: Last trial that a shoot may place by Newton or the secant: later ones
 #: bisect.  Over the shoots measured, secant trials closed in on the apex
@@ -446,13 +452,13 @@ def shoot_entire(
     placed by Newton on W from the latest trial, at a - W / W' (_newton):
     W' is W's slope in the energy under the same linearisation
     (_window_end_slope) times the energy's slope in the apex.  A proposal
-    that rounds onto its own trial steps one ulp toward the open side.  A
+    that rounds onto its own trial creeps one ulp toward the open side.  A
     proposal that is not finite or not strictly inside the bracket, or one
-    past _NEWTON_LAST_TRIAL, ends Newton's trials.  An end of the bracket
-    that no trial settled then runs its own trial: the lower must stay
-    positive, the upper doubles until it changes sign.  With end energies
-    of one sign both ends run first, g comes from the bracket they leave,
-    and with no such g no Newton trial runs.  The secant of W over the
+    past _NEWTON_LAST_TRIAL Newton trials or creeps, ends Newton's trials.
+    An end of the bracket that no trial settled then runs its own trial: the
+    lower must stay positive, the upper doubles until it changes sign.  With
+    end energies of one sign both ends run first, g comes from the bracket
+    they leave, and with no such g no Newton trial runs.  The secant of W over the
     bracket ends places the next trials, with the Illinois rule (an end kept
     a second time in a row has its value halved).  When an end's value
     disagrees with its verdict, or the secant rounds onto an end, trials
@@ -471,8 +477,10 @@ def shoot_entire(
     forward one mirrored; otherwise it is a run.  The orbit must decay below
     SHOOT_DECAY_CUT at both window ends.
     The window must hold the apex time: t_span[0] < 0 < t_span[1].  It must
-    also resolve the dichotomy: delta * min(-t_span[0], t_span[1]) at least
-    half the default exponent _SHOOT_WINDOW_EXPONENT, else DomainError.
+    also resolve the dichotomy, and not be so long that amplified rounding
+    lifts the orbit above the cut: delta * min(-t_span[0], t_span[1]) from
+    half to 1.25 times the default exponent _SHOOT_WINDOW_EXPONENT, else
+    DomainError.
     """
     if settings is None:
         settings = shoot_settings(params)
@@ -481,11 +489,21 @@ def shoot_entire(
     # The converged orbit passes the decay cut on any window, so a short one
     # must be refused here.  The apex error falls like exp(-2 delta T): at
     # N = 3 it is 1.3e-2 at delta T = 2.5, 2.3e-7 at 8 and 4.1e-9 at 10.
+    # On a long one the rounding that the unstable direction amplifies like
+    # exp(delta T) lifts the converged orbit back above the cut, or across
+    # zero.  At mu = beta = 1 shoots pass up to delta T = 21.5 at N = 3 and
+    # 24 at N = 4 and 5, and fail from 22 at N = 3; with self-couplings drawn
+    # from [0.9, 1.1] at (N, beta) = (3, 1), (4, 2), (5, 1), (6, 0.3), 2 of 32
+    # fail at 19, 7 of 32 at 20 and none of 96 at 18.  Past 20, refused.
     reach = params.delta * min(-settings.t_span[0], settings.t_span[1])
-    least = 0.5 * _SHOOT_WINDOW_EXPONENT
+    least, most = 0.5 * _SHOOT_WINDOW_EXPONENT, 1.25 * _SHOOT_WINDOW_EXPONENT
     if reach < least:
         raise DomainError(f"shooting window too short to resolve the dichotomy: "
                           f"delta * min(-t_span[0], t_span[1]) = {reach!r} < {least!r}, "
+                          f"got t_span {settings.t_span!r}")
+    if reach > most:
+        raise DomainError(f"shooting window too long for the orbit to stay below the decay "
+                          f"cut: delta * min(-t_span[0], t_span[1]) = {reach!r} > {most!r}, "
                           f"got t_span {settings.t_span!r}")
     try:
         kl = solve_coupling(params)
@@ -564,18 +582,19 @@ def shoot_entire(
     if g is not None:
         apex, loses, run = settle(g)
         stage = "newton"
-    trials = 0
+    trials = creeps = 0
     moved = None  # the end the last secant trial moved: True for hi
     # An end that no trial has settled still runs, even on a closed bracket.
     while 0.5 * (lo + hi) not in (lo, hi) or len(settled) < 2:
         guess = math.nan
         if stage == "newton":
             # From the latest trial.
-            if trials < _NEWTON_LAST_TRIAL:
+            if trials - creeps < _NEWTON_LAST_TRIAL:
                 guess = _newton(params, ratio, t_end, apex, run)
-            if guess == apex:
-                # Rounded onto its own trial: one ulp toward the open side.
+            if guess == apex and creeps < _NEWTON_LAST_TRIAL:
+                # Rounded onto its own trial: creep one ulp toward the open side.
                 guess = math.nextafter(apex, lo if loses else hi)
+                creeps += 1
             if not lo < guess < hi:
                 stage = "secant"
                 run_ends()

@@ -573,6 +573,20 @@ def test_runs_that_never_validate_do_not_load_jsonschema():
     )
 
 
+def test_the_package_does_not_load_scipy():
+    # The engine's table is written out in dynamics; scipy, a test
+    # dependency, costs about 0.5 s of set-up when imported.
+    _fresh_process(
+        "import sys\n"
+        "import fowlerlab\n"
+        "p = fowlerlab.make_params(3, 1.0, 1.0, 1.0)\n"
+        "traj = fowlerlab.integrate(p, fowlerlab.cylinder_state(p)[0],\n"
+        "                           fowlerlab.IntegratorSettings(t_span=(-2.0, 2.0)))\n"
+        "traj.sample([0.5])\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy was imported'\n"
+    )
+
+
 def test_importing_the_package_does_not_load_the_process_pool():
     # Only a sweep with workers > 1 imports it.
     _fresh_process(
