@@ -33,29 +33,24 @@ from .state import FowlerState
 MAX_REJECTION_FACTOR = 200
 #: Most trials that a shoot may place by Newton from g's trial, and most
 #: one-ulp creeps (a proposal that rounds onto its own trial): later ones
-#: go to the secant.  Over 180 bench-style shoots (with the DP5(4) engine),
-#: Newton's proposals left the bracket within 4 trials in 174; the other 6
-#: walked toward the apex an ulp or a few at a time, slower than the secant
-#: and gallop after them.
+#: gallop and bisect.  Over 180 bench-style shoots, Newton placed 1 to 5
+#: trials, creeps included; in the 107 that then galloped, the gallop
+#: started at most 23 ulps (median 2) from the apex.
 #: Near the apex W is noise-limited, a few ulps wide at N = 3 and 4 and
 #: about 20 at N = 5: at (N, beta) = (4, 2) Newton crept up 1 ulp a trial,
 #: and a creep counted as a Newton trial sent the shoot to the lam-scaled
 #: end one trial short of the apex.
 _NEWTON_LAST_TRIAL = 4
-#: Last trial that a shoot may place by Newton or the secant: later ones
-#: bisect.  Over the shoots measured, secant trials closed in on the apex
-#: within 37 (an energy guide of one sign at N = 4), and every bench-style
-#: shoot, g's trial included, closed within 10 trials.
-_SECANT_LAST_TRIAL = 40
 #: Cap on the trials after g (not counting the lam-scaled bracket ends)
-#: that close the bracket to adjacent floats.  Take the widest bracket,
-#: lam[0] * 2**10, with its lower end above lam[0] * 2**-7: it spans at
-#: most 2**70 ulps of either end.  The Newton and secant trials are at most
-#: _SECANT_LAST_TRIAL (_NEWTON_LAST_TRIAL is smaller).  A gallop from an
-#: end, at 4**j ulps for j = 0, 1, ..., leaves the bracket by j = 35 (36
-#: trials); crossing at j leaves 3 * 4**(j - 1) ulps, which 2j <= 70
-#: halvings close, as 70 close the whole bracket.
-SHOOT_TRIALS = _SECANT_LAST_TRIAL + 36 + 70
+#: that close the bracket to adjacent floats.  The upper end starts at
+#: lam[0] and doubles at most 10 times on the apex energy's sign and 10
+#: more on its own trial, so the widest bracket is lam[0] * 2**20, with its
+#: lower end above lam[0] * 2**-7: it spans at most 2**80 ulps of either
+#: end.  Newton's trials and creeps are at most 2 * _NEWTON_LAST_TRIAL.  A
+#: gallop from an end, at 4**j ulps for j = 0, 1, ..., leaves the bracket
+#: by j = 40 (41 trials); crossing at j leaves 3 * 4**(j - 1) ulps, which
+#: 2j <= 80 halvings close, as 80 close the whole bracket.
+SHOOT_TRIALS = 2 * _NEWTON_LAST_TRIAL + 41 + 80
 #: Decay acceptance for the shot orbit: both components below this at the
 #: window end (while never changing sign).
 SHOOT_DECAY_CUT = 1e-6
@@ -395,16 +390,6 @@ def _window_end_slope(run: dynamics.Segment, delta: float, ratio: float, t_end: 
     return -grow / (delta**2 * (1.0 + ratio**2) * decaying) if decaying else math.nan
 
 
-def _secant(lo: float, w_lo: float, hi: float, w_hi: float) -> float:
-    """Root of the line through (lo, w_lo) and (hi, w_hi): lo itself when
-    w_lo <= 0, hi when w_hi >= 0, NaN when either value is NaN."""
-    if w_lo <= 0.0:
-        return lo
-    if w_hi >= 0.0:
-        return hi
-    return lo + (hi - lo) * (w_lo / (w_lo - w_hi))
-
-
 def _apex_energy(params: SystemParams, ratio: float, apex_w1: float) -> float:
     # Conserved along the trial orbit, nearly linear in the apex, and zero at
     # the homoclinic one: the guide whose root is the first shooting trial.
@@ -442,31 +427,28 @@ def shoot_entire(
     the window end (below).  On the proportional ray the orbit solves the
     scalar Fowler equation, whose energy sign fixes which comes first; after
     a minimum a negative-energy orbit is periodic and never reaches zero.
-    Only a trial's verdict moves an end of the bracket; two guides pick
-    where the trials go.  The apex energy, zero at the homoclinic apex,
-    gives the first: its root g in [0.05 k lam[0], lam[0]], found by
-    bisection on its sign without integrating.  Each trial's run gives the
-    rest: W, w1 continued from its last node to t_span[1] by the
-    linearisation w'' = delta**2 w at the origin (_window_end_value), which
-    changes sign at the window's own dichotomy.  Every trial after g's is
+    Only a trial's verdict moves an end of the bracket.  The first trial is
+    g, the root of the apex energy, which is zero at the homoclinic apex:
+    the bracket starts at [0.05 k lam[0], lam[0]], the lower end's energy
+    must be negative, and the upper end doubles, up to 10 times, until its
+    energy is positive (on the ray the energy grows like a**(2p), 2p > 2);
+    g is then bisected on the energy's sign without integrating.  Each
+    trial's run gives W, w1 continued from its last node to t_span[1] by
+    the linearisation w'' = delta**2 w at the origin (_window_end_value),
+    which changes sign at the window's own dichotomy.  The next trials are
     placed by Newton on W from the latest trial, at a - W / W' (_newton):
     W' is W's slope in the energy under the same linearisation
     (_window_end_slope) times the energy's slope in the apex.  A proposal
     that rounds onto its own trial creeps one ulp toward the open side.  A
-    proposal that is not finite or not strictly inside the bracket, or one
-    past _NEWTON_LAST_TRIAL Newton trials or creeps, ends Newton's trials.
-    An end of the bracket that no trial settled then runs its own trial: the
-    lower must stay positive, the upper doubles until it changes sign.  With
-    end energies of one sign both ends run first, g comes from the bracket
-    they leave, and with no such g no Newton trial runs.  The secant of W over the
-    bracket ends places the next trials, with the Illinois rule (an end kept
-    a second time in a row has its value halved).  When an end's value
-    disagrees with its verdict, or the secant rounds onto an end, trials
-    gallop inward from that end by 1, 4, 16, ... ulps until one lands on
-    the other side, and the rest bisect.  A proposal outside the bracket, a
-    run missing (BlowUp data), a W that overflows and a secant trial past
-    _SECANT_LAST_TRIAL give the midpoint.  The bracket closes to adjacent
-    floats within SHOOT_TRIALS trials after g's.
+    proposal that is not finite or not strictly inside the bracket (a run
+    missing for BlowUp data, or a W that overflows), or one past
+    _NEWTON_LAST_TRIAL Newton trials or creeps, ends Newton's trials.  An
+    end of the bracket that no trial settled then runs its own trial: the
+    lower must stay positive, the upper doubles until it changes sign.  The
+    trials then gallop from the end the latest trial moved, toward the
+    other side, by 1, 4, 16, ... ulps until one lands across or would leave
+    the bracket (and so is the midpoint); the rest bisect.  The bracket
+    closes to adjacent floats within SHOOT_TRIALS trials after g's.
     The converged orbit is integrate's from the apex data, bit for bit,
     and takes no run of its own when it can: its forward half is the trial
     from the converged apex, which is the last trial that stayed positive,
@@ -513,51 +495,52 @@ def shoot_entire(
     t_end = settings.t_span[1]
     fun = dynamics._make_field(params)
 
-    def at_end(run):
-        return math.nan if run is None else _window_end_value(run, params.delta, t_end)
-
-    # lo_run is the trial from lo, which stays positive; w_lo and w_hi the
-    # window-end values of the trials from lo and hi; settled the verdicts
-    # trials have given.
+    # lo_run is the trial from lo, which stays positive; settled the
+    # verdicts trials have given.
     lo, hi = 0.05 * kl.k * params.lam[0], params.lam[0]
     lo_run = None
-    w_lo = w_hi = math.nan
     settled = set()
 
     def settle(guess):
         # The trial from guess, or from the midpoint when guess is not inside
         # the bracket: its verdict moves one end.
-        nonlocal lo, hi, lo_run, w_lo, w_hi
+        nonlocal lo, hi, lo_run
         apex = guess if lo < guess < hi else 0.5 * (lo + hi)
         loses, run = _loses_sign(fun, apex, ratio, t_end, settings)
         if loses:
-            hi, w_hi = apex, at_end(run)
+            hi = apex
         else:
-            lo, lo_run, w_lo = apex, run, at_end(run)
+            lo, lo_run = apex, run
         settled.add(loses)
         return apex, loses, run
 
     def guide_root():
-        # The first float in (lo, hi) where the apex energy has hi's sign,
-        # bisected on its sign alone (no trial integration); None when the
-        # end energies have one sign.
-        f_lo, f_hi = _apex_energy(params, ratio, lo), _apex_energy(params, ratio, hi)
-        if not min(f_lo, f_hi) < 0.0 < max(f_lo, f_hi):
-            return None
-        return dynamics._event_root(
-            lambda a: (_apex_energy(params, ratio, a) > 0.0) == (f_hi > 0.0), lo, hi)
+        # The first float in (lo, hi) where the apex energy is positive,
+        # bisected on its sign alone (no trial integration), after hi doubles
+        # on that sign.
+        nonlocal hi
+        if not _apex_energy(params, ratio, lo) < 0.0:
+            raise BracketFailure(f"apex energy at the lower shooting endpoint {lo!r} "
+                                 f"is not negative")
+        grow = 0
+        while not _apex_energy(params, ratio, hi) > 0.0:
+            if grow == 10:
+                raise BracketFailure(f"apex energy not positive at {hi!r} after 10 doublings "
+                                     f"of the upper shooting endpoint")
+            hi *= 2.0
+            grow += 1
+        return dynamics._event_root(lambda a: _apex_energy(params, ratio, a) > 0.0, lo, hi)
 
     def run_ends():
         # An end that no trial has settled runs its own trial.
-        nonlocal lo_run, w_lo, hi, w_hi
+        nonlocal lo_run, hi
         if False not in settled:
             loses, lo_run = _loses_sign(fun, lo, ratio, t_end, settings)
             if loses:
                 raise BracketFailure("lower shooting endpoint already changes sign")
-            w_lo = at_end(lo_run)
         if True not in settled:
             grow = 0
-            loses, hi_run = _loses_sign(fun, hi, ratio, t_end, settings)
+            loses, _ = _loses_sign(fun, hi, ratio, t_end, settings)
             while not loses:
                 if max(hi, ratio * hi) >= settings.blowup_threshold:
                     # Larger apexes count as staying positive: the bracket cannot close.
@@ -567,23 +550,13 @@ def shoot_entire(
                 grow += 1
                 if grow > 10:
                     raise BracketFailure("no sign-losing apex found while expanding the bracket")
-                loses, hi_run = _loses_sign(fun, hi, ratio, t_end, settings)
-            w_hi = at_end(hi_run)
+                loses, _ = _loses_sign(fun, hi, ratio, t_end, settings)
         settled.update((False, True))
 
-    g = guide_root()
-    if g is None:
-        # End energies of one sign: g over the bracket the end trials leave.
-        run_ends()
-        g = guide_root()
-    # Trials go to Newton from g's trial, then to the secant on the
-    # window-end value, then gallop from an end, then bisect.
-    stage = "secant"
-    if g is not None:
-        apex, loses, run = settle(g)
-        stage = "newton"
+    # Trials go to Newton from g's trial, then gallop from an end, then bisect.
+    apex, loses, run = settle(guide_root())
+    stage = "newton"
     trials = creeps = 0
-    moved = None  # the end the last secant trial moved: True for hi
     # An end that no trial has settled still runs, even on a closed bracket.
     while 0.5 * (lo + hi) not in (lo, hi) or len(settled) < 2:
         guess = math.nan
@@ -596,35 +569,18 @@ def shoot_entire(
                 guess = math.nextafter(apex, lo if loses else hi)
                 creeps += 1
             if not lo < guess < hi:
-                stage = "secant"
+                # The latest trial's apex is the end it moved: gallop from it.
                 run_ends()
+                stage, origin, upward, gap = "gallop", apex, not loses, 1.0
                 continue
+        elif stage == "gallop":
+            guess = origin + (gap if upward else -gap) * math.ulp(origin)
         if trials == SHOOT_TRIALS:
             raise BracketFailure(f"shooting bracket [{lo!r}, {hi!r}] still open after "
                                  f"{SHOOT_TRIALS} trials")
         trials += 1
-        if stage == "secant" and trials > _SECANT_LAST_TRIAL:
-            stage = "bisect"
-        if stage == "secant":
-            guess = _secant(lo, w_lo, hi, w_hi)
-            if guess <= lo or guess >= hi:
-                # An end's window-end value disagrees with its verdict, or the
-                # secant rounds onto an end: gallop from that end inward.
-                stage, upward, gap = "gallop", guess <= lo, 1.0
-                origin = lo if upward else hi
-        if stage == "gallop":
-            guess = origin + (gap if upward else -gap) * math.ulp(origin)
         apex, loses, run = settle(guess)
-        if stage == "secant":
-            if loses == moved:
-                # The same end moved twice: halve the value kept at the other
-                # end (Illinois), so the next secant lands nearer to it.
-                if loses:
-                    w_lo *= 0.5
-                else:
-                    w_hi *= 0.5
-            moved = loses
-        elif stage == "gallop":
+        if stage == "gallop":
             if apex == guess and loses != upward:
                 gap *= 4.0  # still on the origin's side of the dichotomy
             else:

@@ -515,8 +515,8 @@ def _cubed(energy):
 def _lopsided(energy):
     # Right sign, a huge step at the root: the guide's slope there is huge,
     # so Newton's proposals round onto their own trials and creep, until the
-    # lam-scaled end and the secant take over; the guide root depends on the
-    # sign alone.
+    # lam-scaled end runs and the gallop takes over; the guide root depends
+    # on the sign alone.
     return lambda params, ratio, apex: 1e300 if energy(params, ratio, apex) > 0.0 else -1e-300
 
 
@@ -538,50 +538,52 @@ class TestShootBracket:
         exact = bubble_fowler(p5, 1.0, 0.0).w1
         assert abs(data.a1 - exact) / exact < 1e-12
 
-    def test_a_constant_sign_guide_goes_straight_to_the_secant(self, p3, monkeypatch):
-        # With no guide root there is no g to start Newton from, and a flat
-        # guide gives Newton no slope: the first trial after the bracket ends
-        # is the secant of their window-end values.  Secant trials follow
-        # until one would round onto an end, each with the Illinois rule: an
-        # end kept for a second time in a row has its value halved.
+    def test_a_constant_sign_guide_raises_before_any_integration(self, p3, monkeypatch):
+        # With no guide root there is no g to start from.  An energy that is
+        # never positive doubles the upper end 10 times and gives up; one
+        # that is not negative at the lower end has no root to bisect for.
+        # Neither integrates.
+        calls, inner = [], dynamics.solve_ivp
+        monkeypatch.setattr(dynamics, "solve_ivp", lambda *args: calls.append(args) or inner(*args))
         monkeypatch.setattr(experiments, "_apex_energy", lambda *args: -1.0)
-        data, _, trials, _ = _shoot_counting_runs(p3, None, monkeypatch)
-        _assert_on_a_boundary(p3, data.a1)
-        value = _end_values(p3)
-        (lo, _, lo_run), (hi, _, hi_run) = trials[:2]
-        assert math.isnan(experiments._newton(p3, 1.0, shoot_settings(p3).t_span[1], hi, hi_run))
-        w_lo, w_hi = value(lo_run), value(hi_run)
-        moved = None
-        for placed, (apex, loses_sign, run) in enumerate(trials[2:]):
-            guess = experiments._secant(lo, w_lo, hi, w_hi)
-            if not lo < guess < hi:
-                break
-            assert apex == guess
-            if loses_sign:
-                hi, w_hi = apex, value(run)
-            else:
-                lo, w_lo = apex, value(run)
-            if loses_sign == moved:
-                w_lo, w_hi = (0.5 * w_lo, w_hi) if loses_sign else (w_lo, 0.5 * w_hi)
-            moved = loses_sign
-        # The secant came within a few ulps before it gave way.
-        assert placed > 10 and len(trials) - 2 - placed <= 3
+        with pytest.raises(BracketFailure, match="after 10 doublings of the upper shooting"):
+            shoot_entire(p3)
+        monkeypatch.setattr(experiments, "_apex_energy", lambda *args: 1.0)
+        with pytest.raises(BracketFailure, match="lower shooting endpoint .* is not negative"):
+            shoot_entire(p3)
+        assert calls == []
+
+    def test_a_guide_root_above_lam0_doubles_the_upper_end(self, p5, monkeypatch):
+        # The energy's argument scaled by 1/3 puts its root near three times
+        # the apex, past lam[0], whose energy is then negative: hi doubles on
+        # the energy's sign alone until g lies inside, and g is still the
+        # first trial.
+        energy = experiments._apex_energy
+        monkeypatch.setattr(experiments, "_apex_energy",
+                            lambda params, ratio, a: energy(params, ratio, a / 3.0))
+        kl = solve_coupling(p5)
+        scaled = [experiments._apex_energy(p5, kl.l / kl.k, a) for a in (p5.lam[0], 2 * p5.lam[0])]
+        assert scaled[0] < 0.0 < scaled[1]
+        data, _, trials, _ = _shoot_counting_runs(p5, None, monkeypatch)
+        g = trials[0][0]
+        assert g > p5.lam[0]
+        assert (experiments._apex_energy(p5, kl.l / kl.k, math.nextafter(g, 0.0)) <= 0.0
+                < experiments._apex_energy(p5, kl.l / kl.k, g))
+        _assert_on_a_boundary(p5, data.a1)
 
     def test_a_window_end_value_at_odds_with_its_verdict_starts_a_gallop(self, p5, monkeypatch):
         # Every run reads a positive window-end value.  g stays positive, and
         # Newton's proposal from it changes sign, so that end's value
         # disagrees with its verdict.  Newton from there points up, out of
-        # the bracket, and the secant of the two values rounds onto the
-        # disagreeing end: trials leave it by 1, 4, 16, ... ulps until one
-        # stays positive or would leave the bracket (then it is the
-        # midpoint), and the rest are midpoints.
+        # the bracket: trials leave the end that trial moved by 1, 4, 16, ...
+        # ulps until one stays positive or would leave the bracket (then it
+        # is the midpoint), and the rest are midpoints.
         monkeypatch.setattr(experiments, "_window_end_value", lambda *args: 1.0)
         data, _, trials, _ = _shoot_counting_runs(p5, None, monkeypatch)
         _assert_on_a_boundary(p5, data.a1)
         assert _newton_trials(p5, trials) == 1
         assert [loses_sign for _, loses_sign, _ in trials[:2]] == [False, True]
         (lo, _), (hi, _) = _bracket(trials[:2])
-        assert experiments._secant(lo, 1.0, hi, 1.0) == hi
         origin, gap, galloping = hi, 1.0, True
         for apex, loses_sign, _ in trials[2:]:
             if galloping:
@@ -596,10 +598,10 @@ class TestShootBracket:
 
     def test_trial_cap_raises_instead_of_stopping_early(self, monkeypatch):
         # A bench-style N = 5 shoot (the second pass of seed 0) whose trials
-        # reach past Newton's: g, one Newton trial, a gallop from the end its
-        # successor's proposal leaves, then bisection (9 trials).  The default
-        # N = 3 shoot, used here with the DP5(4) engine (6 trials), now takes
-        # 4, all Newton's.
+        # reach past Newton's: g, one Newton trial, a gallop from the end that
+        # trial moved, then bisection (9 trials).  The default N = 3 shoot,
+        # used here with the DP5(4) engine (6 trials), now takes 4, all
+        # Newton's.
         params = make_params(5, 1.077947758255627, 1.0114276100412454, 1.0)
         data, _, trials, _ = _shoot_counting_runs(params, None, monkeypatch)
         used = len(trials) - 1  # after g; no bracket end runs
@@ -641,7 +643,7 @@ class TestShootBracket:
     def test_a_broken_newton_slope_still_closes_the_bracket(self, broken, monkeypatch):
         # Newton's proposals are then NaN, or step out of the bracket: no
         # trial after g is Newton's, the lam-scaled end on the side g did
-        # not settle runs, and the secant, gallop and bisection close the
+        # not settle runs, and a gallop from g's end and bisection close the
         # bracket within SHOOT_TRIALS (past it, shoot_entire raises).
         slope = experiments._window_end_slope
         monkeypatch.setattr(experiments, "_window_end_slope", {
@@ -657,6 +659,8 @@ class TestShootBracket:
             assert _newton_trials(params, trials) == 0
             ends = {0.05 * solve_coupling(params).k * params.lam[0], params.lam[0]}
             assert trials[1][0] in ends
+            g, g_loses, _ = trials[0]
+            assert trials[2][0] == g + (-1.0 if g_loses else 1.0) * math.ulp(g)
 
     @pytest.mark.parametrize("case, apex", [
         ((3, 1.0), "0x1.90a9620ee3914p-1"),
@@ -694,6 +698,22 @@ class TestShootBracket:
             counts.append(len(trials))
         assert sum(counts) / len(counts) <= 5.1
 
+    def test_bench_style_shoots_take_at_most_4_81_trials_on_average(self, monkeypatch):
+        # The shoot workload's inputs for passes 0-11 of seed 0: self-couplings
+        # from default_rng([0, k]).  Each apex is a boundary, and a shoot takes
+        # 4.72 trials on average (4.67 when the secant placed the trials after
+        # Newton's; the bound is that plus 3 %).
+        counts = []
+        for k in range(12):
+            mu1, mu2 = np.random.default_rng([0, k]).uniform(0.9, 1.1, size=2)
+            for N, beta in [(3, 1.0), (4, 2.0), (5, 1.0)]:
+                params = make_params(N, float(mu1), float(mu2), beta)
+                with monkeypatch.context() as patch:
+                    data, trials = _shoot_counting_trials(params, patch)
+                _assert_on_a_boundary(params, data.a1)
+                counts.append(len(trials))
+        assert sum(counts) / len(counts) <= 4.81
+
     @pytest.mark.parametrize("case", [(3, 1.0), (4, 2.0), (5, 1.0)])
     def test_the_guide_root_is_tried_before_any_integration(self, case, monkeypatch):
         params = make_params(case[0], 1.0, 1.0, case[1])
@@ -728,7 +748,7 @@ class TestShootBracket:
         # The guide's root lies off the homoclinic apex by about 1e-3 (above)
         # or 1e-6 (below).  Newton from g, far out on W's linearisation,
         # takes 4 and 3 of its trials to settle both sides (4 and 4 with the
-        # DP5(4) engine), so no lam-scaled end runs; the secant, gallop and
+        # DP5(4) engine), so no lam-scaled end runs; the gallop and
         # bisection close the rest.  More than SHOOT_TRIALS raise
         # BracketFailure.
         energy = experiments._apex_energy
@@ -745,14 +765,10 @@ class TestShootBracket:
         assert {loses_sign for _, loses_sign, _ in trials[:newton + 1]} == {False, True}
         lo_end, hi_end = 0.05 * solve_coupling(p5).k * p5.lam[0], p5.lam[0]
         assert not {lo_end, hi_end} & {apex for apex, _, _ in trials}
-        # The first trial after Newton's is the secant of the bracket they
-        # leave, or a gallop from the end it rounds onto.
-        (lo, lo_run), (hi, hi_run) = _bracket(trials[:newton + 1])
-        value = _end_values(p5)
-        guess = experiments._secant(lo, value(lo_run), hi, value(hi_run))
-        if not lo < guess < hi:
-            guess = lo + math.ulp(lo) if guess <= lo else hi - math.ulp(hi)
-        assert trials[newton + 1][0] == guess
+        # The first trial after Newton's gallops one ulp from the end the
+        # latest Newton trial moved, toward the other side.
+        origin, moved_hi, _ = trials[newton]
+        assert trials[newton + 1][0] == origin + (-1.0 if moved_hi else 1.0) * math.ulp(origin)
 
     def test_a_lower_end_that_changes_sign_still_fails(self, p5, monkeypatch):
         # Every trial reports a sign change.  g's run stays positive, so its
