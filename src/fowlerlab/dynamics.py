@@ -6,10 +6,15 @@ Integration uses the package's own embedded Runge-Kutta 8(5,3) pair
 directions from the initial point; the step loop is scalar Python on the
 four state components, and its trial step is rendered at import from one
 table of coefficients (_TABLEAU) and one text of the positive-cone field
-(_CONE).  Dense output is a per-step degree-9 Hermite in the node values of
-w and its first four derivatives: w'' is the acceleration the step loop
-computed there (the first-same-as-last stage; at an event node, the field
-at the located state), and the third and fourth come from the field's
+(_CONE).  The field does not depend on w', so the trial step is DOP853 in
+Nystrom form (Hairer-Norsett-Wanner II.14): each stage position comes
+from the old node and the earlier stages' accelerations, with no stage
+velocities, by weights derived from _TABLEAU at import (_nystrom_weights);
+the method is the same in exact arithmetic.  Dense output is a per-step
+degree-9 Hermite in the node values of w and its first four derivatives:
+w'' is the acceleration the step loop computed there (the
+first-same-as-last stage; at an event node, the field at the located
+state), and the third and fourth come from the field's
 Jacobian and Hessian (_field_jet).  A step on which a component changes
 sign or touches zero, where the field is not smooth, or whose derivative
 data are not finite keeps the quintic Hermite in (w, w', w'')
@@ -23,7 +28,8 @@ the value rows.  A loaded trajectory rebuilds the accelerations with the
 same scalar field at the stored nodes, and the higher derivatives from
 them, so sampling is bit-identical after a serialization round trip.  The
 field (_make_field) is the signed continuous extension
-|w|^(q-1) w of the positive-cone powers; on the positive cone both forms
+|w|^(q-1) w of the positive-cone powers, from two powers per component,
+|w|^(p-1) and its product with |w|; on the positive cone both forms
 agree, and positivity-constrained runs terminate at POSITIVITY_FLOOR instead
 of crossing zero (the field is not Lipschitz at w = 0 when N >= 5).  The
 step loop evaluates _CONE inline, from the constants _make_field attaches to
@@ -39,6 +45,7 @@ import linecache
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -108,10 +115,12 @@ class Event:
 def _make_field(params: SystemParams) -> Callable[[float, float], tuple[float, float]]:
     """Scalar (w1, w2) -> (w1'', w2''): the field the integrator steps on.
 
-    The signed formula, |w|^(q-1) w for each power.  Its constants ride on
-    the callable as _cone, so that solve_ivp evaluates it inline from _CONE,
-    the same formula on the open positive cone (_stage_field); both give
-    the same floats.
+    The signed formula, |w|^(q-1) w for each power, from two powers per
+    component: P = |w|^(p-1) and X = P |w| = |w|^p, so that
+    mu1 |w1|^(2p-2) w1 is mu1 X1 P1 sgn w1 and beta |w2|^p |w1|^(p-2) w1 is
+    beta X2 P1 sgn w1.  Its constants ride on the callable as _cone, so that
+    solve_ivp evaluates it inline from _CONE, the same formula on the open
+    positive cone (_stage_field); both give the same floats.
     """
     p = params.p
     d2 = params.delta**2
@@ -120,10 +129,14 @@ def _make_field(params: SystemParams) -> Callable[[float, float], tuple[float, f
     q1 = 2.0 * p - 1.0
 
     def field(w1, w2):
-        a1 = abs(w1)
-        a2 = abs(w2)
-        dd1 = d2 * w1 - mu1 * math.copysign(a1**q1, w1) - beta * a2**p * math.copysign(a1**p1, w1)
-        dd2 = d2 * w2 - mu2 * math.copysign(a2**q1, w2) - beta * a1**p * math.copysign(a2**p1, w2)
+        m1 = abs(w1)
+        m2 = abs(w2)
+        P1 = m1**p1
+        X1 = P1 * m1
+        P2 = m2**p1
+        X2 = P2 * m2
+        dd1 = d2 * w1 - (mu1 * X1 + beta * X2) * math.copysign(P1, w1)
+        dd2 = d2 * w2 - (mu2 * X2 + beta * X1) * math.copysign(P2, w2)
         return dd1, dd2
 
     field._cone = (d2, mu1, mu2, beta, p, p1, q1)
@@ -402,10 +415,15 @@ _TABLEAU = (
      -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
      0.02265179219836082),
 )
-#: The positive-cone acceleration of component i at (x, y), y the other
-#: component: _make_field's signed formula where |w| = w, without its abs and
-#: copysign calls, float for float.
-_CONE = "d2 * {x} - mu{i} * {x}**q1 - beta * {y}**p * {x}**p1"
+#: The positive-cone accelerations (b1, b2) at (x, y): _make_field's signed
+#: formula where |w| = w, without its abs and copysign calls, float for
+#: float, in two powers, P1 = x**p1 and P2 = y**p1.
+_CONE = ("P1 = {x}**p1",
+         "X1 = P1 * {x}",
+         "P2 = {y}**p1",
+         "X2 = P2 * {y}",
+         "{b1} = d2 * {x} - (mu1 * X1 + beta * X2) * P1",
+         "{b2} = d2 * {y} - (mu2 * X2 + beta * X1) * P2")
 
 
 def _rms(x1, x2, x3, x4):
@@ -418,13 +436,15 @@ def _error_norm(err5, err3):
     rows, E5 and E3 over the stages, each times h and over its tolerance
     scale: err5 / sqrt(4 (err5 + 0.01 err3)).
 
-    0.0 when both are zero.  Scaling a row by h before the tolerance keeps it
-    finite on a small step where the row alone, over a tiny atol, would not
-    be; rows that still overflow, and a NaN, give inf, a rejected step.
+    0.0 when the denominator is zero: err5 is zero then, and err3 zero or so
+    small that 0.01 err3 underflows.  Scaling a row by h before the
+    tolerance keeps it finite on a small step where the row alone, over a
+    tiny atol, would not be; rows that still overflow, and a NaN, give inf,
+    a rejected step.
     """
-    if err5 == 0.0 and err3 == 0.0:
-        return 0.0
     denom = math.sqrt(4.0 * (err5 + 0.01 * err3))
+    if denom == 0.0:
+        return 0.0
     return err5 / denom if denom < math.inf else math.inf
 
 
@@ -487,18 +507,19 @@ def _stage_field(x: str, y: str, b1: str, b2: str) -> list[str]:
     directly, elsewhere on the magnitudes m1, m2 = |x|, |y|, each component
     whose w is negative negated as 0.0 - b.  Rounding to nearest is
     sign-symmetric, so this is the signed formula's result; 0.0 - b, not -b,
-    keeps the +0.0 that formula gives where the terms cancel exactly.
-    Overflowing powers raise OverflowError on both paths.  Any other field
-    is called.
+    keeps the +0.0 that formula gives where the terms cancel exactly.  A
+    power that overflows raises OverflowError on both paths; a product that
+    overflows gives the same inf or NaN on both.  Any other field is called.
     """
+    def cone(x, y):
+        return ["    " + line.format(x=x, y=y, b1=b1, b2=b2) for line in _CONE]
+
     return [f"if inline and {x} > 0.0 and {y} > 0.0:",
-            f"    {b1} = {_CONE.format(x=x, y=y, i=1)}",
-            f"    {b2} = {_CONE.format(x=y, y=x, i=2)}",
+            *cone(x, y),
             "elif inline:",
             f"    m1 = abs({x})",
             f"    m2 = abs({y})",
-            f"    {b1} = {_CONE.format(x='m1', y='m2', i=1)}",
-            f"    {b2} = {_CONE.format(x='m2', y='m1', i=2)}",
+            *cone("m1", "m2"),
             f"    if {x} < 0.0:",
             f"        {b1} = 0.0 - {b1}",
             f"    if {y} < 0.0:",
@@ -507,39 +528,84 @@ def _stage_field(x: str, y: str, b1: str, b2: str) -> list[str]:
             f"    {b1}, {b2} = field({x}, {y})"]
 
 
+def _nystrom_weights():
+    """DOP853's weights in Nystrom form (Hairer-Norsett-Wanner II.14), for
+    w'' = f(w), each rounded once from its exact value, computed in Fraction
+    arithmetic on the float literals of _TABLEAU:
+
+    - c, the nodes A . 1, and Abar = A . A, stage k's position being
+      w + h (c[k] v + h sum_m Abar[k][m] b_m);
+    - BA = B . A, the new node's w + h (v + h sum_m BA[m] b_m);
+    - E5A and E3A, E5 . A and E3 . A, the position error rows'
+      h^2 sum_m EA[m] b_m.
+
+    The float literals meet DOP853's simplifying assumptions only to
+    rounding; the exact values are taken: sum B = 1 and sum E5 = sum E3 = 0
+    (the weights of v), and BA[m] = B[m] (1 - c[m]) = 0 where B[m] = 0.
+    """
+    A = [[Fraction(a) for a in row] for row in _TABLEAU[0]]
+    B, E5, E3 = _TABLEAU[1:]
+
+    def times_a(row):
+        # The weight of each stage's acceleration b_m in sum_j row[j] V_j,
+        # V_j = v + h sum_m A[j][m] b_m.
+        out = [Fraction(0)] * len(B)
+        for r, a_row in zip(row, A):
+            if r:
+                weight = Fraction(r)
+                for m, a in enumerate(a_row):
+                    if a:
+                        out[m] += weight * a
+        return out
+
+    def rounded(row):
+        return [float(x) for x in times_a(row)]
+
+    c = [float(sum(row)) for row in A]
+    ba = [0.0 if b == 0.0 else float(x) for b, x in zip(B, times_a(B))]
+    return c, [rounded(row) for row in _TABLEAU[0]], ba, rounded(E5), rounded(E3)
+
+
+def _combo(weights, names) -> str:
+    """sum_k weights[k] * names[k] over the nonzero weights, as text: each
+    weight the repr of its magnitude, its sign the operator."""
+    text = "".join(f" {'-' if a < 0.0 else '+'} {abs(a)!r} * {name}"
+                   for a, name in zip(weights, names) if a)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
 def _render_solve_ivp(template: str) -> str:
     """template with its <trial step> line written out from _TABLEAU and _CONE.
 
-    Stages 2-12 and the new node are each an A or B row's sum over the
-    earlier stages, then the field there (_stage_field); then come the
-    error terms e1..e4 from E5 and f1..f4 from E3, each times h.  Each
-    nonzero weight is the repr of its magnitude, its sign the operator.
+    The trial step is DOP853 in Nystrom form (_nystrom_weights): stages
+    2-12 are each a position x1, x2 from the old node and the earlier
+    stages' accelerations, then the field there (_stage_field), with no
+    stage velocities; then the new node's position and velocity and the
+    field there; then the error terms e1..e4 from E5 and f1..f4 from E3,
+    the position rows times h * h and the velocity rows times h.  Every
+    product is written so that h -> -h and v -> -v give the same floats
+    (_mirror).
     """
-    A, B, E5, E3 = _TABLEAU
+    _, B, E5, E3 = _TABLEAU
+    c, abar, ba, e5a, e3a = _nystrom_weights()
     last = len(B)  # the new node's stage
 
-    def stage(c, k):
-        # Stage k of component c (w1, w2, w1', w2'): the old node's
-        # derivative (k = 0), the stage values, the new node's (k = last).
-        if k in (0, last):
-            return ("v1", "v2", "a1", "a2")[c] + ("_new" if k else "")
-        return f"{('v1', 'v2', 'b1', 'b2')[c]}_{k + 1}"
-
-    def combo(weights, c):
-        text = "".join(f" {'-' if a < 0.0 else '+'} {abs(a)!r} * {stage(c, k)}"
-                       for k, a in enumerate(weights) if a)
-        return text[3:] if text[1] == "+" else "-" + text[3:]
+    def acc(i):
+        # Component i's accelerations: the old node's, then the stages'.
+        return [f"a{i}"] + [f"b{i}_{k + 1}" for k in range(1, last)]
 
     lines = []
-    for k in range(1, last + 1):
-        x, y = ("x1", "x2") if k < last else ("w1_new", "w2_new")
-        for c, (target, base) in enumerate(zip((x, y, stage(0, k), stage(1, k)),
-                                               ("w1", "w2", "v1", "v2"))):
-            lines.append(f"{target} = {base} + ({combo(A[k], c)}) * h" if k < last
-                         else f"{target} = {base} + h * ({combo(B, c)})")
-        lines += _stage_field(x, y, stage(2, k), stage(3, k))
-    lines += [f"{e}{c + 1} = ({combo(E, c)}) * h" for e, E in (("e", E5), ("f", E3))
-              for c in range(4)]
+    for k in range(1, last):
+        for i in (1, 2):
+            inner = f" + ({_combo(abar[k], acc(i))}) * h" if any(abar[k]) else ""
+            lines.append(f"x{i} = w{i} + ({c[k]!r} * v{i}{inner}) * h")
+        lines += _stage_field("x1", "x2", f"b1_{k + 1}", f"b2_{k + 1}")
+    lines += [f"w{i}_new = w{i} + h * (v{i} + h * ({_combo(ba, acc(i))}))" for i in (1, 2)]
+    lines += [f"v{i}_new = v{i} + h * ({_combo(B, acc(i))})" for i in (1, 2)]
+    lines += _stage_field("w1_new", "w2_new", "a1_new", "a2_new")
+    for e, E, EA in (("e", E5, e5a), ("f", E3, e3a)):
+        lines += [f"{e}{i} = ({_combo(EA, acc(i))}) * h * h" for i in (1, 2)]
+        lines += [f"{e}{i + 2} = ({_combo(E, acc(i))}) * h" for i in (1, 2)]
     head, _, tail = template.partition("<trial step>\n")
     indent = head[head.rindex("\n") + 1:]
     return head + ("\n" + indent).join(lines) + "\n" + tail
@@ -551,19 +617,21 @@ def solve_ivp(field, t0, y0, t_bound, settings, mode, stop=None):
 
     field is the scalar acceleration map (w1, w2) -> (w1'', w2'') and y0
     the four floats (w1, w2, w1', w2').  This source is rendered at import
-    (_render_solve_ivp): its trial step is written out from _TABLEAU, and a
-    field from _make_field, which carries its constants as _cone, is
-    evaluated there as _CONE at each stage point and new node, float for
-    float the call's result (_stage_field): on the components where both
-    are > 0.0, elsewhere on their magnitudes, a negative component's
-    acceleration negated as 0.0 - b.  At an event node, in the initial-step
-    estimate, and for any field without _cone, field is called.  The
-    step-size control is that of
+    (_render_solve_ivp): its trial step is written out from _TABLEAU in
+    Nystrom form, and a field from _make_field, which carries its
+    constants as _cone, is evaluated there as _CONE at each stage point and
+    new node, float for float the call's result (_stage_field): on the
+    components where both are > 0.0, elsewhere on their magnitudes, a
+    negative component's acceleration negated as 0.0 - b.  At an event
+    node, in the initial-step estimate, and for any field without _cone,
+    field is called.  The step-size control is that of
     Hairer-Norsett-Wanner II.4 and II.10 (as in scipy's DOP853): the
     combined error norm of _error_norm, its rows scaled by atol + rtol *
     max(|y|, |y_new|), no step growth right after a rejection, and failure
-    once the step falls below 10 ulp(t).  A trial step that overflows is
-    rejected like one with an infinite error.
+    once the step falls below 10 ulp(t); the first step from data at rest
+    (both velocities zero) grows by the full factor.  A trial step that overflows, or
+    whose new node's acceleration is not finite, is rejected like one with
+    an infinite error.
 
     Terminal events are BlowUp (max |w_i| rises to blowup_threshold) and, in
     positive mode, PositivityLoss of component i (w_i falls to
@@ -618,9 +686,13 @@ def solve_ivp(field, t0, y0, t_bound, settings, mode, stop=None):
             h_abs = abs(h)
             nfev += 12
             try:
-                # Stage k is (v1_k, v2_k, b1_k, b2_k): the stage velocities
-                # and the field's accelerations there.
+                # Stage k is (b1_k, b2_k), the field's accelerations at the
+                # stage positions x1, x2.
                 <trial step>
+                # The new node's acceleration weighs nothing in the error
+                # rows: one that is not finite rejects the trial too.
+                if not a1_new - a1_new == 0.0 == a2_new - a2_new:
+                    raise OverflowError
                 # Both error rows over atol + rtol * max(old, new) magnitude:
                 # n if n > o else o is max(o, n), ties and NaN too.
                 n1, n2, n3, n4 = abs(w1_new), abs(w2_new), abs(v1_new), abs(v2_new)
@@ -641,7 +713,11 @@ def solve_ivp(field, t0, y0, t_bound, settings, mode, stop=None):
             except OverflowError:
                 error_norm = math.inf
             if error_norm < 1.0:
-                if error_norm == 0.0:
+                if error_norm == 0.0 or len(ts) == 1 and v1 == 0.0 == v2:
+                    # From data at rest the velocity rows are scaled by atol
+                    # alone, and the first step's norm is rounding noise: a
+                    # factor drawn from it would put runs from neighbouring
+                    # data on different step grids.
                     factor = _MAX_FACTOR
                 else:
                     factor = min(_MAX_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
@@ -792,7 +868,8 @@ def _two_sided(params, initial, settings, mode, solve) -> Trajectory:
     The nodes run in increasing t: the backward segment reversed, then the
     forward one, with the shared initial node once.  Only BlowUp and
     PositivityLoss ends become Events; a stop predicate's label does not.
-    Data already at the blow-up threshold are not integrated at all.
+    Data already at the blow-up threshold are not integrated at all; data
+    whose energy is not finite raise DomainError.
     """
     if mode not in ("positive", "signed"):
         raise DomainError(f"unknown integration mode {mode!r}")
@@ -806,6 +883,9 @@ def _two_sided(params, initial, settings, mode, solve) -> Trajectory:
     t0 = initial.t
     y0 = initial.as_array()
     psi0 = float(psi_arrays(params, initial.w1, initial.w2, initial.dw1, initial.dw2))
+    if not math.isfinite(psi0):
+        # Neither the drift nor an artifact could hold it.
+        raise DomainError(f"initial energy is not finite: {psi0!r}")
     if max(abs(initial.w1), abs(initial.w2)) >= settings.blowup_threshold:
         # Data already outside the certified box: immediate terminal event.
         event = Event(kind="BlowUp", t=t0, state=initial, component=None)

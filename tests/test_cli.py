@@ -407,6 +407,27 @@ def test_integrate_window_must_hold_the_initial_time(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_integrate_with_error_rows_that_vanish_exits_zero(capsys):
+    # w1' = 1e150: on some step the error norm's err5 is 0 and 0.01 * err3
+    # underflows, a zero denominator; that step's error norm is 0.
+    code, out, err = run_cli(capsys, "integrate", "--N", "3", "--mu1", "1", "--mu2", "1",
+                             "--beta", "1", "--initial", "1", "1", "1e150", "0")
+    assert code == 0 and err == ""
+    assert stdout_json(out)["verdict"] == "BlowUp"
+
+
+@pytest.mark.parametrize("archive", [False, True])
+def test_integrate_data_whose_energy_overflows_exits_one(capsys, tmp_path, archive):
+    # w1' = 1e160 makes psi0 inf and the drift NaN, which no JSON output holds.
+    out = tmp_path / "orbit.json"
+    code, stdout, err = run_cli(capsys, "integrate", "--N", "3", "--mu1", "1", "--mu2", "1",
+                                "--beta", "1", "--initial", "1", "1", "1e160", "0",
+                                *(["--out", str(out)] if archive else []))
+    assert code == 1 and stdout == ""
+    assert err == "fowlerlab: error: initial energy is not finite: inf\n"
+    assert not out.exists()
+
+
 def test_search_semi_window_must_hold_the_initial_time(capsys):
     code, _, err = run_cli(capsys, "search-semi", "--N", "4", "--mu1", "1", "--mu2", "1",
                            "--beta", "1", "--runs", "1", "--t-min", "1", "--t-max", "30")

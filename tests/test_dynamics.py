@@ -123,16 +123,30 @@ class TestRhs:
 
 
 def _signed_field(params, w1, w2):
-    """The field's signed formula, kept here as the reference for its
-    positive-cone branch."""
+    """The field's signed formula from two powers per component, P = |w|^(p-1)
+    and X = P |w| = |w|^p, kept here as the reference for its positive-cone
+    branch."""
     p, d2 = params.p, params.delta**2
     mu1, mu2, beta = params.mu1, params.mu2, params.beta
+    m1, m2 = abs(w1), abs(w2)
+    P1, P2 = m1 ** (p - 1.0), m2 ** (p - 1.0)
+    X1, X2 = P1 * m1, P2 * m2
+    return (d2 * w1 - (mu1 * X1 + beta * X2) * math.copysign(P1, w1),
+            d2 * w2 - (mu2 * X2 + beta * X1) * math.copysign(P2, w2))
+
+
+def _pow_field(params, w1, w2):
+    """The signed formula with one power per term, |w1|^(2p-1), |w2|^p and
+    |w1|^(p-1), and the sum of its terms' magnitudes."""
+    p, d2 = params.p, params.delta**2
     a1, a2 = abs(w1), abs(w2)
-    dd1 = (d2 * w1 - mu1 * math.copysign(a1 ** (2.0 * p - 1.0), w1)
-           - beta * a2**p * math.copysign(a1 ** (p - 1.0), w1))
-    dd2 = (d2 * w2 - mu2 * math.copysign(a2 ** (2.0 * p - 1.0), w2)
-           - beta * a1**p * math.copysign(a2 ** (p - 1.0), w2))
-    return dd1, dd2
+    out, scale = [], []
+    for x, ax, ay, mu in ((w1, a1, a2, params.mu1), (w2, a2, a1, params.mu2)):
+        self_term = mu * math.copysign(ax ** (2.0 * p - 1.0), x)
+        cross = params.beta * ay**p * math.copysign(ax ** (p - 1.0), x)
+        out.append(d2 * x - self_term - cross)
+        scale.append(abs(d2 * x) + abs(self_term) + abs(cross))
+    return out, scale
 
 
 def _bits(values):
@@ -144,23 +158,48 @@ class TestFieldBranches:
     OTHER = ((0.0, 0.7), (0.7, 0.0), (-0.0, 0.7), (0.0, 0.0), (-0.4, 0.3),
              (0.4, -0.3), (-0.4, -0.3), (-1e-300, 1e100), (-math.inf, 1.0))
 
+    def _pairs(self):
+        return [(a, b) for a in self.POSITIVE for b in self.POSITIVE] + list(self.OTHER)
+
     @pytest.mark.parametrize("N", [3, 4, 5, 6])
     def test_matches_the_signed_formula_bit_for_bit(self, N):
         params = make_params(N, 1.0, 1.3, 0.7)
         field = _make_field(params)
-        pairs = [(a, b) for a in self.POSITIVE for b in self.POSITIVE] + list(self.OTHER)
-        overflowed = 0
-        for w1, w2 in pairs:
+        out_of_range = 0
+        for w1, w2 in self._pairs():
             try:
                 expected = _signed_field(params, w1, w2)
             except OverflowError:
-                overflowed += 1
+                out_of_range += 1
                 with pytest.raises(OverflowError):
                     field(w1, w2)
                 continue
+            out_of_range += not all(map(math.isfinite, expected))
             assert _bits(field(w1, w2)) == _bits(expected), (w1, w2)
-        # 1e300 overflows a pow in every dimension, 1e100 only for N = 3.
-        assert overflowed > 0
+        # 1e300 overflows the power |w|^(p-1) for N = 3 and a product of
+        # the terms in every dimension.
+        assert out_of_range > 0
+
+    @pytest.mark.parametrize("N", [3, 4, 5, 6])
+    def test_stays_within_two_ulps_of_the_one_power_per_term_formula(self, N):
+        # Two powers per component round differently from a power per term:
+        # within 2 ulps of the sum of the terms' magnitudes over this grid
+        # (1 ulp measured at N = 3 and 4, 2 at N = 5 and 6), wherever both
+        # formulas are finite.
+        params = make_params(N, 1.0, 1.3, 0.7)
+        field = _make_field(params)
+        compared = 0
+        for w1, w2 in self._pairs():
+            try:
+                old, scale = _pow_field(params, w1, w2)
+            except OverflowError:
+                continue
+            new = field(w1, w2)
+            for a, b, s in zip(new, old, scale):
+                if math.isfinite(a) and math.isfinite(b) and math.isfinite(s):
+                    compared += 1
+                    assert abs(a - b) <= 2.0 * math.ulp(s), (w1, w2, a, b)
+        assert compared > 40
 
 
 class TestTransforms:
@@ -316,6 +355,12 @@ class TestIntegrate:
         assert len(traj.t) == 1
         assert traj.events[0].kind == "BlowUp"
         assert traj.events[0].t == 0.0
+
+    @pytest.mark.parametrize("mode", ["positive", "signed"])
+    def test_data_whose_energy_overflows_are_a_domain_error(self, p3, mode):
+        # w1' = 1e160: psi0 is inf, and every drift from it NaN.
+        with pytest.raises(DomainError, match="initial energy is not finite: inf"):
+            integrate(p3, FowlerState(0.0, 1.0, 1.0, 1e160, 0.0), mode=mode)
 
     def test_blowup_crossing_from_inside(self, p3):
         # The conserved energy bounds every orbit, so crossing the default
