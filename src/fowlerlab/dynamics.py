@@ -18,16 +18,17 @@ state), and the third and fourth come from the field's
 Jacobian and Hessian (_field_jet).  A step on which a component changes
 sign or touches zero, where the field is not smooth, or whose derivative
 data are not finite keeps the quintic Hermite in (w, w', w'')
-(_step_polynomials).  Terminal events are located on the step's
-polynomial, which is the interpolant's own on every step that does not end
-in an event, and the other crossings on the interpolant (on their step's
-polynomial alone when the bracket lies within one step), all by one
-bisection (_event_root).  Sampling computes only what its caller reads: a
-single float query takes scalar Horner on its step, and slopes=False only
-the value rows.  A loaded trajectory rebuilds the accelerations with the
-same scalar field at the stored nodes, and the higher derivatives from
-them, so sampling is bit-identical after a serialization round trip.  The
-field (_make_field) is the signed continuous extension
+(_step_polynomials).  Every event is read at the nodes and located on
+one step's polynomial by one bisection (_event_root): a terminal event on
+the step that crosses it (that polynomial is the interpolant's own on
+every step that does not end in an event), a sign change of a signed orbit
+on the step between two nodes of opposite signs, or at a node that is
+exactly zero between them (_bracketed_zeros).  Sampling computes only
+what its caller reads: a single float query takes scalar Horner on its
+step, and slopes=False only the value rows.  A loaded trajectory rebuilds
+the accelerations with the same scalar field at the stored nodes, and the
+higher derivatives from them, so sampling is bit-identical after a
+serialization round trip.  The field (_make_field) is the signed continuous extension
 |w|^(q-1) w of the positive-cone powers, from two powers per component,
 |w|^(p-1) and its product with |w|; on the positive cone both forms
 agree, and positivity-constrained runs terminate at POSITIVITY_FLOOR instead
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import linecache
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -824,8 +824,10 @@ def integrate(
     Terminal events: BlowUp always (a component magnitude crosses the
     threshold), PositivityLoss only in positivity-constrained mode.  In
     signed mode zero crossings of each component are recorded as
-    non-terminal SignChange events, bisected to adjacent floats on the dense
-    interpolant by the same _event_root as the terminal events.  Step-size
+    non-terminal SignChange events, read at the nodes: a step between
+    nodes of opposite signs holds one, bisected to adjacent floats on its
+    polynomial by the same _event_root as the terminal events, and a node
+    exactly at zero between them is one (_bracketed_zeros).  Step-size
     underflow is reported on the trajectory (flagged uncertified), never
     raised.  The window must hold the initial time.
 
@@ -944,40 +946,6 @@ def _two_sided(params, initial, settings, mode, solve) -> Trajectory:
     return traj
 
 
-#: Sub-samples per accepted step when scanning the interpolant for events.
-_SCAN_PER_STEP = 6
-
-
-def _scan_grid(traj: Trajectory) -> np.ndarray:
-    """Dense event-scan grid: _SCAN_PER_STEP points per step, shared ends."""
-    t0s = traj.t[:-1]
-    h = np.diff(traj.t)
-    frac = np.linspace(0.0, 1.0, _SCAN_PER_STEP)
-    grid = t0s[:, None] + h[:, None] * frac[None, :]
-    # Collapse duplicated interval endpoints into one strictly sorted axis.
-    flat = grid.ravel()
-    keep = np.ones(len(flat), dtype=bool)
-    keep[1:] = flat[1:] > flat[:-1]
-    return flat[keep]
-
-
-def _row_function(traj: Trajectory, row: int) -> Callable[[float], float]:
-    """Scalar x -> traj.sample(x)[row, 0] for row 0 (w1) or 1 (w2), bit for
-    bit, without numpy calls."""
-    c1, c2, h = traj._interpolant()
-    coeffs = (c2 if row else c1).T.tolist()
-    nodes = traj.t.tolist()
-    steps = h.tolist()
-    last = len(steps) - 1
-
-    def f(x):
-        i = min(max(bisect_right(nodes, x) - 1, 0), last)
-        s = (x - nodes[i]) / steps[i]
-        return _poly_value(coeffs[i], s)
-
-    return f
-
-
 def _step_function(traj: Trajectory, row: int, k: int) -> Callable[[float], float]:
     """Scalar x -> traj.sample(x)[row, 0] for x strictly inside step k, bit
     for bit: that step's polynomial alone."""
@@ -987,38 +955,32 @@ def _step_function(traj: Trajectory, row: int, k: int) -> Callable[[float], floa
     return lambda x: _poly_value(coeffs, (x - t0) / hk)
 
 
-def _bracketed_zeros(traj: Trajectory, row: int, tt: np.ndarray, vv: np.ndarray) -> list[float]:
-    """Zero crossings of component row 0 (w1) or 1 (w2), sampled as vv on
-    the grid tt, bisected to adjacent floats.
+def _bracketed_zeros(traj: Trajectory, row: int) -> list[float]:
+    """Zero crossings of component row 0 (w1) or 1 (w2), read at the nodes.
 
-    Each root is the first float of its bracket at which the row is zero or
-    past it (_event_root).  Exact zeros at grid points count only when the
-    surrounding nonzero values straddle the axis (a tangential touch is not
-    a crossing).  _event_root evaluates only inside its bracket, so a
-    bracket within one step bisects on that step's polynomial; one that spans
-    a node (a zero grid value dropped there) on the whole orbit's.
+    Each pair of consecutive nonzero nodes of opposite signs is one
+    crossing.  One step apart, it is bisected on that step's polynomial to
+    the first float at which the row is zero or past it (_event_root);
+    otherwise it sits at the first zero node between them.  A zero node
+    between nodes of one sign is a touch, not a crossing.
     """
-    nz = vv != 0.0
-    t_nz = tt[nz]
-    v_nz = vv[nz]
-    crossings = np.nonzero(v_nz[:-1] * v_nz[1:] < 0.0)[0]
-    if not len(crossings):
-        return []
-    steps = np.searchsorted(traj.t, t_nz[crossings], side="right") - 1
-    within = t_nz[crossings + 1] <= traj.t[steps + 1]
+    vv = traj.y[row]
+    nz = np.flatnonzero(vv != 0.0)
+    flips = np.flatnonzero(vv[nz[:-1]] * vv[nz[1:]] < 0.0)
     roots = []
-    for i, k, local in zip(crossings.tolist(), steps.tolist(), within.tolist()):
-        f = _step_function(traj, row, k) if local else _row_function(traj, row)
-        sign = math.copysign(1.0, v_nz[i])
-        roots.append(_event_root(lambda x: sign * f(x) <= 0.0, float(t_nz[i]), float(t_nz[i + 1])))
+    for a, b in zip(nz[flips].tolist(), nz[flips + 1].tolist()):
+        if b > a + 1:
+            roots.append(float(traj.t[a + 1]))
+            continue
+        f = _step_function(traj, row, a)
+        sign = math.copysign(1.0, vv[a])
+        roots.append(_event_root(lambda x: sign * f(x) <= 0.0, float(traj.t[a]), float(traj.t[b])))
     return roots
 
 
 def _sign_change_events(traj: Trajectory) -> list[Event]:
-    tt = _scan_grid(traj)
-    sampled = traj.sample(tt, slopes=False)
     return [
         Event(kind="SignChange", t=te, state=traj.sample_state(te), component=comp)
         for comp in (1, 2)
-        for te in _bracketed_zeros(traj, comp - 1, tt, sampled[comp - 1])
+        for te in _bracketed_zeros(traj, comp - 1)
     ]

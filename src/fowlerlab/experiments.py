@@ -285,11 +285,12 @@ def sign_change_experiment(
     backward at its own first such node or at the first node with
     |t| >= t_f.  With no forward flip (horizon or BlowUp), backward searches
     up to the horizon.  The stopped nodes are a prefix of the full-horizon
-    run's, bit for bit, so the crossing scan of the cut orbit finds every
-    crossing between its ends that a scan of the whole window finds.  A
-    node test sees a flip late (a double crossing inside one step), never
-    early, so the first crossing each way, and with it the nearest one,
-    lies between those ends.
+    run's, bit for bit, and the SignChange events are read at the nodes by
+    the same test (dynamics._bracketed_zeros), so the cut orbit holds every
+    crossing between its ends that the whole window holds.  A node test
+    sees a flip late (a double crossing inside one step), never early, so
+    the first crossing each way, and with it the nearest one, lies between
+    those ends.
     """
     if spec is None:
         spec = SamplerSpec(kind="uniform_box", projection="psi_positive")

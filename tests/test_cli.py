@@ -416,6 +416,15 @@ def test_integrate_with_error_rows_that_vanish_exits_zero(capsys):
     assert stdout_json(out)["verdict"] == "BlowUp"
 
 
+def test_integrate_lists_a_crossing_at_the_initial_node_on_it(capsys):
+    # w1 = 0 at t = 0 with w1' > 0: the crossing is the initial node itself.
+    code, out, err = run_cli(capsys, "integrate", "--N", "3", "--mu1", "1", "--mu2", "1",
+                             "--beta", "1", "--initial", "0", "0.5", "0.3", "0",
+                             "--mode", "signed")
+    assert code == 0 and err == ""
+    assert ["SignChange", 0.0, 1] in stdout_json(out)["events"]
+
+
 @pytest.mark.parametrize("archive", [False, True])
 def test_integrate_data_whose_energy_overflows_exits_one(capsys, tmp_path, archive):
     # w1' = 1e160 makes psi0 inf and the drift NaN, which no JSON output holds.

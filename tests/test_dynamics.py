@@ -17,9 +17,8 @@ from fowlerlab import (
     make_params,
     to_radial,
 )
-from fowlerlab.dynamics import _make_field, _row_function
+from fowlerlab.dynamics import _make_field
 from fowlerlab.errors import DomainError
-from fowlerlab.serialize import load_trajectory, save_trajectory
 
 mpmath.mp.dps = 50
 
@@ -399,20 +398,6 @@ class TestIntegrate:
         got = resumed.sample_state(float(tm) + 1.0)
         assert got.w1 == pytest.approx(target.w1, abs=1e-9)
         assert got.dw1 == pytest.approx(target.dw1, abs=1e-9)
-
-    def test_sample_equals_row_function_bit_for_bit(self, p5, tmp_path):
-        state, _ = cylinder_state(p5)
-        bumped = FowlerState(0.0, state.w1 + 2e-2, state.w2 - 1e-2, 0.01, 0.0)
-        fresh = integrate(p5, bumped, IntegratorSettings(t_span=(-12.0, 12.0)))
-        save_trajectory(fresh, tmp_path / "orbit.json")
-        loaded = load_trajectory(tmp_path / "orbit.json")
-        rng = np.random.default_rng(11)
-        tq = np.concatenate([rng.uniform(fresh.t_min, fresh.t_max, 300), fresh.t[::7]])
-        for traj in (fresh, loaded):
-            sampled = traj.sample(tq)
-            for row in range(2):
-                f = _row_function(traj, row)
-                assert [f(x) for x in tq.tolist()] == sampled[row].tolist()
 
 
 @functools.cache

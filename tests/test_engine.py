@@ -32,14 +32,7 @@ from fowlerlab import (
     solve_coupling,
 )
 from fowlerlab import dynamics, experiments
-from fowlerlab.dynamics import (
-    _SCAN_PER_STEP,
-    _bracketed_zeros,
-    _event_root,
-    _make_field,
-    _row_function,
-    _scan_grid,
-)
+from fowlerlab.dynamics import _bracketed_zeros, _event_root, _make_field
 from fowlerlab.experiments import _first_turn, shoot_settings
 from fowlerlab.serialize import load_trajectory, save_trajectory
 
@@ -263,96 +256,86 @@ SIGNED_ORBITS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SIGNED_ORBITS))
-def test_scalar_refinement_equals_sample_refinement(name):
-    params, state = SIGNED_ORBITS[name]
-    traj = integrate(params, state, IntegratorSettings(t_span=(-10.0, 10.0)), mode="signed")
-    tt = _scan_grid(traj)
-    sampled = traj.sample(tt)
-    refined = 0
+def _dense_sample_crossings(traj):
+    """Oracle for the SignChange events: the orbit sampled at the nodes and
+    five interior points per step, each bracket of nonzero samples of
+    opposite signs bisected with _event_root on the float query
+    traj.sample(x), in increasing t with the sign of the earlier sample.
+    Returns ((t, component, state), ...) and the signs."""
+    frac = np.linspace(0.0, 1.0, 7)[:-1]
+    tt = np.append((traj.t[:-1, None] + np.diff(traj.t)[:, None] * frac).ravel(), traj.t[-1])
+    sampled = traj.sample(tt, slopes=False)
+    found = []
     for row in range(2):
-        vv = sampled[row]
-        nz = vv != 0.0
-        t_nz, v_nz = tt[nz], vv[nz]
-
-        def by_sample(x, row=row):
-            return float(traj.sample(x)[row, 0])
-
-        brackets = np.nonzero(v_nz[:-1] * v_nz[1:] < 0.0)[0]
-        signs = [math.copysign(1.0, v_nz[i]) for i in brackets]
-        expected = [
-            _event_root(lambda x, sign=sign: sign * by_sample(x) <= 0.0,
-                        float(t_nz[i]), float(t_nz[i + 1]))
-            for i, sign in zip(brackets, signs)
-        ]
-        roots = _bracketed_zeros(traj, row, tt, vv)
-        assert roots == expected
-        # Each root is the first float at which the row is zero or past it:
-        # one float earlier it is still strictly on the near side.
-        for te, sign in zip(roots, signs):
-            assert sign * by_sample(te) <= 0.0
-            assert sign * by_sample(math.nextafter(te, -math.inf)) > 0.0
-        refined += len(roots)
-
-        f = _row_function(traj, row)
-        probes = np.concatenate([traj.t, tt[1::7], [traj.t_min - 0.5, traj.t_max + 0.5]])
-        assert [f(float(x)) for x in probes] == traj.sample(probes)[row].tolist()
-    assert refined >= 4
+        nz = sampled[row] != 0.0
+        t_nz, v_nz = tt[nz], sampled[row][nz]
+        for i in np.flatnonzero(v_nz[:-1] * v_nz[1:] < 0.0).tolist():
+            sign = math.copysign(1.0, v_nz[i])
+            te = _event_root(lambda x: sign * float(traj.sample(x)[row, 0]) <= 0.0,
+                             float(t_nz[i]), float(t_nz[i + 1]))
+            found.append(((te, row + 1, traj.sample(te)[:, 0].tolist()), sign))
+    found.sort(key=lambda item: (item[0][0], item[0][1]))
+    return [event for event, _ in found], [sign for _, sign in found]
 
 
-def _whole_orbit_zeros(traj, row, tt, vv):
-    """_bracketed_zeros with every root bisected on the whole orbit's
-    _row_function."""
-    nz = vv != 0.0
-    t_nz, v_nz = tt[nz], vv[nz]
-    f = _row_function(traj, row)
-    return [_event_root(lambda x, sign=math.copysign(1.0, v_nz[i]): sign * f(x) <= 0.0,
-                        float(t_nz[i]), float(t_nz[i + 1]))
-            for i in np.nonzero(v_nz[:-1] * v_nz[1:] < 0.0)[0]]
-
-
-@pytest.mark.parametrize("projection", ["psi_positive", "psi_zero"])
-def test_step_local_roots_equal_whole_orbit_roots_on_the_acceptance_draws(projection,
-                                                                          monkeypatch):
-    # The draws of the sign-change acceptance test (N = 3, seed 20260809).
-    spec = SamplerSpec(kind="uniform_box", projection=projection)
+def _acceptance_orbits():
+    # The cut orbits of the sign-change acceptance test (N = 3, seed
+    # 20260809, both projections), then the two signed orbits above.
     window = IntegratorSettings(t_span=(-50.0, 50.0))
-    draws, _ = experiments._collect_draws(P3, spec, 100, 20260809)
-    fallbacks = []
-    inner = dynamics._row_function
-    monkeypatch.setattr(dynamics, "_row_function",
-                        lambda traj, row: fallbacks.append(row) or inner(traj, row))
+    for projection in ("psi_positive", "psi_zero"):
+        spec = SamplerSpec(kind="uniform_box", projection=projection)
+        for _, data in experiments._collect_draws(P3, spec, 100, 20260809)[0]:
+            yield experiments._crossing_trajectory(P3, data, window)
+    for params, state in SIGNED_ORBITS.values():
+        yield integrate(params, state, IntegratorSettings(t_span=(-10.0, 10.0)), mode="signed")
+
+
+def test_node_crossings_equal_dense_sample_crossings():
+    # Read at the nodes and bisected on one step's polynomial, every crossing
+    # is the one a dense scan of the interpolant finds, bit for bit.
     found = 0
-    for _, data in draws:
-        traj = experiments._crossing_trajectory(P3, data, window)
-        tt = _scan_grid(traj)
-        sampled = traj.sample(tt)
-        for row in range(2):
-            roots = _bracketed_zeros(traj, row, tt, sampled[row])
-            assert roots == _whole_orbit_zeros(traj, row, tt, sampled[row])
-            found += len(roots)
-    assert found >= len(draws) and fallbacks == []
+    for traj in _acceptance_orbits():
+        expected, signs = _dense_sample_crossings(traj)
+        assert [(ev.t, ev.component, ev.state.as_array().tolist()) for ev in traj.events
+                if ev.kind == "SignChange"] == expected
+        # Each is the first float at which the row is zero or past it: one
+        # float earlier it is still strictly on the near side.
+        for (te, comp, _), sign in zip(expected, signs):
+            assert sign * float(traj.sample(te)[comp - 1, 0]) <= 0.0
+            assert sign * float(traj.sample(math.nextafter(te, -math.inf))[comp - 1, 0]) > 0.0
+        found += len(expected)
+    assert found >= 202
 
 
-def test_a_bracket_across_a_dropped_zero_node_bisects_on_the_whole_orbit(monkeypatch):
-    # w1 is exactly zero at the middle node: the scan drops that grid value,
-    # so the bracket around it runs from one step into the next.
-    y = np.array([[-1.0, 0.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
-    traj = dynamics.Trajectory(
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+@pytest.mark.parametrize("data", [(0.0, 0.5, 0.3, 0.0), (0.4, 0.0, 0.1, -0.2),
+                                  (0.0, 0.0, 0.3, 0.2)])
+def test_a_crossing_at_a_zero_node_sits_on_it(N, data):
+    # The initial node lies on an axis with the orbit moving across it: the
+    # crossing is that node, not a float before it.
+    traj = integrate(make_params(N, 1.0, 1.0, 1.0), FowlerState(0.0, *data),
+                     IntegratorSettings(t_span=(-10.0, 10.0)), mode="signed")
+    on_axis = [comp for comp in (1, 2) if data[comp - 1] == 0.0]
+    at_zero = [ev for ev in traj.events if ev.kind == "SignChange" and abs(ev.t) < 1e-3]
+    assert [(ev.t, ev.component) for ev in at_zero] == [(0.0, comp) for comp in on_axis]
+    assert all(ev.state.as_array()[ev.component - 1] == 0.0 for ev in at_zero)
+
+
+def _hand_built(w1):
+    """A three-node signed trajectory on [0, 2] with w1 = w1 at the nodes."""
+    y = np.array([w1, [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+    return dynamics.Trajectory(
         params=P3, settings=IntegratorSettings(t_span=(0.0, 2.0)), mode="signed",
         t=np.array([0.0, 1.0, 2.0]), y=y, psi=np.zeros(3), events=(), psi0=0.0, drift=0.0,
         t_initial=0.0)
-    tt = _scan_grid(traj)
-    vv = traj.sample(tt, slopes=False)[0]
-    assert tt[_SCAN_PER_STEP - 1] == 1.0 and vv[_SCAN_PER_STEP - 1] == 0.0
-    assert np.count_nonzero(vv == 0.0) == 1
-    fallbacks = []
-    inner = dynamics._row_function
-    monkeypatch.setattr(dynamics, "_row_function",
-                        lambda traj, row: fallbacks.append(row) or inner(traj, row))
-    roots = _bracketed_zeros(traj, 0, tt, vv)
-    assert fallbacks == [0]
-    assert roots == _whole_orbit_zeros(traj, 0, tt, vv) == [1.0]
+
+
+def test_a_crossing_through_a_zero_node_is_that_node():
+    assert _bracketed_zeros(_hand_built([-1.0, 0.0, 1.0]), 0) == [1.0]
+
+
+def test_a_touch_at_a_zero_node_is_no_crossing():
+    assert _bracketed_zeros(_hand_built([-1.0, 0.0, -1.0]), 0) == []
 
 
 def test_overflowing_trial_steps_are_rejected_until_underflow():
@@ -486,8 +469,8 @@ def test_stop_predicate_sees_the_old_and_the_new_node(backward):
 
 def test_stop_labels_never_become_events():
     # Both sides stopped early by a predicate, at the 40th of about 68
-    # nodes: the trajectory carries only the crossings its scan finds, and
-    # no event of the predicate's label.
+    # nodes: the trajectory carries only the crossings between its own
+    # nodes, and no event of the predicate's label.
     params, state, span, mode, _ = DIFFERENTIAL_CASES["signed_crossing_n3"]
     settings = IntegratorSettings(t_span=(-span, span))
 
