@@ -278,33 +278,42 @@ def _dense_sample_crossings(traj):
     return [event for event, _ in found], [sign for _, sign in found]
 
 
-def _acceptance_orbits():
+def _assert_node_crossings_are_the_dense_sample_crossings(traj):
+    """Read at the nodes and bisected on one step's polynomial, every
+    crossing is the one a dense scan of the interpolant finds, bit for bit.
+    Returns the number of crossings."""
+    expected, signs = _dense_sample_crossings(traj)
+    assert [(ev.t, ev.component, ev.state.as_array().tolist()) for ev in traj.events
+            if ev.kind == "SignChange"] == expected
+    for row in range(2):
+        assert _bracketed_zeros(traj, row) == [te for te, comp, _ in expected if comp == row + 1]
+    # Each is the first float at which the row is zero or past it: one float
+    # earlier it is still strictly on the near side.
+    for (te, comp, _), sign in zip(expected, signs):
+        assert sign * float(traj.sample(te)[comp - 1, 0]) <= 0.0
+        assert sign * float(traj.sample(math.nextafter(te, -math.inf))[comp - 1, 0]) > 0.0
+    return len(expected)
+
+
+@pytest.mark.parametrize("name", sorted(SIGNED_ORBITS))
+def test_scalar_refinement_equals_sample_refinement(name):
+    # The step-polynomial bisection against the float query traj.sample(x).
+    params, state = SIGNED_ORBITS[name]
+    traj = integrate(params, state, IntegratorSettings(t_span=(-10.0, 10.0)), mode="signed")
+    assert _assert_node_crossings_are_the_dense_sample_crossings(traj) >= 4
+
+
+@pytest.mark.parametrize("projection", ["psi_positive", "psi_zero"])
+def test_step_local_roots_equal_whole_orbit_roots_on_the_acceptance_draws(projection):
     # The cut orbits of the sign-change acceptance test (N = 3, seed
-    # 20260809, both projections), then the two signed orbits above.
+    # 20260809): roots bisected on one step equal those of a dense scan of
+    # the whole orbit.
+    spec = SamplerSpec(kind="uniform_box", projection=projection)
     window = IntegratorSettings(t_span=(-50.0, 50.0))
-    for projection in ("psi_positive", "psi_zero"):
-        spec = SamplerSpec(kind="uniform_box", projection=projection)
-        for _, data in experiments._collect_draws(P3, spec, 100, 20260809)[0]:
-            yield experiments._crossing_trajectory(P3, data, window)
-    for params, state in SIGNED_ORBITS.values():
-        yield integrate(params, state, IntegratorSettings(t_span=(-10.0, 10.0)), mode="signed")
-
-
-def test_node_crossings_equal_dense_sample_crossings():
-    # Read at the nodes and bisected on one step's polynomial, every crossing
-    # is the one a dense scan of the interpolant finds, bit for bit.
-    found = 0
-    for traj in _acceptance_orbits():
-        expected, signs = _dense_sample_crossings(traj)
-        assert [(ev.t, ev.component, ev.state.as_array().tolist()) for ev in traj.events
-                if ev.kind == "SignChange"] == expected
-        # Each is the first float at which the row is zero or past it: one
-        # float earlier it is still strictly on the near side.
-        for (te, comp, _), sign in zip(expected, signs):
-            assert sign * float(traj.sample(te)[comp - 1, 0]) <= 0.0
-            assert sign * float(traj.sample(math.nextafter(te, -math.inf))[comp - 1, 0]) > 0.0
-        found += len(expected)
-    assert found >= 202
+    draws, _ = experiments._collect_draws(P3, spec, 100, 20260809)
+    found = sum(_assert_node_crossings_are_the_dense_sample_crossings(
+        experiments._crossing_trajectory(P3, data, window)) for _, data in draws)
+    assert found >= len(draws)
 
 
 @pytest.mark.parametrize("N", [3, 4, 5, 6])
