@@ -25,7 +25,9 @@ every step that does not end in an event), a sign change of a signed orbit
 on the step between two nodes of opposite signs, or at a node that is
 exactly zero between them (_bracketed_zeros).  Sampling computes only
 what its caller reads: a single float query takes scalar Horner on its
-step, and slopes=False only the value rows.  A loaded trajectory rebuilds
+step, and the derivative rows go only as far as the caller's count, from
+the value rows alone to w'' (the interpolant's own second derivative,
+whose gap to the field is its defect).  A loaded trajectory rebuilds
 the accelerations with the same scalar field at the stored nodes, and the
 higher derivatives from them, so sampling is bit-identical after a
 serialization round trip.  The field (_make_field) is the signed continuous extension
@@ -257,12 +259,14 @@ def _poly_value(c, s):
     return val
 
 
-def _poly_slope(c, s):
-    """d/ds of the polynomial; divide by h for the derivative in tau."""
+def _poly_derivative(c, s, order=1):
+    """d^order/ds^order of the polynomial, order >= 1, by Horner on the
+    coefficients k!/(k - order)! c[k]; divide by h**order for the derivative
+    in tau."""
     top = len(c) - 1
-    dv = float(top) * c[top]
-    for k in range(top - 1, 0, -1):
-        dv = dv * s + float(k) * c[k]
+    dv = float(math.perm(top, order)) * c[top]
+    for k in range(top - 1, order - 1, -1):
+        dv = dv * s + float(math.perm(k, order)) * c[k]
     return dv
 
 
@@ -305,18 +309,22 @@ class Trajectory:
             1.0, abs(self.psi0)
         )
 
+    def _node_accelerations(self) -> np.ndarray:
+        """acc, rebuilt from the field at the nodes when absent (loaded or
+        built by hand): what the step loop computed there, bit for bit."""
+        if self.acc is None:
+            fun = _make_field(self.params)
+            self.acc = np.array(list(map(fun, self.y[0].tolist(), self.y[1].tolist()))).T
+        return self.acc
+
     def _interpolant(self):
         """Per component a (10, n - 1) array of step coefficients, one
         contiguous row per coefficient, gathered row by row in sample; and
         the steps h.  _step_polynomials's rule on every step, on arrays."""
         if self._coeffs is None:
             fun = _make_field(self.params)
-            if self.acc is None:
-                # Loaded or built by hand: the field at the nodes is what the
-                # step loop computed there, bit for bit.
-                self.acc = np.array(list(map(fun, self.y[0].tolist(), self.y[1].tolist()))).T
             h = np.diff(self.t)
-            w, v, a = self.y[:2], self.y[2:], self.acc
+            w, v, a = self.y[:2], self.y[2:], self._node_accelerations()
             # Both components at once: row i's other component is row 1 - i.
             mu = np.array([[fun._cone[1]], [fun._cone[2]]])
             with np.errstate(all="ignore"):
@@ -334,18 +342,21 @@ class Trajectory:
             self._coeffs = (coeffs[:, 0], coeffs[:, 1], h)
         return self._coeffs
 
-    def sample(self, tq, *, slopes: bool = True) -> np.ndarray:
-        """Dense state arrays (w1, w2, w1', w2') at query times within cover,
-        only the value rows (w1, w2) when slopes is false.
+    def sample(self, tq, *, derivatives: int = 1) -> np.ndarray:
+        """Dense rows at query times within cover: (w1, w2), then the two
+        rows of each derivative order up to derivatives (0, 1 or 2), so
+        (w1, w2, w1', w2') by default and (w1, ..., w1'', w2'') at 2.
 
         A time outside the cover takes the nearest step's polynomial.  A
         single float query is answered by scalar Horner on its step's
-        coefficients, float for float the array path's result.
+        coefficients, float for float the array path's result.  The rows of
+        each order are the same floats whatever the count.
         """
-        rows = 4 if slopes else 2
+        rows = 2 * (derivatives + 1)
         if len(self.t) < 2:
             # Degenerate single-node trajectory (e.g. immediate blow-up).
-            return np.tile(self.y[:rows, :1], (1, np.size(tq)))
+            node = np.concatenate([self.y, self._node_accelerations()])
+            return np.tile(node[:rows, :1], (1, np.size(tq)))
         c1, c2, h = self._interpolant()
         if isinstance(tq, float):
             i = min(max(int(self.t.searchsorted(tq, side="right")) - 1, 0), len(h) - 1)
@@ -353,8 +364,10 @@ class Trajectory:
             s = (float(tq) - float(self.t[i])) / hi
             cols = (c1[:, i].tolist(), c2[:, i].tolist())
             out = [_poly_value(c, s) for c in cols]
-            if slopes:
-                out += [_poly_slope(c, s) / hi for c in cols]
+            scale = 1.0
+            for order in range(1, derivatives + 1):
+                scale *= hi
+                out += [_poly_derivative(c, s, order) / scale for c in cols]
             return np.array(out).reshape(rows, 1)
         tq = np.atleast_1d(np.asarray(tq, dtype=float))
         idx = np.clip(np.searchsorted(self.t, tq, side="right") - 1, 0, len(h) - 1)
@@ -364,8 +377,10 @@ class Trajectory:
         for row, c in ((0, c1), (1, c2)):
             cc = [ck[idx] for ck in c]
             out[row] = _poly_value(cc, s)
-            if slopes:
-                out[row + 2] = _poly_slope(cc, s) / hq
+            scale = 1.0
+            for order in range(1, derivatives + 1):
+                scale *= hq
+                out[row + 2 * order] = _poly_derivative(cc, s, order) / scale
         return out
 
     def sample_state(self, t: float) -> FowlerState:
@@ -756,7 +771,7 @@ def solve_ivp(field, t0, y0, t_bound, settings, mode, stop=None):
             t_new, kind, comp = min(roots, key=lambda r: direction * r[0])
             s = (t_new - t) / h
             w1_new, w2_new = _poly_value(c1, s), _poly_value(c2, s)
-            v1_new, v2_new = _poly_slope(c1, s) / h, _poly_slope(c2, s) / h
+            v1_new, v2_new = _poly_derivative(c1, s) / h, _poly_derivative(c2, s) / h
             # The last stage is the trial end's; the event point needs its own.
             a1_new, a2_new = field(w1_new, w2_new)
             event = (kind, comp)
@@ -787,7 +802,22 @@ _SOLVE_IVP_FILE = "<fowlerlab.dynamics.solve_ivp>"
 # The unit imports math and numpy first, as this module does, so that CPython
 # compiles math.nextafter and np.array to the same instructions as here.
 _unit = "import math\nimport numpy as np\n" + _SOLVE_IVP_SOURCE
-linecache.cache[_SOLVE_IVP_FILE] = (len(_unit), None, _unit.splitlines(True), _SOLVE_IVP_FILE)
+_SOLVE_IVP_LINES = {_SOLVE_IVP_FILE: (len(_unit), None, _unit.splitlines(True), _SOLVE_IVP_FILE)}
+
+
+class _LineCache(dict):
+    """linecache's cache, which keeps solve_ivp's rendered source through a
+    clear (linecache.clearcache): linecache cannot read a "<...>" file back,
+    so without the entry inspect.getsource and tracebacks through the step
+    loop would find no source."""
+
+    def clear(self):
+        super().clear()
+        self.update(_SOLVE_IVP_LINES)
+
+
+linecache.cache = _LineCache(linecache.cache)
+linecache.cache.update(_SOLVE_IVP_LINES)
 exec(compile(_unit, _SOLVE_IVP_FILE, "exec"), globals())  # defines solve_ivp
 
 

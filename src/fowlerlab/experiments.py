@@ -601,7 +601,7 @@ def shoot_entire(
         traj = integrate(params, data.state(), settings, mode="signed")
     if _nearest_event(traj, "SignChange") is not None:
         raise BracketFailure("converged orbit still changes sign")
-    tail = traj.sample(np.array([settings.t_span[0], settings.t_span[1]]), slopes=False)
+    tail = traj.sample(np.array([settings.t_span[0], settings.t_span[1]]), derivatives=0)
     if float(np.max(np.abs(tail))) > SHOOT_DECAY_CUT:
         raise BracketFailure(
             "converged orbit does not decay below the cut at the window ends"

@@ -10,11 +10,16 @@ sphere area.  The auxiliary pair f_i = -|wi'|^2/2 + d^2 wi^2/2
 - mu_i wi^(2p)/(2p) satisfies f1 + f2 = (beta/p) w1^p w2^p - Psi identically
 and shares the monotonicity of w_i along solutions.
 The module also owns the radial map t = -ln r, w = r^delta (u, v).
+
+Every formula works on floats and, elementwise, on arrays.  monitor takes
+two samples of the interpolant: its grid, with the rows up to w'', from
+which f_i' is read exactly (so the monotone test reads the interpolant's
+defect), and the Pohozaev grid, on which the radial map and the functional
+run as one array formula.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -29,8 +34,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Shared tolerance separating "theorem margin" from roundoff in monitors.
 MONITOR_TOL = 1e-9
-#: Central finite-difference step (in t) used for the f' coupling check.
-FD_STEP = 1e-6
+#: The coupled monotonicity test judges a sign where the coupling term
+#: exceeds this many error budgets of the steps (monitor).
+MONOTONE_BUDGETS = 10.0
 #: Dense samples inserted per accepted step when monitoring.
 SAMPLES_PER_STEP = 10
 #: Radii used for the Pohozaev cross-check grid.
@@ -66,22 +72,39 @@ def psi(params: SystemParams, state: FowlerState) -> float:
     return float(psi_arrays(params, state.w1, state.w2, state.dw1, state.dw2))
 
 
-def to_radial(params: SystemParams, state: FowlerState) -> tuple[float, float, float, float, float]:
-    """Map a phase point back to radial data (r, u, v, u', v').
+def _require_finite(values, what: str, name: str, at) -> None:
+    """DomainError naming the first point of at (t or r, by name) where
+    one of the arrays values is not finite."""
+    bad = ~np.logical_and.reduce([np.isfinite(x) for x in values])
+    if bad.any():
+        first = float(np.broadcast_to(at, bad.shape)[bad][0])
+        raise DomainError(f"{what} out of float range at {name} = {first!r}")
 
-    DomainError where r or its powers leave the float range, which for
-    N = 3 starts near |t| = 473.
+
+def to_radial(params: SystemParams, state):
+    """Map phase points back to radial data (r, u, v, u', v'):
+    r = exp(-t), (u, v) = r^(-delta) w and (u', v') = -r^(-delta-1) (w' + delta w).
+
+    state is a FowlerState, which gives five floats, or a pair (t, y) of
+    times and rows (w1, w2, w1', w2'), which gives five arrays.  The map runs
+    on arrays either way, so a point's floats are its array result's.
+    DomainError where a value leaves the float range, which for N = 3 starts
+    near |t| = 473; the message names the first such t.
     """
+    point = isinstance(state, FowlerState)
+    if point:
+        t, y = np.array([state.t]), state.as_array()[:, None]
+    else:
+        t, y = np.asarray(state[0], dtype=float), state[1]
+    w1, w2, dw1, dw2 = y
     delta = params.delta
-    try:
-        r = math.exp(-state.t)
-        u = r ** (-delta) * state.w1
-        v = r ** (-delta) * state.w2
-        du = -(r ** (-delta - 1.0)) * (state.dw1 + delta * state.w1)
-        dv = -(r ** (-delta - 1.0)) * (state.dw2 + delta * state.w2)
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise DomainError(f"radial map out of float range at t = {state.t!r}") from exc
-    return r, u, v, du, dv
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        r = np.exp(-t)
+        scale = r ** (-delta)
+        dscale = -(r ** (-delta - 1.0))
+        out = (r, scale * w1, scale * w2, dscale * (dw1 + delta * w1), dscale * (dw2 + delta * w2))
+    _require_finite(out, "radial map", "t", t)
+    return tuple(float(x[0]) for x in out) if point else out
 
 
 def f_arrays(params: SystemParams, w1, w2, dw1, dw2):
@@ -93,25 +116,29 @@ def f_arrays(params: SystemParams, w1, w2, dw1, dw2):
     return f1, f2
 
 
-def pohozaev_system(params: SystemParams, r: float, radial_data) -> float:
-    """Radial Pohozaev surface functional K(r; u, v).
+def pohozaev_system(params: SystemParams, r, radial_data):
+    """Radial Pohozaev surface functional K(r; u, v), on floats and,
+    elementwise, on arrays.
 
     radial_data is the tuple (u, v, du, dv) at radius r; the surface integral
     reduces exactly to sphere_area * r^(N-1) times the constant integrand
     because radial symmetry is an input assumption.  DomainError where a
-    power leaves the float range.
+    radius is not positive or the value leaves the float range; the
+    message names the first such r.
     """
-    if r <= 0.0:
-        raise DomainError(f"radius must be positive, got {r!r}")
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0.0):
+        raise DomainError(f"radius must be positive, got {float(r[r <= 0.0][0])!r}")
     u, v, du, dv = radial_data
     delta = params.delta
-    grad2 = du * du + dv * dv
     p = params.p
-    try:
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad2 = du * du + dv * dv
+        au, av = np.abs(u), np.abs(v)
         bulk = (
-            params.mu1 * abs(u) ** params.two_star
-            + params.mu2 * abs(v) ** params.two_star
-            + 2.0 * params.beta * abs(u) ** p * abs(v) ** p
+            params.mu1 * au ** params.two_star
+            + params.mu2 * av ** params.two_star
+            + 2.0 * params.beta * au ** p * av ** p
         )
         integrand = (
             delta * (u * du + v * dv)
@@ -119,9 +146,9 @@ def pohozaev_system(params: SystemParams, r: float, radial_data) -> float:
             + r * grad2
             + r / params.two_star * bulk
         )
-        return params.sphere_area * r ** (params.N - 1) * integrand
-    except OverflowError as exc:
-        raise DomainError(f"Pohozaev functional out of float range at r = {r!r}") from exc
+        value = params.sphere_area * r ** (params.N - 1) * integrand
+    _require_finite((value,), "Pohozaev functional", "r", r)
+    return value
 
 
 @dataclass(frozen=True)
@@ -152,9 +179,10 @@ def _monitor_times(traj: "Trajectory") -> np.ndarray:
 
 
 def monitor(params: SystemParams, traj: "Trajectory") -> InvariantReport:
-    """Evaluate every lemma monitor on nodes plus dense per-step samples."""
+    """Evaluate every lemma monitor on nodes plus dense per-step samples,
+    from two samples of the interpolant: that grid, and the Pohozaev grid."""
     ts = _monitor_times(traj)
-    w1, w2, dw1, dw2 = traj.sample(ts)
+    w1, w2, dw1, dw2, ddw1, ddw2 = traj.sample(ts, derivatives=2)
 
     psis = psi_arrays(params, w1, w2, dw1, dw2)
     psi_drift = float(np.max(np.abs(psis - traj.psi0))) if psis.size else 0.0
@@ -170,36 +198,38 @@ def monitor(params: SystemParams, traj: "Trajectory") -> InvariantReport:
         float(np.min(params.delta * w2 - np.abs(dw2))),
     )
 
-    # Coupled monotonicity: sign(f_i') must match sign(w_i') wherever the
-    # derivative is resolvable.  f' is taken by central differences on the
-    # dense interpolant, which validates the interpolant as well.
-    inside = (ts > traj.t_min + FD_STEP) & (ts < traj.t_max - FD_STEP)
-    interior = ts[inside]
+    # Coupled monotonicity: sign(f_i') must match sign(w_i') wherever it is
+    # resolvable.  On the interpolant f_i' = w_i' (d^2 w_i - mu_i
+    # |w_i|^(2p-2) w_i - w_i''); along a solution the bracket is the
+    # coupling term c_i = beta |w_j|^p |w_i|^(p-2) w_i, on the interpolant
+    # c_i minus the defect w_i'' - F_i(w), so the test reads the defect.
+    # The steps were held to the budget atol + rtol m, m the magnitude of
+    # the bracket's terms; a sign is judged where |w_i'| > MONITOR_TOL and
+    # |c_i| exceeds MONOTONE_BUDGETS budgets.  Two powers serve both
+    # components, as in the field: P = |w|^(p-1) and X = P |w| = |w|^p.
+    rtol, atol = traj.settings.rel_tol, traj.settings.abs_tol
+    d2 = params.delta**2
+    mags = (np.abs(w1), np.abs(w2))
+    powers = [mag ** (params.p - 1.0) for mag in mags]
+    xs = [pw * mag for pw, mag in zip(powers, mags)]
     monotone_ok = True
-    if interior.size:
-        up = traj.sample(interior + FD_STEP)
-        dn = traj.sample(interior - FD_STEP)
-        f1_up, f2_up = f_arrays(params, *up)
-        f1_dn, f2_dn = f_arrays(params, *dn)
-        p = params.p
-        for fd, dw, wi, wj in (
-            ((f1_up - f1_dn) / (2.0 * FD_STEP), dw1[inside], w1[inside], w2[inside]),
-            ((f2_up - f2_dn) / (2.0 * FD_STEP), dw2[inside], w2[inside], w1[inside]),
-        ):
-            scale = params.beta * np.abs(wi) ** (p - 1.0) * np.abs(wj) ** p * np.abs(dw)
-            mask = (np.abs(dw) > MONITOR_TOL) & (scale > 100.0 * FD_STEP**2)
-            if np.any(np.sign(fd[mask]) != np.sign(dw[mask])):
-                monotone_ok = False
+    for i, (w, dw, ddw, mu) in enumerate(((w1, dw1, ddw1, params.mu1),
+                                          (w2, dw2, ddw2, params.mu2))):
+        self_term = mu * xs[i] * powers[i]  # mu |w_i|^(2p-1)
+        df = dw * (d2 * w - np.copysign(self_term, w) - ddw)
+        coupling = params.beta * xs[1 - i] * powers[i]
+        budget = atol + rtol * (d2 * mags[i] + self_term + np.abs(ddw))
+        mask = (np.abs(dw) > MONITOR_TOL) & (coupling > MONOTONE_BUDGETS * budget)
+        if np.any(mask & (np.sign(df) != np.sign(dw))):
+            monotone_ok = False
 
     # Pohozaev cross-check on a log-spaced radius grid (uniform in t).
     grid = np.linspace(traj.t_min, traj.t_max, POHOZAEV_GRID)
     gw1, gw2, gdw1, gdw2 = traj.sample(grid)
+    r, u, v, du, dv = to_radial(params, (grid, (gw1, gw2, gdw1, gdw2)))
+    k_vals = pohozaev_system(params, r, (u, v, du, dv))
     gpsi = psi_arrays(params, gw1, gw2, gdw1, gdw2)
-    match = 0.0
-    for tcur, a, b, c, d, pval in zip(grid, gw1, gw2, gdw1, gdw2, gpsi):
-        r, u, v, du, dv = to_radial(params, FowlerState.from_array(tcur, (a, b, c, d)))
-        k_val = pohozaev_system(params, r, (u, v, du, dv))
-        match = max(match, abs(k_val - params.sphere_area * float(pval)))
+    match = float(np.max(np.abs(k_vals - params.sphere_area * gpsi)))
 
     tol = MONITOR_TOL
     return InvariantReport(

@@ -378,12 +378,11 @@ def export_plot_data(traj: Trajectory, path, samples: int | None = None) -> None
         w1, w2, dw1, dw2 = traj.sample(ts)
     psis = psi_arrays(traj.params, w1, w2, dw1, dw2)
     f1, f2 = f_arrays(traj.params, w1, w2, dw1, dw2)
-    # Rows are built before the file is opened, so a DomainError from the
-    # radial map leaves no partial file.
-    rows = []
-    for t, a1, a2, b1, b2, e, g1, g2 in zip(ts, w1, w2, dw1, dw2, psis, f1, f2):
-        r, u, v, _, _ = to_radial(traj.params, FowlerState.from_array(t, (a1, a2, b1, b2)))
-        rows.append([repr(float(x)) for x in (t, a1, a2, e, g1, g2, r, u, v)])
+    # The radial map runs before the file is opened, so a DomainError from
+    # it leaves no partial file.
+    r, u, v, _, _ = to_radial(traj.params, (ts, (w1, w2, dw1, dw2)))
+    columns = (ts, w1, w2, psis, f1, f2, r, u, v)
+    rows = [[repr(x) for x in row] for row in zip(*(c.tolist() for c in columns))]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(("t", "w1", "w2", "psi", "f1", "f2", "r", "u", "v"))

@@ -422,13 +422,35 @@ def _same_bits(a, b):
 def test_single_queries_and_value_rows_equal_the_full_sample(name, picks):
     # An integer pick is a node time, by index modulo the node count; floats
     # reach past the cover [-10, 10], where sample clips to the end steps.
+    # The rows of each derivative order are the same floats at every count.
     traj = _dense_orbit(name)
     times = [traj.t[k % len(traj.t)] if isinstance(k, int) else k for k in picks]
     times.append(traj.t_max)
-    full = traj.sample(np.array(times))
-    assert full.shape == (4, len(times))
-    assert _same_bits(traj.sample(np.array(times), slopes=False), full[:2])
+    full = traj.sample(np.array(times), derivatives=2)
+    assert full.shape == (6, len(times))
+    for count in (0, 1):
+        rows = 2 * (count + 1)
+        assert _same_bits(traj.sample(np.array(times), derivatives=count), full[:rows])
+    assert _same_bits(traj.sample(np.array(times)), full[:4])
     for i, x in enumerate(times):
-        assert _same_bits(traj.sample(x), full[:, i:i + 1])
-        assert _same_bits(traj.sample(x, slopes=False), full[:2, i:i + 1])
-        assert _same_bits(traj.sample(float(x)), full[:, i:i + 1])
+        assert _same_bits(traj.sample(x), full[:4, i:i + 1])
+        assert _same_bits(traj.sample(x, derivatives=0), full[:2, i:i + 1])
+        assert _same_bits(traj.sample(float(x)), full[:4, i:i + 1])
+        assert _same_bits(traj.sample(float(x), derivatives=2), full[:, i:i + 1])
+
+
+@pytest.mark.parametrize("name", ["signed", "single", "bubble", "cylinder", "perturbed"])
+def test_second_derivative_rows_are_the_node_accelerations(name, p3, bubble_traj,
+                                                           cylinder_traj, perturbed_traj):
+    # Each polynomial matches the acceleration at its step's ends.  Bound
+    # from the measurement: at most 0.88 eps (|w''| + delta^2 |w|) over
+    # these orbits and the orbits of test_invariants' monotone corpus that
+    # end without an event (the sum is the field's scale where w'' is small).
+    if name in ("signed", "single"):
+        traj = _dense_orbit(name)
+    else:
+        traj = {"bubble": bubble_traj, "cylinder": cylinder_traj,
+                "perturbed": perturbed_traj}[name]
+    curvature = traj.sample(traj.t, derivatives=2)[4:]
+    scale = np.abs(traj.acc) + traj.params.delta**2 * np.abs(traj.y[:2])
+    assert np.all(np.abs(curvature - traj.acc) <= np.finfo(float).eps * scale)

@@ -7,6 +7,7 @@ digits as an accuracy oracle.  Both are test-only dependencies.
 """
 
 import inspect
+import linecache
 import math
 import traceback
 from fractions import Fraction
@@ -264,7 +265,7 @@ def _dense_sample_crossings(traj):
     Returns ((t, component, state), ...) and the signs."""
     frac = np.linspace(0.0, 1.0, 7)[:-1]
     tt = np.append((traj.t[:-1, None] + np.diff(traj.t)[:, None] * frac).ravel(), traj.t[-1])
-    sampled = traj.sample(tt, slopes=False)
+    sampled = traj.sample(tt, derivatives=0)
     found = []
     for row in range(2):
         nz = sampled[row] != 0.0
@@ -408,6 +409,21 @@ def test_runs_from_neighbouring_rest_data_share_their_step_grid():
 
 def test_rendered_solve_ivp_is_its_source():
     assert inspect.getsource(dynamics.solve_ivp) == dynamics._SOLVE_IVP_SOURCE
+
+
+def test_the_rendered_source_survives_a_cleared_line_cache():
+    # linecache cannot read a "<...>" file back once its entry is gone.
+    linecache.clearcache()
+    assert inspect.getsource(dynamics.solve_ivp) == dynamics._SOLVE_IVP_SOURCE
+
+    def field(w1, w2):
+        raise ZeroDivisionError("first field call")
+
+    settings = IntegratorSettings(t_span=(0.0, 1.0))
+    with pytest.raises(ZeroDivisionError) as info:
+        dynamics.solve_ivp(field, 0.0, (1.0, 1.0, 1.0, 1.0), 1.0, settings, "signed")
+    linecache.clearcache()
+    assert "\n    a1, a2 = field(w1, w2)\n" in "".join(traceback.format_tb(info.tb))
 
 
 def test_a_failing_stage_is_quoted_from_the_rendered_source():

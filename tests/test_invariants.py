@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -19,8 +20,17 @@ from fowlerlab import (
     scalar_bubble_radial,
     to_radial,
 )
+from fowlerlab.dynamics import Trajectory
 from fowlerlab.errors import DomainError
-from fowlerlab.invariants import MONITOR_TOL, SAMPLES_PER_STEP, _monitor_times, f_arrays
+from fowlerlab.experiments import _SEMI_SPEC, _collect_draws, draw_initial
+from fowlerlab.invariants import (
+    MONITOR_TOL,
+    POHOZAEV_GRID,
+    SAMPLES_PER_STEP,
+    _monitor_times,
+    f_arrays,
+    psi_arrays,
+)
 from fowlerlab.params import _exponents
 
 mpmath.mp.dps = 60
@@ -52,6 +62,73 @@ def pohozaev_scalar(N, coefficient, r, u, du):
         + r / two_star * coefficient * abs(u) ** two_star
     )
     return sphere_area * r ** (N - 1) * integrand
+
+
+#: The central-difference step of the f' oracle.
+FD_STEP = 1e-6
+
+
+def fd_monotone_coupling(params, traj):
+    """Oracle for InvariantReport.f_w_monotone_coupling: f_i' by central
+    differences of f_arrays on the interpolant, FD_STEP apart, at the
+    monitor grid's points more than FD_STEP inside the window; a sign is
+    judged where |w_i'| > MONITOR_TOL and the predicted
+    |f_i'| = beta |w_i|^(p-1) |w_j|^p |w_i'| exceeds 100 FD_STEP^2, the
+    difference quotient's rounding for |f| ~ 1."""
+    ts = _monitor_times(traj)
+    w1, w2, dw1, dw2 = traj.sample(ts)
+    inside = (ts > traj.t_min + FD_STEP) & (ts < traj.t_max - FD_STEP)
+    f_up = f_arrays(params, *traj.sample(ts[inside] + FD_STEP))
+    f_dn = f_arrays(params, *traj.sample(ts[inside] - FD_STEP))
+    for up, dn, dw, wi, wj in ((f_up[0], f_dn[0], dw1, w1, w2), (f_up[1], f_dn[1], dw2, w2, w1)):
+        fd = (up - dn) / (2.0 * FD_STEP)
+        dw, wi, wj = dw[inside], wi[inside], wj[inside]
+        scale = params.beta * np.abs(wi) ** (params.p - 1.0) * np.abs(wj) ** params.p * np.abs(dw)
+        mask = (np.abs(dw) > MONITOR_TOL) & (scale > 100.0 * FD_STEP**2)
+        if np.any(np.sign(fd[mask]) != np.sign(dw[mask])):
+            return False
+    return True
+
+
+@functools.cache
+def monotone_corpus():
+    """The N = 3 bubble on (-8, 8), then 40 near-cylinder psi < 0 draws (the
+    semi-singular search's sampler, seed 0) at each of N = 3, 4, 5, 6 on
+    (-15, 15), in positive mode: (params, trajectory) pairs."""
+    p3 = make_params(3, 1.0, 1.0, 1.0)
+    orbits = [(p3, integrate(p3, bubble_fowler(p3, 1.0, 0.0),
+                             IntegratorSettings(t_span=(-8.0, 8.0))))]
+    window = IntegratorSettings(t_span=(-15.0, 15.0))
+    for N, beta in ((3, 1.0), (4, 0.5), (5, 1.0), (6, 0.3)):
+        params = make_params(N, 1.0, 1.0, beta)
+        draws, _ = _collect_draws(params, _SEMI_SPEC, 40, 0)
+        orbits += [(params, integrate(params, data.state(), window)) for _, data in draws]
+    return orbits
+
+
+def scalar_pohozaev_match(params, traj):
+    """Oracle for InvariantReport.pohozaev_match, point by point in Python
+    floats: the radial map and the functional by math.exp and float
+    powers on the 100-point grid, against sphere_area * Psi.  Returns the
+    list of K values and the match."""
+    grid = np.linspace(traj.t_min, traj.t_max, POHOZAEV_GRID)
+    rows = traj.sample(grid)
+    delta, p, two_star = params.delta, params.p, params.two_star
+    ks, match = [], 0.0
+    for t, w1, w2, dw1, dw2 in zip(grid.tolist(), *rows.tolist()):
+        r = math.exp(-t)
+        u, v = r ** (-delta) * w1, r ** (-delta) * w2
+        du = -(r ** (-delta - 1.0)) * (dw1 + delta * w1)
+        dv = -(r ** (-delta - 1.0)) * (dw2 + delta * w2)
+        grad2 = du * du + dv * dv
+        bulk = (params.mu1 * abs(u) ** two_star + params.mu2 * abs(v) ** two_star
+                + 2.0 * params.beta * abs(u) ** p * abs(v) ** p)
+        integrand = (delta * (u * du + v * dv) - 0.5 * r * grad2 + r * grad2
+                     + r / two_star * bulk)
+        k = params.sphere_area * r ** (params.N - 1) * integrand
+        ks.append(k)
+        match = max(match, abs(k - params.sphere_area * float(psi_arrays(params, w1, w2, dw1, dw2))))
+    return ks, match
 
 
 def scalar_bubble_slope(N, mu, eps, r):
@@ -263,6 +340,56 @@ class TestMonitor:
 
     def test_monotone_coupling_flag(self, p3, perturbed_traj):
         assert monitor(p3, perturbed_traj).f_w_monotone_coupling
+
+    def test_monotone_flag_equals_the_central_difference_oracle(self):
+        # The False orbits are N = 5 draws that reach the positivity floor,
+        # whose last steps' interpolants have defects up to 1e5 there.
+        orbits = monotone_corpus()
+        flags = [monitor(params, traj).f_w_monotone_coupling for params, traj in orbits]
+        assert flags == [fd_monotone_coupling(params, traj) for params, traj in orbits]
+        assert len(flags) == 161 and flags.count(False) == 20
+        assert all(flags[:81]) and all(flags[121:])
+
+    def test_monotone_flag_reads_a_defect_at_the_window_end(self):
+        # An N = 5 draw whose steps into the positivity floor, each about
+        # 1e-6 long, have defects of 1e3-1e4: the oracle's shifted samples
+        # cannot reach within FD_STEP of the window ends, the interpolant's
+        # own w'' can.
+        params = make_params(5, 1.0, 1.0, 1.0)
+        data, _ = draw_initial(params, _SEMI_SPEC, 7, 39)
+        traj = integrate(params, data.state(), IntegratorSettings(t_span=(-15.0, 15.0)))
+        assert {event.kind for event in traj.events} == {"PositivityLoss"}
+        assert fd_monotone_coupling(params, traj)
+        assert not monitor(params, traj).f_w_monotone_coupling
+
+    def test_pohozaev_check_equals_the_scalar_loop(self, p3, bubble_traj, cylinder_traj,
+                                                   perturbed_traj):
+        # Bound from the measurement: the K values differ by at most
+        # 3.5e-14 sphere_area and the matches by 7.3e-15 sphere_area over
+        # these fixtures and the 161 orbits of monotone_corpus.
+        orbits = [(p3, bubble_traj), (p3, cylinder_traj), (p3, perturbed_traj)]
+        for params, traj in orbits + monotone_corpus()[::20]:
+            ks, match = scalar_pohozaev_match(params, traj)
+            grid = np.linspace(traj.t_min, traj.t_max, POHOZAEV_GRID)
+            r, u, v, du, dv = to_radial(params, (grid, traj.sample(grid)))
+            bound = 1e-13 * params.sphere_area
+            assert np.max(np.abs(pohozaev_system(params, r, (u, v, du, dv)) - ks)) < bound
+            assert abs(monitor(params, traj).pohozaev_match - match) < bound
+
+    def test_monitor_samples_its_grid_and_the_pohozaev_grid(self, p3, perturbed_traj,
+                                                           monkeypatch):
+        # f' comes from the interpolant's w'', not from shifted samples.
+        sampled, inner = [], Trajectory.sample
+
+        def sample(self, tq, **kw):
+            sampled.append((np.asarray(tq).tolist(), kw))
+            return inner(self, tq, **kw)
+
+        monkeypatch.setattr(Trajectory, "sample", sample)
+        monitor(p3, perturbed_traj)
+        grid = np.linspace(perturbed_traj.t_min, perturbed_traj.t_max, POHOZAEV_GRID)
+        assert sampled == [(_monitor_times(perturbed_traj).tolist(), {"derivatives": 2}),
+                           (grid.tolist(), {})]
 
     def test_margins_define_booleans(self, p3, perturbed_traj):
         report = monitor(p3, perturbed_traj)
