@@ -100,10 +100,12 @@ def _window_sample(traj: Trajectory) -> np.ndarray:
 
 
 def _k_tolerance(params: SystemParams, traj: Trajectory) -> float:
-    # Scale from the magnitudes of the individual energy terms at the
-    # initial state, so the zero test is meaningful for large orbits too.
-    s = traj.sample(traj.t_initial)
-    w1, w2, dw1, dw2 = (float(v) for v in s[:, 0])
+    """K_TOL_FACTOR * max(1, scale), the scale from the magnitudes of the
+    energy terms at the initial state, so that the zero test is meaningful
+    for large orbits too; that state is read at its node (t_initial is
+    one), which builds no dense output."""
+    i0 = int(traj.t.searchsorted(traj.t_initial))
+    w1, w2, dw1, dw2 = traj.y[:, i0].tolist()
     kin = 0.5 * (dw1 * dw1 + dw2 * dw2)
     lin = 0.5 * params.delta**2 * (w1 * w1 + w2 * w2)
     pot = float(potential_arrays(params, w1, w2)) / (2.0 * params.p)

@@ -25,15 +25,18 @@ every step that does not end in an event), a sign change of a signed orbit
 on the step between two nodes of opposite signs, or at a node that is
 exactly zero between them (_bracketed_zeros).  Sampling computes only
 what its caller reads: a single float query takes scalar Horner on its
-step, and the derivative rows go only as far as the caller's count, from
-the value rows alone to w'' (the interpolant's own second derivative,
-whose gap to the field is its defect).  A loaded trajectory rebuilds
-the accelerations with the same scalar field at the stored nodes, and the
-higher derivatives from them, so sampling is bit-identical after a
-serialization round trip.  The field (_make_field) is the signed continuous extension
-|w|^(q-1) w of the positive-cone powers, from two powers per component,
-|w|^(p-1) and its product with |w|; on the positive cone both forms
-agree, and positivity-constrained runs terminate at POSITIVITY_FLOOR instead
+step, whose quintic comes from the node data alone where a component
+changes sign or touches zero, so a signed orbit's events build no
+interpolant (Trajectory._step); and the derivative rows go only as far as
+the caller's count, from the value rows alone to w'' (the interpolant's
+own second derivative, whose gap to the field is its defect).  A loaded
+trajectory rebuilds the accelerations with the same scalar field at the
+stored nodes, and the higher derivatives from them, so sampling is
+bit-identical after a serialization round trip.  The field (_make_field)
+is the signed continuous extension |w|^(q-1) w of the positive-cone
+powers, from two powers per component, |w|^(p-1) and its product with
+|w|; on the positive cone both forms agree, and positivity-constrained runs
+terminate at POSITIVITY_FLOOR instead
 of crossing zero (the field is not Lipschitz at w = 0 when N >= 5).  The
 step loop evaluates _CONE inline, from the constants _make_field attaches to
 the field, at every stage point and new node: inside the open cone on the
@@ -220,20 +223,38 @@ def _hermite9(y0, y1, d0, d1, a0, a1, j0, j1, k0, k1, h):
     )
 
 
+def _keeps_signs(w1, w2, z1, z2):
+    """Whether both components keep one strict sign from node values
+    (w1, w2) to (z1, z2), the condition for the degree-9 Hermite on a step;
+    on floats and, elementwise, on arrays of steps."""
+    return (w1 * z1 > 0.0) & (w2 * z2 > 0.0)
+
+
+def _step_quintics(old, new, h):
+    """The two components' quintic Hermite on one step, from the node data
+    old and new, each (w1, w2, w1', w2', w1'', w2'') as floats, padded
+    with zeros to ten coefficients."""
+    w1, w2, v1, v2, a1, a2 = old
+    z1, z2, u1, u2, b1, b2 = new
+    pad = (0.0,) * 4
+    return (_quintic(w1, z1, v1, u1, a1, b1, h) + pad,
+            _quintic(w2, z2, v2, u2, a2, b2, h) + pad)
+
+
 def _step_polynomials(cone, old, new, h):
     """The two components' coefficients on one step, from the node data old
     and new, each (w1, w2, w1', w2', w1'', w2'') as floats: degree 9 where
     the field's jet (_field_jet, cone its constants) applies, else the
-    quintic padded with zeros.
+    quintic padded with zeros (_step_quintics).
 
     The quintic is kept where cone is None (a field without constants),
     where a component changes sign or touches zero over the step (the
-    solution is not smooth there), and where the jet or the degree-9
-    coefficients are not finite.
+    solution is not smooth there; _keeps_signs), and where the jet or the
+    degree-9 coefficients are not finite.
     """
     w1, w2, v1, v2, a1, a2 = old
     z1, z2, u1, u2, b1, b2 = new
-    if cone is not None and w1 * z1 > 0.0 and w2 * z2 > 0.0:
+    if cone is not None and _keeps_signs(w1, w2, z1, z2):
         try:
             j1, k1 = _field_jet(cone, cone[1], w1, w2, v1, v2, a1, a2)
             j2, k2 = _field_jet(cone, cone[2], w2, w1, v2, v1, a2, a1)
@@ -246,9 +267,7 @@ def _step_polynomials(cone, old, new, h):
             c2 = _hermite9(w2, z2, v2, u2, a2, b2, j2, i2, k2, l2, h)
             if all(map(math.isfinite, c1 + c2)):
                 return c1, c2
-    pad = (0.0,) * 4
-    return (_quintic(w1, z1, v1, u1, a1, b1, h) + pad,
-            _quintic(w2, z2, v2, u2, a2, b2, h) + pad)
+    return _step_quintics(old, new, h)
 
 
 def _poly_value(c, s):
@@ -320,7 +339,11 @@ class Trajectory:
     def _interpolant(self):
         """Per component a (10, n - 1) array of step coefficients, one
         contiguous row per coefficient, gathered row by row in sample; and
-        the steps h.  _step_polynomials's rule on every step, on arrays."""
+        the steps h.  _step_polynomials's rule on every step, on arrays.
+
+        Built on the first array sample, or on the first float query of a
+        step that keeps the degree 9 (_step); then kept.
+        """
         if self._coeffs is None:
             fun = _make_field(self.params)
             h = np.diff(self.t)
@@ -332,7 +355,7 @@ class Trajectory:
                 coeffs = np.array(_hermite9(w[:, :-1], w[:, 1:], v[:, :-1], v[:, 1:], a[:, :-1],
                                             a[:, 1:], jet[:, :-1], jet[:, 1:], snap[:, :-1],
                                             snap[:, 1:], h))
-                rough = ~((w[:, :-1] * w[:, 1:] > 0.0).all(axis=0)
+                rough = ~(_keeps_signs(w[0, :-1], w[1, :-1], w[0, 1:], w[1, 1:])
                           & np.isfinite(coeffs).all(axis=(0, 1)))
             if rough.any():
                 k = np.flatnonzero(rough)
@@ -342,6 +365,22 @@ class Trajectory:
             self._coeffs = (coeffs[:, 0], coeffs[:, 1], h)
         return self._coeffs
 
+    def _step(self, k: int):
+        """Step k's coefficients, one list of ten floats per component, and
+        its length h: the interpolant's columns, bit for bit.  While it is
+        unbuilt, a step on which a component changes sign or touches zero
+        takes the quintic from its node data (_step_quintics), the
+        interpolant's own choice there in the same + - * arithmetic; any
+        other step builds it."""
+        if self._coeffs is None:
+            (w1, z1), (w2, z2) = self.y[:2, k:k + 2].tolist()
+            if not _keeps_signs(w1, w2, z1, z2):
+                nodes = np.concatenate([self.y[:, k:k + 2], self._node_accelerations()[:, k:k + 2]])
+                h = float(self.t[k + 1] - self.t[k])
+                return (*_step_quintics(*zip(*nodes.tolist()), h), h)
+        c1, c2, h = self._interpolant()
+        return c1[:, k].tolist(), c2[:, k].tolist(), float(h[k])
+
     def sample(self, tq, *, derivatives: int = 1) -> np.ndarray:
         """Dense rows at query times within cover: (w1, w2), then the two
         rows of each derivative order up to derivatives (0, 1 or 2), so
@@ -349,26 +388,27 @@ class Trajectory:
 
         A time outside the cover takes the nearest step's polynomial.  A
         single float query is answered by scalar Horner on its step's
-        coefficients, float for float the array path's result.  The rows of
-        each order are the same floats whatever the count.
+        coefficients (_step), float for float the array path's result; on a
+        step where a component changes sign or touches zero it builds no
+        interpolant.  The rows of each order are the same floats whatever
+        the count.
         """
         rows = 2 * (derivatives + 1)
         if len(self.t) < 2:
             # Degenerate single-node trajectory (e.g. immediate blow-up).
             node = np.concatenate([self.y, self._node_accelerations()])
             return np.tile(node[:rows, :1], (1, np.size(tq)))
-        c1, c2, h = self._interpolant()
         if isinstance(tq, float):
-            i = min(max(int(self.t.searchsorted(tq, side="right")) - 1, 0), len(h) - 1)
-            hi = float(h[i])
+            i = min(max(int(self.t.searchsorted(tq, side="right")) - 1, 0), len(self.t) - 2)
+            *cols, hi = self._step(i)
             s = (float(tq) - float(self.t[i])) / hi
-            cols = (c1[:, i].tolist(), c2[:, i].tolist())
             out = [_poly_value(c, s) for c in cols]
             scale = 1.0
             for order in range(1, derivatives + 1):
                 scale *= hi
                 out += [_poly_derivative(c, s, order) / scale for c in cols]
             return np.array(out).reshape(rows, 1)
+        c1, c2, h = self._interpolant()
         tq = np.atleast_1d(np.asarray(tq, dtype=float))
         idx = np.clip(np.searchsorted(self.t, tq, side="right") - 1, 0, len(h) - 1)
         hq = h[idx]
@@ -978,10 +1018,11 @@ def _two_sided(params, initial, settings, mode, solve) -> Trajectory:
 
 def _step_function(traj: Trajectory, row: int, k: int) -> Callable[[float], float]:
     """Scalar x -> traj.sample(x)[row, 0] for x strictly inside step k, bit
-    for bit: that step's polynomial alone."""
-    c1, c2, h = traj._interpolant()
-    coeffs = (c2 if row else c1)[:, k].tolist()
-    t0, hk = float(traj.t[k]), float(h[k])
+    for bit: that step's polynomial alone (Trajectory._step), so a step on
+    which a component changes sign builds no interpolant."""
+    *cols, hk = traj._step(k)
+    coeffs = cols[row]
+    t0 = float(traj.t[k])
     return lambda x: _poly_value(coeffs, (x - t0) / hk)
 
 
@@ -992,7 +1033,9 @@ def _bracketed_zeros(traj: Trajectory, row: int) -> list[float]:
     crossing.  One step apart, it is bisected on that step's polynomial to
     the first float at which the row is zero or past it (_event_root);
     otherwise it sits at the first zero node between them.  A zero node
-    between nodes of one sign is a touch, not a crossing.
+    between nodes of one sign is a touch, not a crossing.  Every step
+    bisected changes sign, so it keeps the quintic from its node data, and
+    the interpolant is not built.
     """
     vv = traj.y[row]
     nz = np.flatnonzero(vv != 0.0)

@@ -457,8 +457,8 @@ def shoot_entire(
     fired); a trial that stopped at a minimum is not reused, and the orbit
     is integrated afresh.  The apex data are at rest at t = 0, so on a
     symmetric window (t_span[0] == -t_span[1]) the backward half is the
-    forward one mirrored; otherwise it is a run.  The orbit must decay below
-    SHOOT_DECAY_CUT at both window ends.
+    forward one mirrored; otherwise it is a run.  The orbit must reach both
+    window ends, and its end nodes must decay below SHOOT_DECAY_CUT.
     The window must hold the apex time: t_span[0] < 0 < t_span[1].  It must
     also resolve the dichotomy, and not be so long that amplified rounding
     lifts the orbit above the cut: delta * min(-t_span[0], t_span[1]) from
@@ -601,8 +601,9 @@ def shoot_entire(
         traj = integrate(params, data.state(), settings, mode="signed")
     if _nearest_event(traj, "SignChange") is not None:
         raise BracketFailure("converged orbit still changes sign")
-    tail = traj.sample(np.array([settings.t_span[0], settings.t_span[1]]), derivatives=0)
-    if float(np.max(np.abs(tail))) > SHOOT_DECAY_CUT:
+    if traj.t_min != settings.t_span[0] or traj.t_max != settings.t_span[1]:
+        raise BracketFailure("converged orbit does not reach both window ends")
+    if float(np.max(np.abs(traj.y[:2, [0, -1]]))) > SHOOT_DECAY_CUT:
         raise BracketFailure(
             "converged orbit does not decay below the cut at the window ends"
         )

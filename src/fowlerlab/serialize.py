@@ -298,6 +298,8 @@ def trajectory_from_dict(doc: dict) -> Trajectory:
         raise SchemaMismatch("node arrays are empty")
     if not np.all(t[1:] > t[:-1]):
         raise SchemaMismatch("node times do not strictly increase")
+    if doc["t_initial"] not in t:
+        raise SchemaMismatch("t_initial is not a node time")
     return Trajectory(
         params=params,
         settings=settings,

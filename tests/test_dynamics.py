@@ -1,6 +1,7 @@
 import functools
 import math
 import struct
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -415,6 +416,15 @@ def _same_bits(a, b):
     return a.shape == b.shape and _bits(a.ravel().tolist()) == _bits(b.ravel().tolist())
 
 
+def _steps_of_each_kind(traj):
+    """Midpoints of the first step on which a component changes sign or
+    touches zero, which keeps the quintic, and of the first on which
+    neither does, which takes the degree 9."""
+    keeps = (traj.y[:2, :-1] * traj.y[:2, 1:] > 0.0).all(axis=0)
+    steps = [int(np.flatnonzero(~keeps)[0]), int(np.flatnonzero(keeps)[0])]
+    return [0.5 * (traj.t[k] + traj.t[k + 1]) for k in steps]
+
+
 @given(name=st.sampled_from(["signed", "single"]),
        picks=st.lists(st.one_of(st.floats(-12.0, 12.0), st.integers(0, 10**6)),
                       min_size=1, max_size=8))
@@ -423,9 +433,24 @@ def test_single_queries_and_value_rows_equal_the_full_sample(name, picks):
     # An integer pick is a node time, by index modulo the node count; floats
     # reach past the cover [-10, 10], where sample clips to the end steps.
     # The rows of each derivative order are the same floats at every count.
+    # Float queries on a fresh copy, before any array sample, are the same
+    # floats too: a step where a component changes sign or touches zero
+    # takes its quintic from the node data, and builds no interpolant.
     traj = _dense_orbit(name)
     times = [traj.t[k % len(traj.t)] if isinstance(k, int) else k for k in picks]
     times.append(traj.t_max)
+    if name == "signed":
+        rough, smooth = _steps_of_each_kind(traj)
+        times += [rough, smooth]
+        fresh = replace(traj, _coeffs=None)
+        fresh.sample(rough, derivatives=2)
+        assert fresh._coeffs is None
+        fresh.sample(smooth)
+        assert fresh._coeffs is not None
+    singles = []
+    for x in times:
+        fresh = replace(traj, _coeffs=None)
+        singles.append((fresh.sample(float(x)), fresh.sample(float(x), derivatives=2)))
     full = traj.sample(np.array(times), derivatives=2)
     assert full.shape == (6, len(times))
     for count in (0, 1):
@@ -437,6 +462,8 @@ def test_single_queries_and_value_rows_equal_the_full_sample(name, picks):
         assert _same_bits(traj.sample(x, derivatives=0), full[:2, i:i + 1])
         assert _same_bits(traj.sample(float(x)), full[:4, i:i + 1])
         assert _same_bits(traj.sample(float(x), derivatives=2), full[:, i:i + 1])
+        assert _same_bits(singles[i][0], full[:4, i:i + 1])
+        assert _same_bits(singles[i][1], full[:, i:i + 1])
 
 
 @pytest.mark.parametrize("name", ["signed", "single", "bubble", "cylinder", "perturbed"])

@@ -6,10 +6,12 @@ as a differential reference, and mpmath's Taylor-series ODE solver at 25
 digits as an accuracy oracle.  Both are test-only dependencies.
 """
 
+import functools
 import inspect
 import linecache
 import math
 import traceback
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -26,6 +28,7 @@ from fowlerlab import (
     IntegratorSettings,
     SamplerSpec,
     bubble_fowler,
+    classify,
     cylinder_amplitudes,
     cylinder_state,
     integrate,
@@ -329,6 +332,79 @@ def test_a_crossing_at_a_zero_node_sits_on_it(N, data):
     at_zero = [ev for ev in traj.events if ev.kind == "SignChange" and abs(ev.t) < 1e-3]
     assert [(ev.t, ev.component) for ev in at_zero] == [(0.0, comp) for comp in on_axis]
     assert all(ev.state.as_array()[ev.component - 1] == 0.0 for ev in at_zero)
+
+
+@functools.cache
+def _signed_corpus(N, beta):
+    """Sign-change draws at (N, beta), mu = 1, both projections, each as a
+    cut orbit on (-50, 50) and a full signed one on (-20, 20); and a full
+    orbit from a zero node, whose crossing sits on that node."""
+    params = make_params(N, 1.0, 1.0, beta)
+    cut, full = IntegratorSettings(t_span=(-50.0, 50.0)), IntegratorSettings(t_span=(-20.0, 20.0))
+    orbits = [integrate(params, FowlerState(0.0, 0.0, 0.5, 0.3, 0.0), full, mode="signed")]
+    for projection in ("psi_positive", "psi_zero"):
+        draws, _ = experiments._collect_draws(
+            params, SamplerSpec(kind="uniform_box", projection=projection), 3, 7)
+        for _, data in draws:
+            orbits.append(experiments._crossing_trajectory(params, data, cut))
+            orbits.append(integrate(params, data.state(), full, mode="signed"))
+    return params, orbits
+
+
+def _sign_change_bits(events):
+    return [(ev.t.hex(), ev.component, [x.hex() for x in ev.state.as_array().tolist()])
+            for ev in events if ev.kind == "SignChange"]
+
+
+def _events_on_the_built_interpolant(traj):
+    """Oracle: traj's SignChange events formed again on a copy whose whole
+    interpolant is built first."""
+    built = replace(traj, events=(), _coeffs=None)
+    built._interpolant()
+    return sorted(dynamics._sign_change_events(built), key=dynamics.Event.sort_key)
+
+
+CORPUS_CASES = [(3, 0.5), (4, 1.0), (5, 2.0), (6, 1.0)]
+
+
+@pytest.mark.parametrize("N, beta", CORPUS_CASES)
+def test_signed_orbits_build_no_interpolant(N, beta):
+    # Their crossings lie on steps where a component changes sign, whose
+    # quintic comes from the node data, and classify reads K's tolerance at
+    # the initial node.
+    params, orbits = _signed_corpus(N, beta)
+    for traj in orbits:
+        assert any(ev.kind == "SignChange" for ev in traj.events)
+        assert classify(params, traj).verdict == "SignChanging"
+        assert traj._coeffs is None
+
+
+@pytest.mark.parametrize("N, beta", CORPUS_CASES)
+def test_events_equal_the_events_on_the_built_interpolant(N, beta):
+    _, orbits = _signed_corpus(N, beta)
+    for traj in orbits:
+        expected = _sign_change_bits(_events_on_the_built_interpolant(traj))
+        assert expected and _sign_change_bits(traj.events) == expected
+    assert (0.0, 1) in [(ev.t, ev.component) for ev in orbits[0].events]  # the zero node
+
+
+def test_a_root_on_a_step_end_node_reads_the_built_interpolant():
+    # w1 falls from 1 to -1e-300, about linearly, over a step four ulps
+    # long: it is still positive at every float inside, so the root is the
+    # end node.  Its state is read on the next step, on which no component
+    # changes sign, so the interpolant is built for it.
+    t1 = 1.0 + 4.0 * math.ulp(1.0)
+    slope = -1.0 / (t1 - 1.0)
+    traj = dynamics.Trajectory(
+        params=P3, settings=IntegratorSettings(t_span=(1.0, 3.0)), mode="signed",
+        t=np.array([1.0, t1, 2.0, 3.0]),
+        y=np.array([[1.0, -1e-300, -1.0, -2.0], [1.0] * 4, [slope, slope, -1.0, -1.0],
+                    [0.0] * 4]),
+        psi=np.zeros(4), events=(), psi0=0.0, drift=0.0, t_initial=1.0)
+    events = dynamics._sign_change_events(traj)
+    assert [(ev.t, ev.component) for ev in events] == [(t1, 1)]
+    assert traj._coeffs is not None
+    assert _sign_change_bits(events) == _sign_change_bits(_events_on_the_built_interpolant(traj))
 
 
 def _hand_built(w1):

@@ -378,6 +378,8 @@ class TestShootEntire:
         params = make_params(case[0], 1.0, 1.0, case[1])
         settings = shoot_settings(params)
         data, traj, trials, bounds = _shoot_counting_runs(params, settings, monkeypatch)
+        # Nor is its interpolant built: the decay check reads the end nodes.
+        assert traj._coeffs is None
         assert bounds == [settings.t_span[1]] * len(trials)
         _assert_is_integrate(params, settings, data, traj)
         apex, _, run = [trial for trial in trials if not trial[1]][-1]
@@ -406,6 +408,16 @@ class TestShootEntire:
         assert apex == data.a1 and run.event == ("LocalMin", None) and run.t[-1] < 40.0
         assert len(integrations) == 1 and bounds == [40.0] * (len(trials) + 1)
         _assert_is_integrate(p3, settings, data, traj)
+
+    def test_an_orbit_short_of_a_window_end_fails_the_decay_check(self, p3, monkeypatch):
+        # On t_span (-40, 40) the orbit is integrated afresh; cut short of
+        # t = 40 here, it has no end node to read there.
+        settings = replace(shoot_settings(p3), t_span=(-40.0, 40.0))
+        inner = experiments.integrate
+        monkeypatch.setattr(experiments, "integrate", lambda params, state, settings, **kw: inner(
+            params, state, replace(settings, t_span=(-40.0, 30.0)), **kw))
+        with pytest.raises(BracketFailure, match="does not reach both window ends"):
+            shoot_entire(p3, settings)
 
     @pytest.mark.parametrize("span", [(-10.0, 0.0), (-10.0, -5.0), (1.0, 10.0)])
     def test_window_must_hold_the_apex_time(self, p3, span):

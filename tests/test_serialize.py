@@ -265,6 +265,15 @@ class TestValidation:
         with pytest.raises(SchemaMismatch, match="node arrays have inconsistent lengths"):
             load_trajectory(path)
 
+    def test_t_initial_off_the_nodes_rejected(self, perturbed_traj, tmp_path):
+        # classify reads the initial state at its node.
+        doc = trajectory_to_dict(perturbed_traj)
+        between = 0.5 * (doc["nodes"]["t"][0] + doc["nodes"]["t"][1])
+        path = tmp_path / "orbit.json"
+        path.write_text(json.dumps(_replace(doc, ("t_initial",), between)))
+        with pytest.raises(SchemaMismatch, match="t_initial is not a node time"):
+            load_trajectory(path)
+
     def test_event_kind_outside_the_three_rejected(self, perturbed_traj, tmp_path):
         # Only SignChange, PositivityLoss and BlowUp are ever recorded.
         doc = trajectory_to_dict(perturbed_traj)
