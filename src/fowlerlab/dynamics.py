@@ -1018,10 +1018,15 @@ def _two_sided(params, initial, settings, mode, solve) -> Trajectory:
 
 def _step_function(traj: Trajectory, row: int, k: int) -> Callable[[float], float]:
     """Scalar x -> traj.sample(x)[row, 0] for x strictly inside step k, bit
-    for bit: that step's polynomial alone (Trajectory._step), so a step on
-    which a component changes sign builds no interpolant."""
+    for bit up to the sign of a zero: that step's polynomial alone
+    (Trajectory._step), so a step on which a component changes sign builds
+    no interpolant.  It is evaluated at its own degree: the zero leading
+    coefficients of a padded quintic only carry a signed zero into the
+    next one."""
     *cols, hk = traj._step(k)
     coeffs = cols[row]
+    while len(coeffs) > 1 and coeffs[-1] == 0.0:
+        coeffs = coeffs[:-1]
     t0 = float(traj.t[k])
     return lambda x: _poly_value(coeffs, (x - t0) / hk)
 

@@ -697,6 +697,51 @@ def _sweep_point(payload):
     return record
 
 
+# The sweep's worker pool, kept across calls: (pid that started it, size,
+# executor, its exit hook), or None.
+_POOL = None
+
+
+def _close_pool() -> None:
+    """Shut down the kept pool if this process started it, then forget it.
+    A forked child only drops its parent's pool: the workers are not its own."""
+    global _POOL
+    if _POOL is not None and _POOL[0] == os.getpid():
+        _POOL[3].cancel()
+        _POOL[2].shutdown(wait=True)
+    _POOL = None
+
+
+def _pool_map(size: int, payloads) -> list:
+    """_sweep_point over payloads on the kept pool of size workers, started
+    (or restarted at another size) on first use; a pool found broken, say
+    by a worker that died while idle, is replaced and the call run once
+    more, which gives the same records since points are pure."""
+    global _POOL
+    # Imported here: the pool's modules cost every process that never runs
+    # one about 15 ms.  A fork-started pool launches all its workers at once.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing.util import Finalize
+
+    for retry in (False, True):
+        if _POOL is None or _POOL[:2] != (os.getpid(), size):
+            _close_pool()
+            # The exit hook runs in multiprocessing's exit function: at
+            # interpreter exit, and in a multiprocessing child before it
+            # joins its children, which idle workers would never let end.
+            # Its priority is above the 10 at which that function closes
+            # the pool's queues, after which no worker hears the stop.
+            _POOL = (os.getpid(), size, ProcessPoolExecutor(max_workers=size),
+                     Finalize(None, _close_pool, exitpriority=100))
+        try:
+            return list(_POOL[2].map(_sweep_point, payloads))
+        except BrokenProcessPool:
+            _close_pool()
+            if retry:
+                raise
+
+
 def sweep(
     params_grid,
     initial_grid,
@@ -712,7 +757,11 @@ def sweep(
     energy is recomputed per parameter set.  Output ordering follows the
     grid indices; per-point errors are captured in the report.  With
     workers > 1 the points run in separate processes and the result is
-    identical to the serial run.  When archive_dir is given, every
+    identical to the serial run.  The worker processes, no more than the
+    grid's points, are kept for later pooled sweeps of the same size and
+    exit with this process; they run the package as it was when the pool
+    started, so code changed in this process after that (a monkeypatch,
+    say) is not seen there.  When archive_dir is given, every
     trajectory artifact is written there and referenced by relative path.
     seed only labels the report: a sweep draws nothing.
     """
@@ -721,6 +770,8 @@ def sweep(
     if settings is None:
         settings = IntegratorSettings()
     if archive_dir is not None:
+        # Absolute: kept workers stay in the directory they started in.
+        archive_dir = os.path.abspath(archive_dir)
         os.makedirs(archive_dir, exist_ok=True)
     params_grid = list(params_grid)
     values_grid = [
@@ -733,13 +784,7 @@ def sweep(
             payloads.append(((pi, ii), params, values, settings, mode, archive_dir))
 
     if workers > 1 and len(payloads) > 1:
-        # Imported here: the pool's modules cost every process that never
-        # runs one about 15 ms.  A fork-started pool launches all
-        # max_workers processes at once.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
-            records = list(pool.map(_sweep_point, payloads))
+        records = _pool_map(min(workers, len(payloads)), payloads)
     else:
         records = [_sweep_point(p) for p in payloads]
 

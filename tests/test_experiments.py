@@ -1,6 +1,12 @@
 import concurrent.futures
 import json
 import math
+import multiprocessing
+import multiprocessing.connection
+import os
+import signal
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -992,30 +998,26 @@ class TestSweep:
     def test_pool_is_no_larger_than_the_grid(self, p3, span20, monkeypatch):
         # A fork-started pool launches all max_workers processes up front.
         # The fake records the size asked for and maps serially, so no
-        # process starts.
+        # process starts.  The kept pool is emptied, so the fake is built,
+        # then kept for the second call.
         sizes = []
 
         class SerialPool:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
             def map(self, fn, items):
                 return map(fn, items)
 
         # sweep imports the pool class from concurrent.futures when it runs one.
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(experiments, "_POOL", None)
         cyl, _ = cylinder_state(p3)
         grid = [(cyl.w1, cyl.w2, 0.0, 0.0), (cyl.w1 + 1e-3, cyl.w2, 0.0, 0.0)]
         serial = sweep([p3], grid, span20)
         for workers in (2, 5000):
             assert sweep([p3], grid, span20, workers=workers).runs == serial.runs
-        assert sizes == [2, 2]
+        assert sizes == [2]
 
     def test_deterministic_json(self, p3, span20):
         cyl, _ = cylinder_state(p3)
@@ -1067,3 +1069,131 @@ class TestSweep:
         assert sorted(p.name for p in archive.iterdir()) == [
             "run_000_000.json", "run_000_001.json",
         ]
+
+
+def _kept_workers():
+    """The kept pool's worker processes by pid."""
+    return dict(experiments._POOL[2]._processes)
+
+
+def _report_json(report):
+    return dumps(experiment_report_to_dict(report))
+
+
+def _child_sweep(conn, params, grid, span):
+    conn.send((_report_json(sweep([params], grid, span, workers=2)), list(_kept_workers())))
+    conn.close()
+
+
+class TestKeptPool:
+    """A pooled sweep keeps its workers for later pooled sweeps."""
+
+    @pytest.fixture(scope="class")
+    def grid(self, p3):
+        cyl, _ = cylinder_state(p3)
+        return [
+            (cyl.w1, cyl.w2, 0.0, 0.0),
+            (cyl.w1 + 1e-3, cyl.w2, 0.0, 0.0),
+            (cyl.w1, cyl.w2 + 2e-3, 0.01, 0.0),
+        ]
+
+    @pytest.fixture(scope="class")
+    def serial(self, p3, span20, grid):
+        return _report_json(sweep([p3], grid, span20))
+
+    def test_later_sweeps_run_on_the_same_workers(self, p3, span20, grid, serial):
+        first = _report_json(sweep([p3], grid, span20, workers=2))
+        pids = set(_kept_workers())
+        second = _report_json(sweep([p3], grid, span20, workers=2))
+        assert len(pids) == 2 and set(_kept_workers()) == pids
+        assert first == serial and second == serial
+
+    def test_a_worker_killed_between_calls_is_replaced(self, p3, span20, grid, serial):
+        sweep([p3], grid, span20, workers=2)
+        workers = _kept_workers()
+        pid = min(workers)
+        os.kill(pid, signal.SIGKILL)
+        assert multiprocessing.connection.wait([workers[pid].sentinel], timeout=30)
+        assert _report_json(sweep([p3], grid, span20, workers=2)) == serial
+        assert not set(_kept_workers()) & set(workers)
+
+    def test_a_relative_archive_dir_is_read_in_the_callers_cwd(self, p3, span20, grid,
+                                                                tmp_path, monkeypatch):
+        # The workers keep the cwd they were started in.
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        monkeypatch.chdir(tmp_path / "a")
+        sweep([p3], grid, span20, workers=2)
+        monkeypatch.chdir(tmp_path / "b")
+        report = sweep([p3], grid, span20, workers=2, archive_dir="runs")
+        assert sorted(os.listdir(tmp_path / "b" / "runs")) == sorted(
+            record["trajectory"] for record in report.runs
+        )
+        assert not (tmp_path / "a" / "runs").exists()
+
+    def test_a_forked_child_starts_its_own_pool(self, p3, span20, grid, serial):
+        sweep([p3], grid, span20, workers=2)
+        pids = set(_kept_workers())
+        fork = multiprocessing.get_context("fork")
+        reader, writer = fork.Pipe(duplex=False)
+        child = fork.Process(target=_child_sweep, args=(writer, p3, grid, span20))
+        child.start()
+        writer.close()
+        child_workers = []
+        try:
+            assert reader.poll(60), "the child's sweep did not finish"
+            report, child_workers = reader.recv()
+            assert report == serial
+            # Its exit shuts its own pool down, not its parent's.
+            child.join(60)
+            assert child.exitcode == 0
+        finally:
+            if child.is_alive():
+                for pid in [child.pid, *child_workers]:
+                    os.kill(pid, signal.SIGKILL)
+                child.join()
+        assert set(_kept_workers()) == pids
+        assert _report_json(sweep([p3], grid, span20, workers=2)) == serial
+
+    def test_exit_is_silent_and_ends_the_workers(self):
+        src = os.path.dirname(os.path.dirname(experiments.__file__))
+        script = (
+            "import fowlerlab\n"
+            "from fowlerlab import experiments\n"
+            "p = fowlerlab.make_params(3, 1.0, 1.0, 1.0)\n"
+            "grid = [(0.5, 0.5, 0.0, 0.0), (0.6, 0.5, 0.0, 0.0), (0.5, 0.6, 0.0, 0.0)]\n"
+            "span = fowlerlab.IntegratorSettings(t_span=(-2.0, 2.0))\n"
+            "for _ in range(2):\n"
+            "    fowlerlab.sweep([p], grid, span, workers=2)\n"
+            "print(*experiments._POOL[2]._processes)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert done.returncode == 0 and done.stderr == ""
+        pids = [int(pid) for pid in done.stdout.split()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_a_size_change_shuts_the_old_pool_down(self, p3, span20, grid, monkeypatch):
+        # The fake maps serially, so no process starts.
+        log = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                self.size = max_workers
+                log.append(("start", max_workers))
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+            def shutdown(self, wait):
+                log.append(("shutdown", self.size, wait))
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(experiments, "_POOL", None)
+        for workers in (2, 2, 3, 3, 2):
+            sweep([p3], grid, span20, workers=workers)
+        assert log == [("start", 2), ("shutdown", 2, True), ("start", 3),
+                       ("shutdown", 3, True), ("start", 2)]
