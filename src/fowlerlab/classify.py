@@ -6,8 +6,10 @@ K < 0 with both components bounded below is both-singular behaviour; K < 0
 with exactly one component decaying is semi-singular behaviour, which cannot
 occur for N >= 4 and is therefore flagged as an anomaly there.  Finite
 windows prove nothing, so every verdict is a candidate backed by a
-quantitative evidence record.  The decay rates are closed-form
-least-squares lines of ln w over one sample of each outer third.
+quantitative evidence record.  The decay rates are medians of the local
+rate -w'/w over the nodes of each outer third, read from the node states
+the step loop stored, so a fitted orbit is sampled once, for its window
+extremes.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ K_TOL_FACTOR = 1e-8
 DECAY_RTOL = 0.05
 #: Minimum one-sided coverage (in t) required for a decay fit.
 MIN_SIDE_COVER = 10.0
-#: Samples drawn from the dense interpolant for each decay fit.
-_FIT_SAMPLES = 400
 _WINDOW_SAMPLES = 2000
 #: Order-of-magnitude separation used by the semi-singular detector.
 _SEMI_SEPARATION = 10.0
@@ -52,21 +52,15 @@ class Classification:
     evidence: dict = field(default_factory=dict)
 
 
-def _side_region(traj: Trajectory, end: str) -> tuple[float, float]:
-    span = traj.t_max - traj.t_min
-    third = span / 3.0
-    if end == "+":
-        return traj.t_max - third, traj.t_max
-    return traj.t_min, traj.t_min + third
-
-
 def _decay_fits(traj: Trajectory, end: str) -> list:
-    """Least-squares decay fits of w1 and w2 on the outer third, from one
-    sample of that region: for each component the line through the mean
-    point of (t, ln w) with slope sum (t - tm)(ln w - ym) / sum (t - tm)^2,
-    tm and ym the means.
+    """Decay fits of w1 and w2 at the nodes of the window's outer third
+    toward end, from the w and w' the step loop stored there: the rate is
+    the median local rate -w'/w (w'/w at the - end), which is delta tanh |t|
+    on the bubble and unmoved by the bend that the window's end puts in the
+    last nodes; the amplitude is exp of the median of ln w + rate * |t|
+    (|t| read as t at the + end and -t at the - end).
 
-    Each entry is (rate, amplitude) with w ~ amplitude * exp(-rate * |t|)
+    Each entry is [rate, amplitude] with w ~ amplitude * exp(-rate * |t|)
     toward the requested end, or the InsufficientWindow that refuses the
     fit: the side covers less than MIN_SIDE_COVER units (both entries), or
     the component is not positive on the fit region.  The orbit carries no
@@ -76,20 +70,16 @@ def _decay_fits(traj: Trajectory, end: str) -> list:
     if cover < MIN_SIDE_COVER:
         short = InsufficientWindow(f"side {end} covers {cover:.3g} < {MIN_SIDE_COVER} units of t")
         return [short, short]
-    lo, hi = _side_region(traj, end)
-    ts = np.linspace(lo, hi, _FIT_SAMPLES)
-    t_mean = ts.mean()
-    tc = ts - t_mean
+    third = (traj.t_max - traj.t_min) / 3.0
+    nodes = traj.t >= traj.t_max - third if end == "+" else traj.t <= traj.t_min + third
+    sign = 1.0 if end == "+" else -1.0
     fits: list = []
-    for w in traj.sample(ts, derivatives=0):
+    for w, dw in zip(traj.y[:2, nodes], traj.y[2:, nodes]):
         if np.any(w <= 0.0):
             fits.append(InsufficientWindow("component not positive on the fit region"))
             continue
-        y = np.log(w)
-        y_mean = y.mean()
-        slope = float(tc @ (y - y_mean) / (tc @ tc))
-        rate = -slope if end == "+" else slope
-        fits.append((rate, math.exp(y_mean - slope * t_mean)))
+        rate = -sign * float(np.median(dw / w))
+        fits.append([rate, math.exp(float(np.median(np.log(w) + rate * sign * traj.t[nodes])))])
     return fits
 
 
@@ -158,28 +148,21 @@ def classify(
         # would read the stretch it reached, not the orbit.
         return Classification(INCONCLUSIVE, k_value, evidence)
 
-    w1, w2 = _window_sample(traj)
-    inf_w = (float(np.min(w1)), float(np.min(w2)))
-    sup_w = (float(np.max(w1)), float(np.max(w2)))
-    evidence["inf_w"] = list(inf_w)
-    evidence["sup_w"] = list(sup_w)
+    window = _window_sample(traj)
+    inf_w = evidence["inf_w"] = window.min(axis=1).tolist()
+    evidence["sup_w"] = window.max(axis=1).tolist()
 
     fits: dict = {}
     for end in ("+", "-"):
         for comp, fit in zip((1, 2), _decay_fits(traj, end)):
             if isinstance(fit, InsufficientWindow):
-                fits[(end, comp)] = None
                 evidence.setdefault("fit_errors", []).append([end, comp, str(fit)])
-            else:
-                fits[(end, comp)] = fit
-    evidence["decay"] = {
-        f"{end}{comp}": (None if fits[(end, comp)] is None else list(fits[(end, comp)]))
-        for end in ("+", "-")
-        for comp in (1, 2)
-    }
+                fit = None
+            fits[f"{end}{comp}"] = fit
+    evidence["decay"] = fits
 
     def decays(end: str, comp: int) -> bool:
-        fit = fits[(end, comp)]
+        fit = fits[f"{end}{comp}"]
         return fit is not None and abs(fit[0] - params.delta) <= DECAY_RTOL * params.delta
 
     if abs(k_value) < k_tol:
@@ -195,7 +178,7 @@ def classify(
         for comp, other in ((1, 2), (2, 1)):
             if not decays("+", comp):
                 continue
-            tail = fits[("+", comp)][1] * math.exp(-params.delta * span / 3.0)
+            tail = fits[f"+{comp}"][1] * math.exp(-params.delta * span / 3.0)
             if not decays("+", other) and inf_w[other - 1] > _SEMI_SEPARATION * tail:
                 evidence["anomaly"] = params.N >= 4
                 evidence["semi_decaying_component"] = comp

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 import os
+import threading
+import time
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -712,6 +714,20 @@ def _close_pool() -> None:
     _POOL = None
 
 
+def _exit_with_parent() -> None:
+    """Pool initializer: the worker exits once its parent is gone, as when
+    the process that started the pool is killed without its exit hooks;
+    otherwise the orphan would wait on the call queue forever."""
+    parent = os.getppid()
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(0)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def _pool_map(size: int, payloads) -> list:
     """_sweep_point over payloads on the kept pool of size workers, started
     (or restarted at another size) on first use; a pool found broken, say
@@ -732,8 +748,8 @@ def _pool_map(size: int, payloads) -> list:
             # joins its children, which idle workers would never let end.
             # Its priority is above the 10 at which that function closes
             # the pool's queues, after which no worker hears the stop.
-            _POOL = (os.getpid(), size, ProcessPoolExecutor(max_workers=size),
-                     Finalize(None, _close_pool, exitpriority=100))
+            executor = ProcessPoolExecutor(max_workers=size, initializer=_exit_with_parent)
+            _POOL = (os.getpid(), size, executor, Finalize(None, _close_pool, exitpriority=100))
         try:
             return list(_POOL[2].map(_sweep_point, payloads))
         except BrokenProcessPool:
@@ -759,11 +775,11 @@ def sweep(
     workers > 1 the points run in separate processes and the result is
     identical to the serial run.  The worker processes, no more than the
     grid's points, are kept for later pooled sweeps of the same size and
-    exit with this process; they run the package as it was when the pool
-    started, so code changed in this process after that (a monkeypatch,
-    say) is not seen there.  When archive_dir is given, every
-    trajectory artifact is written there and referenced by relative path.
-    seed only labels the report: a sweep draws nothing.
+    exit with this process, even a killed one; they run the package as it
+    was when the pool started, so code changed in this process after that
+    (a monkeypatch, say) is not seen there.  When archive_dir is given,
+    every trajectory artifact is written there and referenced by relative
+    path.  seed only labels the report: a sweep draws nothing.
     """
     if workers < 1:
         raise DomainError(f"workers must be at least 1, got {workers!r}")

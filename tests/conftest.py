@@ -1,5 +1,8 @@
+import multiprocessing
+
 import pytest
 
+from fowlerlab import experiments
 from fowlerlab import (
     FowlerState,
     IntegratorSettings,
@@ -8,6 +11,15 @@ from fowlerlab import (
     integrate,
     make_params,
 )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_worker_outlives_the_suite():
+    # A leaked worker fails the suite here rather than holding its output
+    # pipe open after the run.
+    yield
+    experiments._close_pool()
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="session")

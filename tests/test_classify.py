@@ -1,4 +1,3 @@
-import math
 from dataclasses import replace
 
 import mpmath
@@ -20,7 +19,7 @@ from fowlerlab import (
     make_params,
     monitor,
 )
-from fowlerlab.classify import _FIT_SAMPLES, _decay_fits, _side_region, _window_sample
+from fowlerlab.classify import _WINDOW_SAMPLES, _decay_fits, _window_sample
 from fowlerlab.errors import InsufficientWindow
 
 mpmath.mp.dps = 50
@@ -151,9 +150,10 @@ class TestDecayRate:
                 rate = decay_rate(p3, bubble_traj, comp, end)
                 assert rate == pytest.approx(p3.delta, rel=0.01)
 
-    def test_each_side_is_sampled_once_for_both_components(self, bubble_traj, p3,
-                                                          monkeypatch):
-        # Both fits of a side read the rows of one sample of its outer third.
+    def test_a_fitted_orbit_is_sampled_once_on_the_window_grid(self, bubble_traj, p3,
+                                                               monkeypatch):
+        # The decay fits read the nodes; the one sample is the window's, for
+        # the extremes.
         sampled, inner = [], type(bubble_traj).sample
 
         def sample(self, tq, **kw):
@@ -162,37 +162,32 @@ class TestDecayRate:
 
         monkeypatch.setattr(type(bubble_traj), "sample", sample)
         fits = classify(p3, bubble_traj).evidence["decay"]
-        third = (bubble_traj.t_max - bubble_traj.t_min) / 3.0
-        assert [call for call in sampled if call[2] == 400] == [
-            (bubble_traj.t_max - third, bubble_traj.t_max, 400),
-            (bubble_traj.t_min, bubble_traj.t_min + third, 400),
-        ]
+        assert sampled == [(bubble_traj.t_min, bubble_traj.t_max, _WINDOW_SAMPLES)]
         assert all(fits[key] is not None for key in ("+1", "+2", "-1", "-2"))
 
-    def test_closed_form_fits_equal_polyfit(self, p3, bubble_traj, cylinder_traj,
-                                            perturbed_traj):
-        # np.polyfit's degree-1 least squares, kept here as the oracle.  The
-        # rates are compared relative to delta, the scale classify judges
-        # them on: the cylinder's are rounding noise of either sign (1e-18).
-        # Measured: rates within 1.7e-16, amplitudes within 1.5e-15 relative.
-        for traj in (bubble_traj, cylinder_traj, perturbed_traj):
-            for end in ("+", "-"):
-                lo, hi = _side_region(traj, end)
-                ts = np.linspace(lo, hi, _FIT_SAMPLES)
-                for (rate, amplitude), w in zip(_decay_fits(traj, end),
-                                                traj.sample(ts, derivatives=0)):
-                    slope, intercept = np.polyfit(ts, np.log(w), 1)
-                    assert rate == pytest.approx(-slope if end == "+" else slope,
-                                                 rel=0, abs=1e-12 * p3.delta)
-                    assert amplitude == pytest.approx(math.exp(intercept), rel=1e-12)
+    def test_bubble_rates_are_the_median_of_delta_tanh_at_the_nodes(self, p3, bubble_traj):
+        # The bubble w = c (2 cosh t)^(-delta) has local rate delta tanh |t|
+        # toward either end, so each fit must read the median of that over
+        # the same nodes, and its amplitude c = w(0) 2^delta.  Measured: the
+        # rates within 2.2e-7 relative, the amplitudes within 1.1e-6 (the
+        # rate's offset times |t| of about 15).
+        t = bubble_traj.t
+        c = bubble_traj.y[0, t.searchsorted(0.0)] * 2.0**p3.delta
+        third = (bubble_traj.t_max - bubble_traj.t_min) / 3.0
+        for end, ts in (("+", t[t >= bubble_traj.t_max - third]),
+                        ("-", t[t <= bubble_traj.t_min + third])):
+            exact = float(np.median(p3.delta * np.tanh(np.abs(ts))))
+            for rate, amplitude in _decay_fits(bubble_traj, end):
+                assert rate == pytest.approx(exact, rel=5e-7)
+                assert amplitude == pytest.approx(c, rel=5e-6)
 
     def test_cylinder_rate_is_zero(self, p3, cylinder_traj):
         assert abs(decay_rate(p3, cylinder_traj, 1, "+")) < 1e-6
         assert abs(decay_rate(p3, cylinder_traj, 2, "-")) < 1e-6
 
     def test_perturbed_cylinder_rate_small(self, p3, perturbed_traj):
-        # Oracle: the dense range of log w is bounded, so the fitted slope
-        # cannot exceed range/length of the fit region.
+        # Oracle: the dense range of log w is bounded, so its local rate
+        # oscillates about zero and its median stays far below delta.
         ts = np.linspace(perturbed_traj.t_min, perturbed_traj.t_max, 10000)
         w1 = perturbed_traj.sample(ts)[0]
         spread = np.ptp(np.log(w1))

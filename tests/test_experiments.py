@@ -4,9 +4,11 @@ import math
 import multiprocessing
 import multiprocessing.connection
 import os
+import select
 import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -738,6 +740,22 @@ class TestShootBracket:
                 counts.append(len(trials))
         assert sum(counts) / len(counts) <= 4.81
 
+    def test_bench_style_shoots_classify_entire(self):
+        # The same 36 inputs.  Every converged orbit decays at delta at all
+        # four ends: the median local rate reads at most 4.4e-6 off delta
+        # over passes 0-59, where the line fit it replaced, bent by the
+        # window's end, read up to 5.2 % off and left N = 4 of passes 0, 5
+        # and 6 Inconclusive.
+        for k in range(12):
+            mu1, mu2 = np.random.default_rng([0, k]).uniform(0.9, 1.1, size=2)
+            for N, beta in [(3, 1.0), (4, 2.0), (5, 1.0)]:
+                params = make_params(N, float(mu1), float(mu2), beta)
+                _, traj = shoot_entire(params)
+                result = classify(params, traj)
+                assert result.verdict == ENTIRE, (k, N)
+                for rate, _ in result.evidence["decay"].values():
+                    assert rate == pytest.approx(params.delta, rel=1e-4)
+
     @pytest.mark.parametrize("case", [(3, 1.0), (4, 2.0), (5, 1.0)])
     def test_the_guide_root_is_tried_before_any_integration(self, case, monkeypatch):
         params = make_params(case[0], 1.0, 1.0, case[1])
@@ -1003,7 +1021,7 @@ class TestSweep:
         sizes = []
 
         class SerialPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **options):
                 sizes.append(max_workers)
 
             def map(self, fn, items):
@@ -1078,6 +1096,30 @@ def _kept_workers():
 
 def _report_json(report):
     return dumps(experiment_report_to_dict(report))
+
+
+# Two pooled sweeps in a fresh interpreter, which then prints its workers' pids.
+_SWEEP_SCRIPT = (
+    "import time\n"
+    "import fowlerlab\n"
+    "from fowlerlab import experiments\n"
+    "p = fowlerlab.make_params(3, 1.0, 1.0, 1.0)\n"
+    "grid = [(0.5, 0.5, 0.0, 0.0), (0.6, 0.5, 0.0, 0.0), (0.5, 0.6, 0.0, 0.0)]\n"
+    "span = fowlerlab.IntegratorSettings(t_span=(-2.0, 2.0))\n"
+    "for _ in range(2):\n"
+    "    fowlerlab.sweep([p], grid, span, workers=2)\n"
+    "print(*experiments._POOL[2]._processes, flush=True)\n"
+)
+_SCRIPT_ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(experiments.__file__)))
+
+
+def _running(pid):
+    """Whether pid is a process that has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 def _child_sweep(conn, params, grid, span):
@@ -1156,19 +1198,8 @@ class TestKeptPool:
         assert _report_json(sweep([p3], grid, span20, workers=2)) == serial
 
     def test_exit_is_silent_and_ends_the_workers(self):
-        src = os.path.dirname(os.path.dirname(experiments.__file__))
-        script = (
-            "import fowlerlab\n"
-            "from fowlerlab import experiments\n"
-            "p = fowlerlab.make_params(3, 1.0, 1.0, 1.0)\n"
-            "grid = [(0.5, 0.5, 0.0, 0.0), (0.6, 0.5, 0.0, 0.0), (0.5, 0.6, 0.0, 0.0)]\n"
-            "span = fowlerlab.IntegratorSettings(t_span=(-2.0, 2.0))\n"
-            "for _ in range(2):\n"
-            "    fowlerlab.sweep([p], grid, span, workers=2)\n"
-            "print(*experiments._POOL[2]._processes)\n"
-        )
-        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        done = subprocess.run([sys.executable, "-c", _SWEEP_SCRIPT], capture_output=True,
+                              text=True, env=_SCRIPT_ENV, timeout=120)
         assert done.returncode == 0 and done.stderr == ""
         pids = [int(pid) for pid in done.stdout.split()]
         assert len(pids) == 2
@@ -1176,12 +1207,34 @@ class TestKeptPool:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
 
+    def test_workers_exit_when_their_starter_is_killed(self):
+        # SIGKILL runs no exit hook, so only the workers can see it.
+        proc = subprocess.Popen([sys.executable, "-c", _SWEEP_SCRIPT + "time.sleep(600)\n"],
+                                stdout=subprocess.PIPE, text=True, env=_SCRIPT_ENV)
+        pids = []
+        try:
+            assert select.select([proc.stdout], [], [], 120)[0], "the sweeps did not finish"
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+            assert len(pids) == 2
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 5.0
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not any(map(_running, pids))
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+            for pid in filter(_running, pids):
+                os.kill(pid, signal.SIGKILL)
+
     def test_a_size_change_shuts_the_old_pool_down(self, p3, span20, grid, monkeypatch):
         # The fake maps serially, so no process starts.
         log = []
 
         class SerialPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **options):
                 self.size = max_workers
                 log.append(("start", max_workers))
 
