@@ -277,7 +277,7 @@ def _cmd_bubble(given: dict) -> int:
     for r in given.get("r", [1.0]):
         u, v = bubble_radial(params, eps, r)
         samples.append({"r": r, "u": u, "v": v})
-    apex = bubble_fowler(params, eps, -math.log(eps))
+    apex = bubble_fowler(params, eps, 0.0 - math.log(eps))  # +0.0 at eps = 1
     doc = {
         "schema_version": serialize.SCHEMA_VERSION,
         "params": serialize.params_to_dict(params),

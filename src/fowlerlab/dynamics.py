@@ -1,48 +1,37 @@
 """The vector field and the adaptive integrator with dense output and event
 detection, in the logarithmic radial variables of fowlerlab.invariants.
 
-Integration uses the package's own embedded Runge-Kutta 8(5,3) pair
-(Dormand-Prince DOP853, Hairer-Norsett-Wanner II.5 and II.10) in both time
-directions from the initial point; the step loop is scalar Python on the
-four state components, and its trial step is rendered at import from one
-table of coefficients (_TABLEAU) and one text of the positive-cone field
-(_CONE).  The field does not depend on w', so the trial step is DOP853 in
-Nystrom form (Hairer-Norsett-Wanner II.14): each stage position comes
-from the old node and the earlier stages' accelerations, with no stage
-velocities, by weights derived from _TABLEAU at import (_nystrom_weights);
-the method is the same in exact arithmetic.  Dense output is a per-step
-degree-9 Hermite in the node values of w and its first four derivatives:
-w'' is the acceleration the step loop computed there (the
-first-same-as-last stage; at an event node, the field at the located
-state), and the third and fourth come from the field's
-Jacobian and Hessian (_field_jet).  A step on which a component changes
-sign or touches zero, where the field is not smooth, or whose derivative
-data are not finite keeps the quintic Hermite in (w, w', w'')
-(_step_polynomials).  Every event is read at the nodes and located on
-one step's polynomial by one bisection (_event_root): a terminal event on
-the step that crosses it (that polynomial is the interpolant's own on
-every step that does not end in an event), a sign change of a signed orbit
-on the step between two nodes of opposite signs, or at a node that is
-exactly zero between them (_bracketed_zeros).  Sampling computes only
-what its caller reads: a single float query takes scalar Horner on its
-step, whose quintic comes from the node data alone where a component
-changes sign or touches zero, so a signed orbit's events build no
-interpolant (Trajectory._step); and the derivative rows go only as far as
-the caller's count, from the value rows alone to w'' (the interpolant's
-own second derivative, whose gap to the field is its defect).  A loaded
-trajectory rebuilds the accelerations with the same scalar field at the
-stored nodes, and the higher derivatives from them, so sampling is
-bit-identical after a serialization round trip.  The field (_make_field)
-is the signed continuous extension |w|^(q-1) w of the positive-cone
-powers, from two powers per component, |w|^(p-1) and its product with
-|w|; on the positive cone both forms agree, and positivity-constrained runs
-terminate at POSITIVITY_FLOOR instead
-of crossing zero (the field is not Lipschitz at w = 0 when N >= 5).  The
-step loop evaluates _CONE inline, from the constants _make_field attaches to
-the field, at every stage point and new node: inside the open cone on the
-components, elsewhere on their magnitudes with a negative component's
-acceleration negated (_stage_field).  It calls the field at event nodes and
-in the initial-step estimate.  Both give the same floats.
+Integration uses the package's own DOP853 pair (Dormand-Prince 8(5,3),
+Hairer-Norsett-Wanner II.5 and II.10) in both time directions from the
+initial point.  The step loop is scalar Python on the four state
+components; its trial step is rendered at import from one table of
+coefficients (_TABLEAU) and one text of the positive-cone field (_CONE), in
+Nystrom form (Hairer-Norsett-Wanner II.14, _nystrom_weights), since the
+field does not depend on w'.
+
+Dense output is a per-step degree-9 Hermite in the node values of w and
+its first four derivatives: w'' is the step loop's acceleration there, and
+the third and fourth come from the field's Jacobian and Hessian
+(_field_jet).  A step on which a component changes sign or touches zero,
+where the field is not smooth, or whose derivative data are not finite
+keeps the quintic Hermite in (w, w', w'').  That rule lives in
+_step_polynomials on floats and in Trajectory._interpolant on arrays.
+Every event is located on one step's float polynomial by one bisection
+(_event_root), and its state is read on the same coefficients, so no event
+builds the interpolant: a terminal event on the step that crosses it, a
+sign change of a signed orbit on the step between two nodes of opposite
+signs, or at a node exactly zero between them (_bracketed_zeros).  sample
+takes arrays of times, and its derivative rows go only as far as the
+caller's count.  A loaded trajectory rebuilds the accelerations with the
+same scalar field at its nodes, so sampling is bit-identical after a
+serialization round trip.
+
+The field (_make_field) is the signed continuous extension |w|^(q-1) w of
+the positive-cone powers; positivity-constrained runs terminate at
+POSITIVITY_FLOOR instead of crossing zero (the field is not Lipschitz at
+w = 0 when N >= 5).  The step loop evaluates _CONE inline at every stage
+point and new node (_stage_field), and calls the field at event nodes and
+in the initial-step estimate; both give the same floats.
 """
 
 from __future__ import annotations
@@ -230,22 +219,11 @@ def _keeps_signs(w1, w2, z1, z2):
     return (w1 * z1 > 0.0) & (w2 * z2 > 0.0)
 
 
-def _step_quintics(old, new, h):
-    """The two components' quintic Hermite on one step, from the node data
-    old and new, each (w1, w2, w1', w2', w1'', w2'') as floats, padded
-    with zeros to ten coefficients."""
-    w1, w2, v1, v2, a1, a2 = old
-    z1, z2, u1, u2, b1, b2 = new
-    pad = (0.0,) * 4
-    return (_quintic(w1, z1, v1, u1, a1, b1, h) + pad,
-            _quintic(w2, z2, v2, u2, a2, b2, h) + pad)
-
-
 def _step_polynomials(cone, old, new, h):
     """The two components' coefficients on one step, from the node data old
     and new, each (w1, w2, w1', w2', w1'', w2'') as floats: degree 9 where
     the field's jet (_field_jet, cone its constants) applies, else the
-    quintic padded with zeros (_step_quintics).
+    quintic (_quintic).
 
     The quintic is kept where cone is None (a field without constants),
     where a component changes sign or touches zero over the step (the
@@ -267,7 +245,7 @@ def _step_polynomials(cone, old, new, h):
             c2 = _hermite9(w2, z2, v2, u2, a2, b2, j2, i2, k2, l2, h)
             if all(map(math.isfinite, c1 + c2)):
                 return c1, c2
-    return _step_quintics(old, new, h)
+    return _quintic(w1, z1, v1, u1, a1, b1, h), _quintic(w2, z2, v2, u2, a2, b2, h)
 
 
 def _poly_value(c, s):
@@ -339,10 +317,8 @@ class Trajectory:
     def _interpolant(self):
         """Per component a (10, n - 1) array of step coefficients, one
         contiguous row per coefficient, gathered row by row in sample; and
-        the steps h.  _step_polynomials's rule on every step, on arrays.
-
-        Built on the first array sample, or on the first float query of a
-        step that keeps the degree 9 (_step); then kept.
+        the steps h.  _step_polynomials's rule on every step, on arrays,
+        the quintic padded with zeros.  Built on the first sample, then kept.
         """
         if self._coeffs is None:
             fun = _make_field(self.params)
@@ -365,49 +341,19 @@ class Trajectory:
             self._coeffs = (coeffs[:, 0], coeffs[:, 1], h)
         return self._coeffs
 
-    def _step(self, k: int):
-        """Step k's coefficients, one list of ten floats per component, and
-        its length h: the interpolant's columns, bit for bit.  While it is
-        unbuilt, a step on which a component changes sign or touches zero
-        takes the quintic from its node data (_step_quintics), the
-        interpolant's own choice there in the same + - * arithmetic; any
-        other step builds it."""
-        if self._coeffs is None:
-            (w1, z1), (w2, z2) = self.y[:2, k:k + 2].tolist()
-            if not _keeps_signs(w1, w2, z1, z2):
-                nodes = np.concatenate([self.y[:, k:k + 2], self._node_accelerations()[:, k:k + 2]])
-                h = float(self.t[k + 1] - self.t[k])
-                return (*_step_quintics(*zip(*nodes.tolist()), h), h)
-        c1, c2, h = self._interpolant()
-        return c1[:, k].tolist(), c2[:, k].tolist(), float(h[k])
-
     def sample(self, tq, *, derivatives: int = 1) -> np.ndarray:
         """Dense rows at query times within cover: (w1, w2), then the two
         rows of each derivative order up to derivatives (0, 1 or 2), so
         (w1, w2, w1', w2') by default and (w1, ..., w1'', w2'') at 2.
 
-        A time outside the cover takes the nearest step's polynomial.  A
-        single float query is answered by scalar Horner on its step's
-        coefficients (_step), float for float the array path's result; on a
-        step where a component changes sign or touches zero it builds no
-        interpolant.  The rows of each order are the same floats whatever
-        the count.
+        A time outside the cover takes the nearest step's polynomial.  The
+        rows of each order are the same floats whatever the count.
         """
         rows = 2 * (derivatives + 1)
         if len(self.t) < 2:
             # Degenerate single-node trajectory (e.g. immediate blow-up).
             node = np.concatenate([self.y, self._node_accelerations()])
             return np.tile(node[:rows, :1], (1, np.size(tq)))
-        if isinstance(tq, float):
-            i = min(max(int(self.t.searchsorted(tq, side="right")) - 1, 0), len(self.t) - 2)
-            *cols, hi = self._step(i)
-            s = (float(tq) - float(self.t[i])) / hi
-            out = [_poly_value(c, s) for c in cols]
-            scale = 1.0
-            for order in range(1, derivatives + 1):
-                scale *= hi
-                out += [_poly_derivative(c, s, order) / scale for c in cols]
-            return np.array(out).reshape(rows, 1)
         c1, c2, h = self._interpolant()
         tq = np.atleast_1d(np.asarray(tq, dtype=float))
         idx = np.clip(np.searchsorted(self.t, tq, side="right") - 1, 0, len(h) - 1)
@@ -422,9 +368,6 @@ class Trajectory:
                 scale *= hq
                 out[row + 2 * order] = _poly_derivative(cc, s, order) / scale
         return out
-
-    def sample_state(self, t: float) -> FowlerState:
-        return FowlerState.from_array(t, self.sample(t)[:, 0])
 
 
 #: Step-size controller of the Dormand-Prince pair (Hairer-Norsett-Wanner
@@ -908,29 +851,19 @@ def integrate(
     if settings is None:
         settings = IntegratorSettings()
     _require_window(settings.t_span, initial.t, "integration window must hold the initial time")
-    t_hi = settings.t_span[1]
+    t_lo, t_hi = settings.t_span
 
     def solve(fun, t0, start):
         # solve_ivp is looked up on the module at call time, so a wrapper set
         # on that attribute (bench/tracing.py) sees every call.
         forward = solve_ivp(fun, t0, start, t_hi, settings, mode) if t_hi > t0 else None
-        return forward, _backward_half(fun, t0, start, forward, settings, mode)
+        if t_lo == -t_hi and all(x == 0.0 and math.copysign(1.0, x) > 0.0
+                                 for x in (t0, start[2], start[3])):
+            # A -0.0 would not survive the mirror.
+            return forward, _mirror(forward)
+        return forward, solve_ivp(fun, t0, start, t_lo, settings, mode) if t_lo < t0 else None
 
     return _two_sided(params, initial, settings, mode, solve)
-
-
-def _backward_half(fun, t0, start, forward, settings, mode):
-    """integrate's Segment from t0 toward t_span[0], given its forward one
-    (None when t_span[0] == t0).
-
-    Data at rest at t = 0 on a symmetric window: the backward run is the
-    forward one mirrored.  A -0.0 would not survive the mirror.
-    """
-    t_lo, t_hi = settings.t_span
-    if t_lo == -t_hi and all(x == 0.0 and math.copysign(1.0, x) > 0.0
-                             for x in (t0, start[2], start[3])):
-        return _mirror(forward)
-    return solve_ivp(fun, t0, start, t_lo, settings, mode) if t_lo < t0 else None
 
 
 def _two_sided(params, initial, settings, mode, solve) -> Trajectory:
@@ -1016,49 +949,48 @@ def _two_sided(params, initial, settings, mode, solve) -> Trajectory:
     return traj
 
 
-def _step_function(traj: Trajectory, row: int, k: int) -> Callable[[float], float]:
-    """Scalar x -> traj.sample(x)[row, 0] for x strictly inside step k, bit
-    for bit up to the sign of a zero: that step's polynomial alone
-    (Trajectory._step), so a step on which a component changes sign builds
-    no interpolant.  It is evaluated at its own degree: the zero leading
-    coefficients of a padded quintic only carry a signed zero into the
-    next one."""
-    *cols, hk = traj._step(k)
-    coeffs = cols[row]
-    while len(coeffs) > 1 and coeffs[-1] == 0.0:
-        coeffs = coeffs[:-1]
-    t0 = float(traj.t[k])
-    return lambda x: _poly_value(coeffs, (x - t0) / hk)
-
-
-def _bracketed_zeros(traj: Trajectory, row: int) -> list[float]:
-    """Zero crossings of component row 0 (w1) or 1 (w2), read at the nodes.
+def _bracketed_zeros(traj: Trajectory, row: int) -> list[FowlerState]:
+    """The states at the zero crossings of component row 0 (w1) or 1 (w2),
+    read at the nodes.
 
     Each pair of consecutive nonzero nodes of opposite signs is one
-    crossing.  One step apart, it is bisected on that step's polynomial to
-    the first float at which the row is zero or past it (_event_root);
-    otherwise it sits at the first zero node between them.  A zero node
-    between nodes of one sign is a touch, not a crossing.  Every step
-    bisected changes sign, so it keeps the quintic from its node data, and
-    the interpolant is not built.
+    crossing.  One step apart, it is bisected on that step's polynomial
+    (_step_polynomials; the quintic, as the row changes sign there) to the
+    first float at which the row is zero or past it (_event_root), and its
+    state is read on the same coefficients; otherwise it sits at the first
+    zero node between them.  A crossing on a node takes that node's state.
+    A zero node between nodes of one sign is a touch, not a crossing.
     """
-    vv = traj.y[row]
+    t, y = traj.t.tolist(), traj.y
+    vv = y[row]
     nz = np.flatnonzero(vv != 0.0)
     flips = np.flatnonzero(vv[nz[:-1]] * vv[nz[1:]] < 0.0)
-    roots = []
+    if not flips.size:
+        return []
+    cone = _make_field(traj.params)._cone
+    nodes = np.concatenate([y, traj._node_accelerations()])
+    states = []
     for a, b in zip(nz[flips].tolist(), nz[flips + 1].tolist()):
-        if b > a + 1:
-            roots.append(float(traj.t[a + 1]))
-            continue
-        f = _step_function(traj, row, a)
-        sign = math.copysign(1.0, vv[a])
-        roots.append(_event_root(lambda x: sign * f(x) <= 0.0, float(traj.t[a]), float(traj.t[b])))
-    return roots
+        k = a + 1  # the first zero node, or the step's end node
+        if b == k:
+            ta, h = t[a], t[b] - t[a]
+            c1, c2 = _step_polynomials(cone, nodes[:, a].tolist(), nodes[:, b].tolist(), h)
+            c = (c1, c2)[row]
+            sign = math.copysign(1.0, vv[a])
+            te = _event_root(lambda x: sign * _poly_value(c, (x - ta) / h) <= 0.0, ta, t[b])
+            if te < t[b]:
+                s = (te - ta) / h
+                states.append(FowlerState(te, _poly_value(c1, s), _poly_value(c2, s),
+                                          _poly_derivative(c1, s) / h,
+                                          _poly_derivative(c2, s) / h))
+                continue
+        states.append(FowlerState.from_array(t[k], y[:, k]))
+    return states
 
 
 def _sign_change_events(traj: Trajectory) -> list[Event]:
     return [
-        Event(kind="SignChange", t=te, state=traj.sample_state(te), component=comp)
+        Event(kind="SignChange", t=state.t, state=state, component=comp)
         for comp in (1, 2)
-        for te in _bracketed_zeros(traj, comp - 1)
+        for state in _bracketed_zeros(traj, comp - 1)
     ]

@@ -457,20 +457,25 @@ def shoot_entire(
     from the converged apex, which is the last trial that stayed positive,
     when that trial reached t_span[1] with no event (its stop rule never
     fired); a trial that stopped at a minimum is not reused, and the orbit
-    is integrated afresh.  The apex data are at rest at t = 0, so on a
-    symmetric window (t_span[0] == -t_span[1]) the backward half is the
-    forward one mirrored; otherwise it is a run.  The orbit must reach both
-    window ends, and its end nodes must decay below SHOOT_DECAY_CUT.
-    The window must hold the apex time: t_span[0] < 0 < t_span[1].  It must
-    also resolve the dichotomy, and not be so long that amplified rounding
-    lifts the orbit above the cut: delta * min(-t_span[0], t_span[1]) from
-    half to 1.25 times the default exponent _SHOOT_WINDOW_EXPONENT, else
+    is integrated afresh.  The apex data are at rest at t = 0, so on the
+    symmetric window the backward half is the forward one mirrored.  The
+    orbit must reach both window ends, and its end nodes must decay below
+    SHOOT_DECAY_CUT.
+    The window must hold the apex time and be symmetric about it,
+    t_span[0] == -t_span[1]: the trials resolve the forward side only, so a
+    longer backward side crosses zero and a shorter one ends above the cut.
+    It must also resolve the dichotomy, and not be so long that amplified
+    rounding lifts the orbit above the cut: delta * t_span[1] from half to
+    1.25 times the default exponent _SHOOT_WINDOW_EXPONENT, else
     DomainError.
     """
     if settings is None:
         settings = shoot_settings(params)
     dynamics._require_window(settings.t_span, 0.0, "shooting window must hold the apex time",
                              strict=True)
+    if settings.t_span[0] != -settings.t_span[1]:
+        raise DomainError(f"shooting window must be symmetric about the apex time, "
+                          f"t_span[0] == -t_span[1], got t_span {settings.t_span!r}")
     # The converged orbit passes the decay cut on any window, so a short one
     # must be refused here.  The apex error falls like exp(-2 delta T): at
     # N = 3 it is 1.3e-2 at delta T = 2.5, 2.3e-7 at 8 and 4.1e-9 at 10.
@@ -480,15 +485,15 @@ def shoot_entire(
     # 24 at N = 4 and 5, and fail from 22 at N = 3; with self-couplings drawn
     # from [0.9, 1.1] at (N, beta) = (3, 1), (4, 2), (5, 1), (6, 0.3), 2 of 32
     # fail at 19, 7 of 32 at 20 and none of 96 at 18.  Past 20, refused.
-    reach = params.delta * min(-settings.t_span[0], settings.t_span[1])
+    reach = params.delta * settings.t_span[1]
     least, most = 0.5 * _SHOOT_WINDOW_EXPONENT, 1.25 * _SHOOT_WINDOW_EXPONENT
     if reach < least:
         raise DomainError(f"shooting window too short to resolve the dichotomy: "
-                          f"delta * min(-t_span[0], t_span[1]) = {reach!r} < {least!r}, "
+                          f"delta * t_span[1] = {reach!r} < {least!r}, "
                           f"got t_span {settings.t_span!r}")
     if reach > most:
         raise DomainError(f"shooting window too long for the orbit to stay below the decay "
-                          f"cut: delta * min(-t_span[0], t_span[1]) = {reach!r} > {most!r}, "
+                          f"cut: delta * t_span[1] = {reach!r} > {most!r}, "
                           f"got t_span {settings.t_span!r}")
     try:
         kl = solve_coupling(params)
@@ -594,9 +599,9 @@ def shoot_entire(
     data = InitialData.from_values(params, apex, ratio * apex, 0.0, 0.0)
     if lo_run is not None and lo_run.status == 0:
         # The trial reached t_span[1]: its stop rule never fired, so it is
-        # integrate's forward half, bit for bit.
+        # integrate's forward half, bit for bit, and its mirror the backward.
         def solve(fun, t0, start):
-            return lo_run, dynamics._backward_half(fun, t0, start, lo_run, settings, "signed")
+            return lo_run, dynamics._mirror(lo_run)
 
         traj = dynamics._two_sided(params, data.state(), settings, "signed", solve)
     else:

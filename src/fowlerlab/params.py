@@ -325,7 +325,7 @@ def bubble_fowler(params: SystemParams, eps: float, t: float) -> FowlerState:
     delta = params.delta
     tau = t + math.log(eps)
     w = bubble_amplitude(params.N) * (2.0 * math.cosh(tau)) ** (-delta)
-    dw = -delta * math.tanh(tau) * w
+    dw = 0.0 - delta * math.tanh(tau) * w  # +0.0 at the apex, not -0.0
     return FowlerState(
         t=float(t),
         w1=coupling.k * w,

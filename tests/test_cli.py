@@ -48,6 +48,14 @@ class TestClosedFormCommands:
         assert len(doc["samples"]) == 2
         assert doc["samples"][0]["u"] > doc["samples"][1]["u"]
 
+    def test_bubble_apex_is_at_rest_with_positive_zeros(self, capsys):
+        # At eps = 1 the apex time and both velocities are +0.0, not -0.0.
+        code, out, _ = run_cli(capsys, "bubble", "--N", "3", "--mu1", "1", "--mu2", "1",
+                               "--beta", "1")
+        assert code == 0
+        t, _, _, dw1, dw2 = stdout_json(out)["apex"]
+        assert [math.copysign(1.0, x) for x in (t, dw1, dw2)] == [1.0] * 3
+
     def test_no_positive_solution_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "solve-kl", "--N", "4", "--mu1", "1",
                                "--mu2", "2", "--beta", "1.5")
@@ -306,7 +314,7 @@ class TestExperimentCommands:
                                  "--beta", "1", "--t-min", "-5", "--t-max", "5")
         assert code == 1 and out == ""
         assert err.startswith("fowlerlab: error: shooting window too short to resolve the "
-                              "dichotomy: delta * min(-t_span[0], t_span[1]) = 2.5 < 8.0")
+                              "dichotomy: delta * t_span[1] = 2.5 < 8.0")
 
     def test_shoot_on_a_window_too_long_to_continue_exits_one(self, capsys):
         # delta * T = 750 at N = 3: amplified rounding would lift the
@@ -316,7 +324,7 @@ class TestExperimentCommands:
                                  "--beta", "1", "--t-min", "-1500", "--t-max", "1500")
         assert code == 1 and out == "" and "Traceback" not in err
         assert err == ("fowlerlab: error: shooting window too long for the orbit to stay below "
-                       "the decay cut: delta * min(-t_span[0], t_span[1]) = 750.0 > 20.0, "
+                       "the decay cut: delta * t_span[1] = 750.0 > 20.0, "
                        "got t_span (-1500.0, 1500.0)\n")
 
 

@@ -1,7 +1,6 @@
 import functools
 import math
 import struct
-from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -37,6 +36,11 @@ def to_fowler(params, r, u, v, du, dv):
     dw1 = -(r ** (delta + 1.0)) * du - delta * w1
     dw2 = -(r ** (delta + 1.0)) * dv - delta * w2
     return FowlerState(t=t, w1=w1, w2=w2, dw1=dw1, dw2=dw2)
+
+
+def state_at(traj, t):
+    """traj's dense output at time t as a FowlerState."""
+    return FowlerState.from_array(t, traj.sample(np.array([t]))[:, 0])
 
 
 class TestSettingsAndState:
@@ -302,12 +306,12 @@ class TestIntegrate:
         assert abs(val) <= 4 * abs(slope) * math.ulp(ev.t)
 
     def test_time_reversal(self, p3, perturbed_traj):
-        start = perturbed_traj.sample_state(0.0)
+        start = state_at(perturbed_traj, 0.0)
         fwd = integrate(p3, start, IntegratorSettings(t_span=(0.0, 10.0)))
-        end = fwd.sample_state(10.0)
+        end = state_at(fwd, 10.0)
         flipped = FowlerState(0.0, end.w1, end.w2, -end.dw1, -end.dw2)
         back = integrate(p3, flipped, IntegratorSettings(t_span=(0.0, 10.0)))
-        final = back.sample_state(10.0)
+        final = state_at(back, 10.0)
         assert final.w1 == pytest.approx(start.w1, abs=1e-8)
         assert final.w2 == pytest.approx(start.w2, abs=1e-8)
         assert final.dw1 == pytest.approx(-start.dw1, abs=1e-8)
@@ -320,7 +324,7 @@ class TestIntegrate:
         fine = IntegratorSettings(rel_tol=0.5e-10, abs_tol=0.5e-12, t_span=(0.0, 12.0))
         a = integrate(p3, bumped, coarse)
         b = integrate(p3, bumped, fine)
-        diff = np.max(np.abs(a.sample_state(12.0).as_array() - b.sample_state(12.0).as_array()))
+        diff = np.max(np.abs(state_at(a, 12.0).as_array() - state_at(b, 12.0).as_array()))
         scale = np.max(np.abs(a.y))
         budget = 10.0 * len(a.t) * (coarse.rel_tol * scale + coarse.abs_tol)
         assert diff < budget
@@ -393,10 +397,10 @@ class TestIntegrate:
         # compare against a fresh integration started at the midpoint value.
         i = len(perturbed_traj.t) // 2
         tm = 0.5 * (perturbed_traj.t[i] + perturbed_traj.t[i + 1])
-        state = perturbed_traj.sample_state(float(tm))
+        state = state_at(perturbed_traj, float(tm))
         resumed = integrate(p3, state, IntegratorSettings(t_span=(tm, tm + 1.0)))
-        target = perturbed_traj.sample_state(float(tm) + 1.0)
-        got = resumed.sample_state(float(tm) + 1.0)
+        target = state_at(perturbed_traj, float(tm) + 1.0)
+        got = state_at(resumed, float(tm) + 1.0)
         assert got.w1 == pytest.approx(target.w1, abs=1e-9)
         assert got.dw1 == pytest.approx(target.dw1, abs=1e-9)
 
@@ -433,24 +437,11 @@ def test_single_queries_and_value_rows_equal_the_full_sample(name, picks):
     # An integer pick is a node time, by index modulo the node count; floats
     # reach past the cover [-10, 10], where sample clips to the end steps.
     # The rows of each derivative order are the same floats at every count.
-    # Float queries on a fresh copy, before any array sample, are the same
-    # floats too: a step where a component changes sign or touches zero
-    # takes its quintic from the node data, and builds no interpolant.
     traj = _dense_orbit(name)
     times = [traj.t[k % len(traj.t)] if isinstance(k, int) else k for k in picks]
     times.append(traj.t_max)
     if name == "signed":
-        rough, smooth = _steps_of_each_kind(traj)
-        times += [rough, smooth]
-        fresh = replace(traj, _coeffs=None)
-        fresh.sample(rough, derivatives=2)
-        assert fresh._coeffs is None
-        fresh.sample(smooth)
-        assert fresh._coeffs is not None
-    singles = []
-    for x in times:
-        fresh = replace(traj, _coeffs=None)
-        singles.append((fresh.sample(float(x)), fresh.sample(float(x), derivatives=2)))
+        times += _steps_of_each_kind(traj)
     full = traj.sample(np.array(times), derivatives=2)
     assert full.shape == (6, len(times))
     for count in (0, 1):
@@ -462,8 +453,6 @@ def test_single_queries_and_value_rows_equal_the_full_sample(name, picks):
         assert _same_bits(traj.sample(x, derivatives=0), full[:2, i:i + 1])
         assert _same_bits(traj.sample(float(x)), full[:4, i:i + 1])
         assert _same_bits(traj.sample(float(x), derivatives=2), full[:, i:i + 1])
-        assert _same_bits(singles[i][0], full[:4, i:i + 1])
-        assert _same_bits(singles[i][1], full[:, i:i + 1])
 
 
 @pytest.mark.parametrize("name", ["signed", "single", "bubble", "cylinder", "perturbed"])

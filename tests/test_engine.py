@@ -36,7 +36,7 @@ from fowlerlab import (
     solve_coupling,
 )
 from fowlerlab import dynamics, experiments
-from fowlerlab.dynamics import _bracketed_zeros, _event_root, _make_field
+from fowlerlab.dynamics import _bracketed_zeros, _make_field
 from fowlerlab.experiments import _first_turn, shoot_settings
 from fowlerlab.serialize import load_trajectory, save_trajectory
 
@@ -260,25 +260,44 @@ SIGNED_ORBITS = {
 }
 
 
+def _sample_roots(traj, brackets):
+    """_event_root on the array sample, for many brackets (row, sign, ta,
+    tb) at once: per bracket the first float from ta toward tb at which
+    sign * w_row is zero or past it, each halving one traj.sample of every
+    open bracket's midpoint."""
+    if not brackets:
+        return []
+    rows, signs, ta, tb = map(np.array, zip(*brackets))
+    lanes = np.arange(len(rows))
+    while True:
+        tm = 0.5 * (ta + tb)
+        live = (tm != ta) & (tm != tb)
+        if not live.any():
+            return tb.tolist()
+        crossed = signs * traj.sample(tm, derivatives=0)[rows, lanes] <= 0.0
+        tb = np.where(live & crossed, tm, tb)
+        ta = np.where(live & ~crossed, tm, ta)
+
+
 def _dense_sample_crossings(traj):
     """Oracle for the SignChange events: the orbit sampled at the nodes and
     five interior points per step, each bracket of nonzero samples of
-    opposite signs bisected with _event_root on the float query
-    traj.sample(x), in increasing t with the sign of the earlier sample.
-    Returns ((t, component, state), ...) and the signs."""
+    opposite signs bisected on traj.sample (_sample_roots), in increasing t
+    with the sign of the earlier sample.  Returns ((t, component, state),
+    ...) and the signs."""
     frac = np.linspace(0.0, 1.0, 7)[:-1]
     tt = np.append((traj.t[:-1, None] + np.diff(traj.t)[:, None] * frac).ravel(), traj.t[-1])
     sampled = traj.sample(tt, derivatives=0)
-    found = []
+    brackets = []
     for row in range(2):
         nz = sampled[row] != 0.0
         t_nz, v_nz = tt[nz], sampled[row][nz]
         for i in np.flatnonzero(v_nz[:-1] * v_nz[1:] < 0.0).tolist():
-            sign = math.copysign(1.0, v_nz[i])
-            te = _event_root(lambda x: sign * float(traj.sample(x)[row, 0]) <= 0.0,
-                             float(t_nz[i]), float(t_nz[i + 1]))
-            found.append(((te, row + 1, traj.sample(te)[:, 0].tolist()), sign))
-    found.sort(key=lambda item: (item[0][0], item[0][1]))
+            brackets.append((row, math.copysign(1.0, v_nz[i]), t_nz[i], t_nz[i + 1]))
+    roots = _sample_roots(traj, brackets)
+    states = traj.sample(np.array(roots)).T.tolist() if roots else []
+    found = sorted(((te, row + 1, state), sign)
+                   for te, state, (row, sign, _, _) in zip(roots, states, brackets))
     return [event for event, _ in found], [sign for _, sign in found]
 
 
@@ -290,7 +309,8 @@ def _assert_node_crossings_are_the_dense_sample_crossings(traj):
     assert [(ev.t, ev.component, ev.state.as_array().tolist()) for ev in traj.events
             if ev.kind == "SignChange"] == expected
     for row in range(2):
-        assert _bracketed_zeros(traj, row) == [te for te, comp, _ in expected if comp == row + 1]
+        assert [state.t for state in _bracketed_zeros(traj, row)] == [
+            te for te, comp, _ in expected if comp == row + 1]
     # Each is the first float at which the row is zero or past it: one float
     # earlier it is still strictly on the near side.
     for (te, comp, _), sign in zip(expected, signs):
@@ -301,7 +321,7 @@ def _assert_node_crossings_are_the_dense_sample_crossings(traj):
 
 @pytest.mark.parametrize("name", sorted(SIGNED_ORBITS))
 def test_scalar_refinement_equals_sample_refinement(name):
-    # The step-polynomial bisection against the float query traj.sample(x).
+    # The step-polynomial bisection against the query traj.sample(x).
     params, state = SIGNED_ORBITS[name]
     traj = integrate(params, state, IntegratorSettings(t_span=(-10.0, 10.0)), mode="signed")
     assert _assert_node_crossings_are_the_dense_sample_crossings(traj) >= 4
@@ -357,11 +377,30 @@ def _sign_change_bits(events):
 
 
 def _events_on_the_built_interpolant(traj):
-    """Oracle: traj's SignChange events formed again on a copy whose whole
-    interpolant is built first."""
+    """Oracle: traj's SignChange events formed again on its built
+    interpolant.  Each pair of consecutive nonzero nodes of opposite signs
+    one step apart is bisected on the array sample of a copy
+    (_sample_roots); further apart, it sits at the first zero node between
+    them.  Each state is that sample at the root."""
     built = replace(traj, events=(), _coeffs=None)
-    built._interpolant()
-    return sorted(dynamics._sign_change_events(built), key=dynamics.Event.sort_key)
+    brackets, at_nodes = [], []
+    for row in range(2):
+        vv = traj.y[row]
+        nz = np.flatnonzero(vv != 0.0)
+        for i in np.flatnonzero(vv[nz[:-1]] * vv[nz[1:]] < 0.0).tolist():
+            a, b = int(nz[i]), int(nz[i + 1])
+            if b == a + 1:
+                brackets.append((row, math.copysign(1.0, vv[a]), traj.t[a], traj.t[b]))
+            else:
+                at_nodes.append((row, float(traj.t[a + 1])))
+    found = [(row, te) for (row, *_), te in zip(brackets, _sample_roots(built, brackets))]
+    found += at_nodes
+    states = built.sample(np.array([te for _, te in found])).T if found else []
+    assert built._coeffs is not None or not found
+    events = [dynamics.Event(kind="SignChange", t=te, component=row + 1,
+                             state=FowlerState.from_array(te, state))
+              for (row, te), state in zip(found, states)]
+    return sorted(events, key=dynamics.Event.sort_key)
 
 
 CORPUS_CASES = [(3, 0.5), (4, 1.0), (5, 2.0), (6, 1.0)]
@@ -388,11 +427,11 @@ def test_events_equal_the_events_on_the_built_interpolant(N, beta):
     assert (0.0, 1) in [(ev.t, ev.component) for ev in orbits[0].events]  # the zero node
 
 
-def test_a_root_on_a_step_end_node_reads_the_built_interpolant():
+def test_a_root_on_a_step_end_node_takes_the_node_state():
     # w1 falls from 1 to -1e-300, about linearly, over a step four ulps
     # long: it is still positive at every float inside, so the root is the
-    # end node.  Its state is read on the next step, on which no component
-    # changes sign, so the interpolant is built for it.
+    # end node.  The event takes that node's own state, w1' too, and builds
+    # no interpolant.
     t1 = 1.0 + 4.0 * math.ulp(1.0)
     slope = -1.0 / (t1 - 1.0)
     traj = dynamics.Trajectory(
@@ -402,9 +441,8 @@ def test_a_root_on_a_step_end_node_reads_the_built_interpolant():
                     [0.0] * 4]),
         psi=np.zeros(4), events=(), psi0=0.0, drift=0.0, t_initial=1.0)
     events = dynamics._sign_change_events(traj)
-    assert [(ev.t, ev.component) for ev in events] == [(t1, 1)]
-    assert traj._coeffs is not None
-    assert _sign_change_bits(events) == _sign_change_bits(_events_on_the_built_interpolant(traj))
+    assert _sign_change_bits(events) == [(t1.hex(), 1, [x.hex() for x in traj.y[:, 1].tolist()])]
+    assert traj._coeffs is None
 
 
 def _hand_built(w1):
@@ -417,7 +455,8 @@ def _hand_built(w1):
 
 
 def test_a_crossing_through_a_zero_node_is_that_node():
-    assert _bracketed_zeros(_hand_built([-1.0, 0.0, 1.0]), 0) == [1.0]
+    traj = _hand_built([-1.0, 0.0, 1.0])
+    assert _bracketed_zeros(traj, 0) == [FowlerState.from_array(1.0, traj.y[:, 1])]
 
 
 def test_a_touch_at_a_zero_node_is_no_crossing():
@@ -753,6 +792,22 @@ def test_integrate_runs_both_halves_unless_at_rest(initial, monkeypatch):
     got = integrate(params, initial, settings, mode="signed")
     assert calls == [25.0, -25.0]
     assert _same_floats(got.t, want.t) and _same_floats(got.y, want.y)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_the_bubble_apex_is_at_rest_and_its_orbit_runs_once(N, monkeypatch):
+    # bubble_fowler's apex velocities are +0.0, not -0.0, so the bubble
+    # orbit is its forward run and that run mirrored.
+    params = make_params(N, 1.0, 1.0, 1.0)
+    apex = bubble_fowler(params, 1.0, 0.0)
+    assert not np.signbit([apex.t, apex.dw1, apex.dw2]).any()
+    calls = []
+    inner = dynamics.solve_ivp
+    monkeypatch.setattr(dynamics, "solve_ivp", lambda *a: calls.append(a[3]) or inner(*a))
+    for mode in ("positive", "signed"):
+        calls.clear()
+        integrate(params, apex, IntegratorSettings(t_span=(-20.0, 20.0)), mode=mode)
+        assert calls == [20.0]
 
 
 #: (initial data, mode, blowup_threshold, stop predicate): signed orbits

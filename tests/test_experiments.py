@@ -395,17 +395,20 @@ class TestShootEntire:
         tail = traj.t.size - run.t.size
         assert np.array_equal(traj.t[tail:], run.t) and np.array_equal(traj.y[:, tail:], run.y)
 
-    def test_an_asymmetric_window_runs_only_the_backward_half(self, p3, monkeypatch):
-        settings = replace(shoot_settings(p3), t_span=(-31.0, 32.0))
-        data, traj, trials, bounds = _shoot_counting_runs(p3, settings, monkeypatch)
-        assert bounds == [32.0] * len(trials) + [-31.0]
-        _assert_is_integrate(p3, settings, data, traj)
-        # The symmetric window finds the same apex.
-        assert shoot_entire(p3)[0] == data
+    def test_an_asymmetric_window_is_refused(self, p3, monkeypatch):
+        # The trials resolve the forward side only: on (-20, 30) the
+        # converged orbit would not decay below the cut at t = -20.  The
+        # refusal comes before any run, and before either bound on delta * T.
+        calls, inner = [], dynamics.solve_ivp
+        monkeypatch.setattr(dynamics, "solve_ivp", lambda *args: calls.append(args) or inner(*args))
+        for span in [(-20.0, 30.0), (-15.9, 32.0), (-32.0, 15.9), (-40.5, 80.0), (-80.0, 40.5)]:
+            with pytest.raises(DomainError, match="must be symmetric about the apex time"):
+                shoot_entire(p3, replace(shoot_settings(p3), t_span=span))
+        assert calls == []
 
     def test_a_trial_stopped_short_of_the_window_end_is_not_reused(self, p3, monkeypatch):
         # On t_span (-40, 40) the last trial that stays positive turns at a
-        # minimum of w1 near t = 36.7: the orbit is integrated afresh.
+        # minimum of w1 near t = 37.2: the orbit is integrated afresh.
         settings = replace(shoot_settings(p3), t_span=(-40.0, 40.0))
         integrations = []
         inner = experiments.integrate
@@ -432,15 +435,15 @@ class TestShootEntire:
         with pytest.raises(DomainError, match="apex time"):
             shoot_entire(p3, replace(shoot_settings(p3), t_span=span))
 
-    @pytest.mark.parametrize("span", [(-5.0, 5.0), (-15.9, 32.0), (-32.0, 15.9)])
+    @pytest.mark.parametrize("span", [(-5.0, 5.0), (-15.9, 15.9), (-1.0, 1.0)])
     def test_window_too_short_for_the_dichotomy(self, p3, span):
-        # delta = 1/2 at N = 3: the shorter side must reach delta * T = 8.
+        # delta = 1/2 at N = 3: each side must reach delta * T = 8.
         with pytest.raises(DomainError, match="too short to resolve the dichotomy"):
             shoot_entire(p3, replace(shoot_settings(p3), t_span=span))
 
-    @pytest.mark.parametrize("span", [(-41.0, 41.0), (-40.5, 80.0), (-80.0, 40.5)])
+    @pytest.mark.parametrize("span", [(-41.0, 41.0), (-40.5, 40.5), (-80.0, 80.0)])
     def test_window_too_long_for_the_decay_cut(self, p3, span):
-        # delta = 1/2 at N = 3: the shorter side may reach delta * T = 20.
+        # delta = 1/2 at N = 3: each side may reach delta * T = 20.
         with pytest.raises(DomainError, match="too long for the orbit to stay below"):
             shoot_entire(p3, replace(shoot_settings(p3), t_span=span))
 
