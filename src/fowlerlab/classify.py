@@ -73,14 +73,26 @@ def _decay_fits(traj: Trajectory, end: str) -> list:
     third = (traj.t_max - traj.t_min) / 3.0
     nodes = traj.t >= traj.t_max - third if end == "+" else traj.t <= traj.t_min + third
     sign = 1.0 if end == "+" else -1.0
-    fits: list = []
-    for w, dw in zip(traj.y[:2, nodes], traj.y[2:, nodes]):
-        if np.any(w <= 0.0):
-            fits.append(InsufficientWindow("component not positive on the fit region"))
-            continue
-        rate = -sign * float(np.median(dw / w))
-        fits.append([rate, math.exp(float(np.median(np.log(w) + rate * sign * traj.t[nodes])))])
-    return fits
+    w, dw = traj.y[:2, nodes], traj.y[2:, nodes]
+    positive = (w > 0.0).all(axis=1)
+    w, dw = w[positive], dw[positive]
+    rates = -sign * _row_medians(dw / w)
+    logs = _row_medians(np.log(w) + (rates * sign)[:, None] * traj.t[nodes])
+    fitted = iter([[rate, math.exp(log)] for rate, log in zip(rates.tolist(), logs.tolist())])
+    return [next(fitted) if ok else InsufficientWindow("component not positive on the fit region")
+            for ok in positive.tolist()]
+
+
+def _row_medians(x: np.ndarray) -> np.ndarray:
+    """np.median(x, axis=1), float for float (nan, -0.0 and overflow
+    included), from one partition: np.median's own partition, mean and nan
+    check, without its generic set-up."""
+    n = x.shape[1]
+    half = n // 2
+    part = np.partition(x, [half - 1 + n % 2, half, n - 1], axis=1)
+    # The mean's sum starts at +0.0.
+    middle = part[:, half] + 0.0 if n % 2 else (0.0 + part[:, half - 1] + part[:, half]) / 2
+    return np.where(np.isnan(part[:, -1]), part[:, -1], middle)
 
 
 def _window_sample(traj: Trajectory) -> np.ndarray:

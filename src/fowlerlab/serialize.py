@@ -10,15 +10,17 @@ are not stored: the field at the reloaded nodes gives them back exactly.
 Every artifact carries a schema_version and is validated against the schema
 files shipped under fowlerlab/schemas/.
 
-Each shipped schema gets one draft-07 validator, built and meta-checked on
-first use and cached.  It differs from jsonschema's own in one keyword: an
-array whose items must be {"type": "number"} passes outright when every item
-is a plain float or int, a check made once on the set of item types;
-otherwise each item that is not gets jsonschema's own check and error.  So a
-document is accepted or rejected with the same message as by
-jsonschema.validate, without one schema descent per node value.  jsonschema
-is imported on the first validation, so runs that never validate do not
-load it.
+Each shipped schema is compiled, on first use, to one cached predicate
+(_compile) that checks the draft-07 keywords those files use, in one pass
+over the plain JSON values json.load gives; a number array is checked once,
+on its set of item types.  A document it accepts is valid, and jsonschema
+is not imported.  It declines a document the schema refuses, one holding a
+value that is not a plain JSON type, and every document of a schema with a
+keyword it does not know; jsonschema's own draft-07 validator then decides
+and words the refusal, with best_match's message as jsonschema.validate
+gives it.  So a document is accepted or rejected exactly as by
+jsonschema.validate.  The shipped schemas are meta-checked against draft 07
+by the test suite, not at run time.
 """
 
 from __future__ import annotations
@@ -50,41 +52,178 @@ SCHEMA_VERSION = 1
 CSV_COLUMNS = ("t", "w1", "w2", "dw1", "dw2", "psi")
 
 
-_NUMBER = {"type": "number"}
+#: The draft-07 keywords _compile checks; "$schema", "title" and
+#: "definitions" assert nothing.
+_KEYWORDS = {"$schema", "title", "definitions", "type", "enum", "minimum", "exclusiveMinimum",
+             "minItems", "maxItems", "items", "required", "properties",
+             "additionalProperties", "dependencies"}
+_PLAIN = {dict, list, str, int, float, bool, type(None)}
 _NUMBER_TYPES = {float, int}
+#: Draft-07 types on plain JSON values: bool is no number, and a float with
+#: an integral value is an integer.
+_TYPES = {
+    "object": lambda value: type(value) is dict,
+    "array": lambda value: type(value) is list,
+    "string": lambda value: type(value) is str,
+    "boolean": lambda value: type(value) is bool,
+    "null": lambda value: value is None,
+    "number": lambda value: type(value) in _NUMBER_TYPES,
+    "integer": lambda value: type(value) is int or (type(value) is float
+                                                    and value.is_integer()),
+}
+
+
+class _Unknown(Exception):
+    """The schema holds a keyword or form that _compile does not check."""
+
+
+def _all(checks):
+    if len(checks) == 1:
+        return checks[0]
+
+    def check(value):
+        for each in checks:
+            if not each(value):
+                return False
+        return True
+
+    return check
+
+
+def _compile(schema: dict):
+    """A predicate that is True only on documents the draft-07 schema accepts.
+
+    It is False, declining, on a document the schema refuses, on any value
+    it checks that is not a plain JSON type (a float subclass, a tuple), and
+    on every document when the schema holds a keyword outside _KEYWORDS or
+    a form of one it does not know (a non-local $ref, a non-string enum,
+    items as a list, a schema-valued dependency).
+    """
+
+    def build(sub):
+        if sub is True or sub is False:
+            return lambda value: sub
+        if type(sub) is not dict:
+            raise _Unknown(sub)
+        if "$ref" in sub:  # draft 7 ignores the siblings of $ref
+            return build(resolve(sub["$ref"]))
+        if not sub.keys() <= _KEYWORDS:
+            raise _Unknown(sorted(sub.keys() - _KEYWORDS))
+        checks = []
+        if "type" in sub:
+            names = sub["type"] if type(sub["type"]) is list else [sub["type"]]
+            if not all(name in _TYPES for name in names):
+                raise _Unknown(names)
+            types = [_TYPES[name] for name in names]
+            checks.append(types[0] if len(types) == 1 else
+                          lambda value: any(is_type(value) for is_type in types))
+        if "enum" in sub:
+            if not all(type(member) is str for member in sub["enum"]):
+                raise _Unknown(sub["enum"])
+            members = frozenset(sub["enum"])
+            checks.append(lambda value: type(value) is str and value in members)
+        if not checks:
+            checks.append(lambda value: type(value) in _PLAIN)
+        # As in jsonschema, the bounds read numbers only, with its comparisons.
+        if "minimum" in sub:
+            low = sub["minimum"]
+            checks.append(lambda value: type(value) not in _NUMBER_TYPES or not value < low)
+        if "exclusiveMinimum" in sub:
+            floor = sub["exclusiveMinimum"]
+            checks.append(lambda value: type(value) not in _NUMBER_TYPES or not value <= floor)
+        if sub.keys() & {"minItems", "maxItems", "items"}:
+            checks.append(array(sub))
+        if sub.keys() & {"required", "properties", "additionalProperties", "dependencies"}:
+            checks.append(obj(sub))
+        return _all(checks)
+
+    def resolve(ref):
+        if ref != "#" and not ref.startswith("#/"):
+            raise _Unknown(ref)
+        target = schema
+        for part in ref[2:].split("/") if ref != "#" else ():
+            target = target[part.replace("~1", "/").replace("~0", "~")]
+        return target
+
+    def array(sub):
+        shortest, longest = sub.get("minItems", 0), sub.get("maxItems", math.inf)
+        items = sub.get("items", True)
+        if type(items) is list:
+            raise _Unknown("items as a list")
+        # A number array is checked once, on its set of item types.
+        numbers = items == {"type": "number"}
+        each = build(items)
+
+        def check(value):
+            if type(value) is not list:
+                return True
+            if not shortest <= len(value) <= longest:
+                return False
+            if numbers:
+                return set(map(type, value)) <= _NUMBER_TYPES
+            return all(map(each, value))
+
+        return check
+
+    def obj(sub):
+        required = frozenset(sub.get("required", ()))
+        properties = {key: build(each) for key, each in sub.get("properties", {}).items()}
+        extra = sub.get("additionalProperties", True)
+        extra = extra if extra is True or extra is False else build(extra)
+        if not all(type(each) is list for each in sub.get("dependencies", {}).values()):
+            raise _Unknown("dependencies as a schema")
+        dependencies = [(key, frozenset(each)) for key, each in sub.get("dependencies", {}).items()]
+
+        def check(value):
+            if type(value) is not dict:
+                return True
+            if not required <= value.keys():
+                return False
+            for key, item in value.items():
+                each = properties.get(key)
+                if each is None:
+                    if extra is False or (extra is not True and not extra(item)):
+                        return False
+                elif not each(item):
+                    return False
+            return all(key not in value or needs <= value.keys() for key, needs in dependencies)
+
+        return check
+
+    try:
+        return build(schema)
+    except _Unknown:
+        return lambda value: False
+
+
+def _schema(name: str) -> dict:
+    path = resources.files("fowlerlab").joinpath("schemas", f"{name}.schema.json")
+    return json.loads(path.read_text())
+
+
+@lru_cache(maxsize=None)
+def _acceptor(name: str):
+    """The shipped schema's compiled predicate (see _compile), built once."""
+    return _compile(_schema(name))
 
 
 @lru_cache(maxsize=None)
 def _validator(name: str):
-    """The shipped schema's validator (see the module docstring), built once."""
-    from jsonschema.validators import extend, validator_for
+    """The shipped schema's stock jsonschema validator, built once."""
+    from jsonschema.validators import validator_for
 
-    path = resources.files("fowlerlab").joinpath("schemas", f"{name}.schema.json")
-    schema = json.loads(path.read_text())
-    cls = validator_for(schema)
-    cls.check_schema(schema)
-    stock_items = cls.VALIDATORS["items"]
-
-    def items(validator, items_schema, instance, schema):
-        if items_schema != _NUMBER or type(instance) is not list:
-            yield from stock_items(validator, items_schema, instance, schema)
-            return
-        if set(map(type, instance)) <= _NUMBER_TYPES:
-            return
-        for index, item in enumerate(instance):
-            if type(item) is not float and type(item) is not int:
-                yield from validator.descend(item, items_schema, path=index)
-
-    return extend(cls, {"items": items})(schema)
+    schema = _schema(name)
+    return validator_for(schema)(schema)
 
 
 def validate(instance: dict, schema_name: str) -> None:
     """Validate a document against a shipped schema; SchemaMismatch on failure."""
-    from jsonschema.exceptions import best_match
+    if not _acceptor(schema_name)(instance):
+        from jsonschema.exceptions import best_match
 
-    error = best_match(_validator(schema_name).iter_errors(instance))
-    if error is not None:
-        raise SchemaMismatch(f"{schema_name}: {error.message}") from error
+        error = best_match(_validator(schema_name).iter_errors(instance))
+        if error is not None:
+            raise SchemaMismatch(f"{schema_name}: {error.message}") from error
     version = instance.get("schema_version")
     if "schema_version" in instance and version != SCHEMA_VERSION:
         raise SchemaMismatch(f"unsupported schema_version {version!r}")

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import mpmath
@@ -18,9 +19,12 @@ from fowlerlab import (
     integrate,
     make_params,
     monitor,
+    shoot_entire,
 )
-from fowlerlab.classify import _WINDOW_SAMPLES, _decay_fits, _window_sample
+from fowlerlab.classify import MIN_SIDE_COVER, _WINDOW_SAMPLES, _decay_fits, _row_medians, _window_sample
 from fowlerlab.errors import InsufficientWindow
+from fowlerlab.experiments import _SEMI_SPEC, InitialData, _collect_draws
+from fowlerlab.params import cylinder_amplitudes
 
 mpmath.mp.dps = 50
 
@@ -51,6 +55,32 @@ def proportionality_probe(traj):
     ratio = w1 / w2
     m = float(np.median(ratio))
     return float(np.max(np.abs(ratio - m)) / abs(m))
+
+
+def median_fits(traj, end):
+    """_decay_fits as first written, one np.median per component and
+    quantity: the oracle for the stacked medians."""
+    cover = (traj.t_max - traj.t_initial) if end == "+" else (traj.t_initial - traj.t_min)
+    if cover < MIN_SIDE_COVER:
+        short = InsufficientWindow(f"side {end} covers {cover:.3g} < {MIN_SIDE_COVER} units of t")
+        return [short, short]
+    third = (traj.t_max - traj.t_min) / 3.0
+    nodes = traj.t >= traj.t_max - third if end == "+" else traj.t <= traj.t_min + third
+    sign = 1.0 if end == "+" else -1.0
+    fits = []
+    for w, dw in zip(traj.y[:2, nodes], traj.y[2:, nodes]):
+        if np.any(w <= 0.0):
+            fits.append(InsufficientWindow("component not positive on the fit region"))
+            continue
+        rate = -sign * float(np.median(dw / w))
+        fits.append([rate, math.exp(float(np.median(np.log(w) + rate * sign * traj.t[nodes])))])
+    return fits
+
+
+def _fit_bits(fit):
+    if isinstance(fit, InsufficientWindow):
+        return str(fit)
+    return np.array(fit).tobytes()
 
 
 class TestClassify:
@@ -200,6 +230,51 @@ class TestDecayRate:
         evidence = classify(p3, short).evidence
         assert evidence["decay"]["+1"] is None
         assert ["+", 1, "side + covers 4 < 10.0 units of t"] in evidence["fit_errors"]
+
+    def test_fits_equal_one_median_per_component(self, p3, bubble_traj):
+        # The stacked medians must give today's formula's floats, bit for
+        # bit, on semi-search draws, archive-sweep-grid orbits, default
+        # shoots, and orbits where some component is not positive on one
+        # end's fit region.
+        window = IntegratorSettings(t_span=(-15.0, 15.0))
+        orbits = []
+        for N, beta in ((4, 0.5), (5, 1.0), (6, 0.3)):
+            params = make_params(N, 1.0, 1.0, beta)
+            draws, _ = _collect_draws(params, _SEMI_SPEC, 4, 3)
+            orbits += [integrate(params, data.state(), window) for _, data in draws]
+        rng = np.random.default_rng(7)
+        cylinder = np.array(cylinder_amplitudes(make_params(4, 1.0, 1.0, 1.0)))
+        sigma = 0.05 * float(np.linalg.norm(cylinder))
+        for beta in (1.0, 0.7):
+            params = make_params(4, 1.0, 1.0, beta)
+            for _ in range(4):
+                values = (*(cylinder + rng.normal(0.0, sigma, 2)), *rng.normal(0.0, sigma, 2))
+                orbits.append(integrate(params, InitialData.from_values(params, *values).state(),
+                                        window))
+        for N, beta in ((3, 1.0), (4, 2.0), (5, 1.0)):
+            orbits.append(shoot_entire(make_params(N, 1.0, 1.0, beta))[1])
+        plus = bubble_traj.t >= bubble_traj.t_max - (bubble_traj.t_max - bubble_traj.t_min) / 3.0
+        for rows, value in (([1], -1e-3), ([0], 0.0), ([0, 1], -1e-3)):
+            y = bubble_traj.y.copy()
+            y[np.ix_(rows, np.flatnonzero(plus)[[3]])] = value
+            orbits.append(replace(bubble_traj, y=y))
+        kinds = []
+        for traj in orbits:
+            for end in ("+", "-"):
+                fits, expected = _decay_fits(traj, end), median_fits(traj, end)
+                assert list(map(_fit_bits, fits)) == list(map(_fit_bits, expected))
+                kinds.append(tuple(isinstance(fit, list) for fit in fits))
+        assert kinds.count((True, True)) >= 40
+        assert kinds.count((True, False)) == kinds.count((False, True)) == 1
+
+    def test_row_medians_are_np_median(self):
+        values = np.array([math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0,
+                           2.0, 0.1, 5e-324, 1e308, -1e308])
+        rng = np.random.default_rng(0)
+        for _ in range(3000):
+            x = rng.choice(values, size=(rng.integers(0, 3), rng.integers(1, 8)))
+            with np.errstate(all="ignore"):
+                assert _row_medians(x).tobytes() == np.median(x, axis=1).tobytes(), x
 
     def test_truncated_side_rejected(self, p3):
         state = FowlerState(0.0, 0.5, 0.5, 0.3, -0.3)

@@ -33,6 +33,7 @@ from fowlerlab.errors import SchemaMismatch
 from fowlerlab.experiments import InitialData
 from fowlerlab.serialize import (
     CSV_COLUMNS,
+    SCHEMA_VERSION,
     classification_to_dict,
     dumps,
     experiment_report_to_dict,
@@ -42,6 +43,7 @@ from fowlerlab.serialize import (
     trajectory_to_dict,
     validate,
 )
+from fowlerlab.serialize import _acceptor, _compile
 
 
 class TestRoundTrip:
@@ -450,8 +452,8 @@ def valid_documents(p3, tmp_path_factory):
     }
 
 
-def _containers(doc):
-    """Path of every list and dict in doc, the first of each shape only.
+def _first_paths(doc):
+    """Path of every node in doc, the first of each shape only.
 
     Paths that differ only in list indices (events.0.state, events.1.state)
     meet the same subschema, so the first one stands for all of them.
@@ -460,7 +462,7 @@ def _containers(doc):
 
     def walk(node, path):
         shape = tuple("*" if isinstance(key, int) else key for key in path)
-        if isinstance(node, (list, dict)) and shape not in seen:
+        if shape not in seen:
             seen.add(shape)
             yield path
         children = enumerate(node) if isinstance(node, list) else (
@@ -486,14 +488,29 @@ def _get(doc, path):
     return doc
 
 
+#: Values for the scalar leaves under these keys, besides BAD_ITEMS: below
+#: the minimum, an integral float, the null that ["integer", "null"] admits,
+#: and the exclusive minimum itself.
+EDGE_LEAVES = {"N": (2, 3.0), "component": (None,), "mu1": (0.0,)}
+
+
 def _mutants(doc):
     """(label, document) pairs, each one small edit away from doc."""
-    for path in _containers(doc):
+    for path in _first_paths(doc):
         node = _get(doc, path)
         if isinstance(node, dict):
             yield f"{path}: extra key", _replace(doc, (*path, "surprise"), 1.0)
+            for key in node:
+                fewer = copy.deepcopy(doc)
+                del _get(fewer, path)[key]
+                yield f"{path}: without {key!r}", fewer
             if path:
                 yield f"{path}: as a list", _replace(doc, path, list(node.values()))
+            continue
+        if not isinstance(node, list):
+            if path:
+                for bad in (*BAD_ITEMS, *EDGE_LEAVES.get(path[-1], ())):
+                    yield f"{path} = {bad!r}", _replace(doc, path, bad)
             continue
         if path:
             yield f"{path}: as a string", _replace(doc, path, json.dumps(node))
@@ -507,11 +524,14 @@ def _mutants(doc):
 
 
 def _stock_outcome(doc, name):
+    """validate's outcome by stock jsonschema.validate, then its version rule."""
     schema = json.loads(SCHEMAS.joinpath(f"{name}.schema.json").read_text())
     try:
         jsonschema.validate(doc, schema)
     except jsonschema.ValidationError as exc:
         return f"{name}: {exc.message}"
+    if "schema_version" in doc and doc["schema_version"] != SCHEMA_VERSION:
+        return f"unsupported schema_version {doc['schema_version']!r}"
     return None
 
 
@@ -554,6 +574,22 @@ def test_validate_checks_every_node_item(valid_documents):
                 validate(bad, "trajectory")
 
 
+def test_every_shipped_schema_compiles(valid_documents):
+    # A schema the compiler could not read would decline every document and
+    # leave each acceptance to jsonschema.
+    for name, doc in valid_documents.items():
+        assert _acceptor(name)(doc) is True, name
+
+
+@pytest.mark.parametrize("where", [(), ("properties", "settings"), ("definitions", "params")])
+def test_an_unknown_keyword_makes_the_compiler_decline(valid_documents, where):
+    schema = json.loads(SCHEMAS.joinpath("trajectory.schema.json").read_text())
+    doc = valid_documents["trajectory"]
+    assert _compile(schema)(doc) is True
+    _get(schema, where)["patternProperties"] = {"^x": {}}
+    assert _compile(schema)(doc) is False
+
+
 @pytest.mark.parametrize("name", SCHEMA_NAMES)
 def test_shipped_schema_is_draft_07(name):
     schema = json.loads(SCHEMAS.joinpath(f"{name}.schema.json").read_text())
@@ -578,6 +614,24 @@ def test_runs_that_never_validate_do_not_load_jsonschema():
         "import fowlerlab\n"
         "fowlerlab.semi_singular_search(fowlerlab.make_params(5, 1.0, 1.0, 1.0), n_runs=1,\n"
         "    settings=fowlerlab.IntegratorSettings(t_span=(-12.0, 12.0)))\n"
+        "assert 'jsonschema' not in sys.modules, 'jsonschema was imported'\n"
+    )
+
+
+def test_a_valid_artifact_loads_and_classifies_without_jsonschema():
+    # jsonschema only words a refusal.
+    _fresh_process(
+        "import os, sys, tempfile\n"
+        "import fowlerlab\n"
+        "p = fowlerlab.make_params(3, 1.0, 1.0, 1.0)\n"
+        "traj = fowlerlab.integrate(p, fowlerlab.bubble_fowler(p, 1.0, 0.0),\n"
+        "                           fowlerlab.IntegratorSettings(t_span=(-12.0, 12.0)))\n"
+        "with tempfile.TemporaryDirectory() as tmp:\n"
+        "    path = os.path.join(tmp, 'orbit.json')\n"
+        "    fowlerlab.save_trajectory(traj, path, fowlerlab.monitor(p, traj),\n"
+        "                              fowlerlab.classify(p, traj))\n"
+        "    again = fowlerlab.load_trajectory(path)\n"
+        "assert fowlerlab.classify(p, again).verdict == fowlerlab.ENTIRE\n"
         "assert 'jsonschema' not in sys.modules, 'jsonschema was imported'\n"
     )
 
