@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import DomainError
 from .invariants import psi_arrays
-from .params import SystemParams
+from .params import SystemParams, _event_root
 from .state import FowlerState
 
 #: Certification bound: max |Psi - Psi(0)| <= factor * max(1, |Psi(0)|).
@@ -483,19 +483,6 @@ class Segment:
     nfev: int
     status: int
     event: tuple[str, int | None] | None = None
-
-
-def _event_root(crossed, ta, tb):
-    """First float from ta toward tb at which crossed(t) holds, by bisection
-    down to adjacent floats; crossed(ta) is false and crossed(tb) true."""
-    while True:
-        tm = 0.5 * (ta + tb)
-        if tm == ta or tm == tb:
-            return tb
-        if crossed(tm):
-            tb = tm
-        else:
-            ta = tm
 
 
 def _stage_field(x: str, y: str, b1: str, b2: str) -> list[str]:

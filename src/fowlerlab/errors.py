@@ -14,7 +14,7 @@ class NoPositiveSolution(FowlerLabError):
 
 
 class ConvergenceFailure(FowlerLabError):
-    """An iterative solver missed its residual tolerance within the cap."""
+    """A solver's result missed its residual tolerance."""
 
 
 class InsufficientWindow(FowlerLabError):

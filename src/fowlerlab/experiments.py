@@ -28,7 +28,7 @@ from .errors import (
     SamplerDegenerate,
 )
 from .invariants import monitor, potential_arrays, psi, psi_arrays
-from .params import SystemParams, cylinder_amplitudes, solve_coupling
+from .params import SystemParams, _event_root, cylinder_amplitudes, solve_coupling
 from .state import FowlerState
 
 #: Rejection attempts allowed per accepted draw before giving up.
@@ -537,7 +537,7 @@ def shoot_entire(
                                      f"of the upper shooting endpoint")
             hi *= 2.0
             grow += 1
-        return dynamics._event_root(lambda a: _apex_energy(params, ratio, a) > 0.0, lo, hi)
+        return _event_root(lambda a: _apex_energy(params, ratio, a) > 0.0, lo, hi)
 
     def run_ends():
         # An end that no trial has settled runs its own trial.

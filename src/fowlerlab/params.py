@@ -21,15 +21,6 @@ from .state import FowlerState
 
 #: Residual tolerance for the coupling / equilibrium root (both equations).
 ROOT_RESIDUAL_TOL = 1e-12
-#: Total iteration cap for bisection plus Newton polish.
-ROOT_ITERATION_CAP = 200
-#: Search interval for the component ratio s = l/k.
-RATIO_BRACKET = (1e-8, 1e8)
-#: Bisection steps taken before switching to Newton.
-BISECTION_STEPS = 60
-#: Log-grid resolution used to hunt for a sign change when the bracket
-#: endpoints agree in sign.
-_SCAN_POINTS = 512
 #: Scale of the standard member of the entire family (apex at t = 0).
 STANDARD_EPS = 1.0
 
@@ -118,59 +109,86 @@ def make_params(N: int, mu1: float, mu2: float, beta: float) -> SystemParams:
     )
 
 
-def _ratio_g(params: SystemParams, s: float) -> float:
-    # g(s) = mu2 s^(2p-2) + beta s^(p-2) - beta s^p - mu1; roots are the
-    # admissible component ratios s = l/k (independent of the common
-    # right-hand side of the two amplitude equations).
+def _event_root(crossed, ta, tb):
+    """First float from ta toward tb at which crossed(t) holds, by bisection
+    down to adjacent floats; crossed(ta) is false and crossed(tb) true."""
+    while True:
+        tm = 0.5 * (ta + tb)
+        if tm == ta or tm == tb:
+            return tb
+        if crossed(tm):
+            tb = tm
+        else:
+            ta = tm
+
+
+def _exp_sum(terms, x: float) -> float:
+    # sum c e^(e x) over its largest exponential, so that none overflows.
+    top = max(e * x for e, _ in terms)
+    return sum(c * math.exp(e * x - top) for e, c in terms)
+
+
+def _power_sum(terms, s: float) -> float:
+    # sum c s^e over its largest power, so that none overflows.
+    top = terms[-1][0] if s > 1.0 else terms[0][0]
+    return sum(c * s ** (e - top) for e, c in terms)
+
+
+def _root_pieces(terms) -> list[tuple[float, float, float]]:
+    """(a, b, sign) in x for each real root of sum c e^(e x), sorted, terms
+    (e, c) by rising e: the sum has the sign at a and not at b.
+
+    By Rolle the roots of the next level, the derivative of e^(-e0 x) times
+    the sum (the other terms, each times e - e0), cut the line into pieces
+    on which the sum is monotone; a piece whose ends differ in sign holds
+    one root.  The outer ends step out until each has its dominant term's
+    sign.  Two terms have one root at most, in closed form.
+    """
+    (e0, c0), (e1, c1) = terms[:2]
+    if len(terms) == 2:
+        if (c0 > 0.0) == (c1 > 0.0):
+            return []
+        x = (math.log(abs(c0)) - math.log(abs(c1))) / (e1 - e0)
+        return [(x, x, 1.0)]
+    level = [(e, c * (e - e0)) for e, c in terms[1:]]
+    cuts = [_event_root(lambda x: sign * _exp_sum(level, x) <= 0.0, a, b)
+            for a, b, sign in _root_pieces(level)] or [0.0]
+    first, last, step = math.copysign(1.0, c0), math.copysign(1.0, terms[-1][1]), 1.0
+    while (first * _exp_sum(terms, cuts[0] - step) <= 0.0
+           or last * _exp_sum(terms, cuts[-1] + step) <= 0.0):
+        step *= 2.0
+    xs = [cuts[0] - step, *cuts, cuts[-1] + step]
+    fs = [_exp_sum(terms, x) for x in xs]
+    # A cut where the sum is zero is a multiple root, and a piece of its own.
+    return [(a, a if fa == 0.0 else b, math.copysign(1.0, fa))
+            for a, b, fa, fb in zip(xs, xs[1:], fs, fs[1:])
+            if fa == 0.0 or math.copysign(1.0, fa) * fb < 0.0]
+
+
+def _ratio_roots(params: SystemParams) -> list[float]:
+    """Every positive root of g(s) = mu2 s^(2p-2) + beta s^(p-2) - beta s^p
+    - mu1, sorted, for N != 4: the component ratios s = l/k of the pairs,
+    whatever the right-hand side of the two amplitude equations.
+
+    g is a sum of four powers whose coefficients change sign three times by
+    rising exponent, so by Laguerre's rule of signs it has at most three
+    positive roots, and its ends differ in sign: there are one or three.
+    They are isolated in x = ln s (_root_pieces) and bisected in s, where
+    each power is rounded once.
+    """
     p = params.p
-    return (
-        params.mu2 * s ** (2.0 * p - 2.0)
-        + params.beta * s ** (p - 2.0)
-        - params.beta * s**p
-        - params.mu1
-    )
+    terms = sorted([(2.0 * p - 2.0, params.mu2), (p - 2.0, params.beta),
+                    (p, -params.beta), (0.0, -params.mu1)])
+    return [_event_root(lambda s: sign * _power_sum(terms, s) <= 0.0, math.exp(a), math.exp(b))
+            for a, b, sign in _root_pieces(terms)]
 
 
-def _ratio_g_prime(params: SystemParams, s: float) -> float:
-    p = params.p
-    return (
-        (2.0 * p - 2.0) * params.mu2 * s ** (2.0 * p - 3.0)
-        + (p - 2.0) * params.beta * s ** (p - 3.0)
-        - p * params.beta * s ** (p - 1.0)
-    )
-
-
-def _find_ratio_bracket(params: SystemParams) -> tuple[float, float]:
-    # A genuine root requires a strict sign change: tangential zeros (the
-    # reduced function touching zero by roundoff) occur exactly at the
-    # degenerate boundary where one amplitude collapses to zero, which is
-    # not an admissible positive pair.
-    lo, hi = RATIO_BRACKET
-    g_lo = _ratio_g(params, lo)
-    g_hi = _ratio_g(params, hi)
-    if g_lo * g_hi < 0.0:
-        return lo, hi
-    # Endpoints agree in sign (possible for N = 4): hunt on a log grid.
-    grid = [lo * (hi / lo) ** (i / (_SCAN_POINTS - 1)) for i in range(_SCAN_POINTS)]
-    prev_s, prev_g = grid[0], g_lo
-    for s in grid[1:]:
-        g = _ratio_g(params, s)
-        if g == 0.0:
-            continue
-        if prev_g * g < 0.0:
-            return prev_s, s
-        prev_s, prev_g = s, g
-    raise NoPositiveSolution(
-        f"no positive component ratio for N={params.N}, mu=({params.mu1}, "
-        f"{params.mu2}), beta={params.beta}"
-    )
-
-
-def _positive_ratio_root(params: SystemParams) -> float:
-    """Root of the reduced ratio equation: bracket, bisect, Newton polish."""
+def _pair_ratio(params: SystemParams) -> float:
+    """Ratio s = l/k of the pair returned: the root of g nearest 1 in |ln s|."""
     if params.mu1 == params.mu2:
-        # Symmetric coefficients force the symmetric ratio; the reduced
-        # equation can vanish identically for N = 4, so skip the search.
+        # s = 1 is then a root, and the nearest one.  It is not bisected:
+        # in floats g(1.0) is not always 0.0, and at N = 4 with beta = mu
+        # g vanishes identically.
         return 1.0
     if params.p == 2.0:
         # N = 4: the powers coincide and the equation is exactly quadratic,
@@ -185,38 +203,7 @@ def _positive_ratio_root(params: SystemParams) -> float:
                 f"mu2={params.mu2} admits no positive amplitude pair"
             )
         return math.sqrt(num / den)
-    lo, hi = _find_ratio_bracket(params)
-    g_lo = _ratio_g(params, lo)
-    iterations = 0
-    for _ in range(BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        g_mid = _ratio_g(params, mid)
-        iterations += 1
-        if g_mid == 0.0:
-            return mid
-        if g_lo * g_mid < 0.0:
-            hi = mid
-        else:
-            lo, g_lo = mid, g_mid
-    s = 0.5 * (lo + hi)
-    while iterations < ROOT_ITERATION_CAP:
-        g = _ratio_g(params, s)
-        gp = _ratio_g_prime(params, s)
-        if gp == 0.0:
-            break
-        step = g / gp
-        s_new = s - step
-        if not (lo <= s_new <= hi):
-            s_new = 0.5 * (lo + hi)
-        iterations += 1
-        if s_new == s:
-            break
-        s = s_new
-        if abs(step) < 1e-17 * max(1.0, abs(s)):
-            break
-    return s
+    return min(_ratio_roots(params), key=lambda s: abs(math.log(s)))
 
 
 def _amplitudes_for_ratio(params: SystemParams, s: float, rhs_value: float) -> tuple[float, float]:
@@ -237,9 +224,13 @@ def _amplitude_residuals(
 
 
 def _solve_amplitude_system(params: SystemParams, rhs_value: float) -> tuple[float, float, tuple[float, float]]:
-    s = _positive_ratio_root(params)
-    a1, a2 = _amplitudes_for_ratio(params, s, rhs_value)
-    res = _amplitude_residuals(params, a1, a2, rhs_value)
+    try:
+        s = _pair_ratio(params)
+        a1, a2 = _amplitudes_for_ratio(params, s, rhs_value)
+        res = _amplitude_residuals(params, a1, a2, rhs_value)
+    except (OverflowError, ZeroDivisionError):  # 0.0 to a negative power
+        raise DomainError(f"N={params.N}, mu=({params.mu1!r}, {params.mu2!r}), beta="
+                          f"{params.beta!r} put the amplitude pair out of float range") from None
     if max(abs(res[0]), abs(res[1])) > ROOT_RESIDUAL_TOL * max(1.0, rhs_value):
         raise ConvergenceFailure(
             f"amplitude system residuals {res} exceed {ROOT_RESIDUAL_TOL}"
@@ -250,11 +241,14 @@ def _solve_amplitude_system(params: SystemParams, rhs_value: float) -> tuple[flo
 def solve_coupling(params: SystemParams) -> CouplingSolution:
     """Positive pair (k, l) scaling the shared entire profile.
 
-    Reduces the two amplitude equations to a scalar equation in the ratio
-    s = l/k, brackets a root on RATIO_BRACKET by sign change, bisects, and
-    polishes by Newton.  Raises NoPositiveSolution when no bracket exists
-    (possible for N = 4 with beta between mu1 and mu2) and
-    ConvergenceFailure if the residual tolerance is missed.
+    Reduces the two amplitude equations to a scalar equation g(s) = 0 in
+    the ratio s = l/k, which has one or three positive roots for N != 4
+    (_ratio_roots), each a pair; the pair returned is the one whose ratio
+    is nearest 1 in |ln s|, so s = 1 when mu1 == mu2.  N = 4 is solved in
+    closed form.  Raises NoPositiveSolution when N = 4 and beta lies
+    between mu1 and mu2 (no positive pair exists), DomainError when the
+    pair is out of float range, and ConvergenceFailure if the residual
+    tolerance is missed.
     """
     k, l, res = _solve_amplitude_system(params, 1.0)
     return CouplingSolution(k=k, l=l, residuals=res)
@@ -263,7 +257,8 @@ def solve_coupling(params: SystemParams) -> CouplingSolution:
 def cylinder_amplitudes(params: SystemParams) -> tuple[float, float]:
     """Positive constants (C1, C2) of the constant equilibrium orbit.
 
-    Same ratio reduction as solve_coupling with right-hand side delta^2.
+    Same ratio reduction, and the same choice of pair (the ratio nearest 1
+    in |ln s|), as solve_coupling, with right-hand side delta^2.
     """
     d2 = params.delta**2
     c1, c2, _ = _solve_amplitude_system(params, d2)

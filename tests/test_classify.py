@@ -13,6 +13,7 @@ from fowlerlab import (
     SIGN_CHANGING,
     FowlerState,
     IntegratorSettings,
+    bubble_amplitude,
     bubble_fowler,
     classify,
     cylinder_state,
@@ -21,10 +22,11 @@ from fowlerlab import (
     monitor,
     shoot_entire,
 )
-from fowlerlab.classify import MIN_SIDE_COVER, _WINDOW_SAMPLES, _decay_fits, _row_medians, _window_sample
+from fowlerlab.classify import (DECAY_RTOL, MIN_SIDE_COVER, _WINDOW_SAMPLES, _decay_fits,
+                                _row_medians, _window_sample)
 from fowlerlab.errors import InsufficientWindow
 from fowlerlab.experiments import _SEMI_SPEC, InitialData, _collect_draws
-from fowlerlab.params import cylinder_amplitudes
+from fowlerlab.params import _amplitudes_for_ratio, _ratio_roots, cylinder_amplitudes
 
 mpmath.mp.dps = 50
 
@@ -89,6 +91,22 @@ class TestClassify:
         assert result.verdict == ENTIRE
         assert abs(result.K_value) < 1e-8
         assert result.evidence["anomaly"] is False
+
+    def test_every_coupling_pair_is_entire(self):
+        # Claim 4 with each of the three pairs (k, l) of N = 3, mu = 1,
+        # beta = 3 (ratios 0.381966, 1, 2.61803): the bubble (kU, lU) from
+        # its closed-form apex stays positive and decays at delta on the right.
+        p = make_params(3, 1.0, 1.0, 3.0)
+        apex = bubble_amplitude(3) * 2.0**-p.delta
+        for s in _ratio_roots(p):
+            k, l = _amplitudes_for_ratio(p, s, 1.0)
+            traj = integrate(p, FowlerState(0.0, k * apex, l * apex, 0.0, 0.0),
+                             IntegratorSettings(t_span=(-32.0, 32.0)), mode="positive")
+            result = classify(p, traj)
+            assert result.verdict == ENTIRE
+            for comp in (1, 2):
+                rate = result.evidence["decay"][f"+{comp}"][0]
+                assert abs(rate - p.delta) <= DECAY_RTOL * p.delta
 
     def test_cylinder_is_both_singular(self, p3, cylinder_traj):
         result = classify(p3, cylinder_traj)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -17,7 +18,7 @@ from fowlerlab import (
     solve_coupling,
 )
 from fowlerlab.errors import DomainError, NoPositiveSolution
-from fowlerlab.params import ROOT_RESIDUAL_TOL, _ratio_g
+from fowlerlab.params import ROOT_RESIDUAL_TOL, _ratio_roots, cylinder_amplitudes
 
 mpmath.mp.dps = 60
 
@@ -136,6 +137,12 @@ class TestSolveCoupling:
         i = np.searchsorted(grid, s)
         assert g[i - 1] * g[i] < 0  # the returned ratio sits in the scanned bracket
 
+    def test_pair_out_of_float_range_is_a_domain_error(self):
+        # k = (1/(mu + beta))^((N-2)/4) is about 1e-312 here, and k^(p-2)
+        # overflows.
+        with pytest.raises(DomainError, match="out of float range"):
+            solve_coupling(make_params(200, 1e6, 1e6, 1e6))
+
     @given(params_strategy)
     @settings(max_examples=60, deadline=None)
     def test_residuals_below_tolerance(self, quad):
@@ -151,11 +158,60 @@ class TestSolveCoupling:
         sol = solve_coupling(p)
         assert sol.k == pytest.approx((1.0 + beta) ** -0.5, rel=1e-13)
 
-    def test_ratio_equation_signs_at_bracket_ends(self):
-        # The reduced equation changes sign across the bracket for N=3 and N>=5.
-        for N in (3, 5, 6):
-            p = make_params(N, 1.3, 0.7, 2.1)
-            assert _ratio_g(p, 1e-8) * _ratio_g(p, 1e8) < 0
+
+#: Sets whose ratio equation has three positive roots; the N = 6 one is
+#: test_07's, whose cylinder therefore has three amplitude pairs too.
+THREE_ROOT_SETS = [(3, 1.0, 1.0, 3.0), (3, 0.1, 0.1, 1.0), (3, 1.0, 1.2, 3.0),
+                   (5, 1.0, 1.0, 0.5), (6, 1.0, 1.0, 0.3)]
+#: Most ulps between a float ratio and the 30-digit root it stands for
+#: (2.2 measured on THREE_ROOT_SETS).
+RATIO_ULPS = 3.0
+
+
+def mp_ratio_root(quad, lo, hi):
+    """30-digit root of g(s) = mu2 s^(2p-2) + beta s^(p-2) - beta s^p - mu1,
+    exact p = N/(N-2), by a bracketing solver on (lo, hi), whose ends it
+    checks to differ in sign."""
+    N, mu1, mu2, beta = quad
+    with mpmath.workdps(30):
+        p = mpmath.mpf(N) / (N - 2)
+        g = lambda s: mu2 * s ** (2 * p - 2) + beta * s ** (p - 2) - beta * s**p - mu1
+        lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+        assert g(lo) * g(hi) < 0
+        return mpmath.findroot(g, (lo, hi), solver="anderson")
+
+
+class TestRatioRoots:
+    @pytest.mark.parametrize("quad", THREE_ROOT_SETS)
+    def test_three_roots_against_mp_oracle(self, quad):
+        # Three distinct verified roots are all of them: g is a sum of four
+        # powers, which has at most three positive roots.
+        roots = _ratio_roots(make_params(*quad))
+        assert len(roots) == 3 and roots[0] < roots[1] < roots[2]
+        for s in roots:
+            exact = mp_ratio_root(quad, s * (1 - 2.0**-20), s * (1 + 2.0**-20))
+            assert abs(mpmath.mpf(s) - exact) <= RATIO_ULPS * math.ulp(s)
+
+    def test_pair_is_the_ratio_nearest_one(self):
+        # The asymmetric set's ratios are 0.379793, 1.14134 and 1.95981.
+        sol = solve_coupling(make_params(3, 1.0, 1.2, 3.0))
+        assert sol.l / sol.k == pytest.approx(1.14134, abs=5e-6)
+        for quad in THREE_ROOT_SETS:
+            if quad[1] == quad[2]:
+                sol = solve_coupling(make_params(*quad))
+                assert sol.l == sol.k
+
+    @pytest.mark.parametrize("N", [3, 5, 6, 7])
+    def test_extreme_coefficients_solve(self, N):
+        # Coefficients six orders apart put roots far outside (1e-8, 1e8).
+        values = [1e-6, 1e-3, 1.0, 1e3, 1e6]
+        for mu1, mu2, beta in itertools.product(values, repeat=3):
+            p = make_params(N, mu1, mu2, beta)
+            assert len(_ratio_roots(p)) in (1, 3)
+            sol = solve_coupling(p)
+            assert sol.k > 0 and sol.l > 0
+            assert max(abs(r) for r in sol.residuals) <= ROOT_RESIDUAL_TOL
+            assert min(cylinder_amplitudes(p)) > 0
 
 
 class TestCylinder:

@@ -1,11 +1,10 @@
 """No public function without a caller, and no private one without a use.
 
-Every module-level def or class in src/fowlerlab, public or private, every
-module-level private assignment, and every name in fowlerlab.__all__ is
-used by name somewhere in the package source outside __init__.py, the
-source of solve_ivp rendered at import included: being exported is not a
-use.  Every public method or property of a public class is used as an
-attribute (obj.name) there.
+Every module-level def, class or assignment in src/fowlerlab, public or
+private, and every name in fowlerlab.__all__ is used by name somewhere in
+the package source outside __init__.py, the source of solve_ivp rendered
+at import included: being exported is not a use.  Every public method or
+property of a public class is used as an attribute (obj.name) there.
 Likewise every run-config key is read through the CLI option table, and
 the integrator settings are one list in the code and both schemas.  No
 module in the package or its tests imports a name it never uses.
@@ -25,18 +24,9 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "fowlerlab"
 
 
-def _public_definitions(tree: ast.Module) -> list[str]:
-    return [
-        node.name
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-    ]
-
-
-def _private_definitions(tree: ast.Module) -> list[str]:
-    # Module-level private assignments (constants such as _SAFETY) count as
-    # definitions too, so a constant cannot outlive the code it served.
+def _definitions(tree: ast.Module) -> list[str]:
+    # Module-level assignments (constants such as _SAFETY or ROOT_RESIDUAL_TOL)
+    # count as definitions too, so a constant cannot outlive the code it served.
     names = [node.name for node in tree.body
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
     for node in tree.body:
@@ -44,7 +34,16 @@ def _private_definitions(tree: ast.Module) -> list[str]:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [elt.id for target in targets for elt in ast.walk(target)
                       if isinstance(elt, ast.Name) and isinstance(elt.ctx, ast.Store)]
-    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+    return names
+
+
+def _public_definitions(tree: ast.Module) -> list[str]:
+    return [name for name in _definitions(tree) if not name.startswith("_")]
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    return [name for name in _definitions(tree)
+            if name.startswith("_") and not name.startswith("__")]
 
 
 def _public_methods(tree: ast.Module) -> list[tuple[str, str]]:
