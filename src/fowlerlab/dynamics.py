@@ -1,13 +1,19 @@
 """The vector field and the adaptive integrator with dense output and event
 detection, in the logarithmic radial variables of fowlerlab.invariants.
 
+The field is the signed continuous extension |w|^(q-1) w of the
+positive-cone powers; positivity-constrained runs terminate at
+POSITIVITY_FLOOR instead of crossing zero (the field is not Lipschitz at
+w = 0 when N >= 5).  Its one text is _CONE, which _stage_field extends to
+every sign, on the system's constants (_cone): the body of _make_field and
+of every stage of solve_ivp, both rendered at import from one template.
+
 Integration uses the package's own DOP853 pair (Dormand-Prince 8(5,3),
 Hairer-Norsett-Wanner II.5 and II.10) in both time directions from the
 initial point.  The step loop is scalar Python on the four state
-components; its trial step is rendered at import from one table of
-coefficients (_TABLEAU) and one text of the positive-cone field (_CONE), in
-Nystrom form (Hairer-Norsett-Wanner II.14, _nystrom_weights), since the
-field does not depend on w'.
+components; its trial step is written out from one table of coefficients
+(_TABLEAU), in Nystrom form (Hairer-Norsett-Wanner II.14, _nystrom_weights),
+since the field does not depend on w'.
 
 Dense output is a per-step degree-9 Hermite in the node values of w and
 its first four derivatives: w'' is the step loop's acceleration there, and
@@ -23,15 +29,8 @@ sign change of a signed orbit on the step between two nodes of opposite
 signs, or at a node exactly zero between them (_bracketed_zeros).  sample
 takes arrays of times, and its derivative rows go only as far as the
 caller's count.  A loaded trajectory rebuilds the accelerations with the
-same scalar field at its nodes, so sampling is bit-identical after a
-serialization round trip.
-
-The field (_make_field) is the signed continuous extension |w|^(q-1) w of
-the positive-cone powers; positivity-constrained runs terminate at
-POSITIVITY_FLOOR instead of crossing zero (the field is not Lipschitz at
-w = 0 when N >= 5).  The step loop evaluates _CONE inline at every stage
-point and new node (_stage_field), and calls the field at event nodes and
-in the initial-step estimate; both give the same floats.
+field at its nodes, so sampling is bit-identical after a serialization
+round trip.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ import linecache
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -106,42 +104,18 @@ class Event:
         return (self.t, self.component or 0, _EVENT_ORDER.get(self.kind, 9))
 
 
-def _make_field(params: SystemParams) -> Callable[[float, float], tuple[float, float]]:
-    """Scalar (w1, w2) -> (w1'', w2''): the field the integrator steps on.
-
-    The signed formula, |w|^(q-1) w for each power, from two powers per
-    component: P = |w|^(p-1) and X = P |w| = |w|^p, so that
-    mu1 |w1|^(2p-2) w1 is mu1 X1 P1 sgn w1 and beta |w2|^p |w1|^(p-2) w1 is
-    beta X2 P1 sgn w1.  Its constants ride on the callable as _cone, so that
-    solve_ivp evaluates it inline from _CONE, the same formula on the open
-    positive cone (_stage_field); both give the same floats.
-    """
+def _cone(params: SystemParams) -> tuple[float, ...]:
+    """The field's constants (d2, mu1, mu2, beta, p, p1, q1): delta^2, the
+    couplings, p, p - 1 and 2p - 1, by the names _CONE and _field_jet use."""
     p = params.p
-    d2 = params.delta**2
-    mu1, mu2, beta = params.mu1, params.mu2, params.beta
-    p1 = p - 1.0
-    q1 = 2.0 * p - 1.0
-
-    def field(w1, w2):
-        m1 = abs(w1)
-        m2 = abs(w2)
-        P1 = m1**p1
-        X1 = P1 * m1
-        P2 = m2**p1
-        X2 = P2 * m2
-        dd1 = d2 * w1 - (mu1 * X1 + beta * X2) * math.copysign(P1, w1)
-        dd2 = d2 * w2 - (mu2 * X2 + beta * X1) * math.copysign(P2, w2)
-        return dd1, dd2
-
-    field._cone = (d2, mu1, mu2, beta, p, p1, q1)
-    return field
+    return (params.delta**2, params.mu1, params.mu2, params.beta, p, p - 1.0, 2.0 * p - 1.0)
 
 
 def _field_jet(cone, mu, x, y, vx, vy, ax, ay):
     """(x''', x''''), the third and fourth derivatives of component x along
-    the orbit: J(w) w' and J(w) w'' + H(w)[w', w'] for the row of
-    _make_field's signed field with self-coupling mu, whose other component
-    is y; cone is the field's _cone.
+    the orbit: J(w) w' and J(w) w'' + H(w)[w', w'] for the row of the
+    signed field with self-coupling mu, whose other component is y; cone is
+    the field's constants (_cone).
 
     Works on floats and, elementwise, on arrays (x and y the two rows, mu a
     column).  |x|^(p-2) is unbounded at x = 0 when p < 2, and its second
@@ -225,14 +199,13 @@ def _step_polynomials(cone, old, new, h):
     the field's jet (_field_jet, cone its constants) applies, else the
     quintic (_quintic).
 
-    The quintic is kept where cone is None (a field without constants),
-    where a component changes sign or touches zero over the step (the
-    solution is not smooth there; _keeps_signs), and where the jet or the
-    degree-9 coefficients are not finite.
+    The quintic is kept where a component changes sign or touches zero over
+    the step (the solution is not smooth there; _keeps_signs), and where
+    the jet or the degree-9 coefficients are not finite.
     """
     w1, w2, v1, v2, a1, a2 = old
     z1, z2, u1, u2, b1, b2 = new
-    if cone is not None and _keeps_signs(w1, w2, z1, z2):
+    if _keeps_signs(w1, w2, z1, z2):
         try:
             j1, k1 = _field_jet(cone, cone[1], w1, w2, v1, v2, a1, a2)
             j2, k2 = _field_jet(cone, cone[2], w2, w1, v2, v1, a2, a1)
@@ -321,13 +294,13 @@ class Trajectory:
         the quintic padded with zeros.  Built on the first sample, then kept.
         """
         if self._coeffs is None:
-            fun = _make_field(self.params)
+            cone = _cone(self.params)
             h = np.diff(self.t)
             w, v, a = self.y[:2], self.y[2:], self._node_accelerations()
             # Both components at once: row i's other component is row 1 - i.
-            mu = np.array([[fun._cone[1]], [fun._cone[2]]])
+            mu = np.array([[cone[1]], [cone[2]]])
             with np.errstate(all="ignore"):
-                jet, snap = _field_jet(fun._cone, mu, w, w[::-1], v, v[::-1], a, a[::-1])
+                jet, snap = _field_jet(cone, mu, w, w[::-1], v, v[::-1], a, a[::-1])
                 coeffs = np.array(_hermite9(w[:, :-1], w[:, 1:], v[:, :-1], v[:, 1:], a[:, :-1],
                                             a[:, 1:], jet[:, :-1], jet[:, 1:], snap[:, :-1],
                                             snap[:, 1:], h))
@@ -413,9 +386,9 @@ _TABLEAU = (
      -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
      0.02265179219836082),
 )
-#: The positive-cone accelerations (b1, b2) at (x, y): _make_field's signed
-#: formula where |w| = w, without its abs and copysign calls, float for
-#: float, in two powers, P1 = x**p1 and P2 = y**p1.
+#: The field's accelerations (b1, b2) at a point (x, y) of the open positive
+#: cone, in two powers per component, P = w**p1 and X = P w = w**p: the one
+#: text of the field, which _stage_field extends to every sign.
 _CONE = ("P1 = {x}**p1",
          "X1 = P1 * {x}",
          "P2 = {y}**p1",
@@ -486,31 +459,29 @@ class Segment:
 
 
 def _stage_field(x: str, y: str, b1: str, b2: str) -> list[str]:
-    """Lines of solve_ivp that set b1, b2 to field(x, y), float for float.
+    """Lines that set b1, b2 to the field at (x, y): the body of _make_field,
+    and of each stage point and new node of solve_ivp's trial step.
 
-    A field with _cone (inline) is evaluated as _CONE: on the open cone
-    directly, elsewhere on the magnitudes m1, m2 = |x|, |y|, each component
-    whose w is negative negated as 0.0 - b.  Rounding to nearest is
-    sign-symmetric, so this is the signed formula's result; 0.0 - b, not -b,
-    keeps the +0.0 that formula gives where the terms cancel exactly.  A
-    power that overflows raises OverflowError on both paths; a product that
-    overflows gives the same inf or NaN on both.  Any other field is called.
+    _CONE on the open positive cone; elsewhere _CONE on the magnitudes
+    m1, m2 = |x|, |y|, each component whose w is negative negated as
+    0.0 - b.  Rounding to nearest is sign-symmetric, so this is the signed
+    formula |w|^(q-1) w; 0.0 - b, not -b, keeps the +0.0 that formula gives
+    where the terms cancel exactly.  A power that overflows raises
+    OverflowError.
     """
     def cone(x, y):
         return ["    " + line.format(x=x, y=y, b1=b1, b2=b2) for line in _CONE]
 
-    return [f"if inline and {x} > 0.0 and {y} > 0.0:",
+    return [f"if {x} > 0.0 and {y} > 0.0:",
             *cone(x, y),
-            "elif inline:",
+            "else:",
             f"    m1 = abs({x})",
             f"    m2 = abs({y})",
             *cone("m1", "m2"),
             f"    if {x} < 0.0:",
             f"        {b1} = 0.0 - {b1}",
             f"    if {y} < 0.0:",
-            f"        {b2} = 0.0 - {b2}",
-            "else:",
-            f"    {b1}, {b2} = field({x}, {y})"]
+            f"        {b2} = 0.0 - {b2}"]
 
 
 def _nystrom_weights():
@@ -559,8 +530,16 @@ def _combo(weights, names) -> str:
     return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
+def _fill(template: str, mark: str, lines: list[str]) -> str:
+    """template with its line mark replaced by lines, at the mark's indent."""
+    head, _, tail = template.partition(mark + "\n")
+    indent = head[head.rindex("\n") + 1:]
+    return head + ("\n" + indent).join(lines) + "\n" + tail
+
+
 def _render_solve_ivp(template: str) -> str:
-    """template with its <trial step> line written out from _TABLEAU and _CONE.
+    """template with its <field> line written out as the field at (x, y)
+    (_stage_field) and its <trial step> line from _TABLEAU and _CONE.
 
     The trial step is DOP853 in Nystrom form (_nystrom_weights): stages
     2-12 are each a position x1, x2 from the old node and the earlier
@@ -591,52 +570,64 @@ def _render_solve_ivp(template: str) -> str:
     for e, E, EA in (("e", E5, e5a), ("f", E3, e3a)):
         lines += [f"{e}{i} = ({_combo(EA, acc(i))}) * h * h" for i in (1, 2)]
         lines += [f"{e}{i + 2} = ({_combo(E, acc(i))}) * h" for i in (1, 2)]
-    head, _, tail = template.partition("<trial step>\n")
-    indent = head[head.rindex("\n") + 1:]
-    return head + ("\n" + indent).join(lines) + "\n" + tail
+    template = _fill(template, "<field>", _stage_field("x", "y", "b1", "b2"))
+    return _fill(template, "<trial step>", lines)
 
 
 _SOLVE_IVP_TEMPLATE = '''\
-def solve_ivp(field, t0, y0, t_bound, settings, mode, stop=None):
-    """The package's own DOP853 solver, from t0 toward t_bound.
+def _make_field(params):
+    """Scalar (w1, w2) -> (w1'', w2''): the field of the system params.
 
-    field is the scalar acceleration map (w1, w2) -> (w1'', w2'') and y0
-    the four floats (w1, w2, w1', w2').  This source is rendered at import
-    (_render_solve_ivp): its trial step is written out from _TABLEAU in
-    Nystrom form, and a field from _make_field, which carries its
-    constants as _cone, is evaluated there as _CONE at each stage point and
-    new node, float for float the call's result (_stage_field): on the
-    components where both are > 0.0, elsewhere on their magnitudes, a
-    negative component's acceleration negated as 0.0 - b.  At an event
-    node, in the initial-step estimate, and for any field without _cone,
-    field is called.  The step-size control is that of
-    Hairer-Norsett-Wanner II.4 and II.10 (as in scipy's DOP853): the
-    combined error norm of _error_norm, its rows scaled by atol + rtol *
-    max(|y|, |y_new|), no step growth right after a rejection, and failure
-    once the step falls below 10 ulp(t); the first step from data at rest
-    (both velocities zero) grows by the full factor.  A trial step that overflows, or
-    whose new node's acceleration is not finite, is rejected like one with
-    an infinite error.
+    The signed continuous extension |w|^(q-1) w of the positive-cone powers,
+    from two powers per component: P = |w|^(p-1) and X = P |w| = |w|^p, so
+    that mu1 |w1|^(2p-2) w1 is mu1 X1 P1 sgn w1 and beta |w2|^p |w1|^(p-2) w1
+    is beta X2 P1 sgn w1.  Its body is _stage_field's lines at (x, y), which
+    solve_ivp writes out at every stage point and new node too.
+    """
+    d2, mu1, mu2, beta, _, p1, _ = _cone(params)
+
+    def field(x, y):
+        <field>
+        return b1, b2
+
+    return field
+
+
+def solve_ivp(params, t0, y0, t_bound, settings, mode, stop=None):
+    """The package's own DOP853 solver for the field of the system params,
+    from t0 toward t_bound.
+
+    y0 is the four floats (w1, w2, w1', w2').  This source is rendered at
+    import (_render_solve_ivp): its trial step is written out from _TABLEAU
+    in Nystrom form, with the field's lines (_stage_field) at each stage
+    point and new node; the field (_make_field) is called only at t0, in
+    the initial-step estimate and at an event node.  The step-size control
+    is that of Hairer-Norsett-Wanner II.4 and II.10 (as in scipy's DOP853):
+    the combined error norm of _error_norm, its rows scaled by
+    atol + rtol * max(|y|, |y_new|), no step growth right after a
+    rejection, and failure once the step falls below 10 ulp(t); the first
+    step from data at rest (both velocities zero) grows by the full factor.
+    A trial step that overflows, or whose new node's acceleration is not
+    finite, is rejected like one with an infinite error.
 
     Terminal events are BlowUp (max |w_i| rises to blowup_threshold) and, in
     positive mode, PositivityLoss of component i (w_i falls to
     POSITIVITY_FLOOR), rising and falling along the direction of
-    integration.  They are tested once per accepted step and the
-    earliest is bisected to adjacent floats on the step's polynomial
-    (_step_polynomials; the degree-9 Hermite when field carries _cone);
-    the event point becomes the last node.  Otherwise the optional predicate
-    stop(t_new, w1_old, w2_old, w1'_old, w1_new, w2_new, w1'_new), given the
-    step's old node and its new one, is asked at each new node; a label it
-    returns ends the segment at that node, unrefined, with event
-    (label, None).  So a stopped segment's nodes are a prefix of the
-    unstopped run's, bit for bit.  Returns a Segment.
+    integration.  They are tested once per accepted step and the earliest
+    is bisected to adjacent floats on the step's polynomial
+    (_step_polynomials); the event point becomes the last node.  Otherwise
+    the optional predicate stop(t_new, w1_old, w2_old, w1'_old, w1_new,
+    w2_new, w1'_new), given the step's old node and its new one, is asked
+    at each new node; a label it returns ends the segment at that node,
+    unrefined, with event (label, None).  So a stopped segment's nodes are
+    a prefix of the unstopped run's, bit for bit.  Returns a Segment.
     """
     rtol, atol, max_step = settings.rel_tol, settings.abs_tol, settings.max_step
-    # A field call's frame and returned tuple cost more than _CONE's
-    # arithmetic, which the trial step writes out in the same order.
-    cone = getattr(field, "_cone", None)
-    inline = cone is not None
-    d2, mu1, mu2, beta, p, p1, q1 = cone if inline else (0.0,) * 7
+    # The trial step writes the field out (_stage_field): a call's frame and
+    # returned tuple cost more than its arithmetic.
+    cone = _cone(params)
+    d2, mu1, mu2, beta, _, p1, _ = cone
+    field = _make_field(params)
     threshold = settings.blowup_threshold
     floor = POSITIVITY_FLOOR
     positive = mode == "positive"
@@ -766,7 +757,8 @@ def solve_ivp(field, t0, y0, t_bound, settings, mode, stop=None):
                    nfev=nfev, status=status, event=event)
 '''
 
-#: solve_ivp's source as rendered, which inspect.getsource and tracebacks show.
+#: The source of _make_field and solve_ivp as rendered, which inspect.getsource
+#: and tracebacks show.
 _SOLVE_IVP_SOURCE = _render_solve_ivp(_SOLVE_IVP_TEMPLATE)
 _SOLVE_IVP_FILE = "<fowlerlab.dynamics.solve_ivp>"
 # The unit imports math and numpy first, as this module does, so that CPython
@@ -788,7 +780,7 @@ class _LineCache(dict):
 
 linecache.cache = _LineCache(linecache.cache)
 linecache.cache.update(_SOLVE_IVP_LINES)
-exec(compile(_unit, _SOLVE_IVP_FILE, "exec"), globals())  # defines solve_ivp
+exec(compile(_unit, _SOLVE_IVP_FILE, "exec"), globals())  # defines _make_field, solve_ivp
 
 
 def _mirror(seg: Segment) -> Segment:
@@ -840,21 +832,21 @@ def integrate(
     _require_window(settings.t_span, initial.t, "integration window must hold the initial time")
     t_lo, t_hi = settings.t_span
 
-    def solve(fun, t0, start):
+    def solve(t0, start):
         # solve_ivp is looked up on the module at call time, so a wrapper set
         # on that attribute (bench/tracing.py) sees every call.
-        forward = solve_ivp(fun, t0, start, t_hi, settings, mode) if t_hi > t0 else None
+        forward = solve_ivp(params, t0, start, t_hi, settings, mode) if t_hi > t0 else None
         if t_lo == -t_hi and all(x == 0.0 and math.copysign(1.0, x) > 0.0
                                  for x in (t0, start[2], start[3])):
             # A -0.0 would not survive the mirror.
             return forward, _mirror(forward)
-        return forward, solve_ivp(fun, t0, start, t_lo, settings, mode) if t_lo < t0 else None
+        return forward, solve_ivp(params, t0, start, t_lo, settings, mode) if t_lo < t0 else None
 
     return _two_sided(params, initial, settings, mode, solve)
 
 
 def _two_sided(params, initial, settings, mode, solve) -> Trajectory:
-    """The Trajectory of the two Segments solve(field, t0, start) returns.
+    """The Trajectory of the two Segments solve(t0, start) returns.
 
     solve gives (forward, backward), either None for a side not integrated.
     The nodes run in increasing t: the backward segment reversed, then the
@@ -894,7 +886,7 @@ def _two_sided(params, initial, settings, mode, solve) -> Trajectory:
             t_initial=t0,
         )
 
-    forward, backward = solve(_make_field(params), t0, tuple(y0.tolist()))
+    forward, backward = solve(t0, tuple(y0.tolist()))
     segments = [seg for seg in (forward, backward) if seg is not None]
     events = [
         Event(kind=seg.event[0], t=float(seg.t[-1]), component=seg.event[1],
@@ -954,7 +946,7 @@ def _bracketed_zeros(traj: Trajectory, row: int) -> list[FowlerState]:
     flips = np.flatnonzero(vv[nz[:-1]] * vv[nz[1:]] < 0.0)
     if not flips.size:
         return []
-    cone = _make_field(traj.params)._cone
+    cone = _cone(traj.params)
     nodes = np.concatenate([y, traj._node_accelerations()])
     states = []
     for a, b in zip(nz[flips].tolist(), nz[flips + 1].tolist()):

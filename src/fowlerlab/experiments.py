@@ -250,15 +250,15 @@ def _crossing_trajectory(
     rule of sign_change_experiment."""
     t_lo, t_hi = settings.t_span
 
-    def solve(fun, t0, start):
+    def solve(t0, start):
         # Looked up at call time, so a wrapper set on dynamics.solve_ivp sees it.
-        forward = dynamics.solve_ivp(fun, t0, start, t_hi, settings, "signed", _first_flip)
+        forward = dynamics.solve_ivp(params, t0, start, t_hi, settings, "signed", _first_flip)
         reach = float(forward.t[-1]) - t0 if forward.event == ("SignChange", None) else math.inf
 
         def back(t_new, *node):
             return _first_flip(t_new, *node) or ("Reached" if t0 - t_new >= reach else None)
 
-        backward = dynamics.solve_ivp(fun, t0, start, t_lo, settings, "signed", back)
+        backward = dynamics.solve_ivp(params, t0, start, t_lo, settings, "signed", back)
         return forward, backward
 
     return dynamics._two_sided(params, data.state(), settings, "signed", solve)
@@ -349,7 +349,7 @@ def _first_turn(t_new, w1_old, w2_old, v1_old, w1, w2, v1):
     return "LocalMin" if v1_old < 0.0 <= v1 else None
 
 
-def _loses_sign(fun, apex_w1: float, ratio: float, t_end: float,
+def _loses_sign(params: SystemParams, apex_w1: float, ratio: float, t_end: float,
                 settings: IntegratorSettings) -> tuple[bool, dynamics.Segment | None]:
     """Whether the trial from this apex changes sign, and the trial's
     forward Segment (None when the data are not integrated)."""
@@ -359,7 +359,7 @@ def _loses_sign(fun, apex_w1: float, ratio: float, t_end: float,
         # integrate stops such data at once with BlowUp: no sign change.
         return False, None
     # Looked up at call time, so a wrapper set on dynamics.solve_ivp sees it.
-    seg = dynamics.solve_ivp(fun, 0.0, y0, t_end, settings, "signed", _first_turn)
+    seg = dynamics.solve_ivp(params, 0.0, y0, t_end, settings, "signed", _first_turn)
     return seg.event == ("SignChange", None), seg
 
 
@@ -501,7 +501,6 @@ def shoot_entire(
         raise BracketFailure(f"coupling pair unavailable: {exc}") from exc
     ratio = kl.l / kl.k
     t_end = settings.t_span[1]
-    fun = dynamics._make_field(params)
 
     # lo_run is the trial from lo, which stays positive; settled the
     # verdicts trials have given.
@@ -514,7 +513,7 @@ def shoot_entire(
         # the bracket: its verdict moves one end.
         nonlocal lo, hi, lo_run
         apex = guess if lo < guess < hi else 0.5 * (lo + hi)
-        loses, run = _loses_sign(fun, apex, ratio, t_end, settings)
+        loses, run = _loses_sign(params, apex, ratio, t_end, settings)
         if loses:
             hi = apex
         else:
@@ -543,12 +542,12 @@ def shoot_entire(
         # An end that no trial has settled runs its own trial.
         nonlocal lo_run, hi
         if False not in settled:
-            loses, lo_run = _loses_sign(fun, lo, ratio, t_end, settings)
+            loses, lo_run = _loses_sign(params, lo, ratio, t_end, settings)
             if loses:
                 raise BracketFailure("lower shooting endpoint already changes sign")
         if True not in settled:
             grow = 0
-            loses, _ = _loses_sign(fun, hi, ratio, t_end, settings)
+            loses, _ = _loses_sign(params, hi, ratio, t_end, settings)
             while not loses:
                 if max(hi, ratio * hi) >= settings.blowup_threshold:
                     # Larger apexes count as staying positive: the bracket cannot close.
@@ -558,7 +557,7 @@ def shoot_entire(
                 grow += 1
                 if grow > 10:
                     raise BracketFailure("no sign-losing apex found while expanding the bracket")
-                loses, _ = _loses_sign(fun, hi, ratio, t_end, settings)
+                loses, _ = _loses_sign(params, hi, ratio, t_end, settings)
         settled.update((False, True))
 
     # Trials go to Newton from g's trial, then gallop from an end, then bisect.
@@ -600,7 +599,7 @@ def shoot_entire(
     if lo_run is not None and lo_run.status == 0:
         # The trial reached t_span[1]: its stop rule never fired, so it is
         # integrate's forward half, bit for bit, and its mirror the backward.
-        def solve(fun, t0, start):
+        def solve(t0, start):
             return lo_run, dynamics._mirror(lo_run)
 
         traj = dynamics._two_sided(params, data.state(), settings, "signed", solve)

@@ -228,6 +228,8 @@ def _solve_amplitude_system(params: SystemParams, rhs_value: float) -> tuple[flo
         s = _pair_ratio(params)
         a1, a2 = _amplitudes_for_ratio(params, s, rhs_value)
         res = _amplitude_residuals(params, a1, a2, rhs_value)
+        if not all(map(math.isfinite, (a1, a2, *res))):
+            raise OverflowError  # a float product overflows silently, a power raises
     except (OverflowError, ZeroDivisionError):  # 0.0 to a negative power
         raise DomainError(f"N={params.N}, mu=({params.mu1!r}, {params.mu2!r}), beta="
                           f"{params.beta!r} put the amplitude pair out of float range") from None

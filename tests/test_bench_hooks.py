@@ -73,3 +73,30 @@ def test_traced_integration_from_rest_makes_one_run(tracing):
     assert counts["nfev"] > 6 * (counts["nodes"] // 2)
     assert [span[0] for span in tracer.spans].count("dynamics.solve_ivp") == 1
     assert tracer.problems() == []
+
+
+def test_traced_shoot_records_its_trials(tracing):
+    from fowlerlab import experiments, make_params
+
+    tracer = tracing.Tracer()
+    with tracer.patched():
+        experiments.shoot_entire(make_params(3, 1.0, 1.0, 1.0))
+    names = [span[0] for span in tracer.spans]
+    # One solve_ivp run per trial, each inside the shoot's span.
+    assert names.count("experiments.shoot_entire") == 1
+    assert names.count("dynamics.solve_ivp") > 2
+    assert tracer.counters["nfev"] > 0
+    assert tracer.problems() == []
+
+
+def test_traced_sign_change_experiment_records_both_directions(tracing):
+    from fowlerlab import experiments, make_params
+
+    tracer = tracing.Tracer()
+    with tracer.patched():
+        report = experiments.sign_change_experiment(make_params(3, 1.0, 1.0, 1.0), n_runs=2)
+    names = [span[0] for span in tracer.spans]
+    # A forward and a backward run per draw.
+    assert report.n_runs == 2 and names.count("dynamics.solve_ivp") == 4
+    assert tracer.counters["nfev"] > 0
+    assert tracer.problems() == []

@@ -6,10 +6,12 @@ as a differential reference, and mpmath's Taylor-series ODE solver at 25
 digits as an accuracy oracle.  Both are test-only dependencies.
 """
 
+import ast
 import functools
 import inspect
 import linecache
 import math
+import sys
 import traceback
 from dataclasses import replace
 from fractions import Fraction
@@ -39,6 +41,7 @@ from fowlerlab import dynamics, experiments
 from fowlerlab.dynamics import _bracketed_zeros, _make_field
 from fowlerlab.experiments import _first_turn, shoot_settings
 from fowlerlab.serialize import load_trajectory, save_trajectory
+from test_dynamics import _outcome, _same_outcome, _signed_field
 
 
 def scipy_segment(params, state, t_end, settings, mode):
@@ -69,6 +72,9 @@ def scipy_segment(params, state, t_end, settings, mode):
 
 P3 = make_params(3, 1.0, 1.0, 1.0)
 P5 = make_params(5, 1.0, 1.0, 1.0)
+#: A hand-built system whose field is w'' = w exactly: delta = 1, and the
+#: zero couplings zero every power's term.
+LINEAR = replace(P3, delta=1.0, mu1=0.0, mu2=0.0, beta=0.0)
 
 DIFFERENTIAL_CASES = {
     "bubble_n3": (P3, bubble_fowler(P3, 1.0, 0.0), 20.0, "positive", None),
@@ -90,9 +96,7 @@ def test_matches_scipy_dop853(name, backward):
     settings = IntegratorSettings(t_span=(-span, span))
     t_end = -span if backward else span
     ref = scipy_segment(params, state, t_end, settings, mode)
-    got = dynamics.solve_ivp(
-        _make_field(params), state.t, tuple(state.as_array()), t_end, settings, mode
-    )
+    got = dynamics.solve_ivp(params, state.t, tuple(state.as_array()), t_end, settings, mode)
     assert len(got.t) == len(ref.t)
     # scipy's dense output takes 3 more field evaluations per step.  The
     # error rows cancel to near rounding, so the two summation orders give
@@ -204,8 +208,8 @@ def test_tiny_abs_tol_equilibrium_takes_finite_error_norms(monkeypatch):
     inner = dynamics._error_norm
     monkeypatch.setattr(dynamics, "_error_norm",
                         lambda err5, err3: norms.append((err5, err3)) or inner(err5, err3))
-    seg = dynamics.solve_ivp(_make_field(P3), 0.0, tuple(state.as_array().tolist()), 30.0,
-                             settings, "positive")
+    seg = dynamics.solve_ivp(P3, 0.0, tuple(state.as_array().tolist()), 30.0, settings,
+                             "positive")
     assert seg.status == 0 and seg.t[-1] == 30.0
     assert norms[0] == (0.0, 0.0)
     assert all(math.isfinite(err5) and math.isfinite(err3) for err5, err3 in norms)
@@ -463,39 +467,44 @@ def test_a_touch_at_a_zero_node_is_no_crossing():
     assert _bracketed_zeros(_hand_built([-1.0, 0.0, -1.0]), 0) == []
 
 
+def _faulty_solve_ivp(line, faulty):
+    """solve_ivp with its one rendered line fragment line replaced by faulty:
+    a fault that no system's field has.  Compiled under the rendered unit's
+    file name, line for line, so its tracebacks quote the package's own
+    rendered lines."""
+    unit = "".join(linecache.cache[dynamics._SOLVE_IVP_FILE][2])
+    assert unit.count(line) == 1
+    namespace = dict(vars(dynamics))
+    exec(compile(unit.replace(line, faulty), dynamics._SOLVE_IVP_FILE, "exec"), namespace)
+    return namespace["solve_ivp"]
+
+
 def test_overflowing_trial_steps_are_rejected_until_underflow():
-    # A field that overflows past w1 = 1.5 on the growing orbit w = e^t:
+    # w'' = w with a power so large that w**p overflows past w ~ 1.5 on the
+    # growing orbit w = e^t (the product P1 * w is inf there, and its zero
+    # coupling makes the acceleration NaN; w**p1 overflows a little later):
     # every trial step across that point is rejected and shrunk until the
     # step falls below 10 ulp(t), which is reported, not raised.
-    def field(w1, w2):
-        if w1 > 1.5:
-            raise OverflowError("field out of range")
-        return w1, w2
-
+    params = replace(LINEAR, p=1.0 + math.log(sys.float_info.max) / math.log(1.5))
+    edge = math.log(sys.float_info.max) / params.p  # ln w where w**p overflows
     settings = IntegratorSettings(t_span=(0.0, 5.0))
-    seg = dynamics.solve_ivp(field, 0.0, (1.0, 1.0, 1.0, 1.0), 5.0, settings, "signed")
+    seg = dynamics.solve_ivp(params, 0.0, (1.0, 1.0, 1.0, 1.0), 5.0, settings, "signed")
     assert seg.status == -1 and seg.event is None
-    assert seg.t[-1] == pytest.approx(np.log(1.5), abs=1e-9)
-    assert np.all(seg.y[0] <= 1.5)
+    assert seg.t[-1] == pytest.approx(edge, abs=1e-9)
+    assert np.all(seg.y[0] < 1.5) and np.isfinite(seg.acc).all()
 
 
 def test_a_trial_whose_new_node_acceleration_is_not_finite_is_rejected():
     # The new node's acceleration weighs nothing in the error rows.  This
-    # field is finite at every stage but gives inf at a trial's new node (its
-    # 12th call of the trial, after the call at t0 and the initial-step
-    # estimate's) past w1 = 1.5 on the growing orbit w = e^t, far below the
-    # blow-up threshold: every trial across that point is rejected, as one
-    # whose power overflows, until the step underflows, and no node keeps
-    # the inf.
-    calls = []
-
-    def field(w1, w2):
-        calls.append(None)
-        at_new_node = len(calls) > 2 and (len(calls) - 2) % 12 == 0
-        return (math.inf if at_new_node and w1 > 1.5 else w1), w2
-
+    # step loop's field is w'' = w, finite at every stage, but its new
+    # node's w1'' is inf past w1 = 1.5 on the growing orbit w = e^t, far
+    # below the blow-up threshold: every trial across that point is
+    # rejected, as one whose power overflows, until the step underflows,
+    # and no node keeps the inf.
+    solve_ivp = _faulty_solve_ivp("a1_new = d2 * w1_new",
+                                  "a1_new = (math.inf if w1_new > 1.5 else d2 * w1_new)")
     settings = IntegratorSettings(t_span=(0.0, 5.0), blowup_threshold=1e300)
-    seg = dynamics.solve_ivp(field, 0.0, (1.0, 1.0, 1.0, 1.0), 5.0, settings, "signed")
+    seg = solve_ivp(LINEAR, 0.0, (1.0, 1.0, 1.0, 1.0), 5.0, settings, "signed")
     assert seg.status == -1 and seg.event is None
     assert np.isfinite(seg.acc).all() and np.isfinite(seg.y).all()
     assert seg.t[-1] == pytest.approx(np.log(1.5), abs=1e-9)
@@ -510,12 +519,11 @@ def test_runs_from_neighbouring_rest_data_share_their_step_grid():
     params = make_params(5, 1.0, 1.0, 1.0)
     kl = solve_coupling(params)
     settings = shoot_settings(params)
-    field = _make_field(params)
     star = bubble_fowler(params, 1.0, 0.0).w1
     grids = []
     for j in range(-8, 9):
         apex = star + j * math.ulp(star)
-        seg = dynamics.solve_ivp(field, 0.0, (apex, kl.l / kl.k * apex, 0.0, 0.0),
+        seg = dynamics.solve_ivp(params, 0.0, (apex, kl.l / kl.k * apex, 0.0, 0.0),
                                  settings.t_span[1], settings, "signed")
         grids.append(np.diff(seg.t)[:40])
     assert grids[0][1] == pytest.approx(10.0 * grids[0][0], rel=1e-12)
@@ -523,44 +531,55 @@ def test_runs_from_neighbouring_rest_data_share_their_step_grid():
 
 
 def test_rendered_solve_ivp_is_its_source():
-    assert inspect.getsource(dynamics.solve_ivp) == dynamics._SOLVE_IVP_SOURCE
+    # The rendered unit is _make_field, then solve_ivp.
+    assert (inspect.getsource(dynamics._make_field) + "\n\n"
+            + inspect.getsource(dynamics.solve_ivp)) == dynamics._SOLVE_IVP_SOURCE
+
+
+def test_solve_ivp_calls_the_field_only_off_the_trial_step():
+    # The field is written out at every stage and new node; it is called at
+    # t0 and at an event node, and passed to the initial-step estimate.
+    source = dynamics._SOLVE_IVP_SOURCE
+    assert "inline" not in source
+    solve = next(node for node in ast.parse(source).body if node.name == "solve_ivp")
+    calls = [ast.unparse(node) for node in ast.walk(solve) if isinstance(node, ast.Call)]
+    assert sorted(call for call in calls if "field" in call) == [
+        "_initial_step(field, y0, (v1, v2, a1, a2), direction, abs(t_bound - t0), max_step, "
+        "rtol, atol)",
+        "_make_field(params)", "field(w1, w2)", "field(w1_new, w2_new)"]
 
 
 def test_the_rendered_source_survives_a_cleared_line_cache():
     # linecache cannot read a "<...>" file back once its entry is gone.
     linecache.clearcache()
-    assert inspect.getsource(dynamics.solve_ivp) == dynamics._SOLVE_IVP_SOURCE
-
-    def field(w1, w2):
-        raise ZeroDivisionError("first field call")
-
+    assert inspect.getsource(dynamics.solve_ivp) in dynamics._SOLVE_IVP_SOURCE
+    assert inspect.getsource(dynamics._make_field) in dynamics._SOLVE_IVP_SOURCE
+    # p < 1 puts a negative power on |w1| = 0, which the field's call at t0
+    # raises on.
     settings = IntegratorSettings(t_span=(0.0, 1.0))
     with pytest.raises(ZeroDivisionError) as info:
-        dynamics.solve_ivp(field, 0.0, (1.0, 1.0, 1.0, 1.0), 1.0, settings, "signed")
+        dynamics.solve_ivp(replace(P3, p=0.5), 0.0, (0.0, 1.0, 1.0, 1.0), 1.0, settings,
+                           "signed")
     linecache.clearcache()
-    assert "\n    a1, a2 = field(w1, w2)\n" in "".join(traceback.format_tb(info.tb))
+    tb = "".join(traceback.format_tb(info.tb))
+    assert "\n    a1, a2 = field(w1, w2)\n" in tb and "\n    P1 = m1**p1\n" in tb
 
 
 def test_a_failing_stage_is_quoted_from_the_rendered_source():
-    # A field without _cone is called everywhere: at t0, in the initial-step
-    # estimate, and then at the second stage.
-    calls = []
-
-    def field(w1, w2):
-        calls.append(None)
-        if len(calls) == 3:
-            raise ZeroDivisionError("third field call")
-        return w1, w2
-
+    # A fault at the second stage, the first the trial step evaluates: the
+    # traceback quotes that stage's rendered line, at its place in the source.
+    line = "b1_2 = d2 * x1 - (mu1 * X1 + beta * X2) * P1"
+    solve_ivp = _faulty_solve_ivp(line, line + " / 0.0")
     settings = IntegratorSettings(t_span=(0.0, 1.0))
     with pytest.raises(ZeroDivisionError) as info:
-        dynamics.solve_ivp(field, 0.0, (1.0, 1.0, 1.0, 1.0), 1.0, settings, "signed")
+        solve_ivp(P3, 0.0, (1.0, 1.0, 1.0, 1.0), 1.0, settings, "signed")
     frame = next(f for f in traceback.extract_tb(info.tb) if f.name == "solve_ivp")
-    assert frame.line == "b1_2, b2_2 = field(x1, x2)"
+    assert frame.line == line
     source = dynamics._SOLVE_IVP_SOURCE.splitlines()
+    start = source.index(inspect.getsource(dynamics.solve_ivp).splitlines()[0])
     first = dynamics.solve_ivp.__code__.co_firstlineno
-    assert source[frame.lineno - first].strip() == frame.line
-    assert "\n    b1_2, b2_2 = field(x1, x2)\n" in "".join(traceback.format_tb(info.tb))
+    assert source[start + frame.lineno - first].strip() == line
+    assert f"\n    {line}\n" in "".join(traceback.format_tb(info.tb))
 
 
 def _stop_at_call(k, label):
@@ -578,7 +597,7 @@ def _stop_at_call(k, label):
 def test_stopped_segment_is_a_prefix_of_the_full_run(name):
     params, state, span, mode, _ = DIFFERENTIAL_CASES[name]
     settings = IntegratorSettings(t_span=(-span, span))
-    args = (_make_field(params), state.t, tuple(state.as_array()), span, settings, mode)
+    args = (params, state.t, tuple(state.as_array()), span, settings, mode)
     full = dynamics.solve_ivp(*args)
     # A predicate that never fires changes nothing.
     quiet = dynamics.solve_ivp(*args, stop=lambda *node: None)
@@ -598,7 +617,7 @@ def test_stop_predicate_sees_the_old_and_the_new_node(backward):
     params, state, span, mode, _ = DIFFERENTIAL_CASES["signed_crossing_n3"]
     settings = IntegratorSettings(t_span=(-span, span))
     calls = []
-    seg = dynamics.solve_ivp(_make_field(params), state.t, tuple(state.as_array()),
+    seg = dynamics.solve_ivp(params, state.t, tuple(state.as_array()),
                              -span if backward else span, settings, mode,
                              stop=lambda *node: calls.append(node))
     t, (w1, w2, v1, _) = seg.t.tolist(), seg.y.tolist()
@@ -614,8 +633,8 @@ def test_stop_labels_never_become_events():
     params, state, span, mode, _ = DIFFERENTIAL_CASES["signed_crossing_n3"]
     settings = IntegratorSettings(t_span=(-span, span))
 
-    def solve(fun, t0, start):
-        return tuple(dynamics.solve_ivp(fun, t0, start, bound, settings, mode,
+    def solve(t0, start):
+        return tuple(dynamics.solve_ivp(params, t0, start, bound, settings, mode,
                                         stop=_stop_at_call(40, "Probe"))
                      for bound in (span, -span))
 
@@ -630,12 +649,9 @@ def test_stop_labels_never_become_events():
 def test_blowup_takes_precedence_over_the_stop_predicate():
     # On w = e^t the step that crosses blowup_threshold also satisfies the
     # predicate; BlowUp is located and refined as without a predicate.
-    def field(w1, w2):
-        return w1, w2
-
     settings = IntegratorSettings(t_span=(0.0, 10.0))
     threshold = settings.blowup_threshold
-    args = (field, 0.0, (1.0, 1.0, 1.0, 1.0), 10.0, settings, "signed")
+    args = (LINEAR, 0.0, (1.0, 1.0, 1.0, 1.0), 10.0, settings, "signed")
     plain = dynamics.solve_ivp(*args)
     assert plain.status == 1 and plain.event == ("BlowUp", None)
     seg = dynamics.solve_ivp(*args, stop=lambda t_new, w1_old, w2_old, v1_old, w1, w2, v1: (
@@ -726,9 +742,8 @@ def test_backward_run_from_an_apex_is_the_forward_run_mirrored(N, settings_name,
     y0 = (apex, kl.l / kl.k * apex, 0.0, 0.0)
     t_end = settings.t_span[1]
     assert settings.t_span[0] == -t_end
-    field = _make_field(params)
-    forward = dynamics.solve_ivp(field, 0.0, y0, t_end, settings, "signed")
-    backward = dynamics.solve_ivp(field, 0.0, y0, -t_end, settings, "signed")
+    forward = dynamics.solve_ivp(params, 0.0, y0, t_end, settings, "signed")
+    backward = dynamics.solve_ivp(params, 0.0, y0, -t_end, settings, "signed")
     mirror = dynamics._mirror(forward)
     assert _same_floats(mirror.t, backward.t)
     assert _same_floats(mirror.y, backward.y)
@@ -745,9 +760,9 @@ def _two_runs(params, initial, settings, mode):
     """The Trajectory integrate would return if it ran both halves with solve_ivp."""
     t_lo, t_hi = settings.t_span
 
-    def solve(fun, t0, start):
-        return (dynamics.solve_ivp(fun, t0, start, t_hi, settings, mode),
-                dynamics.solve_ivp(fun, t0, start, t_lo, settings, mode))
+    def solve(t0, start):
+        return (dynamics.solve_ivp(params, t0, start, t_hi, settings, mode),
+                dynamics.solve_ivp(params, t0, start, t_lo, settings, mode))
 
     return dynamics._two_sided(params, initial, settings, mode, solve)
 
@@ -827,70 +842,39 @@ INLINE_CASES = {
 @pytest.mark.parametrize("N", sorted(MIRROR_PARAMS))
 @pytest.mark.parametrize("name", sorted(INLINE_CASES))
 @pytest.mark.parametrize("backward", [False, True])
-def test_inline_field_equals_the_field_call(N, name, backward, monkeypatch):
-    # solve_ivp evaluates _make_field's formula itself, on and off the
-    # positive cone; a plain wrapper carries no constants, so there every
-    # evaluation is a call.  The event locator's polynomial needs the
-    # constants too (the field's jet): the wrapper's run is given them there.
+def test_inline_field_equals_the_field_call(N, name, backward):
+    # Every node's acceleration, written out by the step loop or, at an
+    # event node, the field's call, is the signed formula's, bit for bit, on
+    # and off the positive cone.
     params = MIRROR_PARAMS[N]
     y0, mode, threshold, stop = INLINE_CASES[name]
     settings = IntegratorSettings(t_span=(-10.0, 10.0), blowup_threshold=threshold)
-    field = _make_field(params)
-    inline = dynamics.solve_ivp(field, 0.0, y0, -10.0 if backward else 10.0, settings, mode,
-                                stop)
-    polynomials = dynamics._step_polynomials
-    monkeypatch.setattr(dynamics, "_step_polynomials",
-                        lambda cone, *node: polynomials(field._cone, *node))
-    called = dynamics.solve_ivp(lambda w1, w2: field(w1, w2), 0.0, y0,
-                                -10.0 if backward else 10.0, settings, mode, stop)
-    for attr in ("t", "y", "acc"):
-        assert _same_floats(getattr(inline, attr), getattr(called, attr))
-    assert (inline.nfev, inline.status, inline.event) == (called.nfev, called.status,
-                                                          called.event)
-    w1, w2 = inline.y[:2].tolist()
-    assert list(zip(*inline.acc.tolist())) == list(map(field, w1, w2))
+    seg = dynamics.solve_ivp(params, 0.0, y0, -10.0 if backward else 10.0, settings, mode,
+                             stop)
+    w1, w2 = seg.y[:2].tolist()
+    want = np.array([_signed_field(params, a, b) for a, b in zip(w1, w2)]).T
+    assert _same_floats(seg.acc, want)
     # Each case reaches the end it is named for.
     if name.startswith("signed"):
         quadrants = set(zip(np.signbit(w1).tolist(), np.signbit(w2).tolist()))
-        assert inline.status == 0 and len(quadrants) > 1
+        assert seg.status == 0 and len(quadrants) > 1
     elif name == "stop":
-        assert inline.event in (("SignChange", None), ("LocalMin", None))
+        assert seg.event in (("SignChange", None), ("LocalMin", None))
     else:
-        assert inline.event[0] == {"positivity_loss": "PositivityLoss", "blowup": "BlowUp"}[name]
-
-
-def _inline_field(field):
-    """field(w1, w2) as solve_ivp evaluates it inline: the lines its renderer
-    writes at each stage point, compiled on their own."""
-    lines = dynamics._stage_field("x", "y", "b1", "b2")
-    source = ("def inline(x, y):\n" + "".join(f"    {line}\n" for line in lines)
-              + "    return b1, b2\n")
-    namespace = dict(zip(("d2", "mu1", "mu2", "beta", "p", "p1", "q1"), field._cone),
-                     inline=True, field=None)
-    exec(source, namespace)
-    return namespace["inline"]
+        assert seg.event[0] == {"positivity_loss": "PositivityLoss", "blowup": "BlowUp"}[name]
 
 
 def test_the_inline_field_lines_are_solve_ivps():
+    # _make_field's body, each stage point and the new node are the same
+    # lines of _stage_field.
+    source = dynamics._SOLVE_IVP_SOURCE
+    indent = "\n" + " " * 8
+    assert indent + indent.join(dynamics._stage_field("x", "y", "b1", "b2")) + "\n" in source
     indent = "\n" + " " * 16
     names = [("x1", "x2", f"b1_{k}", f"b2_{k}") for k in range(2, 13)]
     for point in names + [("w1_new", "w2_new", "a1_new", "a2_new")]:
         lines = dynamics._stage_field(*point)
-        assert indent + indent.join(lines) + "\n" in dynamics._SOLVE_IVP_SOURCE
-
-
-def _outcome(fun, w1, w2):
-    try:
-        return np.array(fun(w1, w2))
-    except OverflowError:
-        return "OverflowError"
-
-
-def _same_outcome(got, want):
-    # A product that overflows times a zero power is NaN on both paths, whose
-    # sign bit means nothing; every other float must match, signed zeros too.
-    nan = np.isnan(want)
-    return np.array_equal(nan, np.isnan(got)) and _same_floats(got[~nan], want[~nan])
+        assert indent + indent.join(lines) + "\n" in source
 
 
 #: Signed node values: both zeros, the subnormal and normal edges, and
@@ -911,12 +895,10 @@ SIGNED_FLOATS = st.one_of(
 @example(w1=-0.0, w2=-1e300)
 @hypothesis_settings(max_examples=300, deadline=None)
 def test_inline_field_equals_the_field_call_at_any_signed_point(N, w1, w2):
-    field = _make_field(MIRROR_PARAMS[N])
-    got, want = _outcome(_inline_field(field), w1, w2), _outcome(field, w1, w2)
-    if isinstance(want, str):
-        assert got == want
-    else:
-        assert _same_outcome(got, want), (w1, w2, got, want)
+    params = MIRROR_PARAMS[N]
+    got = _outcome(_make_field(params), w1, w2)
+    want = _outcome(functools.partial(_signed_field, params), w1, w2)
+    assert _same_outcome(got, want), (w1, w2, got, want)
 
 
 def test_an_exact_zero_acceleration_keeps_its_sign():
@@ -926,6 +908,6 @@ def test_an_exact_zero_acceleration_keeps_its_sign():
     assert params.delta == params.mu1 == 1.0
     field = _make_field(params)
     for w2 in (0.0, -0.0):
-        got = _inline_field(field)(-1.0, w2)
+        got = field(-1.0, w2)
         assert got[0] == 0.0 and not math.copysign(1.0, got[0]) < 0.0
-        assert _same_floats(np.array(got), np.array(field(-1.0, w2)))
+        assert _same_floats(np.array(got), np.array(_signed_field(params, -1.0, w2)))

@@ -38,7 +38,6 @@ from fowlerlab import (
 )
 from fowlerlab import dynamics, experiments
 from fowlerlab.errors import BracketFailure, DomainError
-from fowlerlab.dynamics import _make_field
 from fowlerlab.experiments import (
     _first_flip,
     _first_turn,
@@ -300,7 +299,7 @@ class TestShootEntire:
         """The dichotomy as decided before early exit: integrate the whole
         forward window and look for any sign change.  It hands back no trial
         run."""
-        def loses_sign(fun, apex_w1, ratio, t_end, integrator):
+        def loses_sign(params, apex_w1, ratio, t_end, integrator):
             state = FowlerState(0.0, apex_w1, ratio * apex_w1, 0.0, 0.0)
             traj = integrate(params, state, replace(integrator, t_span=(0.0, t_end)),
                              mode="signed")
@@ -315,7 +314,6 @@ class TestShootEntire:
         ratio = kl.l / kl.k
         integrator = shoot_settings(params)
         t_end = integrator.t_span[1]
-        fun = _make_field(params)
         exact = bubble_fowler(params, 1.0, 0.0).w1
         # The shooting bracket's endpoints, then apexes closing in on the
         # homoclinic one from both sides.
@@ -324,15 +322,15 @@ class TestShootEntire:
             for k in (2, 8, 16, 24, 32, 40, 48) for sign in (-1.0, 1.0)
         ]
         old_rule = self.full_window_rule(params)
-        results = [_loses_sign(fun, apex, ratio, t_end, integrator) for apex in apexes]
+        results = [_loses_sign(params, apex, ratio, t_end, integrator) for apex in apexes]
         decisions = [loses for loses, _ in results]
-        assert decisions == [old_rule(fun, apex, ratio, t_end, integrator)[0]
+        assert decisions == [old_rule(params, apex, ratio, t_end, integrator)[0]
                              for apex in apexes]
         assert decisions[:4] == [False, True, False, True]
         # Each trial ends at the event it reports: a negative component, or
         # the first minimum of w1 (w1' rising through zero on the last step).
         for apex, (_, seg) in zip(apexes, results):
-            ref = dynamics.solve_ivp(fun, 0.0, (apex, ratio * apex, 0.0, 0.0), t_end,
+            ref = dynamics.solve_ivp(params, 0.0, (apex, ratio * apex, 0.0, 0.0), t_end,
                                      integrator, "signed", _first_turn)
             assert np.array_equal(seg.y, ref.y) and seg.event == ref.event
             if seg.event == ("SignChange", None):
@@ -488,8 +486,8 @@ def _assert_on_a_boundary(params, apex):
     kl = solve_coupling(params)
     settings = shoot_settings(params)
     args = (kl.l / kl.k, settings.t_span[1], settings)
-    assert not _loses_sign(_make_field(params), apex, *args)[0]
-    assert _loses_sign(_make_field(params), math.nextafter(apex, math.inf), *args)[0]
+    assert not _loses_sign(params, apex, *args)[0]
+    assert _loses_sign(params, math.nextafter(apex, math.inf), *args)[0]
 
 
 def _bracket(trials):
@@ -865,7 +863,7 @@ class TestShootBracket:
         t_end = settings.t_span[1]
         exact = bubble_fowler(params, 1.0, 0.0).w1
         apexes = (exact * (1.0 - 2.0**-26), exact * (1.0 + 2.0**-26))
-        trials = [_loses_sign(_make_field(params), a, ratio, t_end, settings) for a in apexes]
+        trials = [_loses_sign(params, a, ratio, t_end, settings) for a in apexes]
         assert [loses_sign for loses_sign, _ in trials] == [False, True]
         value = _end_values(params)
         secant = ((value(trials[1][1]) - value(trials[0][1]))
@@ -881,7 +879,7 @@ class TestShootBracket:
         settings = replace(shoot_settings(p3), t_span=(-1500.0, 1500.0))
         kl = solve_coupling(p3)
         apex = 0.99 * bubble_fowler(p3, 1.0, 0.0).w1
-        loses_sign, run = _loses_sign(_make_field(p3), apex, kl.l / kl.k, 1500.0, settings)
+        loses_sign, run = _loses_sign(p3, apex, kl.l / kl.k, 1500.0, settings)
         assert not loses_sign and run.event == ("LocalMin", None)
         assert math.isnan(experiments._window_end_value(run, p3.delta, 1500.0))
         assert math.isnan(experiments._window_end_slope(run, p3.delta, kl.l / kl.k, 1500.0))

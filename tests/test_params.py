@@ -143,6 +143,16 @@ class TestSolveCoupling:
         with pytest.raises(DomainError, match="out of float range"):
             solve_coupling(make_params(200, 1e6, 1e6, 1e6))
 
+    @pytest.mark.parametrize("mu1, mu2", [(1.0, 1e6), (1e3, 1e6), (1e6, 1.0), (1e6, 1e3)])
+    def test_a_residual_that_overflows_is_a_domain_error(self, mu1, mu2):
+        # The pair itself is finite, about 3e-308 and 5e-308, but the power
+        # a^(p-2) of the smaller amplitude overflows a float product in the
+        # residual, to inf and not to an OverflowError.  These are the only
+        # sets of N = 10, 20, 50, 100, 200 over mu1, mu2, beta in {1e-6,
+        # 1e-3, 1, 1e3, 1e6} that missed the residual tolerance.
+        with pytest.raises(DomainError, match="out of float range"):
+            solve_coupling(make_params(200, mu1, mu2, 1e6))
+
     @given(params_strategy)
     @settings(max_examples=60, deadline=None)
     def test_residuals_below_tolerance(self, quad):

@@ -2,8 +2,8 @@
 
 Every module-level def, class or assignment in src/fowlerlab, public or
 private, and every name in fowlerlab.__all__ is used by name somewhere in
-the package source outside __init__.py, the source of solve_ivp rendered
-at import included: being exported is not a use.  Every public method or
+the package source outside __init__.py, the source of _make_field and
+solve_ivp rendered at import included: being exported is not a use.  Every public method or
 property of a public class is used as an attribute (obj.name) there.
 Likewise every run-config key is read through the CLI option table, and
 the integrator settings are one list in the code and both schemas.  No
@@ -80,8 +80,8 @@ def _trees():
     # __init__.py only re-exports: its imports and __all__ are not uses.
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
-    # solve_ivp is rendered from a template at import: its definition and
-    # the names it uses are dynamics' own.
+    # _make_field and solve_ivp are rendered from a template at import:
+    # their definitions and the names they use are dynamics' own.
     trees["dynamics.py"].body += ast.parse(dynamics._SOLVE_IVP_SOURCE).body
     return trees
 
