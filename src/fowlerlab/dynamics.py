@@ -446,9 +446,15 @@ class Segment:
     """One direction of an integration: accepted nodes t (n,) and y (4, n),
     the field's accelerations (w1'', w2'') at the nodes acc (2, n), stage
     field evaluations nfev (counted as scipy counts them; the evaluation at
-    a located event node is not a stage), and status 0 (reached t_bound),
-    1 (terminal event, located at the last node), or -1 (step size
-    underflow)."""
+    a located event node is not a stage), status 0 (reached t_bound),
+    1 (terminal event, located at the last node, or a stop predicate's
+    label), or -1 (step size underflow), and h, the step size the
+    controller proposed after the last node.
+
+    A segment stopped by its predicate resumes from its last node with
+    solve_ivp(..., h=seg.h) toward the same t_bound: the chunks' nodes,
+    acc, status and event are the uninterrupted run's, bit for bit, and
+    their nfev sum to its nfev."""
 
     t: np.ndarray
     y: np.ndarray
@@ -456,6 +462,7 @@ class Segment:
     nfev: int
     status: int
     event: tuple[str, int | None] | None = None
+    h: float = math.nan
 
 
 def _stage_field(x: str, y: str, b1: str, b2: str) -> list[str]:
@@ -593,7 +600,7 @@ def _make_field(params):
     return field
 
 
-def solve_ivp(params, t0, y0, t_bound, settings, mode, stop=None):
+def solve_ivp(params, t0, y0, t_bound, settings, mode, stop=None, h=None):
     """The package's own DOP853 solver for the field of the system params,
     from t0 toward t_bound.
 
@@ -606,9 +613,10 @@ def solve_ivp(params, t0, y0, t_bound, settings, mode, stop=None):
     the combined error norm of _error_norm, its rows scaled by
     atol + rtol * max(|y|, |y_new|), no step growth right after a
     rejection, and failure once the step falls below 10 ulp(t); the first
-    step from data at rest (both velocities zero) grows by the full factor.
-    A trial step that overflows, or whose new node's acceleration is not
-    finite, is rejected like one with an infinite error.
+    step of a fresh run from data at rest (both velocities zero) grows by
+    the full factor.  A trial step that overflows, or whose new node's
+    acceleration is not finite, is rejected like one with an infinite
+    error.
 
     Terminal events are BlowUp (max |w_i| rises to blowup_threshold) and, in
     positive mode, PositivityLoss of component i (w_i falls to
@@ -621,6 +629,13 @@ def solve_ivp(params, t0, y0, t_bound, settings, mode, stop=None):
     at each new node; a label it returns ends the segment at that node,
     unrefined, with event (label, None).  So a stopped segment's nodes are
     a prefix of the unstopped run's, bit for bit.  Returns a Segment.
+
+    With h None the run is fresh: its first step is the initial-step
+    estimate, and nfev counts that estimate's two field evaluations.  A
+    given h resumes a stopped run from its last node (t0, y0) toward the
+    same t_bound, with the step it proposed there (Segment.h): nfev counts
+    from 0 and the rule for the first step from rest does not apply, so
+    the resumed run takes the uninterrupted run's remaining steps.
     """
     rtol, atol, max_step = settings.rel_tol, settings.abs_tol, settings.max_step
     # The trial step writes the field out (_stage_field): a call's frame and
@@ -635,10 +650,15 @@ def solve_ivp(params, t0, y0, t_bound, settings, mode, stop=None):
     t = t0
     w1, w2, v1, v2 = y0
     a1, a2 = field(w1, w2)
-    h_abs = _initial_step(
-        field, y0, (v1, v2, a1, a2), direction, abs(t_bound - t0), max_step, rtol, atol
-    )
-    nfev = 2
+    if h is None:
+        h_abs = _initial_step(
+            field, y0, (v1, v2, a1, a2), direction, abs(t_bound - t0), max_step, rtol, atol
+        )
+        nfev = 2
+    else:
+        h_abs = h
+        nfev = 0
+    rest = h is None and v1 == 0.0 == v2
     ts, w1s, w2s, v1s, v2s, a1s, a2s = [t], [w1], [w2], [v1], [v2], [a1], [a2]
     status = None
     event = None
@@ -689,7 +709,7 @@ def solve_ivp(params, t0, y0, t_bound, settings, mode, stop=None):
             except OverflowError:
                 error_norm = math.inf
             if error_norm < 1.0:
-                if error_norm == 0.0 or len(ts) == 1 and v1 == 0.0 == v2:
+                if error_norm == 0.0 or rest and len(ts) == 1:
                     # From data at rest the velocity rows are scaled by atol
                     # alone, and the first step's norm is rounding noise: a
                     # factor drawn from it would put runs from neighbouring
@@ -754,7 +774,7 @@ def solve_ivp(params, t0, y0, t_bound, settings, mode, stop=None):
         a1s.append(a1)
         a2s.append(a2)
     return Segment(t=np.array(ts), y=np.array([w1s, w2s, v1s, v2s]), acc=np.array([a1s, a2s]),
-                   nfev=nfev, status=status, event=event)
+                   nfev=nfev, status=status, event=event, h=h_abs)
 '''
 
 #: The source of _make_field and solve_ivp as rendered, which inspect.getsource
@@ -791,11 +811,11 @@ def _mirror(seg: Segment) -> Segment:
     orbits, and such data are their own image.  The step loop is too, float
     for float: every step size, stage, error norm and event root of the
     backward run is the forward one's with t and w' negated, and w, w'',
-    nfev, status and event equal.  0.0 - x, not -x, keeps the +0.0 the
-    backward run has at t0 and at any other exact zero.
+    nfev, status, event and the proposed step h equal.  0.0 - x, not -x,
+    keeps the +0.0 the backward run has at t0 and at any other exact zero.
     """
     return Segment(t=0.0 - seg.t, y=np.concatenate([seg.y[:2], 0.0 - seg.y[2:]]), acc=seg.acc,
-                   nfev=seg.nfev, status=seg.status, event=seg.event)
+                   nfev=seg.nfev, status=seg.status, event=seg.event, h=seg.h)
 
 
 def _require_window(t_span, t: float, message: str, strict: bool = False) -> None:

@@ -243,23 +243,85 @@ def _first_flip(t_new, w1_old, w2_old, v1_old, w1, w2, v1):
     return None
 
 
+#: How far from t0 each direction of a sign-change run goes in its first
+#: round (in t); each later round doubles it.
+_FIRST_REACH = 0.5
+
+
+def _flip_or_reach(t0: float, reach: float):
+    """The stop predicate of one chunk: _first_flip, else "Reached" at the
+    first node with |t - t0| >= reach."""
+    if reach == math.inf:
+        return _first_flip
+
+    def stop(t_new, *node):
+        return _first_flip(t_new, *node) or ("Reached" if abs(t_new - t0) >= reach else None)
+
+    return stop
+
+
+def _joined(chunks: list[dynamics.Segment], t_bound: float) -> dynamics.Segment:
+    """One Segment of a direction's chunks, each resumed from the last node
+    of the one before: the shared nodes once, the nfev summed, and the last
+    chunk's status and event, except that a "Reached" on t_bound reached
+    the bound (status 0)."""
+    last = chunks[-1]
+    status, event = last.status, last.event
+    if event == ("Reached", None) and last.t[-1] == t_bound:
+        status, event = 0, None
+    if len(chunks) == 1:
+        return replace(last, status=status, event=event)
+
+    def nodes(name):
+        parts = [getattr(c, name)[..., 1:] for c in chunks[1:]]
+        return np.concatenate([getattr(chunks[0], name), *parts], axis=-1)
+
+    return dynamics.Segment(t=nodes("t"), y=nodes("y"), acc=nodes("acc"),
+                            nfev=sum(c.nfev for c in chunks), status=status, event=event,
+                            h=last.h)
+
+
 def _crossing_trajectory(
     params: SystemParams, data: InitialData, settings: IntegratorSettings
 ) -> Trajectory:
     """Signed orbit from t = 0 over t_span, each direction cut by the stop
-    rule of sign_change_experiment."""
-    t_lo, t_hi = settings.t_span
+    rule of sign_change_experiment: rounds from the reach _FIRST_REACH,
+    forward then backward in each, until a flip or one side's end; each
+    direction's chunks joined into one Segment (_joined)."""
+    bounds = settings.t_span[::-1]  # forward, backward
 
     def solve(t0, start):
-        # Looked up at call time, so a wrapper set on dynamics.solve_ivp sees it.
-        forward = dynamics.solve_ivp(params, t0, start, t_hi, settings, "signed", _first_flip)
-        reach = float(forward.t[-1]) - t0 if forward.event == ("SignChange", None) else math.inf
-
-        def back(t_new, *node):
-            return _first_flip(t_new, *node) or ("Reached" if t0 - t_new >= reach else None)
-
-        backward = dynamics.solve_ivp(params, t0, start, t_lo, settings, "signed", back)
-        return forward, backward
+        chunks = ([], [])
+        running = [0, 1]
+        flip = math.inf  # |t_f - t0| of the first flip node, either side
+        reach = _FIRST_REACH
+        while running:
+            for side in list(running):
+                # Rounds until a flip or one side's end; then the flip's
+                # distance, or no limit if the other side ended without one.
+                rounds = flip == math.inf and len(running) == 2
+                limit = reach if rounds else flip
+                if chunks[side]:
+                    last = chunks[side][-1]
+                    t, y, h = float(last.t[-1]), tuple(last.y[:, -1].tolist()), last.h
+                    if abs(t - t0) >= limit:
+                        # The last pause is already as far out as this round's
+                        # reach, or as the other side's flip, which ends it.
+                        if not rounds:
+                            running.remove(side)
+                        continue
+                else:
+                    t, y, h = t0, start, None
+                # Looked up at call time, so a wrapper set on dynamics.solve_ivp sees it.
+                seg = dynamics.solve_ivp(params, t, y, bounds[side], settings, "signed",
+                                         _flip_or_reach(t0, limit), h=h)
+                chunks[side].append(seg)
+                if seg.event == ("SignChange", None):
+                    flip = min(flip, abs(float(seg.t[-1]) - t0))
+                if not rounds or seg.event != ("Reached", None) or seg.t[-1] == bounds[side]:
+                    running.remove(side)
+            reach *= 2.0
+        return tuple(_joined(c, bound) for c, bound in zip(chunks, bounds))
 
     return dynamics._two_sided(params, data.state(), settings, "signed", solve)
 
@@ -282,17 +344,20 @@ def sign_change_experiment(
     (sign_change_t); the summary's max_abs_event_t is the largest such |t|
     over the runs.
 
-    Each direction stops once that answer is fixed: forward at the first
-    node t_f where a component's sign differs from the previous node's,
-    backward at its own first such node or at the first node with
-    |t| >= t_f.  With no forward flip (horizon or BlowUp), backward searches
-    up to the horizon.  The stopped nodes are a prefix of the full-horizon
-    run's, bit for bit, and the SignChange events are read at the nodes by
-    the same test (dynamics._bracketed_zeros), so the cut orbit holds every
-    crossing between its ends that the whole window holds.  A node test
-    sees a flip late (a double crossing inside one step), never early, so
-    the first crossing each way, and with it the nearest one, lies between
-    those ends.
+    Each direction stops once that answer is fixed.  The two advance in
+    rounds (_crossing_trajectory): each runs to its first flip node (where
+    a component's sign differs from the previous node's) or to its first
+    node with |t| at least the round's reach, which doubles from round to
+    round, and a paused side resumes from its last node with the step the
+    controller proposed there.  Once one side flips at node t_f, the other
+    runs to its own flip or to its first node with |t| >= |t_f|; once one
+    side ends without a flip (horizon or BlowUp), the other searches up to
+    its flip or the horizon.  The joined nodes are a prefix of the
+    full-horizon run's, bit for bit, and the SignChange events are read at
+    the nodes by the same test (dynamics._bracketed_zeros), so the cut
+    orbit holds every crossing between its ends that the whole window
+    holds.  A node test sees a flip late (a double crossing inside one
+    step), never early, so the nearest crossing lies between those ends.
     """
     if spec is None:
         spec = SamplerSpec(kind="uniform_box", projection="psi_positive")

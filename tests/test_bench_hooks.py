@@ -90,13 +90,27 @@ def test_traced_shoot_records_its_trials(tracing):
 
 
 def test_traced_sign_change_experiment_records_both_directions(tracing):
-    from fowlerlab import experiments, make_params
+    from fowlerlab import dynamics, experiments, make_params
 
     tracer = tracing.Tracer()
+    calls = []
     with tracer.patched():
-        report = experiments.sign_change_experiment(make_params(3, 1.0, 1.0, 1.0), n_runs=2)
+        traced = dynamics.solve_ivp
+
+        def recorded(*args, **kwargs):
+            calls.append((args[3], kwargs.get("h") is None))
+            return traced(*args, **kwargs)
+
+        dynamics.solve_ivp = recorded
+        try:
+            report = experiments.sign_change_experiment(make_params(3, 1.0, 1.0, 1.0), n_runs=2)
+        finally:
+            dynamics.solve_ivp = traced
     names = [span[0] for span in tracer.spans]
-    # A forward and a backward run per draw.
-    assert report.n_runs == 2 and names.count("dynamics.solve_ivp") == 4
+    # Each draw starts a forward and a backward run (later calls resume
+    # them), and every call is a span.
+    assert report.n_runs == 2
+    assert [bound for bound, fresh in calls if fresh] == [50.0, -50.0] * 2
+    assert names.count("dynamics.solve_ivp") == len(calls)
     assert tracer.counters["nfev"] > 0
     assert tracer.problems() == []

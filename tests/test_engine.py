@@ -612,6 +612,73 @@ def test_stopped_segment_is_a_prefix_of_the_full_run(name):
     assert seg.nfev < full.nfev
 
 
+#: Runs paused and resumed: (params, initial state, t_bound, mode,
+#: blowup_threshold, the uninterrupted run's end).
+RESUME_CASES = {
+    "signed": (P3, FowlerState(0.0, 0.5, 0.5, 0.3, -0.3), 10.0, "signed", 1e3, (0, None)),
+    "signed_backward": (P3, FowlerState(0.0, 0.5, 0.5, 0.3, -0.3), -10.0, "signed", 1e3,
+                        (0, None)),
+    "positive_from_rest": (P3, bubble_fowler(P3, 1.0, 0.0), 20.0, "positive", 1e3, (0, None)),
+    "signed_from_rest": (P5, FowlerState(0.0, 0.5, 0.4, 0.0, 0.0), 10.0, "signed", 1e3,
+                         (0, None)),
+    "positivity_loss": (P5, DIFFERENTIAL_CASES["near_cylinder_n5"][1], -20.0, "positive", 1e3,
+                        (1, ("PositivityLoss", 1))),
+    "blowup": (P5, FowlerState(0.0, 0.5, 0.4, 2.5, -1.0), 20.0, "signed", 3.0,
+               (1, ("BlowUp", None))),
+}
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+@pytest.mark.parametrize("name", sorted(RESUME_CASES))
+def test_a_run_paused_every_k_nodes_resumes_exactly(name, k):
+    # Each chunk stops at its k-th new node and the next resumes from there
+    # with the step the controller proposed (Segment.h): the joined chunks
+    # are the uninterrupted run, float for float, and their nfev sum to its.
+    params, state, t_bound, mode, threshold, end = RESUME_CASES[name]
+    settings = IntegratorSettings(t_span=(-abs(t_bound), abs(t_bound)),
+                                  blowup_threshold=threshold)
+    full = dynamics.solve_ivp(params, state.t, tuple(state.as_array().tolist()), t_bound,
+                              settings, mode)
+    assert (full.status, full.event) == end and len(full.t) > 3 * k
+    chunks = [dynamics.solve_ivp(params, state.t, tuple(state.as_array().tolist()), t_bound,
+                                 settings, mode, stop=_stop_at_call(k, "Pause"))]
+    # The loop asks the predicate before its t_bound test, so a pause on
+    # t_bound ends the run there, as the whole run ends (status 0).
+    while chunks[-1].event == ("Pause", None) and chunks[-1].t[-1] != t_bound:
+        last = chunks[-1]
+        assert len(last.t) == k + 1
+        chunks.append(dynamics.solve_ivp(params, float(last.t[-1]),
+                                         tuple(last.y[:, -1].tolist()), t_bound, settings, mode,
+                                         stop=_stop_at_call(k, "Pause"), h=last.h))
+    assert len(chunks) > 2
+
+    def joined(name):
+        parts = [getattr(c, name)[..., 1:] for c in chunks[1:]]
+        return np.concatenate([getattr(chunks[0], name), *parts], axis=-1)
+
+    for name in ("t", "y", "acc"):
+        got, want = joined(name), getattr(full, name)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    last = chunks[-1]
+    ended = (0, None) if last.event == ("Pause", None) else (last.status, last.event)
+    assert (*ended, last.h) == (full.status, full.event, full.h)
+    assert sum(c.nfev for c in chunks) == full.nfev
+    assert all(c.nfev % 12 == 0 for c in chunks[1:])
+
+
+def test_a_resumed_run_at_rest_takes_no_first_step_rule():
+    # A fresh run from rest grows its first step by the full factor; a run
+    # resumed there grows the step it is given by its error norm, which a
+    # step of 0.1 makes more than rounding noise.
+    settings = IntegratorSettings(t_span=(-10.0, 10.0))
+    y0 = (0.5, 0.4, 0.0, 0.0)
+    fresh = dynamics.solve_ivp(P5, 0.0, y0, 10.0, settings, "signed")
+    assert fresh.t[2] - fresh.t[1] == 10.0 * fresh.t[1]
+    resumed = dynamics.solve_ivp(P5, 0.0, y0, 10.0, settings, "signed", h=0.1)
+    assert resumed.t[1] == 0.1 and 0.1 < resumed.t[2] - resumed.t[1] < 0.5
+    assert resumed.nfev % 12 == 0
+
+
 @pytest.mark.parametrize("backward", [False, True])
 def test_stop_predicate_sees_the_old_and_the_new_node(backward):
     params, state, span, mode, _ = DIFFERENTIAL_CASES["signed_crossing_n3"]

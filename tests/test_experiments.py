@@ -107,6 +107,51 @@ class TestSampler:
         assert found > 30
 
 
+def _forward_then_backward(params, data, settings):
+    """The sign-change driver the rounds replaced, as their oracle: forward
+    to the first flip node t_f, then backward to its own first flip or to
+    the first node with |t| >= t_f (to the horizon with no forward flip)."""
+    t_lo, t_hi = settings.t_span
+
+    def solve(t0, start):
+        forward = dynamics.solve_ivp(params, t0, start, t_hi, settings, "signed", _first_flip)
+        reach = float(forward.t[-1]) - t0 if forward.event == ("SignChange", None) else math.inf
+
+        def back(t_new, *node):
+            return _first_flip(t_new, *node) or ("Reached" if t0 - t_new >= reach else None)
+
+        backward = dynamics.solve_ivp(params, t0, start, t_lo, settings, "signed", back)
+        return forward, backward
+
+    return dynamics._two_sided(params, data.state(), settings, "signed", solve)
+
+
+def _sign_change_dumps(monkeypatch, driver, params, spec, n_runs, seed, **kwargs):
+    """The report of sign_change_experiment with driver in place of
+    _crossing_trajectory (None keeps it), as canonical JSON."""
+    with monkeypatch.context() as patch:
+        if driver is not None:
+            patch.setattr(experiments, "_crossing_trajectory", driver)
+        report = sign_change_experiment(params, spec, n_runs=n_runs, seed=seed, **kwargs)
+    return dumps(experiment_report_to_dict(report))
+
+
+def _trial_steps(monkeypatch, run):
+    """run() and the trial steps its solve_ivp calls made: nfev / 12, less
+    a fresh run's two evaluations for its initial step."""
+    steps, inner = [], dynamics.solve_ivp
+
+    def counted(*args, **kwargs):
+        seg = inner(*args, **kwargs)
+        steps.append((seg.nfev - (2 if kwargs.get("h") is None else 0)) // 12)
+        return seg
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "solve_ivp", counted)
+        run()
+    return sum(steps)
+
+
 class TestSignChange:
     def test_known_positive_energy_datum(self, p3):
         report = None
@@ -223,6 +268,81 @@ class TestSignChange:
         assert run["verdict"] == "SignChanging" and report.failures == []
         assert run["sign_change_t"] == pytest.approx(-14.509, abs=1e-3)
         assert report.summary["detection_rate"] == 1.0
+        spec = SamplerSpec(projection="psi_positive")
+        assert _sign_change_dumps(monkeypatch, None, p3, spec, 1, 0, settings=settings) == (
+            _sign_change_dumps(monkeypatch, _forward_then_backward, p3, spec, 1, 0,
+                               settings=settings))
+
+    @pytest.mark.parametrize("N, projection, n_runs, seed", [
+        (3, "psi_positive", 100, 20260809),  # test_05's draws
+        (3, "psi_zero", 100, 20260809),
+        (5, "psi_positive", 20, 3),
+        (5, "psi_zero", 20, 3),
+        (6, "psi_positive", 20, 3),
+        (6, "psi_zero", 20, 3),
+    ])
+    def test_rounds_report_what_forward_then_backward_reported(self, monkeypatch, N,
+                                                               projection, n_runs, seed):
+        params = make_params(N, 1.0, 1.0, 1.0)
+        spec = SamplerSpec(kind="uniform_box", projection=projection)
+        assert (_sign_change_dumps(monkeypatch, None, params, spec, n_runs, seed)
+                == _sign_change_dumps(monkeypatch, _forward_then_backward, params, spec,
+                                      n_runs, seed))
+
+    def test_rounds_without_a_flip_report_what_forward_then_backward_reported(
+            self, p3, monkeypatch):
+        # These draws cross first at |t| >= 2.3: within the horizon 2 both
+        # sides run to it, through rounds of reach 0.5, 1 and 2.
+        spec = SamplerSpec(kind="uniform_box", projection="psi_zero")
+        got = _sign_change_dumps(monkeypatch, None, p3, spec, 4, 43, horizon=2.0)
+        assert json.loads(got)["summary"]["detection_rate"] == 0.0
+        assert got == _sign_change_dumps(monkeypatch, _forward_then_backward, p3, spec, 4, 43,
+                                         horizon=2.0)
+
+    def test_rounds_take_fewer_trial_steps(self, monkeypatch):
+        # A side no longer runs past the other side's nearer flip.  Over these
+        # 45 draws the rounds take 1,250 trial steps and forward-then-backward
+        # 1,853 (0.67x).
+        runs = [(make_params(N, 1.0, 1.0, 1.0), SamplerSpec(kind="uniform_box", projection=proj))
+                for N, proj in ((3, "psi_positive"), (3, "psi_zero"), (5, "psi_positive"))]
+        draws = [(params, data) for params, spec in runs
+                 for _, data in experiments._collect_draws(params, spec, 15, 11)[0]]
+        window = IntegratorSettings(t_span=(-50.0, 50.0))
+
+        def steps(driver):
+            return _trial_steps(monkeypatch, lambda: [driver(params, data, window)
+                                                      for params, data in draws])
+
+        assert steps(_forward_then_backward) == 1853
+        assert steps(experiments._crossing_trajectory) <= 1300
+
+    def test_a_pause_on_the_bound_ends_that_side(self, p3, monkeypatch):
+        # On the cylinder the first step (max_step 100) jumps from t = 0,
+        # below the first round's reach, to t_bound = 2: that pause reached
+        # the bound, and no run resumes from it.
+        c = cylinder_state(p3)[0]
+        data = InitialData.from_values(p3, c.w1, c.w2, c.dw1, c.dw2)
+        window = IntegratorSettings(t_span=(-2.0, 2.0), max_step=100.0)
+        starts, segments = [], []
+        inner_solve, inner_sides = dynamics.solve_ivp, dynamics._two_sided
+
+        def solve_ivp(params, t0, *args, **kwargs):
+            starts.append(t0)
+            return inner_solve(params, t0, *args, **kwargs)
+
+        def two_sided(params, initial, settings, mode, solve):
+            return inner_sides(params, initial, settings, mode,
+                               lambda t0, start: segments.extend(solve(t0, start)) or segments)
+
+        monkeypatch.setattr(dynamics, "solve_ivp", solve_ivp)
+        monkeypatch.setattr(dynamics, "_two_sided", two_sided)
+        cut = experiments._crossing_trajectory(p3, data, window)
+        assert starts == [0.0, 0.0]
+        assert [(seg.t.tolist(), seg.status, seg.event) for seg in segments] == [
+            ([0.0, 2.0], 0, None), ([0.0, -2.0], 0, None)]
+        monkeypatch.undo()
+        full = integrate(p3, data.state(), window, mode="signed")
+        assert (cut.t.tolist(), cut.y.tolist(), cut.events) == (full.t.tolist(), full.y.tolist(), ())
 
     @pytest.mark.parametrize("N", [3, 5])
     def test_cut_orbit_keeps_every_crossing_of_its_window(self, N):
@@ -230,7 +350,8 @@ class TestSignChange:
         settings = IntegratorSettings(t_span=(-50.0, 50.0))
         spec = SamplerSpec(kind="uniform_box", projection="psi_positive")
         several = 0
-        for index in range(20):
+        # At N = 5 the first cut orbit with two crossings is draw 65.
+        for index in range({3: 20, 5: 70}[N]):
             data, _ = draw_initial(params, spec, seed=17, index=index)
             if data is None:
                 continue
